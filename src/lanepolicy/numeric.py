@@ -83,14 +83,16 @@ def _values_on(grid: CorridorGrid, f: Callable[[np.ndarray], np.ndarray]) -> np.
 def _check_finite(values: np.ndarray, nodes: np.ndarray) -> None:
     bad = ~np.isfinite(values)
     if bad.any():
-        i = int(np.argmax(bad))
+        i = tuple(np.argwhere(bad)[0])
         raise NumericDomainError(
-            f"integrand is not finite at node x={nodes[i]:.6g} (value {values[i]!r})"
+            f"integrand is not finite at node x={nodes[i[-1]]:.6g} (value {values[i]!r})"
         )
 
 
 def cumulative_values(values: Sequence[float] | np.ndarray, grid: CorridorGrid) -> np.ndarray:
     """Cumulative integral of node-sampled ``values`` from node 0 to every node.
+
+    ``values`` may stack several integrands; the last axis runs over nodes.
 
     Even nodes accumulate the standard Simpson pair rule h/3*(f0 + 4 f1 + f2);
     odd nodes add the half-pair value of the same local quadratic,
@@ -100,16 +102,16 @@ def cumulative_values(values: Sequence[float] | np.ndarray, grid: CorridorGrid) 
     make an odd-node increment overshoot.
     """
     v = np.asarray(values, dtype=float)
-    if v.shape != grid.nodes.shape:
+    if v.shape[-1:] != grid.nodes.shape:
         raise ValidationError(f"expected {grid.nodes.shape[0]} node values, got {v.shape}")
     _check_finite(v, grid.nodes)
     h = grid.h
-    f0, f1, f2 = v[:-2:2], v[1:-1:2], v[2::2]
+    f0, f1, f2 = v[..., :-2:2], v[..., 1:-1:2], v[..., 2::2]
     out = np.zeros_like(v)
     # running total at even nodes 2, 4, ..., n
-    out[2::2] = np.cumsum(h / 3.0 * (f0 + 4.0 * f1 + f2))
+    out[..., 2::2] = np.cumsum(h / 3.0 * (f0 + 4.0 * f1 + f2), axis=-1)
     # odd node k sits half a pair above even node k-1
-    out[1::2] = out[:-2:2] + h / 12.0 * (5.0 * f0 + 8.0 * f1 - f2)
+    out[..., 1::2] = out[..., :-2:2] + h / 12.0 * (5.0 * f0 + 8.0 * f1 - f2)
     return out
 
 

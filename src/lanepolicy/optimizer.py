@@ -1,12 +1,19 @@
 """Nested optimization of bus frequency and mode split for one policy.
 
-The inner loop searches frequency on an integer lattice (then one 0.1-wide
-refinement) subject to the service-capacity floor F >= Q_bus(0)/capacity;
-the outer loop searches the mode split.  The outer lattice walks the bus
-share s = 1 - R so the deterministic smallest-argument tie-break prefers the
-largest auto share, which keeps the degenerate zero-demand case at R = 1.
+The inner search over frequency F scans the integer lattice subject to the
+service-capacity floor F >= Q_bus(0)/capacity, then one 0.1-wide refinement
+window around the incumbent.  The outer search walks the bus share s = 1 - R
+on a coarse lattice and one refined window, so the deterministic
+smallest-argument tie-break prefers the largest auto share, which keeps the
+degenerate zero-demand case at R = 1.
 
-Two verification diagnostics ride along with every optimum: a central
+Each split lattice is priced in two batched calls on one
+:class:`~lanepolicy._fsweep.FrequencySweep` over its feasible shares: every
+share's integer-F row masked below its floor, then every share's refinement
+window (ragged rows, NaN-padded).  :func:`optimize_frequency` is the
+one-share case.
+
+Two diagnostics are computed for the winning optimum only: a central
 finite-difference of total cost in F (stationarity check at interior optima)
 and the demand-weighted disutility gap between the two modes (how far the
 cost-minimizing split sits from a user equilibrium).  The ``equilibrium``
@@ -15,7 +22,6 @@ split rule replaces the outer cost scan with a root solve on the signed gap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -58,33 +64,84 @@ class PolicyOptimum:
     constraint_binding: bool  # service-capacity floor active at f_star
 
 
-def min_frequency(scenario: Scenario, q0: float, auto_share: float) -> float:
+def min_frequency(scenario: Scenario, q0: float, auto_share):
     """Lowest frequency able to carry all bus boardings, buses/hr.
 
     The onboard load peaks at the inner end of the corridor where it equals
     all bus demand, (1-R)*q0*A/2; dividing by bus capacity gives the floor.
+    ``auto_share`` may be an array of shares.
     """
-    if not 0 <= auto_share <= 1:
+    shares = np.asarray(auto_share, dtype=float)
+    if not np.all((0 <= shares) & (shares <= 1)):
         raise ValidationError(f"auto_share must lie in [0, 1], got {auto_share}")
     geom = scenario.geometry
     peak_load = (1.0 - auto_share) * q0 * geom.length_mi / 2.0
     return peak_load / scenario.bus.capacity_pax
 
 
-def _refine_candidates(
-    center: float, lower: float, upper: float, step: float, half_width: float
-) -> np.ndarray:
-    """Lattice of ``step``-spaced points on [center +/- half_width], clipped to
-    [lower, upper]; a clipped window starts exactly at the bound."""
-    start = max(lower, center - half_width)
-    end = min(upper, center + half_width)
-    if end < start:
-        return np.empty(0)
-    n = int(math.floor((end - start) / step + 1e-9))
-    pts = start + step * np.arange(n + 1)
-    if pts[-1] < end - 1e-12:
-        pts = np.append(pts, end)
+def _refine_candidates(center, lower, upper, step: float, half_width: float) -> np.ndarray:
+    """Rows of ``step``-spaced points on [center +/- half_width], clipped to
+    [lower, upper]; a clipped window starts exactly at the bound.  One row per
+    center, NaN-padded; an empty window or a NaN center gives an all-NaN row."""
+    center = np.asarray(center, dtype=float)
+    start = np.maximum(lower, center - half_width)
+    end = np.minimum(upper, center + half_width)
+    n = np.where(end >= start, np.floor((end - start) / step + 1e-9), -1.0)
+    tail = (n >= 0) & (start + step * n < end - 1e-12)
+    cols = np.arange(int(np.max(n + tail)) + 1)
+    pts = np.where(cols <= n[:, None], start[:, None] + step * cols, np.nan)
+    pts[tail, n[tail].astype(int) + 1] = end[tail]
     return pts
+
+
+def _scan_rows(candidates: np.ndarray, values: np.ndarray):
+    """Per row, the first minimum over finite values (smallest argument on
+    ties); cost inf for a row with no finite value."""
+    values = np.where(np.isfinite(values), values, np.inf)
+    k = np.argmin(values, axis=1)
+    rows = np.arange(k.shape[0])
+    return candidates[rows, k], values[rows, k]
+
+
+def _frequency_optima(scenario: Scenario, policy: Policy, q0: float, auto_shares, evaluate=None):
+    """:func:`optimize_frequency` for an array of shares in two batched passes.
+
+    ``evaluate`` maps NaN-padded (n_shares, n_F) candidate rows to costs and
+    defaults to one :class:`FrequencySweep` over the feasible shares.
+    Returns each share's best frequency and cost; the cost is inf for a share
+    whose floor exceeds the cap or whose candidates all evaluated non-finite.
+    """
+    solver = scenario.solver
+    cap = solver.f_cap
+    f_min = min_frequency(scenario, q0, auto_shares)
+    ok = f_min <= cap
+    best_f, best_cost = np.full(f_min.shape, np.nan), np.full(f_min.shape, np.inf)
+    if not ok.any():
+        return best_f, best_cost
+    if evaluate is None:
+        evaluate = FrequencySweep(scenario, policy, q0, auto_shares[ok]).totals
+    f_min = f_min[ok]
+    first = np.maximum(1.0, np.ceil(f_min - 1e-9))
+    lattice = np.arange(first.min(), cap + 1e-9, 1.0)
+    on = lattice >= first[:, None]
+    coarse = np.where(on, lattice, np.nan)
+    if not on.any(axis=1).all():  # a floor above the last lattice point: the cap alone
+        coarse = np.column_stack([coarse, np.where(on.any(axis=1), np.nan, cap)])
+    f1, c1 = _scan_rows(coarse, evaluate(coarse))
+
+    window = _refine_candidates(
+        np.where(np.isfinite(c1), f1, np.nan), np.maximum(1.0, f_min), cap,
+        solver.f_refine_step, half_width=1.0,
+    )
+    if window.shape[1]:
+        f2, c2 = _scan_rows(window, evaluate(window))
+        searched = ~np.isnan(window).all(axis=1)
+        better = searched & ((c2 < c1) | ((c2 == c1) & (f2 < f1)))
+        f1 = np.where(better, f2, f1)
+        # a window that evaluated nothing finite makes the share infeasible
+        c1 = np.where(better | (searched & np.isinf(c2)), c2, c1)
+    best_f[ok], best_cost[ok] = f1, c1
+    return best_f, best_cost
 
 
 def optimize_frequency(
@@ -103,43 +160,25 @@ def optimize_frequency(
 
     :raises InfeasibleError: when the capacity floor exceeds the search cap.
     """
-    solver = scenario.solver
     f_min = min_frequency(scenario, q0, auto_share)
-    cap = solver.f_cap
+    cap = scenario.solver.f_cap
     if f_min > cap:
         raise InfeasibleError(
             f"service-capacity constraint is infeasible: carrying the bus demand at "
             f"auto share {auto_share:g} needs at least {f_min:.2f} buses/hr, above the "
             f"search cap {cap:g}"
         )
-    lower = max(1.0, f_min)
-    first = max(1.0, math.ceil(f_min - 1e-9))
-    coarse = np.arange(first, cap + 1e-9, 1.0)
-    if coarse.size == 0:
-        coarse = np.array([cap])
+    evaluate = None
+    if cost_fn is not None:
+        def evaluate(rows: np.ndarray) -> np.ndarray:
+            return np.array(
+                [[np.nan if np.isnan(f) else float(cost_fn(float(f))) for f in row] for row in rows]
+            )
 
-    if cost_fn is None:
-        evaluate = FrequencySweep(scenario, policy, q0, auto_share).totals
-    else:
-        def evaluate(candidates: np.ndarray) -> np.ndarray:
-            return np.array([float(cost_fn(float(f))) for f in candidates])
-
-    best_f, best_cost = _scan(coarse, evaluate(coarse))
-    refined = _refine_candidates(best_f, lower, cap, solver.f_refine_step, half_width=1.0)
-    if refined.size:
-        f2, c2 = _scan(refined, evaluate(refined))
-        if c2 < best_cost or (c2 == best_cost and f2 < best_f):
-            best_f, best_cost = f2, c2
-    return best_f, best_cost
-
-
-def _scan(candidates: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    finite = np.isfinite(values)
-    if not finite.any():
+    f, cost = _frequency_optima(scenario, policy, q0, np.array([auto_share]), evaluate)
+    if np.isinf(cost[0]):
         raise InfeasibleError("every candidate evaluated non-finite")
-    values = np.where(finite, values, np.inf)
-    k = int(np.argmin(values))  # first minimum = smallest argument
-    return float(candidates[k]), float(values[k])
+    return float(f[0]), float(cost[0])
 
 
 def foc_residual(
@@ -187,34 +226,28 @@ def _split_lattice(solver, center: float | None = None) -> np.ndarray:
         n = int(round(1.0 / solver.r_step))
         return np.arange(n + 1) * solver.r_step
     step = solver.r_step / solver.r_refine_factor
-    return _refine_candidates(center, 0.0, 1.0, step, half_width=solver.r_step)
+    row = _refine_candidates(np.array([center]), 0.0, 1.0, step, half_width=solver.r_step)[0]
+    return row[~np.isnan(row)]
 
 
 def _best_split_cost_min(scenario: Scenario, policy: Policy, q0: float):
-    best = None  # (cost, bus_share, frequency)
-    infeasible = 0
+    def scan(bus_shares: np.ndarray):
+        """(cost, bus share, frequency) of the cheapest share, the smallest
+        share on ties; None when no share is feasible."""
+        f_star, cost = _frequency_optima(scenario, policy, q0, 1.0 - bus_shares)
+        k = int(np.argmin(cost))
+        if np.isinf(cost[k]):
+            return None
+        return float(cost[k]), float(bus_shares[k]), float(f_star[k])
 
-    def scan(shares: np.ndarray):
-        nonlocal best, infeasible
-        for s in shares:
-            try:
-                f_star, cost = optimize_frequency(scenario, policy, q0, 1.0 - float(s))
-            except InfeasibleError:
-                infeasible += 1
-                continue
-            key = (cost, float(s))
-            if best is None or key < (best[0], best[1]):
-                best = (cost, float(s), f_star)
-
-    coarse = _split_lattice(scenario.solver)
-    scan(coarse)
+    best = scan(_split_lattice(scenario.solver))
     if best is None:
         raise InfeasibleError(
             f"no feasible mode split at q0={q0:g}: the service-capacity floor exceeds "
             f"the frequency cap {scenario.solver.f_cap:g} for every split"
         )
-    scan(_split_lattice(scenario.solver, center=best[1]))
-    return best
+    refined = scan(_split_lattice(scenario.solver, center=best[1]))
+    return refined if refined is not None and refined[:2] < best[:2] else best
 
 
 def _best_split_equilibrium(scenario: Scenario, policy: Policy, q0: float):

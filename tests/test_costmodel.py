@@ -19,6 +19,7 @@ from lanepolicy import (
     discomfort_cost,
     intersection_delay,
     line_haul_time,
+    load_scenario,
     total_intersection_delay,
     unit_time_profile,
     waiting_time,
@@ -370,3 +371,57 @@ class TestFrequencySweep:
         sweep = FrequencySweep(baseline, Policy.MTP, 800.0, 0.7)
         with pytest.raises(ValidationError):
             sweep.totals([0.0])
+
+    _SHARES = np.array([0.0, 0.35, 0.8, 1.0])
+    _PER_SHARE_ROWS = np.array(
+        [
+            [2.0, 30.0, np.nan],
+            [1.0, 7.25, 120.0],
+            [55.5, np.nan, np.nan],
+            [3.0, 4.0, 99.9],
+        ]
+    )
+
+    @staticmethod
+    def _direct(scen, policy, q0, shares, rows):
+        def total(r, f):
+            return np.nan if np.isnan(f) else cost_breakdown(scen, policy, q0, r, f).total
+
+        return np.array([[total(r, f) for f in row] for r, row in zip(shares, rows)])
+
+    @pytest.mark.parametrize("n_intersections", [0, 10])
+    @pytest.mark.parametrize("mode", ["segment", "cumulative"])
+    @pytest.mark.parametrize("policy", POLICY_ORDER)
+    def test_share_batches_match_direct_evaluation(self, policy, mode, n_intersections):
+        scen = load_scenario(
+            {
+                "solver": {"delay_volume_mode": mode},
+                "geometry": {"n_intersections": n_intersections},
+            }
+        )
+        sweep = FrequencySweep(scen, policy, 900.0, self._SHARES)
+        shared_row = np.array([1.0, 12.5, 64.0, 120.0])
+        for rows in (np.tile(shared_row, (len(self._SHARES), 1)), self._PER_SHARE_ROWS):
+            expected = self._direct(scen, policy, 900.0, self._SHARES, rows)
+            np.testing.assert_allclose(sweep.totals(rows), expected, rtol=5e-12)
+        np.testing.assert_allclose(
+            sweep.totals(shared_row),
+            self._direct(scen, policy, 900.0, self._SHARES, [shared_row] * len(self._SHARES)),
+            rtol=5e-12,
+        )
+
+    def test_fallback_prices_only_real_candidates(self, monkeypatch):
+        # non-integer beta leaves the moment table; every candidate is one
+        # cost_breakdown call and padding costs nothing
+        scen = load_scenario({"bpr": {"beta_auto": 4.5}, "solver": {"n_cells": 20}})
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return cost_breakdown(*args)
+
+        monkeypatch.setattr("lanepolicy._fsweep.cost_breakdown", counted)
+        got = FrequencySweep(scen, Policy.HOVLP, 700.0, self._SHARES).totals(self._PER_SHARE_ROWS)
+        assert len(calls) == int(np.sum(~np.isnan(self._PER_SHARE_ROWS)))
+        expected = self._direct(scen, Policy.HOVLP, 700.0, self._SHARES, self._PER_SHARE_ROWS)
+        np.testing.assert_array_equal(got, expected)

@@ -6,6 +6,7 @@ import pytest
 
 from lanepolicy import (
     InfeasibleError,
+    OccupancyParams,
     Policy,
     Scenario,
     ValidationError,
@@ -15,6 +16,7 @@ from lanepolicy import (
     optimize_frequency,
     optimize_policy,
 )
+from lanepolicy.config import preset
 from lanepolicy.optimizer import equilibrium_gap, foc_residual
 
 
@@ -161,3 +163,113 @@ class TestOptimizePolicy:
         signed = equilibrium_gap(scen, Policy.MTP, 1000.0, opt.r_star, opt.f_star, signed=True)
         # the root solve stops at the split-lattice refinement tolerance
         assert abs(signed) < 0.5
+
+# (scenario, policy, q0) -> (R*, F*, total) recorded from the per-share
+# optimizer that preceded the batched split scan.  Covers the R* = 0
+# low-demand corner (q0 = 150) and optima pinned near f_cap (q0 >= 1600).
+# No entry raised InfeasibleError.
+_GOLDEN_OPTIMA = {
+    ("baseline", "mtp", 0.0): (1.0, 1.0, 330.0000000000008),
+    ("baseline", "mtp", 150.0): (0.0, 32.142857142857146, 17686.34969088972),
+    ("baseline", "mtp", 658.0): (0.6619999999999999, 47.658000000000015, 116972.31263239436),
+    ("baseline", "mtp", 1072.0): (0.7030000000000001, 68.22514285714283, 232441.48947428173),
+    ("baseline", "mtp", 1476.0): (0.6819999999999999, 100.57885714285716, 480058.63129522157),
+    ("baseline", "mtp", 2007.0): (0.721, 119.98992857142859, 1494275.2076707855),
+    ("baseline", "mtp", 2214.0): (0.748, 119.556, 2375630.1009143977),
+    ("baseline", "eblp", 0.0): (1.0, 1.0, 580.0000000000722),
+    ("baseline", "eblp", 150.0): (0.0, 32.142857142857146, 17937.05183227458),
+    ("baseline", "eblp", 658.0): (0.605, 55.69500000000001, 119981.88873295125),
+    ("baseline", "eblp", 1072.0): (0.575, 97.62857142857143, 258068.64834342292),
+    ("baseline", "eblp", 1476.0): (0.621, 119.87228571428571, 575337.3369021734),
+    ("baseline", "eblp", 2007.0): (0.721, 119.98992857142859, 2760807.2595926262),
+    ("baseline", "eblp", 2214.0): (0.748, 119.556, 5033554.838842447),
+    ("baseline", "hovlp", 0.0): (1.0, 1.0, 1130.0000000000723),
+    ("baseline", "hovlp", 150.0): (0.0, 32.142857142857146, 18487.05183227458),
+    ("baseline", "hovlp", 658.0): (0.651, 49.209, 120252.62842993073),
+    ("baseline", "hovlp", 1072.0): (0.688, 71.67085714285716, 269953.91045434313),
+    ("baseline", "hovlp", 1476.0): (0.7010000000000001, 94.56942857142856, 701892.5744956993),
+    ("baseline", "hovlp", 2007.0): (0.77, 98.91642857142857, 2732405.8177886656),
+    ("baseline", "hovlp", 2214.0): (0.796, 96.78342857142854, 4458630.589462531),
+    ("seattle_i5", "mtp", 0.0): (1.0, 1.0, 309.2333333333336),
+    ("seattle_i5", "mtp", 150.0): (0.0, 42.1, 6993.636747920045),
+    ("seattle_i5", "mtp", 658.0): (0.546, 59.10625999999999, 46212.51974330339),
+    ("seattle_i5", "mtp", 1072.0): (0.661, 71.90286857142857, 85703.18917486804),
+    ("seattle_i5", "mtp", 1476.0): (0.667, 97.24836857142856, 150632.2793926409),
+    ("seattle_i5", "mtp", 2007.0): (0.698, 119.92398428571433, 369230.93334111734),
+    ("seattle_i5", "mtp", 2214.0): (0.727, 119.58921, 549557.9540818849),
+    ("seattle_i5", "eblp", 0.0): (1.0, 1.0, 547.7333333333555),
+    ("seattle_i5", "eblp", 150.0): (0.0, 42.0, 7232.972343112156),
+    ("seattle_i5", "eblp", 658.0): (0.524, 61.97043999999999, 46634.150115734694),
+    ("seattle_i5", "eblp", 1072.0): (0.5640000000000001, 92.4768457142857, 90092.91091670259),
+    ("seattle_i5", "eblp", 1476.0): (0.59, 119.73522857142858, 165032.4365622492),
+    ("seattle_i5", "eblp", 2007.0): (0.698, 119.92398428571433, 578111.2475610054),
+    ("seattle_i5", "eblp", 2214.0): (0.727, 119.58921, 1003260.2923151922),
+    ("seattle_i5", "hovlp", 0.0): (1.0, 1.0, 1086.2333333333554),
+    ("seattle_i5", "hovlp", 150.0): (0.0, 42.0, 7771.472343112156),
+    ("seattle_i5", "hovlp", 658.0): (0.538, 60.14777999999999, 47403.44696387001),
+    ("seattle_i5", "hovlp", 1072.0): (0.647, 74.87230857142858, 93572.66294354768),
+    ("seattle_i5", "hovlp", 1476.0): (0.673, 95.4961457142857, 194829.62823294738),
+    ("seattle_i5", "hovlp", 2007.0): (0.743, 102.05451642857142, 618839.3141742905),
+    ("seattle_i5", "hovlp", 2214.0): (0.772, 99.87670285714285, 972424.1048171045),
+    ("seattle_sr99", "mtp", 0.0): (1.0, 1.0, 315.3714285714291),
+    ("seattle_sr99", "mtp", 150.0): (0.0, 32.6, 9343.015360655676),
+    ("seattle_sr99", "mtp", 658.0): (0.596, 51.07771999999999, 61570.68823203737),
+    ("seattle_sr99", "mtp", 1072.0): (0.6859999999999999, 64.67682285714287, 114606.10980457609),
+    ("seattle_sr99", "mtp", 1476.0): (0.6819999999999999, 90.18570857142859, 204881.8197413737),
+    ("seattle_sr99", "mtp", 2007.0): (0.6890000000000001, 119.93115214285712, 509711.04471851914),
+    ("seattle_sr99", "mtp", 2214.0): (0.718, 119.96400857142858, 760634.6932833741),
+    ("seattle_sr99", "eblp", 0.0): (1.0, 1.0, 549.8714285714655),
+    ("seattle_sr99", "eblp", 150.0): (0.0, 32.6, 9578.137886794642),
+    ("seattle_sr99", "eblp", 658.0): (0.565, 54.99705, 62286.96170790968),
+    ("seattle_sr99", "eblp", 1072.0): (0.5800000000000001, 86.51039999999998, 122603.0655065595),
+    ("seattle_sr99", "eblp", 1476.0): (0.577, 119.96400857142858, 226410.25552330108),
+    ("seattle_sr99", "eblp", 2007.0): (0.6890000000000001, 119.93115214285712, 783015.0358189134),
+    ("seattle_sr99", "eblp", 2214.0): (0.718, 119.96400857142858, 1358092.3160943922),
+    ("seattle_sr99", "hovlp", 0.0): (1.0, 1.0, 1084.3714285714655),
+    ("seattle_sr99", "hovlp", 150.0): (0.0, 32.6, 10112.637886794642),
+    ("seattle_sr99", "hovlp", 658.0): (0.588, 52.08916, 62975.701556460335),
+    ("seattle_sr99", "hovlp", 1072.0): (0.671, 67.76647999999999, 125593.15966925031),
+    ("seattle_sr99", "hovlp", 1476.0): (0.6839999999999999, 89.61850285714287, 266619.4911062568),
+    ("seattle_sr99", "hovlp", 2007.0): (0.738, 101.03524714285714, 861468.4709934078),
+    ("seattle_sr99", "hovlp", 2214.0): (0.766, 99.54460285714285, 1360574.693694762),
+    ("contrast", "mtp", 0.0): (1.0, 1.0, 330.0000000000008),
+    ("contrast", "mtp", 150.0): (0.0, 32.142857142857146, 17686.34969088972),
+    ("contrast", "mtp", 658.0): (0.641, 50.619, 120313.64273821813),
+    ("contrast", "mtp", 1072.0): (0.6639999999999999, 77.18400000000001, 253309.1428199184),
+    ("contrast", "mtp", 1476.0): (0.626, 118.29085714285715, 576957.7727467606),
+    ("contrast", "mtp", 2007.0): (0.721, 119.98992857142859, 2109427.8767562294),
+    ("contrast", "mtp", 2214.0): (0.748, 119.556, 3483682.6409611804),
+    ("contrast", "eblp", 0.0): (1.0, 1.0, 580.0000000000722),
+    ("contrast", "eblp", 150.0): (0.0, 32.142857142857146, 17937.05183227458),
+    ("contrast", "eblp", 658.0): (0.5740000000000001, 60.06599999999999, 123938.3369804264),
+    ("contrast", "eblp", 1072.0): (0.5349999999999999, 106.81714285714287, 277464.49509275827),
+    ("contrast", "eblp", 1476.0): (0.621, 119.87228571428571, 722442.7907330695),
+    ("contrast", "eblp", 2007.0): (0.721, 119.98992857142859, 4163692.248300994),
+    ("contrast", "eblp", 2214.0): (0.748, 119.556, 7781585.117115418),
+    ("contrast", "hovlp", 0.0): (1.0, 1.0, 1130.0000000000723),
+    ("contrast", "hovlp", 150.0): (0.0, 32.142857142857146, 18487.05183227458),
+    ("contrast", "hovlp", 658.0): (0.642, 50.478, 120313.44698135348),
+    ("contrast", "hovlp", 1072.0): (0.659, 78.33257142857143, 239583.32903249067),
+    ("contrast", "hovlp", 1476.0): (0.626, 118.29085714285715, 470772.5043208537),
+    ("contrast", "hovlp", 2007.0): (0.721, 119.98992857142859, 1467746.504558098),
+    ("contrast", "hovlp", 2214.0): (0.748, 119.556, 2411763.123363281),
+}
+
+
+def _golden_scenario(name: str) -> Scenario:
+    if name == "contrast":
+        return Scenario(
+            occupancy=OccupancyParams(low_share=0.8, low_occupancy=1.0, high_occupancy=4.0)
+        )
+    return preset(name)
+
+
+@pytest.mark.parametrize("name", ["baseline", "seattle_i5", "seattle_sr99", "contrast"])
+def test_golden_optima(name):
+    scen = _golden_scenario(name)
+    for (scen_name, policy, q0), (r_star, f_star, total) in _GOLDEN_OPTIMA.items():
+        if scen_name != name:
+            continue
+        opt = optimize_policy(scen, Policy(policy), q0)
+        assert (opt.r_star, opt.f_star) == (r_star, f_star), (policy, q0)
+        assert opt.breakdown.total == pytest.approx(total, rel=1e-12), (policy, q0)
