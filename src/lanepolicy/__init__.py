@@ -41,7 +41,6 @@ from .demand import (
     cumulative_demand,
     density,
     occupancy_split,
-    total_volume,
 )
 from .costmodel import (
     POLICY_ORDER,
@@ -128,7 +127,6 @@ __all__ = [
     "density",
     "cumulative_demand",
     "occupancy_split",
-    "total_volume",
     # cost model
     "Policy",
     "POLICY_ORDER",

@@ -9,14 +9,17 @@ corridor integral is a scenario constant times a monomial in (a, b, F): ride,
 round-trip and crowding terms, boardings and fares (with b), auto money
 (with a), and the waiting load moment (b^(gamma3 + 1)).  These constants form
 one :class:`_MomentTable` per (scenario, policy), built on first use and
-kept in a bounded LRU cache.  Only signalized-intersection delay is evaluated
-directly, one intersection at a time, from per-intersection constants.
+kept in a bounded LRU cache.  The lane groups come from
+:data:`~lanepolicy.costmodel.LANE_TABLE`.  Only signalized-intersection delay
+is evaluated directly, one intersection at a time, from per-intersection
+constants.
 
 :class:`FrequencySweep` is a cheap view of the table at one q0 and one or
 many auto shares.  It reproduces `costmodel.cost_breakdown` totals to
 floating-point reordering error (the expansion is algebraically exact); a
-property test pins the two paths together.  Non-integer exponents fall back
-to per-point evaluation.
+property test pins the two paths together.  Non-integer exponents have no
+table; their sweeps price each share's candidates with
+:func:`~lanepolicy.costmodel.cost_totals`, a block of frequencies at a time.
 """
 
 from __future__ import annotations
@@ -28,14 +31,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import Scenario
-from .costmodel import Policy, cost_breakdown, intersection_delay, _signal_cost
-from .demand import occupancy_split
+from .costmodel import (
+    Policy, cost_totals, intersection_delay, lane_streams, signal_auto_pax, _signal_cost
+)
+from .demand import DemandField
 from .errors import ValidationError
 from .numeric import cumulative_values
 
 __all__ = ["FrequencySweep"]
 
 _MAX_POLY_DEGREE = 12
+_F_BLOCK = 32  # frequencies per cost_totals call on the table-less path
 
 
 def _time_rows(phi, slope, capacity, t0, alpha, beta) -> np.ndarray:
@@ -63,9 +69,7 @@ class _MomentTable(NamedTuple):
 @lru_cache(maxsize=64)
 def _moment_table(scenario: Scenario, policy: Policy) -> _MomentTable | None:
     """The (scenario, policy) constants; None when an exponent is not a small integer."""
-    geom, bpr, bus, econ, occ = (
-        scenario.geometry, scenario.bpr, scenario.bus, scenario.econ, scenario.occupancy
-    )
+    geom, bpr, bus, econ = scenario.geometry, scenario.bpr, scenario.bus, scenario.econ
     if not all(
         float(beta).is_integer() and beta <= _MAX_POLY_DEGREE
         for beta in (bpr.beta_auto, bpr.beta_bus)
@@ -75,30 +79,14 @@ def _moment_table(scenario: Scenario, policy: Policy) -> _MomentTable | None:
     grid = scenario.grid()
     nodes = grid.nodes
     length = geom.length_mi
-    split = occupancy_split(occ)
     upstream = (length - nodes) ** 2 / (2.0 * length)  # demand upstream of x per unit scale
     weights = grid.simpson_weights * (1.0 - nodes / length)  # demand density quadrature
-    cap, pce = geom.lane_capacity_vph, bpr.bus_pce
-    shared, other = geom.n_lanes * cap, (geom.n_lanes - 1) * cap
-    veh = upstream / split.average_occupancy
-
-    # corridor lane groups: bus (phi, slope, capacity) and weighted auto classes
-    if policy is Policy.MTP:
-        bus_group = (veh, pce, shared)
-        auto_groups = [(1.0, veh, pce, shared)]
-        per_pax = 1.0 / split.average_occupancy
-    elif policy is Policy.EBLP:
-        bus_group = (np.zeros_like(nodes), pce, cap)
-        auto_groups = [(1.0, veh, 0.0, other)]
-        per_pax = 1.0 / split.average_occupancy
-    else:
-        hov = split.high_fraction * upstream / occ.high_occupancy
-        bus_group = (hov, pce, cap)
-        auto_groups = [
-            (split.low_fraction, split.low_fraction * upstream / occ.low_occupancy, 0.0, other),
-            (split.high_fraction, hov, pce, cap),
-        ]
-        per_pax = split.low_fraction / occ.low_occupancy + split.high_fraction / occ.high_occupancy
+    pce = bpr.bus_pce
+    streams = lane_streams(scenario, policy)
+    # corridor lane groups: a*phi(x) + slope*F veh/hr on capacity
+    groups = [(s.vehicles(upstream), pce if s.buses else 0.0, s.capacity) for s in streams]
+    bus_group = next(g for g, s in zip(groups, streams) if s.buses)
+    per_pax = sum(share / occupancy for s in streams for _, share, occupancy in s.autos)
 
     poly = np.zeros((max(beta_a + 1, beta_b) + 1, 4, max(beta_a, beta_b) + 2))
     nb = beta_b + 1
@@ -109,10 +97,11 @@ def _moment_table(scenario: Scenario, policy: Policy) -> _MomentTable | None:
     # crowding rate quad*Q_bus^2 + lin*Q_bus with Q_bus = b*upstream
     for m, rate, load in ((3, bus.discomfort_quad, upstream**2), (2, bus.discomfort_lin, upstream)):
         poly[:nb, m, :nb] += rate * (cumulative_values(load * t_bus, grid) @ weights)
-    for share, phi, slope, capacity in auto_groups:
-        t_auto = _time_rows(phi, slope, capacity, bpr.t0_auto, bpr.alpha_auto, beta_a)
-        ride = cumulative_values(t_auto, grid) @ weights
-        poly[1 : beta_a + 2, 0, : beta_a + 1] += econ.vot_auto * share * ride
+    for group, s in zip(groups, streams):
+        for _, share, _ in s.autos:
+            t_auto = _time_rows(*group, bpr.t0_auto, bpr.alpha_auto, beta_a)
+            ride = cumulative_values(t_auto, grid) @ weights
+            poly[1 : beta_a + 2, 0, : beta_a + 1] += econ.vot_auto * share * ride
     money = econ.auto_fixed_cost + econ.auto_cost_per_mi * nodes
     poly[1, 0, 0] += float(money @ weights) * per_pax
     boardings = float(np.sum(weights))
@@ -123,27 +112,20 @@ def _moment_table(scenario: Scenario, policy: Policy) -> _MomentTable | None:
     n_inter = geom.n_intersections
     signals: tuple = ()
     if n_inter > 0:
-        positions = np.asarray(geom.intersection_positions)
-        pax = (length - positions) ** 2 / (2.0 * length)
-        if scenario.solver.delay_volume_mode == "segment":
-            downstream = positions + length / (n_inter + 1)
-            entering = pax - (length - downstream) ** 2 / (2.0 * length)
-        else:
-            entering = pax
-        auto_veh = entering / split.average_occupancy
+        pax = (length - np.asarray(geom.intersection_positions)) ** 2 / (2.0 * length)
+        entering = signal_auto_pax(scenario, DemandField(q0=1.0, length_mi=length, auto_share=1.0))
         slope = pce / (n_inter + 1)
         pax_auto, pax_bus = econ.vot_auto * pax / 3600.0, econ.vot_bus * pax / 3600.0
-        zeros = np.zeros(n_inter)
-        if policy is Policy.MTP:
-            signals = ((auto_veh, slope, shared, pax_auto, pax_bus),)
-        elif policy is Policy.EBLP:
-            signals = ((zeros, slope, cap, zeros, pax_bus), (auto_veh, 0.0, other, pax_auto, zeros))
-        else:
-            mu = occ.low_share
-            signals = (
-                ((1.0 - mu) * auto_veh, slope, cap, split.high_fraction * pax_auto, pax_bus),
-                (mu * auto_veh, 0.0, other, split.low_fraction * pax_auto, zeros),
+        signals = tuple(
+            (
+                s.vehicles(entering),
+                slope if s.buses else 0.0,
+                s.capacity,
+                sum(share for _, share, _ in s.autos) * pax_auto,
+                pax_bus if s.buses else np.zeros(n_inter),
             )
+            for s in streams
+        )
 
     load_moment = float(upstream**bus.wait_gamma3 @ weights)
     return _MomentTable(poly, boardings, load_moment, signals)
@@ -170,11 +152,12 @@ class FrequencySweep:
     def _fallback_totals(self, f_arr: np.ndarray) -> np.ndarray:
         out = np.full(f_arr.shape, np.nan)
         for i, share in enumerate(self._shares):
-            for j, f in enumerate(f_arr[i]):
-                if not np.isnan(f):
-                    out[i, j] = cost_breakdown(
-                        self.scenario, self.policy, self.q0, float(share), float(f)
-                    ).total
+            real = np.flatnonzero(~np.isnan(f_arr[i]))
+            for start in range(0, real.size, _F_BLOCK):
+                cols = real[start : start + _F_BLOCK]
+                out[i, cols] = cost_totals(
+                    self.scenario, self.policy, self.q0, float(share), f_arr[i, cols]
+                )
         return out
 
     # -- evaluation -----------------------------------------------------------

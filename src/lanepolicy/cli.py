@@ -27,6 +27,7 @@ from typing import IO, Callable, Sequence
 
 import numpy as np
 
+from ._fsweep import FrequencySweep
 from ._version import __version__
 from .config import (
     Scenario,
@@ -206,21 +207,15 @@ def _best_split_at_fixed_f(
     ties prefer the larger auto share.
     """
     step = scenario.solver.r_step
-    shares = np.arange(0.0, 1.0 + step / 2, step)
-    shares = np.minimum(shares, 1.0)
-    best: tuple[float, float] | None = None
-    for r in shares:
-        if min_frequency(scenario, q0, float(r)) > frequency + 1e-9:
-            continue
-        total = cost_breakdown(scenario, policy, q0, float(r), frequency).total
-        key = (total, 1.0 - float(r))
-        if best is None or key < best[0:2]:
-            best = (total, 1.0 - float(r), float(r))
-    if best is None:
+    shares = np.minimum(np.arange(0.0, 1.0 + step / 2, step), 1.0)
+    shares = shares[min_frequency(scenario, q0, shares) <= frequency + 1e-9]
+    if shares.size == 0:
         raise InfeasibleError(
             f"no mode split can carry the bus demand at F={frequency:g} buses/hr"
         )
-    return best[2]
+    totals = FrequencySweep(scenario, policy, q0, shares).totals([frequency])[:, 0]
+    # the last of equal minima is the largest auto share
+    return float(shares[-1 - int(np.argmin(totals[::-1]))])
 
 
 def _cmd_cost(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:

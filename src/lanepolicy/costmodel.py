@@ -1,18 +1,30 @@
 """Policy-specific cost physics for the three lane policies.
 
-For one (scenario, q0, R, F) point this module tabulates per-mile travel
-times along the corridor, accumulates them into line-haul times, adds
-waiting, crowding, signalized-intersection delay, fares and operating
-expenses, and rolls everything into the four system-cost components:
+For one (scenario, q0, R) point and one bus frequency F, or a 1-D array of
+frequencies, this module tabulates per-mile travel times along the corridor,
+accumulates them into line-haul times, adds waiting, crowding,
+signalized-intersection delay, fares and operating expenses, and rolls
+everything into the four system-cost components:
 
 * bus users, bus operator, auto users, and lane-policy signal cost.
 
-Lane allocation per policy:
+The policies differ only in how the lanes are divided, and
+:data:`LANE_TABLE` states that once.  Each policy is a tuple of lane groups.
+A group has a capacity (all lanes, one reserved lane, or the rest), may
+carry the buses, and carries the auto classes listed with it, each with its
+share of auto travelers and its occupancy:
 
 * MTP  - all lanes shared; one traffic stream carries autos plus bus PCEs.
 * EBLP - one lane exclusive to buses, the rest carry all autos.
 * HOVLP - one lane for buses plus high-occupancy autos, the rest carry
   low-occupancy autos.
+
+Corridor travel times, per-intersection volumes, per-class money costs, the
+signage cost and the moment tables of :mod:`lanepolicy._fsweep` all read it.
+
+With an array of frequencies every node profile is (n_F, nodes) and every
+cost component an (n_F,) array: :func:`cost_totals` is that batched form and
+:func:`cost_breakdown` its one-point case.
 
 Positions are miles from the outer boundary; all travelers move toward the
 inner end, so flows at x accumulate demand from [x, length].
@@ -21,32 +33,38 @@ inner end, so flows at x accumulate demand from [x, length].
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import Scenario, SignalParams
-from .demand import DemandField, OccupancySplit, cumulative_demand, occupancy_split
+from .demand import DemandField, cumulative_demand, occupancy_split
 from .errors import UndefinedServiceError, ValidationError
 from .numeric import CorridorGrid, cumulative_values, integrate_values
 
 __all__ = [
     "Policy",
     "POLICY_ORDER",
+    "LANE_TABLE",
     "CostBreakdown",
     "EvaluationContext",
     "build_context",
+    "lane_streams",
     "bpr_time",
     "unit_time_profile",
     "line_haul_time",
     "waiting_time",
     "discomfort_cost",
     "intersection_delay",
+    "signal_auto_pax",
     "delay_args",
     "total_intersection_delay",
     "bus_disutility",
     "auto_disutility",
+    "mean_auto_disutility",
     "cost_breakdown",
+    "cost_totals",
 ]
 
 
@@ -70,19 +88,96 @@ class Policy(enum.Enum):
 
 POLICY_ORDER: tuple[Policy, ...] = (Policy.MTP, Policy.EBLP, Policy.HOVLP)
 
-_CLASSES_BY_POLICY: dict[Policy, tuple[str, ...]] = {
-    Policy.MTP: ("auto", "bus"),
-    Policy.EBLP: ("auto", "bus"),
-    Policy.HOVLP: ("low_occ_auto", "high_occ_auto", "bus"),
+
+class LaneGroup(NamedTuple):
+    """Lanes that form one traffic stream.
+
+    ``lanes`` is "all" lanes, the "one" reserved lane or the "rest".  Buses
+    add PCE*F veh/hr on the corridor and PCE*F/(n+1) at each signal.  Each
+    auto class is (name, share of auto travelers, occupancy), naming factors
+    that :func:`lane_streams` resolves; the occupancy divides both the
+    class's vehicle volume and its money cost per traveler.
+    """
+
+    lanes: str
+    buses: bool
+    autos: tuple[tuple[str, str, str], ...] = ()
+
+
+_ALL_AUTOS = ("auto", "all", "average_occupancy")
+
+LANE_TABLE: dict[Policy, tuple[LaneGroup, ...]] = {
+    Policy.MTP: (LaneGroup("all", True, (_ALL_AUTOS,)),),
+    Policy.EBLP: (LaneGroup("one", True), LaneGroup("rest", False, (_ALL_AUTOS,))),
+    Policy.HOVLP: (
+        LaneGroup("one", True, (("high_occ_auto", "high_fraction", "high_occupancy"),)),
+        LaneGroup("rest", False, (("low_occ_auto", "low_fraction", "low_occupancy"),)),
+    ),
+}
+_SIGNAGE = {Policy.EBLP: "ebl", Policy.HOVLP: "hovl"}  # LanePolicyCosts field prefixes
+
+# traveler class -> index of the lane group it uses
+_CLASSES_BY_POLICY: dict[Policy, dict[str, int]] = {
+    policy: {
+        **{c[0]: k for k, group in enumerate(groups) for c in group.autos},
+        "bus": next(k for k, group in enumerate(groups) if group.buses),
+    }
+    for policy, groups in LANE_TABLE.items()
 }
 
 
-def _check_class(policy: Policy, traveler_class: str) -> None:
-    if traveler_class not in _CLASSES_BY_POLICY[policy]:
+class Stream(NamedTuple):
+    """A lane group resolved on one scenario."""
+
+    capacity: float  # veh/hr
+    buses: bool
+    autos: tuple[tuple[str, float, float], ...]  # (class, share of auto travelers, occupancy)
+
+    def vehicles(self, auto_pax):
+        """Auto veh/hr in this stream where ``auto_pax`` auto travelers pass."""
+        out = np.zeros(np.shape(auto_pax))
+        for _, share, occupancy in self.autos:
+            out = out + share * auto_pax / occupancy
+        return out
+
+
+def lane_streams(scenario: Scenario, policy: Policy) -> tuple[Stream, ...]:
+    """The policy's lane groups from :data:`LANE_TABLE`, resolved on ``scenario``."""
+    geom, occ = scenario.geometry, scenario.occupancy
+    lanes = {"all": geom.n_lanes, "one": 1, "rest": geom.n_lanes - 1}
+    factor = {"all": 1.0, **asdict(occ), **asdict(occupancy_split(occ))}
+    return tuple(
+        Stream(
+            lanes[group.lanes] * geom.lane_capacity_vph,
+            group.buses,
+            tuple((name, factor[share], factor[o]) for name, share, o in group.autos),
+        )
+        for group in LANE_TABLE[policy]
+    )
+
+
+def _group_of(policy: Policy, traveler_class: str) -> int:
+    """Index of the lane group a traveler class uses under ``policy``."""
+    groups = _CLASSES_BY_POLICY[policy]
+    if traveler_class not in groups:
         raise ValidationError(
             f"traveler class {traveler_class!r} is not defined under {policy.value}; "
-            f"valid classes: {', '.join(_CLASSES_BY_POLICY[policy])}"
+            f"valid classes: {', '.join(groups)}"
         )
+    return groups[traveler_class]
+
+
+_COMPONENTS = ("bus_user", "bus_operator", "auto_user", "signal")
+
+
+def _checked(name: str, value):
+    """A cost component with roundoff-scale negatives clipped to 0."""
+    v = np.asarray(value, dtype=float)
+    bad = ~np.isfinite(v) | (v < -1e-9)
+    if bad.any():
+        raise ValidationError(f"cost component {name} must be >= 0, got {v[bad][0]}")
+    v = np.where(v < 0, 0.0, v)
+    return float(v) if v.ndim == 0 else v
 
 
 @dataclass(frozen=True)
@@ -96,12 +191,8 @@ class CostBreakdown:
     total: float = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("bus_user", "bus_operator", "auto_user", "signal"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value < -1e-9:
-                raise ValidationError(f"cost component {name} must be >= 0, got {value}")
-            if value < 0:  # clip roundoff-scale negatives
-                object.__setattr__(self, name, 0.0)
+        for name in _COMPONENTS:
+            object.__setattr__(self, name, _checked(name, getattr(self, name)))
         object.__setattr__(
             self, "total", self.bus_user + self.bus_operator + self.auto_user + self.signal
         )
@@ -109,7 +200,8 @@ class CostBreakdown:
 
 @dataclass(frozen=True)
 class EvaluationContext:
-    """One (scenario, q0, R, F) operating point with tabulated node profiles.
+    """One (scenario, q0, R) point at one frequency or a 1-D array of them,
+    with tabulated node profiles.
 
     Profiles are computed lazily per (policy, class) and memoized, so nested
     integrals reuse a single tabulation pass.
@@ -118,48 +210,35 @@ class EvaluationContext:
     scenario: Scenario
     q0: float
     auto_share: float
-    frequency: float
+    frequency: float | np.ndarray
     grid: CorridorGrid
     demand_field: DemandField
-    split: OccupancySplit
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    # -- node-sampled demand quantities ------------------------------------
 
     def _cached(self, key, build):
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
 
+    @property
+    def f_col(self):
+        """Frequency shaped to broadcast against node profiles: the scalar
+        itself, or an (n_F, 1) column."""
+        return self.frequency if np.ndim(self.frequency) == 0 else self.frequency[:, None]
+
+    def streams(self, policy: Policy) -> tuple[Stream, ...]:
+        return self._cached(("streams", policy), lambda: lane_streams(self.scenario, policy))
+
     def q_auto_cum(self) -> np.ndarray:
         return self._cached(
             "Qa", lambda: cumulative_demand(self.demand_field, "auto", self.grid.nodes)
         )
 
-    def q_bus_cum(self) -> np.ndarray:
-        return self._cached(
-            "Qb", lambda: cumulative_demand(self.demand_field, "bus", self.grid.nodes)
-        )
-
-    def density_auto(self) -> np.ndarray:
-        field_ = self.demand_field
-        return self._cached(
-            "qa",
-            lambda: field_.auto_share * field_.q0 * (1.0 - self.grid.nodes / field_.length_mi),
-        )
-
-    def density_bus(self) -> np.ndarray:
-        field_ = self.demand_field
-        return self._cached(
-            "qb",
-            lambda: (1.0 - field_.auto_share)
-            * field_.q0
-            * (1.0 - self.grid.nodes / field_.length_mi),
-        )
 
 
-def build_context(scenario: Scenario, q0: float, auto_share: float, frequency: float) -> EvaluationContext:
-    if frequency < 0:
+def build_context(scenario: Scenario, q0: float, auto_share: float, frequency) -> EvaluationContext:
+    """Operating point at one frequency or a 1-D array of frequencies."""
+    if np.any(np.asarray(frequency) < 0):
         raise ValidationError(f"frequency must be >= 0, got {frequency}")
     demand_field = DemandField(q0=q0, length_mi=scenario.geometry.length_mi, auto_share=auto_share)
     return EvaluationContext(
@@ -169,7 +248,6 @@ def build_context(scenario: Scenario, q0: float, auto_share: float, frequency: f
         frequency=frequency,
         grid=scenario.grid(),
         demand_field=demand_field,
-        split=occupancy_split(scenario.occupancy),
     )
 
 
@@ -184,62 +262,50 @@ def bpr_time(t0: float, alpha: float, beta: float, volume, capacity: float):
     return float(out) if np.isscalar(volume) else out
 
 
-def _class_volume_and_capacity(ctx: EvaluationContext, policy: Policy, traveler_class: str):
-    """Auto-equivalent volume array (veh/hr) and lane-group capacity for a class."""
-    geom = ctx.scenario.geometry
-    pce = ctx.scenario.bpr.bus_pce
-    split = ctx.split
-    q_auto_veh = ctx.q_auto_cum() / split.average_occupancy
-    if policy is Policy.MTP:
-        volume = q_auto_veh + pce * ctx.frequency
-        return volume, geom.n_lanes * geom.lane_capacity_vph
-    if policy is Policy.EBLP:
-        if traveler_class == "bus":
-            volume = np.full_like(q_auto_veh, pce * ctx.frequency)
-            return volume, geom.lane_capacity_vph
-        return q_auto_veh, (geom.n_lanes - 1) * geom.lane_capacity_vph
-    # HOVLP: the reserved lane carries buses and high-occupancy autos
-    if traveler_class == "low_occ_auto":
-        volume = split.low_fraction * ctx.q_auto_cum() / ctx.scenario.occupancy.low_occupancy
-        return volume, (geom.n_lanes - 1) * geom.lane_capacity_vph
-    volume = (
-        split.high_fraction * ctx.q_auto_cum() / ctx.scenario.occupancy.high_occupancy
-        + pce * ctx.frequency
-    )
-    return volume, geom.lane_capacity_vph
-
-
 def unit_time_profile(ctx: EvaluationContext, policy: Policy, traveler_class: str) -> np.ndarray:
     """Per-mile travel time at every grid node for one policy and traveler class."""
-    _check_class(policy, traveler_class)
+    stream = ctx.streams(policy)[_group_of(policy, traveler_class)]
     key = ("unit", policy, traveler_class)
 
     def build() -> np.ndarray:
-        volume, capacity = _class_volume_and_capacity(ctx, policy, traveler_class)
         bpr = ctx.scenario.bpr
+        volume = stream.vehicles(ctx.q_auto_cum())
+        if stream.buses:
+            volume = volume + bpr.bus_pce * ctx.f_col
         if traveler_class == "bus":
             t0, alpha, beta = bpr.t0_bus, bpr.alpha_bus, bpr.beta_bus
         else:
             t0, alpha, beta = bpr.t0_auto, bpr.alpha_auto, bpr.beta_auto
-        profile = bpr_time(t0, alpha, beta, volume, capacity)
-        profile.setflags(write=False)
-        return profile
+        return _frozen(bpr_time(t0, alpha, beta, volume, stream.capacity))
 
     return ctx._cached(key, build)
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
+
+
+def _at(ctx: EvaluationContext, profile: np.ndarray, x):
+    """Node ``profile`` at positions x, linear between nodes; at the grid
+    nodes themselves it is the profile (one row per frequency)."""
+    if x is ctx.grid.nodes:
+        return profile
+    out = np.interp(np.asarray(x, dtype=float), ctx.grid.nodes, profile)
+    return float(out) if np.isscalar(x) else out
 
 
 def _cumulative_time(ctx: EvaluationContext, policy: Policy, traveler_class: str) -> np.ndarray:
     key = ("cum", policy, traveler_class)
     return ctx._cached(
-        key, lambda: cumulative_values(unit_time_profile(ctx, policy, traveler_class), ctx.grid)
+        key,
+        lambda: _frozen(cumulative_values(unit_time_profile(ctx, policy, traveler_class), ctx.grid)),
     )
 
 
 def line_haul_time(ctx: EvaluationContext, policy: Policy, traveler_class: str, x):
     """In-vehicle time from the boundary to x (hours); linear between grid nodes."""
-    cum = _cumulative_time(ctx, policy, traveler_class)
-    out = np.interp(np.asarray(x, dtype=float), ctx.grid.nodes, cum)
-    return float(out) if np.isscalar(x) else out
+    return _at(ctx, _cumulative_time(ctx, policy, traveler_class), x)
 
 
 def waiting_time(ctx: EvaluationContext, x):
@@ -247,18 +313,14 @@ def waiting_time(ctx: EvaluationContext, x):
 
     w(x) = g1/F + (g2/F) * (Q_bus(x) / (capacity*F))^g3.  Decreasing in F.
     """
-    if ctx.frequency <= 0:
+    if np.any(np.asarray(ctx.frequency) <= 0):
         raise UndefinedServiceError("waiting time is undefined at zero bus frequency")
     bus = ctx.scenario.bus
-    freq = ctx.frequency
+    freq = ctx.f_col
     q_bus = cumulative_demand(ctx.demand_field, "bus", x)
     load_ratio = q_bus / (bus.capacity_pax * freq)
     out = bus.wait_gamma1 / freq + bus.wait_gamma2 / freq * load_ratio**bus.wait_gamma3
     return float(out) if np.isscalar(x) else out
-
-
-def _waiting_profile(ctx: EvaluationContext) -> np.ndarray:
-    return ctx._cached("wait", lambda: waiting_time(ctx, ctx.grid.nodes))
 
 
 def _crowding_density(ctx: EvaluationContext) -> np.ndarray:
@@ -266,7 +328,7 @@ def _crowding_density(ctx: EvaluationContext) -> np.ndarray:
     bus = ctx.scenario.bus
 
     def build() -> np.ndarray:
-        q_bus = ctx.q_bus_cum()
+        q_bus = cumulative_demand(ctx.demand_field, "bus", ctx.grid.nodes)
         return bus.discomfort_quad * q_bus**2 + bus.discomfort_lin * q_bus
 
     return ctx._cached("crowding", build)
@@ -278,11 +340,9 @@ def discomfort_cost(ctx: EvaluationContext, policy: Policy, x):
 
     def build() -> np.ndarray:
         rate = _crowding_density(ctx) * unit_time_profile(ctx, policy, "bus")
-        return cumulative_values(rate, ctx.grid)
+        return _frozen(cumulative_values(rate, ctx.grid))
 
-    cum = ctx._cached(key, build)
-    out = np.interp(np.asarray(x, dtype=float), ctx.grid.nodes, cum)
-    return float(out) if np.isscalar(x) else out
+    return _at(ctx, ctx._cached(key, build), x)
 
 
 def intersection_delay(signal: SignalParams, arriving_vph, capacity_vph: float):
@@ -310,95 +370,76 @@ def intersection_delay(signal: SignalParams, arriving_vph, capacity_vph: float):
     return float(out) if np.isscalar(arriving_vph) else out
 
 
-def delay_volume_components(
-    scenario: Scenario,
-    split: OccupancySplit,
-    q0: float,
-    auto_share: float,
-    policy: Policy,
-    traveler_class: str,
-    i: int,
-) -> tuple[float, float, float]:
-    """Arriving volume at intersection i as (base, slope_per_bus, capacity).
+def signal_auto_pax(scenario: Scenario, demand_field: DemandField) -> np.ndarray:
+    """Auto travelers per hour counted at each intersection.
 
-    The arriving volume is affine in frequency: base + slope*F.  ``segment``
-    volume mode counts autos entering between this intersection and the next;
-    ``cumulative`` counts every auto still upstream.  Bus through-volume is
-    spread uniformly across the intersections.
+    ``segment`` volume mode counts those entering between an intersection and
+    the next; ``cumulative`` counts every one still upstream.
     """
-    _check_class(policy, traveler_class)
     geom = scenario.geometry
     n = geom.n_intersections
+    bounds = geom.length_mi * np.arange(1, n + 2) / (n + 1)
+    upstream = cumulative_demand(demand_field, "auto", bounds)
+    if scenario.solver.delay_volume_mode == "segment":
+        return upstream[:-1] - upstream[1:]
+    return upstream[:-1]
+
+
+def _arriving(ctx: EvaluationContext, policy: Policy) -> tuple[np.ndarray, ...]:
+    """Arriving veh/hr at every intersection, one array per lane stream; bus
+    through-volume is spread uniformly across the intersections."""
+
+    def build():
+        entering = signal_auto_pax(ctx.scenario, ctx.demand_field)
+        n = ctx.scenario.geometry.n_intersections
+        bus_slice = ctx.scenario.bpr.bus_pce / (n + 1) * ctx.f_col
+        return tuple(
+            s.vehicles(entering) + bus_slice if s.buses else s.vehicles(entering)
+            for s in ctx.streams(policy)
+        )
+
+    return ctx._cached(("arriving", policy), build)
+
+
+def delay_args(ctx: EvaluationContext, policy: Policy, traveler_class: str, i: int):
+    """(arriving veh/hr, capacity veh/hr) for one intersection and class."""
+    k = _group_of(policy, traveler_class)
+    n = ctx.scenario.geometry.n_intersections
     if not 1 <= i <= n:
         raise ValidationError(f"intersection index must lie in [1, {n}], got {i}")
-    field_ = DemandField(q0=q0, length_mi=geom.length_mi, auto_share=auto_share)
-    l_i = geom.length_mi * i / (n + 1)
-    l_next = geom.length_mi * (i + 1) / (n + 1)
-    if scenario.solver.delay_volume_mode == "segment":
-        auto_veh = (
-            cumulative_demand(field_, "auto", l_i) - cumulative_demand(field_, "auto", l_next)
-        ) / split.average_occupancy
-    else:
-        auto_veh = cumulative_demand(field_, "auto", l_i) / split.average_occupancy
-    bus_slope = scenario.bpr.bus_pce / (n + 1)
-    cap = geom.lane_capacity_vph
-    if policy is Policy.MTP:
-        return auto_veh, bus_slope, geom.n_lanes * cap
-    if policy is Policy.EBLP:
-        if traveler_class == "bus":
-            return 0.0, bus_slope, cap
-        return auto_veh, 0.0, (geom.n_lanes - 1) * cap
-    mu = scenario.occupancy.low_share
-    if traveler_class == "low_occ_auto":
-        return mu * auto_veh, 0.0, (geom.n_lanes - 1) * cap
-    return (1.0 - mu) * auto_veh, bus_slope, cap
+    return _arriving(ctx, policy)[k][..., i - 1], ctx.streams(policy)[k].capacity
 
 
-def delay_args(
-    ctx: EvaluationContext, policy: Policy, traveler_class: str, i: int
-) -> tuple[float, float]:
-    """(arriving veh/hr, capacity veh/hr) for one intersection and class."""
-    base, slope, cap = delay_volume_components(
-        ctx.scenario, ctx.split, ctx.q0, ctx.auto_share, policy, traveler_class, i
-    )
-    return base + slope * ctx.frequency, cap
-
-
-def _per_vehicle_delays(ctx: EvaluationContext, policy: Policy, traveler_class: str) -> np.ndarray:
-    """Seconds of signal delay per vehicle of a class at each intersection."""
-    n = ctx.scenario.geometry.n_intersections
-    out = np.empty(n)
-    for i in range(1, n + 1):
-        arriving, cap = delay_args(ctx, policy, traveler_class, i)
-        out[i - 1] = intersection_delay(ctx.scenario.signal, arriving, cap)
-    return out
-
-
-def total_intersection_delay(ctx: EvaluationContext, policy: Policy, mode: str) -> float:
+def total_intersection_delay(ctx: EvaluationContext, policy: Policy, mode: str):
     """Passenger-hours of signal delay per hour for one mode under a policy.
 
     Each intersection's per-vehicle delay is charged to every passenger still
-    upstream of it (the cumulative mode demand at the intersection).
+    upstream of it (the cumulative mode demand at the intersection).  Each
+    lane stream is priced once, however many classes share it.
     """
     if mode not in ("auto", "bus"):
         raise ValidationError(f"mode must be 'auto' or 'bus', got {mode!r}")
     geom = ctx.scenario.geometry
     if geom.n_intersections == 0:
         return 0.0
-    positions = np.asarray(geom.intersection_positions)
+    seconds = ctx._cached(
+        ("delay", policy),
+        lambda: tuple(
+            intersection_delay(ctx.scenario.signal, arriving, stream.capacity)
+            for stream, arriving in zip(ctx.streams(policy), _arriving(ctx, policy))
+        ),
+    )
     if mode == "bus":
-        passengers = cumulative_demand(ctx.demand_field, "bus", positions)
-        seconds = _per_vehicle_delays(ctx, policy, "bus")
-        return float(np.dot(seconds, passengers)) / 3600.0
-    passengers = cumulative_demand(ctx.demand_field, "auto", positions)
-    if policy is Policy.HOVLP:
-        seconds = (
-            ctx.split.low_fraction * _per_vehicle_delays(ctx, policy, "low_occ_auto")
-            + ctx.split.high_fraction * _per_vehicle_delays(ctx, policy, "high_occ_auto")
-        )
+        per_vehicle = seconds[_group_of(policy, "bus")]
     else:
-        seconds = _per_vehicle_delays(ctx, policy, "auto")
-    return float(np.dot(seconds, passengers)) / 3600.0
+        per_vehicle = sum(
+            share * seconds[k]
+            for k, stream in enumerate(ctx.streams(policy))
+            for _, share, _ in stream.autos
+        )
+    passengers = cumulative_demand(ctx.demand_field, mode, np.asarray(geom.intersection_positions))
+    out = np.dot(per_vehicle, passengers) / 3600.0
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def bus_disutility(ctx: EvaluationContext, policy: Policy, x):
@@ -421,61 +462,72 @@ def auto_disutility(ctx: EvaluationContext, policy: Policy, traveler_class: str,
     Monetary costs are shared by the vehicle's occupants, so the divisor is
     the class occupancy (fleet average under shared-lane policies).
     """
-    _check_class(policy, traveler_class)
+    k = _group_of(policy, traveler_class)
     if traveler_class == "bus":
         raise ValidationError("auto_disutility does not apply to the bus class")
-    occ = ctx.scenario.occupancy
-    if policy is Policy.HOVLP:
-        divisor = occ.low_occupancy if traveler_class == "low_occ_auto" else occ.high_occupancy
-    else:
-        divisor = ctx.split.average_occupancy
+    divisor = next(o for name, _, o in ctx.streams(policy)[k].autos if name == traveler_class)
     econ = ctx.scenario.econ
+    ride = line_haul_time(ctx, policy, traveler_class, x)
     x_arr = np.asarray(x, dtype=float)
-    ride = line_haul_time(ctx, policy, traveler_class, x_arr)
     out = econ.vot_auto * ride + (econ.auto_fixed_cost + econ.auto_cost_per_mi * x_arr) / divisor
     return float(out) if np.isscalar(x) else out
 
 
-def _bus_user_cost(ctx: EvaluationContext, policy: Policy) -> float:
-    density_bus = ctx.density_bus()
-    if not density_bus.any():  # no bus travelers anywhere
+def mean_auto_disutility(ctx: EvaluationContext, policy: Policy, x):
+    """Auto disutility at x averaged over the policy's auto classes by their
+    shares of auto travelers, $ per passenger."""
+    return sum(
+        share * auto_disutility(ctx, policy, name, x)
+        for stream in ctx.streams(policy)
+        for name, share, _ in stream.autos
+    )
+
+
+def _user_cost(ctx: EvaluationContext, policy: Policy, mode: str):
+    """Hourly cost to one mode's travelers: generalized trip costs over the
+    corridor plus the value of their signal delay."""
+    share = ctx.auto_share if mode == "auto" else 1.0 - ctx.auto_share
+    nodes = ctx.grid.nodes
+    density = share * ctx.q0 * (1.0 - nodes / ctx.demand_field.length_mi)
+    if not density.any():  # no travelers of this mode anywhere
         return 0.0
-    unit_cost = bus_disutility(ctx, policy, ctx.grid.nodes)
-    in_corridor = integrate_values(unit_cost * density_bus, ctx.grid)
-    delay = total_intersection_delay(ctx, policy, "bus")
-    return in_corridor + ctx.scenario.econ.vot_bus * delay
+    if mode == "bus":
+        unit_cost, vot = bus_disutility(ctx, policy, nodes), ctx.scenario.econ.vot_bus
+    else:
+        unit_cost, vot = mean_auto_disutility(ctx, policy, nodes), ctx.scenario.econ.vot_auto
+    in_corridor = integrate_values(unit_cost * density, ctx.grid)
+    return in_corridor + vot * total_intersection_delay(ctx, policy, mode)
 
 
-def _bus_operator_cost(ctx: EvaluationContext, policy: Policy) -> float:
+def _bus_operator_cost(ctx: EvaluationContext, policy: Policy):
     bus = ctx.scenario.bus
-    round_trip = 2.0 * _cumulative_time(ctx, policy, "bus")[-1]
+    round_trip = 2.0 * _cumulative_time(ctx, policy, "bus")[..., -1]
     return bus.fixed_operating_cost + bus.variable_operating_cost * round_trip * ctx.frequency
 
 
-def _auto_user_cost(ctx: EvaluationContext, policy: Policy) -> float:
-    density_auto = ctx.density_auto()
-    if not density_auto.any():
-        return 0.0
-    nodes = ctx.grid.nodes
-    if policy is Policy.HOVLP:
-        unit_cost = ctx.split.low_fraction * auto_disutility(
-            ctx, policy, "low_occ_auto", nodes
-        ) + ctx.split.high_fraction * auto_disutility(ctx, policy, "high_occ_auto", nodes)
-    else:
-        unit_cost = auto_disutility(ctx, policy, "auto", nodes)
-    in_corridor = integrate_values(unit_cost * density_auto, ctx.grid)
-    delay = total_intersection_delay(ctx, policy, "auto")
-    return in_corridor + ctx.scenario.econ.vot_auto * delay
-
-
 def _signal_cost(scenario: Scenario, policy: Policy) -> float:
+    prefix = _SIGNAGE.get(policy)
+    if prefix is None:
+        return 0.0
     costs = scenario.lane_costs
-    length = scenario.geometry.length_mi
-    if policy is Policy.EBLP:
-        return costs.ebl_fixed + costs.ebl_variable_per_mi * length
-    if policy is Policy.HOVLP:
-        return costs.hovl_fixed + costs.hovl_variable_per_mi * length
-    return 0.0
+    fixed = getattr(costs, f"{prefix}_fixed")
+    per_mi = getattr(costs, f"{prefix}_variable_per_mi")
+    return fixed + per_mi * scenario.geometry.length_mi
+
+
+def _components(scenario: Scenario, policy: Policy, q0: float, auto_share: float, frequency):
+    """The four cost components in :data:`_COMPONENTS` order, unchecked."""
+    ctx = build_context(scenario, q0, auto_share, frequency)
+    if np.any(np.asarray(frequency) == 0) and (1.0 - auto_share) * q0 > 0:
+        raise UndefinedServiceError(
+            "bus demand is positive but frequency is zero; waiting time is undefined"
+        )
+    return (
+        _user_cost(ctx, policy, "bus"),
+        _bus_operator_cost(ctx, policy),
+        _user_cost(ctx, policy, "auto"),
+        _signal_cost(scenario, policy),
+    )
 
 
 def cost_breakdown(
@@ -487,14 +539,19 @@ def cost_breakdown(
     or not F satisfies the service-capacity constraint; the optimizer is
     responsible for feasibility.
     """
-    ctx = build_context(scenario, q0, auto_share, frequency)
-    if frequency == 0 and (1.0 - auto_share) * q0 > 0:
-        raise UndefinedServiceError(
-            "bus demand is positive but frequency is zero; waiting time is undefined"
-        )
-    return CostBreakdown(
-        bus_user=_bus_user_cost(ctx, policy),
-        bus_operator=_bus_operator_cost(ctx, policy),
-        auto_user=_auto_user_cost(ctx, policy),
-        signal=_signal_cost(scenario, policy),
-    )
+    return CostBreakdown(*_components(scenario, policy, q0, auto_share, frequency))
+
+
+def cost_totals(
+    scenario: Scenario, policy: Policy, q0: float, auto_share: float, frequencies
+) -> np.ndarray:
+    """Total hourly system cost at each of a 1-D array of frequencies.
+
+    The batched :func:`cost_breakdown`: the same components, checked and
+    clipped as :class:`CostBreakdown` does, summed in the same order.
+    """
+    f = np.asarray(frequencies, dtype=float)
+    if f.ndim != 1:
+        raise ValidationError(f"frequencies must form a 1-D array, got shape {f.shape}")
+    parts = _components(scenario, policy, q0, auto_share, f)
+    return sum(_checked(name, part) for name, part in zip(_COMPONENTS, parts))

@@ -32,10 +32,10 @@ from .config import Scenario
 from .costmodel import (
     CostBreakdown,
     Policy,
-    auto_disutility,
     build_context,
     bus_disutility,
     cost_breakdown,
+    mean_auto_disutility,
 )
 from .errors import InfeasibleError, ValidationError
 from .numeric import find_root, integrate_values
@@ -74,9 +74,9 @@ def min_frequency(scenario: Scenario, q0: float, auto_share):
     shares = np.asarray(auto_share, dtype=float)
     if not np.all((0 <= shares) & (shares <= 1)):
         raise ValidationError(f"auto_share must lie in [0, 1], got {auto_share}")
-    geom = scenario.geometry
-    peak_load = (1.0 - auto_share) * q0 * geom.length_mi / 2.0
-    return peak_load / scenario.bus.capacity_pax
+    peak_load = (1.0 - shares) * q0 * scenario.geometry.length_mi / 2.0
+    out = peak_load / scenario.bus.capacity_pax
+    return float(out) if shares.ndim == 0 else out
 
 
 def _refine_candidates(center, lower, upper, step: float, half_width: float) -> np.ndarray:
@@ -207,13 +207,7 @@ def equilibrium_gap(
         return None
     ctx = build_context(scenario, q0, auto_share, frequency)
     nodes = ctx.grid.nodes
-    if policy is Policy.HOVLP:
-        auto_cost = ctx.split.low_fraction * auto_disutility(
-            ctx, policy, "low_occ_auto", nodes
-        ) + ctx.split.high_fraction * auto_disutility(ctx, policy, "high_occ_auto", nodes)
-    else:
-        auto_cost = auto_disutility(ctx, policy, "auto", nodes)
-    diff = auto_cost - bus_disutility(ctx, policy, nodes)
+    diff = mean_auto_disutility(ctx, policy, nodes) - bus_disutility(ctx, policy, nodes)
     weight = 1.0 - nodes / ctx.grid.length  # linear demand density, q0 cancels
     if not signed:
         diff = np.abs(diff)

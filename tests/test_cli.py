@@ -6,8 +6,10 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lanepolicy import Policy, Scenario, cost_breakdown, min_frequency
 from lanepolicy.cli import build_scenario, main
 
 
@@ -81,6 +83,44 @@ class TestCostCommand:
         assert results["R"] == pytest.approx(0.704, abs=0.02)
         assert results["F"] == pytest.approx(63.4, abs=1.0)
         assert results["breakdown"]["total"] == pytest.approx(206630.0, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "policy,q0,f,r_expected,total_expected",
+        [
+            ("hovlp", 900.0, 60.0, 0.69, 190804.63616811606),
+            ("mtp", 1500.0, 45.5, 0.86, 592773.4958523398),
+        ],
+    )
+    def test_optimizes_r_at_fixed_f(self, tmp_path, policy, q0, f, r_expected, total_expected):
+        code = main(
+            ["cost", "--policy", policy, "--q0", str(q0), "--F", str(f),
+             "--out-dir", str(tmp_path), "--run-name", "fixed_f"]
+        )
+        assert code == 0
+        results = read_manifest(tmp_path / "fixed_f")["results"]
+        assert results["mode"] == "optimized R, fixed F"
+        # brute-force scan: every share on the lattice that the pinned
+        # frequency can carry, ties to the larger auto share
+        scen = Scenario()
+        best = min(
+            (cost_breakdown(scen, Policy.parse(policy), q0, r, f).total, -r)
+            for r in np.minimum(np.arange(0.0, 1.005, 0.01), 1.0)
+            if min_frequency(scen, q0, r) <= f + 1e-9
+        )
+        assert results["R"] == -best[1]
+        assert results["R"] == pytest.approx(r_expected, abs=1e-12)
+        assert results["F"] == f
+        assert results["breakdown"]["total"] == pytest.approx(total_expected, rel=1e-12)
+
+    def test_fixed_f_with_no_carrying_split_exits_3(self, tmp_path):
+        # with r_step = 0.3 the lattice stops at R = 0.9, whose bus demand
+        # needs more than 20 buses/hr at q0 = 2000
+        code = main(
+            ["cost", "--policy", "mtp", "--q0", "2000", "--F", "20",
+             "--set", "solver.r_step=0.3", "--out-dir", str(tmp_path)]
+        )
+        assert code == 3
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_name_collision_gets_suffix(self, tmp_path):
         args = ["cost", "--policy", "mtp", "--q0", "50", "--R", "0.5", "--F", "4",

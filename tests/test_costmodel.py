@@ -24,7 +24,7 @@ from lanepolicy import (
     unit_time_profile,
     waiting_time,
 )
-from lanepolicy.costmodel import build_context, delay_args
+from lanepolicy.costmodel import build_context, cost_totals, delay_args
 from lanepolicy._fsweep import FrequencySweep
 
 from _oracle import oracle_breakdown
@@ -312,6 +312,23 @@ class TestCostBreakdown:
         assert bd.auto_user == 0.0
         assert bd.bus_user > 0.0
 
+    @pytest.mark.parametrize("policy", POLICY_ORDER)
+    def test_batched_totals_match_breakdowns(self, baseline: Scenario, policy):
+        fs = np.array([0.5, 16.0, 37.3, 120.0])
+        got = cost_totals(baseline, policy, 1000.0, 0.75, fs)
+        expected = [cost_breakdown(baseline, policy, 1000.0, 0.75, f).total for f in fs]
+        np.testing.assert_allclose(got, expected, rtol=5e-12)
+
+    def test_batched_totals_keep_the_checks(self, baseline: Scenario):
+        with pytest.raises(UndefinedServiceError):
+            cost_totals(baseline, Policy.MTP, 1000.0, 0.75, np.array([8.0, 0.0]))
+        with pytest.raises(ValidationError):
+            cost_totals(baseline, Policy.MTP, 1000.0, 0.75, np.array([8.0, -1.0]))
+        # F = 0 is defined when no one rides the bus
+        no_bus = cost_totals(baseline, Policy.EBLP, 1000.0, 1.0, np.array([0.0, 4.0]))
+        expected = cost_breakdown(baseline, Policy.EBLP, 1000.0, 1.0, 0.0).total
+        assert no_bus[0] == pytest.approx(expected, rel=5e-12)
+
     @pytest.mark.parametrize(
         "policy,q0,r,f",
         [
@@ -389,13 +406,18 @@ class TestFrequencySweep:
 
         return np.array([[total(r, f) for f in row] for r, row in zip(shares, rows)])
 
+    @pytest.mark.parametrize("beta_auto,n_cells", [(4.0, 600), (4.5, 20)])
     @pytest.mark.parametrize("n_intersections", [0, 10])
     @pytest.mark.parametrize("mode", ["segment", "cumulative"])
     @pytest.mark.parametrize("policy", POLICY_ORDER)
-    def test_share_batches_match_direct_evaluation(self, policy, mode, n_intersections):
+    def test_share_batches_match_direct_evaluation(
+        self, policy, mode, n_intersections, beta_auto, n_cells
+    ):
+        # a non-integer beta has no moment table and prices candidates directly
         scen = load_scenario(
             {
-                "solver": {"delay_volume_mode": mode},
+                "bpr": {"beta_auto": beta_auto},
+                "solver": {"delay_volume_mode": mode, "n_cells": n_cells},
                 "geometry": {"n_intersections": n_intersections},
             }
         )
@@ -410,18 +432,17 @@ class TestFrequencySweep:
             rtol=5e-12,
         )
 
-    def test_fallback_prices_only_real_candidates(self, monkeypatch):
-        # non-integer beta leaves the moment table; every candidate is one
-        # cost_breakdown call and padding costs nothing
+    def test_fallback_prices_only_real_candidates(self):
+        # non-integer beta leaves the moment table: padding comes back NaN and
+        # every real candidate matches its own cost_breakdown, also across
+        # the blocks a long row is priced in
         scen = load_scenario({"bpr": {"beta_auto": 4.5}, "solver": {"n_cells": 20}})
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return cost_breakdown(*args)
-
-        monkeypatch.setattr("lanepolicy._fsweep.cost_breakdown", counted)
-        got = FrequencySweep(scen, Policy.HOVLP, 700.0, self._SHARES).totals(self._PER_SHARE_ROWS)
-        assert len(calls) == int(np.sum(~np.isnan(self._PER_SHARE_ROWS)))
-        expected = self._direct(scen, Policy.HOVLP, 700.0, self._SHARES, self._PER_SHARE_ROWS)
-        np.testing.assert_array_equal(got, expected)
+        long_rows = np.tile(np.linspace(1.0, 120.0, 70), (len(self._SHARES), 1))
+        long_rows[0, 40:] = np.nan
+        long_rows[2, 1:] = np.nan
+        sweep = FrequencySweep(scen, Policy.HOVLP, 700.0, self._SHARES)
+        for rows in (self._PER_SHARE_ROWS, long_rows):
+            got = sweep.totals(rows)
+            np.testing.assert_array_equal(np.isnan(got), np.isnan(rows))
+            expected = self._direct(scen, Policy.HOVLP, 700.0, self._SHARES, rows)
+            np.testing.assert_allclose(got, expected, rtol=5e-12)

@@ -1,4 +1,4 @@
-"""Quadrature, root bracketing, and grid search."""
+"""Quadrature and root bracketing."""
 
 from __future__ import annotations
 
@@ -8,15 +8,7 @@ import numpy as np
 import pytest
 
 from lanepolicy import BracketError, NumericDomainError, ValidationError
-from lanepolicy.numeric import (
-    CorridorGrid,
-    cumulative_integral,
-    cumulative_values,
-    find_root,
-    grid_min,
-    integrate,
-    integrate_values,
-)
+from lanepolicy.numeric import CorridorGrid, cumulative_values, find_root, integrate_values
 
 
 class TestCorridorGrid:
@@ -42,30 +34,18 @@ class TestIntegrate:
     def test_exact_on_cubic(self):
         # Simpson's rule integrates cubics exactly up to rounding.
         grid = CorridorGrid(length=3.0, n_cells=10)
-        got = integrate(lambda x: x**3 - 2.0 * x**2 + 5.0, 0.0, 3.0, grid)
+        x = grid.nodes
+        got = integrate_values(x**3 - 2.0 * x**2 + 5.0, grid)
         exact = 3.0**4 / 4 - 2.0 * 3.0**3 / 3 + 5.0 * 3.0
         assert got == pytest.approx(exact, rel=1e-14)
 
-    def test_subrange_exact_on_quadratic(self):
-        grid = CorridorGrid(length=5.0, n_cells=8)
-        got = integrate(lambda x: x**2, 1.2, 3.7, grid)
-        assert got == pytest.approx((3.7**3 - 1.2**3) / 3.0, rel=1e-13)
-
-    def test_converges_on_transcendental(self):
-        grid = CorridorGrid(length=math.pi, n_cells=600)
-        got = integrate(np.sin, 0.0, math.pi, grid)
-        assert got == pytest.approx(2.0, abs=1e-10)
-
-    def test_zero_width_range(self):
-        grid = CorridorGrid(length=2.0, n_cells=4)
-        assert integrate(lambda x: x + 1.0, 0.7, 0.7, grid) == 0.0
-
-    def test_rejects_reversed_or_outside_bounds(self):
-        grid = CorridorGrid(length=2.0, n_cells=4)
-        with pytest.raises(ValidationError):
-            integrate(lambda x: x, 1.0, 0.5, grid)
-        with pytest.raises(ValidationError):
-            integrate(lambda x: x, 0.0, 3.0, grid)
+    def test_stacked_integrands(self):
+        grid = CorridorGrid(length=4.0, n_cells=60)
+        stack = np.stack([np.cos(grid.nodes) + 2.0, grid.nodes**2, np.ones(61)])
+        got = integrate_values(stack, grid)
+        assert got.shape == (3,)
+        for row, value in zip(stack, got):
+            assert value == pytest.approx(integrate_values(row, grid), rel=1e-14)
 
     def test_values_shape_checked(self):
         grid = CorridorGrid(length=2.0, n_cells=4)
@@ -76,7 +56,7 @@ class TestIntegrate:
 class TestCumulative:
     def test_matches_analytic_antiderivative(self):
         grid = CorridorGrid(length=4.0, n_cells=400)
-        cum = cumulative_integral(lambda x: 3.0 * x**2, grid)
+        cum = cumulative_values(3.0 * grid.nodes**2, grid)
         np.testing.assert_allclose(cum, grid.nodes**3, atol=1e-9)
 
     def test_starts_at_zero_and_monotone_for_positive_density(self):
@@ -113,29 +93,3 @@ class TestFindRoot:
         with pytest.raises(NumericDomainError):
             find_root(lambda x: float("nan"), 0.0, 1.0)
 
-
-class TestGridMin:
-    def test_finds_interior_minimum(self):
-        x, v = grid_min(lambda t: (t - 4.3) ** 2, 0.0, 10.0, coarse_step=1.0)
-        assert x == pytest.approx(4.3, abs=0.06)
-        assert v == pytest.approx(0.0, abs=0.01)
-
-    def test_extra_rounds_tighten(self):
-        x1, _ = grid_min(lambda t: (t - 4.3) ** 2, 0.0, 10.0, coarse_step=1.0, rounds=1)
-        x3, _ = grid_min(lambda t: (t - 4.3) ** 2, 0.0, 10.0, coarse_step=1.0, rounds=3)
-        assert abs(x3 - 4.3) <= abs(x1 - 4.3) + 1e-12
-
-    def test_tie_prefers_smaller_argument(self):
-        x, _ = grid_min(lambda t: 7.0, 0.0, 3.0, coarse_step=1.0, rounds=1)
-        assert x == 0.0
-
-    def test_skips_non_finite_points(self):
-        def f(t: float) -> float:
-            return float("inf") if t < 1.5 else (t - 2.0) ** 2
-
-        x, _ = grid_min(f, 0.0, 4.0, coarse_step=0.5)
-        assert x == pytest.approx(2.0, abs=0.05)
-
-    def test_all_non_finite_raises(self):
-        with pytest.raises(NumericDomainError):
-            grid_min(lambda t: float("nan"), 0.0, 1.0, coarse_step=0.5)

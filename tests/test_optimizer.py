@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from lanepolicy import (
@@ -33,6 +34,10 @@ class TestMinFrequency:
     def test_share_validated(self, baseline: Scenario):
         with pytest.raises(ValidationError):
             min_frequency(baseline, 1000.0, 1.5)
+
+    def test_share_list(self, baseline: Scenario):
+        got = min_frequency(baseline, 1000.0, [0.5, 0.9])
+        np.testing.assert_allclose(got, [0.5 * 1000.0 * 15.0 / 70.0, 0.1 * 1000.0 * 15.0 / 70.0])
 
 
 class TestOptimizeFrequency:
