@@ -41,6 +41,7 @@ from .demand import (
     cumulative_demand,
     density,
     occupancy_split,
+    total_volume,
 )
 from .costmodel import (
     POLICY_ORDER,
@@ -127,6 +128,7 @@ __all__ = [
     "density",
     "cumulative_demand",
     "occupancy_split",
+    "total_volume",
     # cost model
     "Policy",
     "POLICY_ORDER",

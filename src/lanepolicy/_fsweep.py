@@ -9,10 +9,10 @@ corridor integral is a scenario constant times a monomial in (a, b, F): ride,
 round-trip and crowding terms, boardings and fares (with b), auto money
 (with a), and the waiting load moment (b^(gamma3 + 1)).  These constants form
 one :class:`_MomentTable` per (scenario, policy), built on first use and
-kept in a bounded LRU cache.  The lane groups come from
-:data:`~lanepolicy.costmodel.LANE_TABLE`.  Only signalized-intersection delay
-is evaluated directly, one intersection at a time, from per-intersection
-constants.
+kept in a bounded LRU cache.  The lane streams and the signage cost come
+from :data:`~lanepolicy.costmodel.LANE_TABLE`.  Only signalized-intersection
+delay is evaluated directly, one intersection at a time, from
+per-intersection constants.
 
 :class:`FrequencySweep` is a cheap view of the table at one q0 and one or
 many auto shares.  It reproduces `costmodel.cost_breakdown` totals to
@@ -31,9 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import Scenario
-from .costmodel import (
-    Policy, cost_totals, intersection_delay, lane_streams, signal_auto_pax, _signal_cost
-)
+from .costmodel import LANE_TABLE, Policy, cost_totals, intersection_delay, signal_auto_pax
 from .demand import DemandField
 from .errors import ValidationError
 from .numeric import cumulative_values
@@ -82,7 +80,8 @@ def _moment_table(scenario: Scenario, policy: Policy) -> _MomentTable | None:
     upstream = (length - nodes) ** 2 / (2.0 * length)  # demand upstream of x per unit scale
     weights = grid.simpson_weights * (1.0 - nodes / length)  # demand density quadrature
     pce = bpr.bus_pce
-    streams = lane_streams(scenario, policy)
+    lanes = LANE_TABLE[policy](scenario)
+    streams = lanes.streams
     # corridor lane groups: a*phi(x) + slope*F veh/hr on capacity
     groups = [(s.vehicles(upstream), pce if s.buses else 0.0, s.capacity) for s in streams]
     bus_group = next(g for g, s in zip(groups, streams) if s.buses)
@@ -106,7 +105,7 @@ def _moment_table(scenario: Scenario, policy: Policy) -> _MomentTable | None:
     poly[1, 0, 0] += float(money @ weights) * per_pax
     boardings = float(np.sum(weights))
     poly[0, 1, 0] += bus.fare * boardings
-    poly[0, 0, 0] += bus.fixed_operating_cost + _signal_cost(scenario, policy)
+    poly[0, 0, 0] += bus.fixed_operating_cost + lanes.signage
 
     # intersections: arriving volume per lane group, passengers still upstream
     n_inter = geom.n_intersections

@@ -9,10 +9,11 @@ everything into the four system-cost components:
 * bus users, bus operator, auto users, and lane-policy signal cost.
 
 The policies differ only in how the lanes are divided, and
-:data:`LANE_TABLE` states that once.  Each policy is a tuple of lane groups.
-A group has a capacity (all lanes, one reserved lane, or the rest), may
-carry the buses, and carries the auto classes listed with it, each with its
-share of auto travelers and its occupancy:
+:data:`LANE_TABLE` states that once: one builder per policy turns a scenario
+into :class:`Lanes`, its lane-conversion cost and its traffic streams.  A
+stream has a capacity (all lanes, one reserved lane, or the rest), may carry
+the buses, and carries the auto classes listed with it, each with its share
+of auto travelers and its occupancy:
 
 * MTP  - all lanes shared; one traffic stream carries autos plus bus PCEs.
 * EBLP - one lane exclusive to buses, the rest carry all autos.
@@ -33,7 +34,8 @@ inner end, so flows at x accumulate demand from [x, length].
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -47,10 +49,11 @@ __all__ = [
     "Policy",
     "POLICY_ORDER",
     "LANE_TABLE",
+    "Lanes",
+    "Stream",
     "CostBreakdown",
     "EvaluationContext",
     "build_context",
-    "lane_streams",
     "bpr_time",
     "unit_time_profile",
     "line_haul_time",
@@ -89,49 +92,18 @@ class Policy(enum.Enum):
 POLICY_ORDER: tuple[Policy, ...] = (Policy.MTP, Policy.EBLP, Policy.HOVLP)
 
 
-class LaneGroup(NamedTuple):
-    """Lanes that form one traffic stream.
-
-    ``lanes`` is "all" lanes, the "one" reserved lane or the "rest".  Buses
-    add PCE*F veh/hr on the corridor and PCE*F/(n+1) at each signal.  Each
-    auto class is (name, share of auto travelers, occupancy), naming factors
-    that :func:`lane_streams` resolves; the occupancy divides both the
-    class's vehicle volume and its money cost per traveler.
-    """
-
-    lanes: str
-    buses: bool
-    autos: tuple[tuple[str, str, str], ...] = ()
-
-
-_ALL_AUTOS = ("auto", "all", "average_occupancy")
-
-LANE_TABLE: dict[Policy, tuple[LaneGroup, ...]] = {
-    Policy.MTP: (LaneGroup("all", True, (_ALL_AUTOS,)),),
-    Policy.EBLP: (LaneGroup("one", True), LaneGroup("rest", False, (_ALL_AUTOS,))),
-    Policy.HOVLP: (
-        LaneGroup("one", True, (("high_occ_auto", "high_fraction", "high_occupancy"),)),
-        LaneGroup("rest", False, (("low_occ_auto", "low_fraction", "low_occupancy"),)),
-    ),
-}
-_SIGNAGE = {Policy.EBLP: "ebl", Policy.HOVLP: "hovl"}  # LanePolicyCosts field prefixes
-
-# traveler class -> index of the lane group it uses
-_CLASSES_BY_POLICY: dict[Policy, dict[str, int]] = {
-    policy: {
-        **{c[0]: k for k, group in enumerate(groups) for c in group.autos},
-        "bus": next(k for k, group in enumerate(groups) if group.buses),
-    }
-    for policy, groups in LANE_TABLE.items()
-}
-
-
 class Stream(NamedTuple):
-    """A lane group resolved on one scenario."""
+    """Lanes that form one traffic stream on one scenario.
+
+    Buses, where they run, add PCE*F veh/hr on the corridor and PCE*F/(n+1)
+    at each signal.  Each auto class is (name, share of auto travelers,
+    occupancy); the occupancy divides both the class's vehicle volume and
+    its money cost per traveler.
+    """
 
     capacity: float  # veh/hr
     buses: bool
-    autos: tuple[tuple[str, float, float], ...]  # (class, share of auto travelers, occupancy)
+    autos: tuple[tuple[str, float, float], ...] = ()
 
     def vehicles(self, auto_pax):
         """Auto veh/hr in this stream where ``auto_pax`` auto travelers pass."""
@@ -141,24 +113,55 @@ class Stream(NamedTuple):
         return out
 
 
-def lane_streams(scenario: Scenario, policy: Policy) -> tuple[Stream, ...]:
-    """The policy's lane groups from :data:`LANE_TABLE`, resolved on ``scenario``."""
-    geom, occ = scenario.geometry, scenario.occupancy
-    lanes = {"all": geom.n_lanes, "one": 1, "rest": geom.n_lanes - 1}
-    factor = {"all": 1.0, **asdict(occ), **asdict(occupancy_split(occ))}
-    return tuple(
-        Stream(
-            lanes[group.lanes] * geom.lane_capacity_vph,
-            group.buses,
-            tuple((name, factor[share], factor[o]) for name, share, o in group.autos),
-        )
-        for group in LANE_TABLE[policy]
+class Lanes(NamedTuple):
+    """One policy's division of the lanes on one scenario."""
+
+    streams: tuple[Stream, ...]
+    signage: float  # lane-conversion cost, $/hr
+
+
+def _mtp_lanes(scenario: Scenario) -> Lanes:
+    geom = scenario.geometry
+    average = occupancy_split(scenario.occupancy).average_occupancy
+    shared = Stream(geom.n_lanes * geom.lane_capacity_vph, True, (("auto", 1.0, average),))
+    return Lanes((shared,), 0.0)
+
+
+def _eblp_lanes(scenario: Scenario) -> Lanes:
+    geom, costs = scenario.geometry, scenario.lane_costs
+    average = occupancy_split(scenario.occupancy).average_occupancy
+    bus_lane = Stream(geom.lane_capacity_vph, True)
+    rest = Stream((geom.n_lanes - 1) * geom.lane_capacity_vph, False, (("auto", 1.0, average),))
+    return Lanes((bus_lane, rest), costs.ebl_fixed + costs.ebl_variable_per_mi * geom.length_mi)
+
+
+def _hovlp_lanes(scenario: Scenario) -> Lanes:
+    geom, occ, costs = scenario.geometry, scenario.occupancy, scenario.lane_costs
+    split = occupancy_split(occ)
+    hov_lane = Stream(
+        geom.lane_capacity_vph, True, (("high_occ_auto", split.high_fraction, occ.high_occupancy),)
     )
+    rest = Stream(
+        (geom.n_lanes - 1) * geom.lane_capacity_vph,
+        False,
+        (("low_occ_auto", split.low_fraction, occ.low_occupancy),),
+    )
+    return Lanes((hov_lane, rest), costs.hovl_fixed + costs.hovl_variable_per_mi * geom.length_mi)
 
 
-def _group_of(policy: Policy, traveler_class: str) -> int:
-    """Index of the lane group a traveler class uses under ``policy``."""
-    groups = _CLASSES_BY_POLICY[policy]
+# policy -> its lanes on a scenario
+LANE_TABLE: dict[Policy, Callable[[Scenario], Lanes]] = {
+    Policy.MTP: _mtp_lanes,
+    Policy.EBLP: _eblp_lanes,
+    Policy.HOVLP: _hovlp_lanes,
+}
+
+
+def _group_of(ctx: EvaluationContext, policy: Policy, traveler_class: str) -> int:
+    """Index of the stream a traveler class uses under ``policy``."""
+    streams = ctx.streams(policy)
+    groups = {name: k for k, s in enumerate(streams) for name, _, _ in s.autos}
+    groups["bus"] = next(k for k, s in enumerate(streams) if s.buses)
     if traveler_class not in groups:
         raise ValidationError(
             f"traveler class {traveler_class!r} is not defined under {policy.value}; "
@@ -200,8 +203,9 @@ class CostBreakdown:
 
 @dataclass(frozen=True)
 class EvaluationContext:
-    """One (scenario, q0, R) point at one frequency or a 1-D array of them,
-    with tabulated node profiles.
+    """One (scenario, q0, R) point at one frequency, with tabulated node
+    profiles.  :func:`cost_totals` also builds one over a 1-D array of
+    frequencies; then every node profile is (n_F, nodes).
 
     Profiles are computed lazily per (policy, class) and memoized, so nested
     integrals reuse a single tabulation pass.
@@ -227,7 +231,7 @@ class EvaluationContext:
         return self.frequency if np.ndim(self.frequency) == 0 else self.frequency[:, None]
 
     def streams(self, policy: Policy) -> tuple[Stream, ...]:
-        return self._cached(("streams", policy), lambda: lane_streams(self.scenario, policy))
+        return self._cached(("streams", policy), lambda: LANE_TABLE[policy](self.scenario).streams)
 
     def q_auto_cum(self) -> np.ndarray:
         return self._cached(
@@ -235,9 +239,17 @@ class EvaluationContext:
         )
 
 
+def build_context(
+    scenario: Scenario, q0: float, auto_share: float, frequency: float
+) -> EvaluationContext:
+    """Operating point at one bus frequency."""
+    if np.ndim(frequency) != 0:
+        raise ValidationError(f"frequency must be a scalar, got shape {np.shape(frequency)}")
+    return _context(scenario, q0, auto_share, frequency)
 
-def build_context(scenario: Scenario, q0: float, auto_share: float, frequency) -> EvaluationContext:
-    """Operating point at one frequency or a 1-D array of frequencies."""
+
+def _context(scenario: Scenario, q0: float, auto_share: float, frequency) -> EvaluationContext:
+    """Operating point at one frequency or a 1-D array of them."""
     if np.any(np.asarray(frequency) < 0):
         raise ValidationError(f"frequency must be >= 0, got {frequency}")
     demand_field = DemandField(q0=q0, length_mi=scenario.geometry.length_mi, auto_share=auto_share)
@@ -264,7 +276,7 @@ def bpr_time(t0: float, alpha: float, beta: float, volume, capacity: float):
 
 def unit_time_profile(ctx: EvaluationContext, policy: Policy, traveler_class: str) -> np.ndarray:
     """Per-mile travel time at every grid node for one policy and traveler class."""
-    stream = ctx.streams(policy)[_group_of(policy, traveler_class)]
+    stream = ctx.streams(policy)[_group_of(ctx, policy, traveler_class)]
     key = ("unit", policy, traveler_class)
 
     def build() -> np.ndarray:
@@ -323,24 +335,16 @@ def waiting_time(ctx: EvaluationContext, x):
     return float(out) if np.isscalar(x) else out
 
 
-def _crowding_density(ctx: EvaluationContext) -> np.ndarray:
-    """Discomfort rate per onboard hour, $/hr: quad*Q_bus^2 + lin*Q_bus."""
-    bus = ctx.scenario.bus
-
-    def build() -> np.ndarray:
-        q_bus = cumulative_demand(ctx.demand_field, "bus", ctx.grid.nodes)
-        return bus.discomfort_quad * q_bus**2 + bus.discomfort_lin * q_bus
-
-    return ctx._cached("crowding", build)
-
-
 def discomfort_cost(ctx: EvaluationContext, policy: Policy, x):
     """Crowding discomfort accumulated over the ride to x, $ per passenger."""
     key = ("discomfort", policy)
 
     def build() -> np.ndarray:
-        rate = _crowding_density(ctx) * unit_time_profile(ctx, policy, "bus")
-        return _frozen(cumulative_values(rate, ctx.grid))
+        # discomfort per onboard hour, $/hr: quad*Q_bus^2 + lin*Q_bus
+        bus = ctx.scenario.bus
+        q_bus = cumulative_demand(ctx.demand_field, "bus", ctx.grid.nodes)
+        crowding = bus.discomfort_quad * q_bus**2 + bus.discomfort_lin * q_bus
+        return _frozen(cumulative_values(crowding * unit_time_profile(ctx, policy, "bus"), ctx.grid))
 
     return _at(ctx, ctx._cached(key, build), x)
 
@@ -403,7 +407,7 @@ def _arriving(ctx: EvaluationContext, policy: Policy) -> tuple[np.ndarray, ...]:
 
 def delay_args(ctx: EvaluationContext, policy: Policy, traveler_class: str, i: int):
     """(arriving veh/hr, capacity veh/hr) for one intersection and class."""
-    k = _group_of(policy, traveler_class)
+    k = _group_of(ctx, policy, traveler_class)
     n = ctx.scenario.geometry.n_intersections
     if not 1 <= i <= n:
         raise ValidationError(f"intersection index must lie in [1, {n}], got {i}")
@@ -430,7 +434,7 @@ def total_intersection_delay(ctx: EvaluationContext, policy: Policy, mode: str):
         ),
     )
     if mode == "bus":
-        per_vehicle = seconds[_group_of(policy, "bus")]
+        per_vehicle = seconds[_group_of(ctx, policy, "bus")]
     else:
         per_vehicle = sum(
             share * seconds[k]
@@ -462,7 +466,7 @@ def auto_disutility(ctx: EvaluationContext, policy: Policy, traveler_class: str,
     Monetary costs are shared by the vehicle's occupants, so the divisor is
     the class occupancy (fleet average under shared-lane policies).
     """
-    k = _group_of(policy, traveler_class)
+    k = _group_of(ctx, policy, traveler_class)
     if traveler_class == "bus":
         raise ValidationError("auto_disutility does not apply to the bus class")
     divisor = next(o for name, _, o in ctx.streams(policy)[k].autos if name == traveler_class)
@@ -505,20 +509,9 @@ def _bus_operator_cost(ctx: EvaluationContext, policy: Policy):
     return bus.fixed_operating_cost + bus.variable_operating_cost * round_trip * ctx.frequency
 
 
-def _signal_cost(scenario: Scenario, policy: Policy) -> float:
-    prefix = _SIGNAGE.get(policy)
-    if prefix is None:
-        return 0.0
-    costs = scenario.lane_costs
-    fixed = getattr(costs, f"{prefix}_fixed")
-    per_mi = getattr(costs, f"{prefix}_variable_per_mi")
-    return fixed + per_mi * scenario.geometry.length_mi
-
-
-def _components(scenario: Scenario, policy: Policy, q0: float, auto_share: float, frequency):
+def _components(ctx: EvaluationContext, policy: Policy):
     """The four cost components in :data:`_COMPONENTS` order, unchecked."""
-    ctx = build_context(scenario, q0, auto_share, frequency)
-    if np.any(np.asarray(frequency) == 0) and (1.0 - auto_share) * q0 > 0:
+    if np.any(np.asarray(ctx.frequency) == 0) and (1.0 - ctx.auto_share) * ctx.q0 > 0:
         raise UndefinedServiceError(
             "bus demand is positive but frequency is zero; waiting time is undefined"
         )
@@ -526,7 +519,7 @@ def _components(scenario: Scenario, policy: Policy, q0: float, auto_share: float
         _user_cost(ctx, policy, "bus"),
         _bus_operator_cost(ctx, policy),
         _user_cost(ctx, policy, "auto"),
-        _signal_cost(scenario, policy),
+        LANE_TABLE[policy](ctx.scenario).signage,
     )
 
 
@@ -539,7 +532,8 @@ def cost_breakdown(
     or not F satisfies the service-capacity constraint; the optimizer is
     responsible for feasibility.
     """
-    return CostBreakdown(*_components(scenario, policy, q0, auto_share, frequency))
+    ctx = build_context(scenario, q0, auto_share, frequency)
+    return CostBreakdown(*_components(ctx, policy))
 
 
 def cost_totals(
@@ -553,5 +547,5 @@ def cost_totals(
     f = np.asarray(frequencies, dtype=float)
     if f.ndim != 1:
         raise ValidationError(f"frequencies must form a 1-D array, got shape {f.shape}")
-    parts = _components(scenario, policy, q0, auto_share, f)
+    parts = _components(_context(scenario, q0, auto_share, f), policy)
     return sum(_checked(name, part) for name, part in zip(_COMPONENTS, parts))

@@ -23,6 +23,7 @@ __all__ = [
     "density",
     "cumulative_demand",
     "occupancy_split",
+    "total_volume",
 ]
 
 _MODE_SHARES = ("auto", "bus", "total")
@@ -100,3 +101,12 @@ def occupancy_split(occ: OccupancyParams) -> OccupancySplit:
     o_avg = o_low * o_high / (o_high * q_l + o_low * q_h)
     return OccupancySplit(low_fraction=q_l, high_fraction=q_h, average_occupancy=o_avg)
 
+
+def total_volume(field: DemandField, average_occupancy: float, bus_pce: float, frequency: float, x):
+    """Auto-equivalent traffic volume at x: Q_auto(x)/O_avg + PCE*F, veh/hr."""
+    if frequency < 0:
+        raise ValidationError(f"frequency must be >= 0, got {frequency}")
+    if average_occupancy <= 0:
+        raise ValidationError(f"average_occupancy must be > 0, got {average_occupancy}")
+    q_auto = cumulative_demand(field, "auto", x)
+    return q_auto / average_occupancy + bus_pce * frequency

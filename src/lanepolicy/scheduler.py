@@ -96,6 +96,14 @@ class Schedule:
     savings_vs: Mapping[Policy, float]
     quantization_bound: float = 0.0
 
+    @property
+    def policies_used(self) -> tuple[Policy, ...]:
+        seen: list[Policy] = []
+        for entry in self.entries:
+            if entry.policy not in seen:
+                seen.append(entry.policy)
+        return tuple(seen)
+
 
 def _ordered_allowed(allowed: Iterable[Policy]) -> tuple[Policy, ...]:
     allowed_set = set(allowed)

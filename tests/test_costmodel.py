@@ -329,6 +329,12 @@ class TestCostBreakdown:
         expected = cost_breakdown(baseline, Policy.EBLP, 1000.0, 1.0, 0.0).total
         assert no_bus[0] == pytest.approx(expected, rel=5e-12)
 
+    def test_public_context_takes_one_frequency(self, baseline: Scenario):
+        # the node-level functions interpolate one profile per context
+        for frequencies in (np.array([8.0, 16.0]), [16.0]):
+            with pytest.raises(ValidationError, match="scalar"):
+                build_context(baseline, 1000.0, 0.75, frequencies)
+
     @pytest.mark.parametrize(
         "policy,q0,r,f",
         [
