@@ -35,7 +35,6 @@ from .config import (
     preset,
     preset_names,
     scenario_fingerprint,
-    serialize,
 )
 from .costmodel import POLICY_ORDER, Policy, cost_breakdown
 from .errors import (
@@ -44,7 +43,7 @@ from .errors import (
     UndefinedServiceError,
     ValidationError,
 )
-from .optimizer import min_frequency, optimize_frequency, optimize_policy
+from .optimizer import foc_residual, min_frequency, optimize_frequency, optimize_policy
 from .scheduler import (
     build_schedule,
     evaluate_trajectory,
@@ -98,7 +97,7 @@ def build_scenario(
     set_items: Sequence[str] = (),
 ) -> Scenario:
     """Assemble the working scenario: preset, then file, then --set overrides."""
-    document = json.loads(serialize(preset(preset_name)))
+    document = dataclasses.asdict(preset(preset_name))
     if scenario_file is not None:
         with open(scenario_file) as handle:
             try:
@@ -184,7 +183,7 @@ def _base_manifest(command: str, argv: Sequence[str], scenario: Scenario) -> dic
         "invocation": "lanepolicy " + shlex.join(argv),
         "started_utc": _utc_stamp(),
         "scenario_fingerprint": scenario_fingerprint(scenario),
-        "scenario": json.loads(serialize(scenario)),
+        "scenario": dataclasses.asdict(scenario),
         "solver": dataclasses.asdict(scenario.solver),
         "highlighted_defaults": {
             "geometry.n_intersections": scenario.geometry.n_intersections,
@@ -221,10 +220,11 @@ def _best_split_at_fixed_f(
 def _cmd_cost(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:
     policy = Policy.parse(args.policy)
     q0 = args.q0
-    foc_residual = None
-    binding = None
+    diagnostics = {}
     if args.R is not None and not 0.0 <= args.R <= 1.0:
         raise ValidationError(f"R must lie in [0, 1], got {args.R}")
+    if args.F is not None and not np.isfinite(args.F):
+        raise ValidationError(f"F must be finite, got {args.F}")
     if args.F is not None and args.F <= 0.0:
         raise ValidationError(f"F must be positive, got {args.F}")
 
@@ -232,8 +232,10 @@ def _cmd_cost(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:
         opt = optimize_policy(scenario, policy, q0)
         r, f = opt.r_star, opt.f_star
         breakdown = opt.breakdown
-        foc_residual = opt.foc_residual
-        binding = opt.constraint_binding
+        diagnostics = {
+            "foc_residual": foc_residual(scenario, policy, q0, r, f),
+            "constraint_binding": opt.constraint_binding,
+        }
         mode = "optimized R and F"
     elif args.F is None:
         r = args.R
@@ -276,7 +278,7 @@ def _cmd_cost(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:
         {"manifest": "manifest.json", "units": "cost=$/hr", "policy": policy.value, "q0": q0},
         write_rows,
     )
-    results = {
+    return {
         "policy": policy.value,
         "q0": q0,
         "R": r,
@@ -284,11 +286,8 @@ def _cmd_cost(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:
         "min_frequency": f_min,
         "mode": mode,
         "breakdown": {name: value for name, value in rows},
+        **diagnostics,
     }
-    if foc_residual is not None:
-        results["foc_residual"] = foc_residual
-        results["constraint_binding"] = binding
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +295,7 @@ def _cmd_cost(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:
 
 
 def _with_capacity(scenario: Scenario, capacity: float) -> Scenario:
-    document = json.loads(serialize(scenario))
+    document = dataclasses.asdict(scenario)
     document["geometry"]["lane_capacity_vph"] = capacity
     return load_scenario(document)
 
@@ -663,6 +662,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exception class -> (exit code, stderr label); the first match wins
+_EXIT_CODES = {
+    ValidationError: (2, "error"),
+    UndefinedServiceError: (2, "error"),
+    InfeasibleError: (3, "infeasible"),
+    LanePolicyError: (3, "error"),
+    OSError: (4, "i/o error"),
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
@@ -681,26 +690,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         final = run.finalize(manifest)
         print(f"run written to {final}")
         return 0
-    except (ValidationError, UndefinedServiceError) as err:
+    except (LanePolicyError, OSError) as err:
         if run is not None:
             run.discard()
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except InfeasibleError as err:
-        if run is not None:
-            run.discard()
-        print(f"infeasible: {err}", file=sys.stderr)
-        return 3
-    except LanePolicyError as err:
-        if run is not None:
-            run.discard()
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except OSError as err:
-        if run is not None:
-            run.discard()
-        print(f"i/o error: {err}", file=sys.stderr)
-        return 4
+        code, label = next(v for cls, v in _EXIT_CODES.items() if isinstance(err, cls))
+        print(f"{label}: {err}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -290,9 +291,11 @@ def _coerce(path: str, value: object, target: type) -> object:
     if isinstance(value, bool):
         raise ValidationError(f"{path}: expected {target.__name__}, got boolean {value}")
     if target is float:
-        if isinstance(value, (int, float)):
-            return float(value)
-        raise ValidationError(f"{path}: expected a number, got {type(value).__name__}")
+        if not isinstance(value, (int, float)):
+            raise ValidationError(f"{path}: expected a number, got {type(value).__name__}")
+        if not math.isfinite(value):
+            raise ValidationError(f"{path}: expected a finite number, got {value}")
+        return float(value)
     if target is int:
         if isinstance(value, int):
             return value

@@ -38,6 +38,8 @@ class DemandField:
     auto_share: float  # R
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.q0):
+            raise ValidationError(f"q0 must be finite, got {self.q0}")
         if self.q0 < 0:
             raise ValidationError(f"q0 must be >= 0, got {self.q0}")
         if self.length_mi <= 0:

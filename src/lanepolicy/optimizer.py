@@ -13,11 +13,11 @@ share's integer-F row masked below its floor, then every share's refinement
 window (ragged rows, NaN-padded).  :func:`optimize_frequency` is the
 one-share case.
 
-Two diagnostics are computed for the winning optimum only: a central
-finite-difference of total cost in F (stationarity check at interior optima)
-and the demand-weighted disutility gap between the two modes (how far the
-cost-minimizing split sits from a user equilibrium).  The ``equilibrium``
-split rule replaces the outer cost scan with a root solve on the signed gap.
+Two diagnostics are functions that callers evaluate at an optimum: a
+central finite difference of total cost in F (:func:`foc_residual`) and the
+demand-weighted disutility gap between the modes (:func:`equilibrium_gap`).
+The ``equilibrium`` split rule replaces the outer cost scan with a root solve
+on the signed gap, bracketed on one batched scan of the interior shares.
 """
 
 from __future__ import annotations
@@ -52,15 +52,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PolicyOptimum:
-    """Optimized operating point for one policy at one demand density."""
+    """Optimized operating point for one policy at one demand density; its
+    diagnostics are :func:`foc_residual` and :func:`equilibrium_gap`."""
 
     policy: Policy
     q0: float
     r_star: float  # auto share of demand
     f_star: float  # buses/hr
     breakdown: CostBreakdown
-    foc_residual: float  # $/(bus/hr); finite-difference dTotal/dF at f_star
-    equilibrium_gap: float | None  # $; None when one mode carries no demand
     constraint_binding: bool  # service-capacity floor active at f_star
 
 
@@ -71,6 +70,8 @@ def min_frequency(scenario: Scenario, q0: float, auto_share):
     all bus demand, (1-R)*q0*A/2; dividing by bus capacity gives the floor.
     ``auto_share`` may be an array of shares.
     """
+    if not np.isfinite(q0):
+        raise ValidationError(f"q0 must be finite, got {q0}")
     shares = np.asarray(auto_share, dtype=float)
     if not np.all((0 <= shares) & (shares <= 1)):
         raise ValidationError(f"auto_share must lie in [0, 1], got {auto_share}")
@@ -218,7 +219,7 @@ def _split_lattice(solver, center: float | None = None) -> np.ndarray:
     """Bus-share lattice on [0, 1]; refined around ``center`` when given."""
     if center is None:
         n = int(round(1.0 / solver.r_step))
-        return np.arange(n + 1) * solver.r_step
+        return np.minimum(np.arange(n + 1) * solver.r_step, 1.0)
     step = solver.r_step / solver.r_refine_factor
     row = _refine_candidates(np.array([center]), 0.0, 1.0, step, half_width=solver.r_step)[0]
     return row[~np.isnan(row)]
@@ -248,23 +249,21 @@ def _best_split_equilibrium(scenario: Scenario, policy: Policy, q0: float):
     """Mode split where auto and bus disutilities balance, frequency re-optimized."""
     solver = scenario.solver
 
-    def signed_gap(auto_share: float) -> float:
-        f_star, _ = optimize_frequency(scenario, policy, q0, auto_share)
-        gap = equilibrium_gap(scenario, policy, q0, auto_share, f_star, signed=True)
+    def gap_at(auto_share: float, frequency: float) -> float:
+        gap = equilibrium_gap(scenario, policy, q0, auto_share, frequency, signed=True)
         return gap if gap is not None else 0.0
+
+    def signed_gap(auto_share: float) -> float:
+        return gap_at(auto_share, optimize_frequency(scenario, policy, q0, auto_share)[0])
 
     # the service-capacity floor makes low auto shares infeasible; the
     # feasible region is an upper interval of R, so consecutive feasible
     # samples still bracket any interior root
-    lo, hi = solver.r_step, 1.0 - solver.r_step
-    samples = []
-    values = []
-    for r in np.arange(lo, hi + 1e-12, solver.r_step):
-        try:
-            values.append(signed_gap(float(r)))
-        except InfeasibleError:
-            continue
-        samples.append(float(r))
+    lattice = np.arange(solver.r_step, 1.0 - solver.r_step + 1e-12, solver.r_step)
+    f_star, cost = _frequency_optima(scenario, policy, q0, lattice)
+    feasible = np.isfinite(cost)
+    samples = [float(r) for r in lattice[feasible]]
+    values = [gap_at(r, float(f)) for r, f in zip(samples, f_star[feasible])]
     if not samples:
         raise InfeasibleError(
             f"no feasible interior mode split at q0={q0:g} for the equilibrium rule"
@@ -310,8 +309,6 @@ def _optimize_policy_cached(scenario: Scenario, policy: Policy, q0: float) -> Po
         r_star=auto_share,
         f_star=f_star,
         breakdown=breakdown,
-        foc_residual=foc_residual(scenario, policy, q0, auto_share, f_star),
-        equilibrium_gap=equilibrium_gap(scenario, policy, q0, auto_share, f_star),
         constraint_binding=binding,
     )
 

@@ -219,7 +219,7 @@ def build_schedule(table: StepTable, min_dwell: float = 0.0) -> Schedule:
     runs of the pointwise assignment are absorbed by whichever neighboring
     policy costs less over those steps.
     """
-    if min_dwell < 0.0:
+    if not min_dwell >= 0.0:  # also rejects NaN
         raise ValidationError("min_dwell must be >= 0 minutes")
     n = table.n_steps
     if n < 1:

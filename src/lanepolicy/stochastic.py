@@ -71,6 +71,9 @@ class OUParams:
     q0_init: float = 1000.0
 
     def __post_init__(self) -> None:
+        for name, value in asdict(self).items():
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.mean_reversion < 0.0:
             raise ValidationError("mean_reversion must be >= 0")
         if self.volatility < 0.0:
@@ -118,6 +121,8 @@ def clock_label(hours: float) -> str:
 
 
 def _step_count(horizon: float, dt: float) -> int:
+    if not (math.isfinite(horizon) and math.isfinite(dt)):
+        raise ValidationError(f"horizon and dt must be finite, got {horizon} and {dt}")
     if dt <= 0.0:
         raise ValidationError("dt must be > 0")
     if horizon <= 0.0:
@@ -144,6 +149,8 @@ def simulate(
     seed = int(seed)
     if seed < 0:
         raise ValidationError("seed must be a non-negative integer")
+    if not math.isfinite(t0_clock):
+        raise ValidationError(f"t0_clock must be finite, got {t0_clock}")
 
     theta = params.mean_reversion + 0.5 * params.volatility**2
     if theta > 0.0:
@@ -237,6 +244,8 @@ def _read_trajectory_rows(handle: IO[str]) -> Trajectory:
         q = np.array([float(row[2]) for row in body])
     except (IndexError, ValueError) as err:
         raise ValidationError(f"malformed trajectory row: {err}") from None
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(q))):
+        raise ValidationError("trajectory t_hours and q0 values must be finite")
     steps = np.diff(t)
     dt = float(np.median(steps))
     if dt <= 0.0 or np.any(np.abs(steps - dt) > 1e-6):

@@ -11,6 +11,7 @@ import pytest
 
 from lanepolicy import Policy, Scenario, cost_breakdown, min_frequency
 from lanepolicy.cli import build_scenario, main
+from lanepolicy.optimizer import foc_residual
 
 
 def run_dirs(out_dir: Path) -> list[Path]:
@@ -83,6 +84,10 @@ class TestCostCommand:
         assert results["R"] == pytest.approx(0.704, abs=0.02)
         assert results["F"] == pytest.approx(63.4, abs=1.0)
         assert results["breakdown"]["total"] == pytest.approx(206630.0, rel=1e-3)
+        assert results["foc_residual"] == foc_residual(
+            Scenario(), Policy.MTP, 1000.0, results["R"], results["F"]
+        )
+        assert "constraint_binding" in results
 
     @pytest.mark.parametrize(
         "policy,q0,f,r_expected,total_expected",
@@ -121,6 +126,15 @@ class TestCostCommand:
         )
         assert code == 3
         assert list(tmp_path.iterdir()) == []
+
+    def test_share_step_that_overshoots_one(self, tmp_path):
+        # 1/0.15 rounds up to 7 steps; the last bus share clips to 1
+        code = main(
+            ["cost", "--policy", "hovlp", "--q0", "1000", "--set", "solver.r_step=0.15",
+             "--out-dir", str(tmp_path), "--run-name", "coarse"]
+        )
+        assert code == 0
+        assert 0.0 <= read_manifest(tmp_path / "coarse")["results"]["R"] <= 1.0
 
     def test_run_name_collision_gets_suffix(self, tmp_path):
         args = ["cost", "--policy", "mtp", "--q0", "50", "--R", "0.5", "--F", "4",
@@ -316,3 +330,37 @@ class TestScheduleCommand:
              "--out-dir", str(tmp_path)]
         )
         assert code == 2
+
+
+_GENERATOR = ["--horizon", "1", "--dt", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cost", "--policy", "mtp", "--q0", "1000", "--set", "solver.f_cap=Infinity"],
+        ["cost", "--policy", "mtp", "--q0", "1000", "--set", "econ.vot_wait=Infinity"],
+        ["cost", "--policy", "mtp", "--q0", "nan"],
+        ["cost", "--policy", "mtp", "--q0", "nan", "--R", "0.5"],
+        ["cost", "--policy", "mtp", "--q0", "inf", "--F", "50"],
+        ["cost", "--policy", "mtp", "--q0", "1000", "--F", "nan"],
+        ["cost", "--policy", "mtp", "--q0", "1000", "--F", "inf"],
+        ["sweep", "--n", "3", "--capacities", "inf"],
+        ["simulate", "--n", "1", "--q0-init", "nan", *_GENERATOR],
+        ["simulate", "--n", "1", "--volatility", "inf", *_GENERATOR],
+        ["simulate", "--n", "1", "--horizon", "nan"],
+        ["simulate", "--n", "1", "--horizon", "inf"],
+        ["simulate", "--n", "1", "--clock-start", "nan", *_GENERATOR],
+        ["schedule", "--min-dwell", "nan", *_GENERATOR],
+        ["schedule", "--trajectory", "{nan_csv}"],
+    ],
+)
+def test_non_finite_input_exits_2(tmp_path, capsys, argv):
+    nan_csv = tmp_path / "nan.csv"
+    nan_csv.write_text("clock_time,t_hours,q0\n07:00,0.0,500.0\n07:30,0.5,nan\n")
+    out = tmp_path / "runs"
+    out.mkdir()
+    code = main([arg.format(nan_csv=nan_csv) for arg in argv] + ["--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert list(out.iterdir()) == []

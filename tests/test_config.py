@@ -81,6 +81,19 @@ class TestLoadScenario:
         with pytest.raises(ValidationError):
             load_scenario({"geometry": {"n_lanes": True}})
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"solver": {"f_cap": float("inf")}},
+            {"econ": {"vot_wait": float("inf")}},
+            {"bpr": {"alpha_auto": float("nan")}},
+            '{"geometry": {"n_lanes": Infinity}}',
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, document):
+        with pytest.raises(ValidationError):
+            load_scenario(document)
+
     def test_invariant_violations(self):
         with pytest.raises(ValidationError):
             load_scenario({"geometry": {"n_lanes": 1}})  # reserving a lane needs >= 2

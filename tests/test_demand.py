@@ -79,6 +79,9 @@ class TestCumulativeDemand:
             DemandField(q0=100.0, length_mi=0.0, auto_share=0.5)
         with pytest.raises(ValidationError):
             DemandField(q0=100.0, length_mi=30.0, auto_share=1.2)
+        for q0 in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError):
+                DemandField(q0=q0, length_mi=30.0, auto_share=0.5)
 
 
 class TestOccupancySplit:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -105,11 +107,27 @@ class TestOptimizePolicy:
         assert opt.f_star == 1.0
         # fixed operating cost plus one bus/hr on a free-flow 1.5 hr round trip
         assert opt.breakdown.total == pytest.approx(300.0 + 20.0 * 2.0 * 0.75, rel=1e-9)
-        assert opt.equilibrium_gap is None
+        assert equilibrium_gap(baseline, Policy.MTP, 0.0, opt.r_star, opt.f_star) is None
 
     def test_negative_demand_rejected(self, baseline: Scenario):
         with pytest.raises(ValidationError):
             optimize_policy(baseline, Policy.MTP, -10.0)
+
+    @pytest.mark.parametrize("q0", [float("nan"), float("inf")])
+    def test_non_finite_demand_rejected(self, baseline: Scenario, q0: float):
+        with pytest.raises(ValidationError):
+            optimize_policy(baseline, Policy.MTP, q0)
+        with pytest.raises(ValidationError):
+            optimize_frequency(baseline, Policy.MTP, q0, 0.5)
+        with pytest.raises(ValidationError):
+            min_frequency(baseline, q0, 0.5)
+
+    def test_share_lattice_stops_at_one(self):
+        # 1/0.15 rounds up to 7 steps, whose last point 1.05 must clip to 1
+        scen = load_scenario({"solver": {"r_step": 0.15}})
+        for policy in Policy:
+            opt = optimize_policy(scen, policy, 1000.0)
+            assert 0.0 <= opt.r_star <= 1.0
 
     def test_optimum_is_consistent(self, baseline: Scenario):
         opt = optimize_policy(baseline, Policy.MTP, 1000.0)
@@ -273,6 +291,38 @@ def _golden_scenario(name: str) -> Scenario:
 def test_golden_optima(name):
     scen = _golden_scenario(name)
     for (scen_name, policy, q0), (r_star, f_star, total) in _GOLDEN_OPTIMA.items():
+        if scen_name != name:
+            continue
+        opt = optimize_policy(scen, Policy(policy), q0)
+        assert (opt.r_star, opt.f_star) == (r_star, f_star), (policy, q0)
+        assert opt.breakdown.total == pytest.approx(total, rel=1e-12), (policy, q0)
+
+
+# (scenario, policy, q0) -> (R*, F*, total) under split_rule=equilibrium,
+# recorded from the per-share bracket scan that preceded the batched one.
+_GOLDEN_EQUILIBRIUM = {
+    ("baseline", "mtp", 500.0): (0.22781249999999997, 82.734375, 99300.95501990763),
+    ("baseline", "mtp", 1500.0): (0.8003125, 64.18526785714286, 540188.8746683645),
+    ("baseline", "eblp", 500.0): (0.22781249999999997, 82.734375, 99535.66191980928),
+    ("baseline", "eblp", 1500.0): (0.63, 118.92857142857143, 617163.0717439846),
+    ("baseline", "hovlp", 500.0): (0.22906249999999995, 82.60044642857143, 100160.85205554808),
+    ("baseline", "hovlp", 1500.0): (0.8584375, 45.50223214285715, 839425.3375395519),
+    ("contrast", "mtp", 500.0): (0.20468750000000002, 85.21205357142857, 101970.01264873138),
+    ("contrast", "mtp", 1500.0): (0.8084375000000001, 61.573660714285666, 707509.80492987),
+    ("contrast", "eblp", 500.0): (0.20468750000000002, 85.21205357142857, 102202.76467688418),
+    ("contrast", "eblp", 1500.0): (0.63, 118.92857142857143, 787873.2439333112),
+    ("contrast", "hovlp", 500.0): (0.2053125, 85.14508928571429, 102744.48704653597),
+    ("contrast", "hovlp", 1500.0): (0.6565624999999999, 110.39062500000003, 495144.4354882892),
+}
+
+
+@pytest.mark.parametrize("name", ["baseline", "contrast"])
+def test_golden_equilibrium_optima(name):
+    base = _golden_scenario(name)
+    scen = dataclasses.replace(
+        base, solver=dataclasses.replace(base.solver, split_rule="equilibrium")
+    )
+    for (scen_name, policy, q0), (r_star, f_star, total) in _GOLDEN_EQUILIBRIUM.items():
         if scen_name != name:
             continue
         opt = optimize_policy(scen, Policy(policy), q0)

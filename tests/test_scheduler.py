@@ -112,6 +112,8 @@ class TestBuildSchedule:
         table = make_table([1.0, 1.0], [2.0, 2.0])
         with pytest.raises(ValidationError):
             build_schedule(table, min_dwell=-1.0)
+        with pytest.raises(ValidationError):
+            build_schedule(table, min_dwell=float("nan"))
 
     def test_per_policy_and_savings_accounting(self):
         table = make_table([1.0, 3.0, 1.0], [2.0, 2.0, 2.0])

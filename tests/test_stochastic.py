@@ -40,6 +40,12 @@ class TestParams:
         with pytest.raises(ValidationError):
             OUParams(q0_init=-100.0)
 
+    @pytest.mark.parametrize("name", ["mean_reversion", "long_run_level", "volatility", "q0_init"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, name: str, value: float):
+        with pytest.raises(ValidationError):
+            OUParams(**{name: value})
+
 
 class TestSimulate:
     def test_length_and_time_axis(self):
@@ -97,6 +103,12 @@ class TestSimulate:
             simulate(OUParams(), dt=2.0, horizon=1.0)
         with pytest.raises(ValidationError):
             simulate(OUParams(), seed=-1)
+
+    @pytest.mark.parametrize("arg", ["horizon", "dt", "t0_clock"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_arguments_rejected(self, arg: str, value: float):
+        with pytest.raises(ValidationError):
+            simulate(OUParams(), **{arg: value})
 
     def test_monte_carlo_mean_matches_recursion(self):
         # the update is linear in q, so its expectation obeys an exact scalar
@@ -183,6 +195,15 @@ class TestTrajectoryCsv:
         bad.write_text(
             "clock_time,t_hours,q0\n07:00,0.0,100.0\n07:30,0.5,-5.0\n"
         )  # negative demand
+        with pytest.raises(ValidationError):
+            read_trajectory_csv(bad)
+
+    @pytest.mark.parametrize("t1,q1", [("0.5", "nan"), ("0.5", "inf"), ("nan", "100.0")])
+    def test_reader_rejects_non_finite_values(self, tmp_path, t1: str, q1: str):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            f"clock_time,t_hours,q0\n07:00,0.0,100.0\n07:30,{t1},{q1}\n08:00,1.0,100.0\n"
+        )
         with pytest.raises(ValidationError):
             read_trajectory_csv(bad)
 
