@@ -290,6 +290,11 @@ def _coerce(path: str, value: object, target: type) -> object:
     # bool is an int subclass; never silently accept it as a number
     if isinstance(value, bool):
         raise ValidationError(f"{path}: expected {target.__name__}, got boolean {value}")
+    if isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            raise ValidationError(f"{path}: integer too large for a float") from None
     if target is float:
         if not isinstance(value, (int, float)):
             raise ValidationError(f"{path}: expected a number, got {type(value).__name__}")

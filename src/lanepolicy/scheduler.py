@@ -126,41 +126,30 @@ def evaluate_trajectory(
     order = _ordered_allowed(allowed)
     buckets = np.rint(np.asarray(traj.values, dtype=float) / _BUCKET_WIDTH)
     buckets = np.maximum(buckets * _BUCKET_WIDTH, _BUCKET_WIDTH)
-    distinct = np.unique(buckets)
+    distinct, step_bucket = np.unique(buckets, return_inverse=True)
 
-    totals: dict[Policy, np.ndarray] = {}
-    curve: dict[Policy, np.ndarray] = {}
-    for policy in order:
-        at_bucket = np.array(
-            [optimize_policy(scenario, policy, float(b)).breakdown.total for b in distinct]
-        )
-        curve[policy] = at_bucket
-        idx = np.searchsorted(distinct, buckets)
-        totals[policy] = at_bucket[idx]
-
-    best_vals = totals[order[0]].copy()
-    best_idx = np.zeros(len(best_vals), dtype=int)
-    for k, policy in enumerate(order[1:], start=1):
-        improved = totals[policy] < best_vals
-        best_vals[improved] = totals[policy][improved]
-        best_idx[improved] = k
-    best = tuple(order[k] for k in best_idx)
+    # curve[k, j]: optimized total of order[k] at distinct bucket j.
+    curve = np.array(
+        [
+            [optimize_policy(scenario, p, float(b)).breakdown.total for b in distinct]
+            for p in order
+        ]
+    )
+    per_step = curve[:, step_bucket]
+    per_step.setflags(write=False)
+    best = tuple(order[k] for k in np.argmin(per_step, axis=0))
 
     if len(distinct) > 1:
-        gaps = np.diff(distinct)
-        bound = max(
-            float(np.max(np.abs(np.diff(curve[p])) / gaps)) for p in order
-        ) * (_BUCKET_WIDTH / 2.0)
+        slopes = np.abs(np.diff(curve, axis=1)) / np.diff(distinct)
+        bound = float(np.max(slopes)) * (_BUCKET_WIDTH / 2.0)
     else:
         bound = 0.0
 
-    for arr in totals.values():
-        arr.setflags(write=False)
     return StepTable(
         t0_clock=traj.t0_clock,
         dt=traj.dt,
         q0=np.asarray(traj.values, dtype=float),
-        totals=totals,
+        totals=dict(zip(order, per_step)),
         best=best,
         quantization_bound=bound,
     )
@@ -226,37 +215,28 @@ def build_schedule(table: StepTable, min_dwell: float = 0.0) -> Schedule:
         raise ValidationError("step table must span at least one step")
 
     # Interval k = [t_k, t_{k+1}) is charged at its left-endpoint cost.
-    labels = list(table.best[:n])
-    labels = _merge_short_runs(table, labels, min_dwell)
-
+    labels = _merge_short_runs(table, list(table.best[:n]), min_dwell)
+    runs = _runs(labels)
     entries = tuple(
         ScheduleEntry(
             t_entry=table.t0_clock + start * table.dt,
             t_exit=table.t0_clock + (start + length) * table.dt,
             policy=policy,
         )
-        for start, length, policy in _runs(labels)
+        for start, length, policy in runs
     )
-
     combined = sum(
         _interval_cost(table, policy, start, length)
-        for start, length, policy in _runs(labels)
+        for start, length, policy in runs
     )
     per_policy = {
         p: float(np.sum(table.totals[p][:n])) * table.dt for p in table.policies
     }
-    schedule = Schedule(
-        entries=entries,
-        per_policy_cumulative=per_policy,
-        combined_cumulative=combined,
-        savings_vs={},
-        quantization_bound=table.quantization_bound,
-    )
     return Schedule(
         entries=entries,
         per_policy_cumulative=per_policy,
         combined_cumulative=combined,
-        savings_vs=savings_report(schedule),
+        savings_vs=_savings(per_policy, combined),
         quantization_bound=table.quantization_bound,
     )
 
@@ -266,13 +246,17 @@ def savings_report(schedule: Schedule) -> dict[Policy, float]:
 
     savings[p] = (W_p - W_combined) / W_p.
     """
+    return _savings(schedule.per_policy_cumulative, schedule.combined_cumulative)
+
+
+def _savings(per_policy: Mapping[Policy, float], combined: float) -> dict[Policy, float]:
     report: dict[Policy, float] = {}
-    for policy, single in schedule.per_policy_cumulative.items():
+    for policy, single in per_policy.items():
         if single <= 0.0:
             raise NumericDomainError(
                 f"single-policy cumulative cost for {policy.value} is not positive"
             )
-        report[policy] = (single - schedule.combined_cumulative) / single
+        report[policy] = (single - combined) / single
     return report
 
 

@@ -246,9 +246,10 @@ def _read_trajectory_rows(handle: IO[str]) -> Trajectory:
         raise ValidationError(f"malformed trajectory row: {err}") from None
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(q))):
         raise ValidationError("trajectory t_hours and q0 values must be finite")
-    steps = np.diff(t)
-    dt = float(np.median(steps))
-    if dt <= 0.0 or np.any(np.abs(steps - dt) > 1e-6):
+    # The writer rounds t_hours to 6 decimals, so each step may be off the
+    # mean step by up to (1 + 1/n_steps) * 1e-6 h.
+    dt = float((t[-1] - t[0]) / (len(t) - 1))
+    if dt <= 0.0 or np.any(np.abs(np.diff(t) - dt) > 1.5e-6):
         raise ValidationError("trajectory t_hours column must be uniformly spaced")
     if np.any(q <= 0.0):
         raise ValidationError("trajectory q0 values must be positive")

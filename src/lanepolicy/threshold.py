@@ -6,7 +6,8 @@ cross), and decomposes a density range into best-policy regions.
 
 Cost differences can in principle cross zero more than once; find_threshold
 reports the crossing nearest the low end of the bracket (at scan resolution)
-and policy_regions, a pointwise argmin, is the authoritative decomposition.
+and policy_regions, a pointwise argmin with each boundary bisected within
+the lattice cell where the winner changes, is the authoritative decomposition.
 """
 
 from __future__ import annotations
@@ -159,10 +160,10 @@ def policy_regions(
 ) -> list[PolicyRegion]:
     """Decompose a density range into maximal best-policy intervals.
 
-    Pointwise argmin of the optimized totals on a ``resolution``-spaced
-    lattice (ties break toward the policy listed first), runs merged, and
-    each interior boundary sharpened with the pairwise threshold between the
-    two adjacent winners.
+    Pointwise argmin of the optimized totals on the lattice lo + resolution*k
+    below hi, then hi (cost_curve's densities when resolution = (hi-lo)/(n-1));
+    ties break toward the policy listed first, runs merge, and each interior
+    boundary is bisected to the threshold tolerance within its lattice cell.
     """
     lo, hi = _validate_range(*q0_range)
     if resolution <= 0 or not np.isfinite(resolution):
@@ -171,22 +172,25 @@ def policy_regions(
         raise ValidationError("policies must be non-empty")
     policies = tuple(_as_policy(p) for p in policies)
 
-    lattice = list(np.arange(lo, hi, resolution)) + [hi]
+    n_below = int(np.ceil((hi - lo) / resolution - 1e-9))
+    lattice = [float(q0) for q0 in np.arange(n_below) * resolution + lo] + [hi]
     winners: list[Policy] = []
     for q0 in lattice:
-        totals = [(_total(scenario, p, float(q0)), k) for k, p in enumerate(policies)]
+        totals = [(_total(scenario, p, q0), k) for k, p in enumerate(policies)]
         winners.append(policies[min(totals)[1]])
 
     regions: list[PolicyRegion] = []
     run_start = lo
     for i in range(1, len(lattice)):
-        if winners[i] == winners[i - 1]:
+        below, above = winners[i - 1], winners[i]
+        if below == above:
             continue
-        result = find_threshold(
-            scenario, winners[i - 1], winners[i], float(lattice[i - 1]), float(lattice[i])
+        # below is no dearer at lattice[i - 1], above at lattice[i]: a bracket.
+        boundary = find_root(
+            lambda q0: _total(scenario, below, q0) - _total(scenario, above, q0),
+            lattice[i - 1], lattice[i], tol=scenario.solver.threshold_tol
         )
-        boundary = result.q0_star if result.q0_star is not None else float(lattice[i])
-        regions.append(PolicyRegion(q0_lo=run_start, q0_hi=boundary, policy=winners[i - 1]))
+        regions.append(PolicyRegion(q0_lo=run_start, q0_hi=boundary, policy=below))
         run_start = boundary
     regions.append(PolicyRegion(q0_lo=run_start, q0_hi=hi, policy=winners[-1]))
     return regions

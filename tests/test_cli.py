@@ -292,6 +292,16 @@ class TestScheduleCommand:
         assert rows[0][:3] == ["entry_clock", "exit_clock", "policy"]
         assert len(rows) == 1 + len(summary["entries"])
 
+    def test_schedules_a_default_step_simulate_output(self, tmp_path):
+        # README's pair: simulate at the default 1-minute step, then schedule one file
+        sim = ["simulate", "--n", "1", "--horizon", "1", "--run-name", "sim"]
+        assert main([*sim, "--out-dir", str(tmp_path)]) == 0
+        traj = tmp_path / "sim" / "trajectories" / "trajectory_seed0.csv"
+        code = main(
+            ["schedule", "--trajectory", str(traj), "--out-dir", str(tmp_path), "--run-name", "sched"]
+        )
+        assert code == 0
+
     def test_reusing_trajectory_file_reproduces_schedule(self, tmp_path):
         assert main(self.schedule_args(tmp_path, "first")) == 0
         traj = tmp_path / "first" / "trajectory.csv"
@@ -333,6 +343,7 @@ class TestScheduleCommand:
 
 
 _GENERATOR = ["--horizon", "1", "--dt", "0.5"]
+_HUGE_INT = "1" + "0" * 400  # parses as an int that no float can hold
 
 
 @pytest.mark.parametrize(
@@ -353,6 +364,9 @@ _GENERATOR = ["--horizon", "1", "--dt", "0.5"]
         ["simulate", "--n", "1", "--clock-start", "nan", *_GENERATOR],
         ["schedule", "--min-dwell", "nan", *_GENERATOR],
         ["schedule", "--trajectory", "{nan_csv}"],
+        ["cost", "--policy", "mtp", "--q0", "1000", "--set", f"econ.vot_wait={_HUGE_INT}"],
+        ["cost", "--policy", "mtp", "--q0", "1000", "--set", f"geometry.n_lanes={_HUGE_INT}"],
+        ["cost", "--policy", "mtp", "--q0", "1000", "--set", f"solver.n_cells={_HUGE_INT}"],
     ],
 )
 def test_non_finite_input_exits_2(tmp_path, capsys, argv):

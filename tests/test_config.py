@@ -88,6 +88,7 @@ class TestLoadScenario:
             {"econ": {"vot_wait": float("inf")}},
             {"bpr": {"alpha_auto": float("nan")}},
             '{"geometry": {"n_lanes": Infinity}}',
+            pytest.param('{"econ": {"vot_wait": 1%s}}' % ("0" * 400), id="huge_int"),
         ],
     )
     def test_non_finite_numbers_rejected(self, document):

@@ -170,6 +170,16 @@ class TestTrajectoryCsv:
         assert back.t0_clock == pytest.approx(6.5, abs=1e-4)
         np.testing.assert_allclose(back.values, traj.values, atol=1e-5)
 
+    @pytest.mark.parametrize("horizon", [1.0, 2.0, 12.0])
+    def test_round_trip_at_one_minute_steps(self, horizon: float):
+        # t_hours is written to 6 decimals, so 1/60-h steps come back uneven by ~1e-6
+        traj = simulate(OUParams(), horizon=horizon, seed=0)
+        buf = io.StringIO()
+        write_trajectory_csv(traj, buf)
+        back = read_trajectory_csv(io.StringIO(buf.getvalue()))
+        assert abs(back.dt - 1.0 / 60.0) < 1e-9
+        np.testing.assert_allclose(back.values, traj.values, rtol=0, atol=1e-6)
+
     def test_header_and_formatting(self):
         traj = simulate(OUParams(), horizon=0.5, dt=0.25, seed=0)
         buf = io.StringIO()

@@ -18,7 +18,21 @@ from lanepolicy import (
     policy_regions,
     write_curves_csv,
 )
+from lanepolicy import threshold
 from lanepolicy.threshold import CURVE_CSV_COLUMNS
+
+
+@pytest.fixture
+def evaluated(monkeypatch) -> list[float]:
+    """Densities at which the threshold module optimizes, in call order."""
+    seen: list[float] = []
+
+    def recording(scenario, policy, q0):
+        seen.append(q0)
+        return optimize_policy(scenario, policy, q0)
+
+    monkeypatch.setattr(threshold, "optimize_policy", recording)
+    return seen
 
 
 class TestCostCurve:
@@ -131,6 +145,53 @@ class TestPolicyRegions:
         assert regions == [
             type(regions[0])(q0_lo=300.0, q0_hi=500.0, policy=Policy.MTP)
         ]
+
+    # Boundaries recorded from the 33-point find_threshold scan of the cell
+    # that preceded the direct bisection.
+    @pytest.mark.parametrize(
+        "q0_range,resolution,boundary",
+        [
+            ((200.0, 1200.0), 200.0, 658.203125),
+            ((181.0, 2220.0), 203.9, 657.6958984375001),
+        ],
+    )
+    def test_boundary_matches_recorded(self, contrast: Scenario, q0_range, resolution, boundary):
+        regions = policy_regions(contrast, q0_range, resolution)
+        assert [r.policy for r in regions] == [Policy.MTP, Policy.HOVLP]
+        assert regions[0].q0_hi == pytest.approx(boundary, rel=1e-12)
+
+    def test_fine_lattice_boundary_within_tolerance(self, contrast: Scenario):
+        # A 10-wide cell is narrower than 16 tolerances, so the direct bisection
+        # stops within tol of the recorded boundary but not on it.
+        regions = policy_regions(contrast, (200.0, 1200.0), 10.0)
+        assert abs(regions[0].q0_hi - 657.96875) <= contrast.solver.threshold_tol
+
+    def test_lattice_stays_inside_range(self, contrast: Scenario, evaluated):
+        # float arange(1.0, 1.3, 0.1) would end 1.3000000000000003 before 1.3
+        policy_regions(contrast, (1.0, 1.3), 0.1)
+        assert max(evaluated) == 1.3
+        assert min(evaluated) == 1.0
+
+    def test_lattice_reuses_cost_curve_densities(self, contrast: Scenario, evaluated):
+        lo, hi, n = 181.0, 2220.0, 11
+        for policy in (Policy.MTP, Policy.EBLP, Policy.HOVLP):
+            cost_curve(contrast, policy, (lo, hi), n)
+        curve_q0 = set(evaluated)
+        evaluated.clear()
+        regions = policy_regions(contrast, (lo, hi), (hi - lo) / (n - 1))
+        # Only the bisection inside the boundary's cell adds new densities.
+        boundary = regions[0].q0_hi
+        cell_lo = max(q0 for q0 in curve_q0 if q0 <= boundary)
+        cell_hi = min(q0 for q0 in curve_q0 if q0 >= boundary)
+        assert all(cell_lo < q0 < cell_hi for q0 in set(evaluated) - curve_q0)
+
+    def test_boundaries_do_not_rescan_with_find_threshold(self, contrast: Scenario, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("find_threshold called")
+
+        monkeypatch.setattr(threshold, "find_threshold", refuse)
+        regions = policy_regions(contrast, (200.0, 1200.0), 200.0)
+        assert [r.policy for r in regions] == [Policy.MTP, Policy.HOVLP]
 
     def test_validation(self, baseline: Scenario):
         with pytest.raises(ValidationError):
