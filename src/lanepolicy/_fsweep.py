@@ -11,8 +11,8 @@ round-trip and crowding terms, boardings and fares (with b), auto money
 one :class:`_MomentTable` per (scenario, policy), built on first use and
 kept in a bounded LRU cache.  The lane streams and the signage cost come
 from :data:`~lanepolicy.costmodel.LANE_TABLE`.  Only signalized-intersection
-delay is evaluated directly, one intersection at a time, from
-per-intersection constants.
+delay is evaluated directly, in one ``intersection_delay`` call over one
+column of constants per (lane stream, intersection).
 
 :class:`FrequencySweep` is a cheap view of the table at one q0 and one or
 many auto shares.  It reproduces `costmodel.cost_breakdown` totals to
@@ -20,12 +20,17 @@ floating-point reordering error (the expansion is algebraically exact); a
 property test pins the two paths together.  Non-integer exponents have no
 table; their sweeps price each share's candidates with
 :func:`~lanepolicy.costmodel.cost_totals`, a block of frequencies at a time.
+
+:meth:`FrequencySweep.row_minima` prices signal delay only where a lower
+bound, the delay at F = 0, does not exceed the row's best priced total.  The
+bound needs 8*k*I/(c*T) <= 4 for every stream capacity c, so that delay never
+falls as volume rises; otherwise, and without a table, it uses :meth:`totals`.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +45,15 @@ __all__ = ["FrequencySweep"]
 
 _MAX_POLY_DEGREE = 12
 _F_BLOCK = 32  # frequencies per cost_totals call on the table-less path
+
+
+def _scan_rows(candidates: np.ndarray, values: np.ndarray):
+    """Per row, the first minimum over finite values (smallest argument on
+    ties); cost inf for a row with no finite value."""
+    values = np.where(np.isfinite(values), values, np.inf)
+    k = np.argmin(values, axis=1)
+    rows = np.arange(k.shape[0])
+    return candidates[rows, k], values[rows, k]
 
 
 def _time_rows(phi, slope, capacity, t0, alpha, beta) -> np.ndarray:
@@ -59,9 +73,10 @@ class _MomentTable(NamedTuple):
     poly: np.ndarray  # C[j, m, k] on a^j b^m F^k
     boardings: float  # per unit b
     load_moment: float  # per unit b^(gamma3 + 1)
-    # per lane group at the signals: intersection i carries a*base[i] + slope*F
-    # veh/hr on capacity and charges a*pax_a[i] + b*pax_b[i] $/s of delay
-    signals: tuple  # of (base, slope, capacity, pax_a, pax_b)
+    # rows base, slope, capacity, pax_a, pax_b; one column per (stream, intersection):
+    # a*base + slope*F veh/hr arrive on capacity and pay a*pax_a + b*pax_b $/s of delay
+    signals: np.ndarray
+    monotone: bool  # signal delay never falls as arriving volume rises
 
 
 @lru_cache(maxsize=64)
@@ -108,26 +123,22 @@ def _moment_table(scenario: Scenario, policy: Policy) -> _MomentTable | None:
     poly[0, 0, 0] += bus.fixed_operating_cost + lanes.signage
 
     # intersections: arriving volume per lane group, passengers still upstream
-    n_inter = geom.n_intersections
-    signals: tuple = ()
-    if n_inter > 0:
-        pax = (length - np.asarray(geom.intersection_positions)) ** 2 / (2.0 * length)
-        entering = signal_auto_pax(scenario, DemandField(q0=1.0, length_mi=length, auto_share=1.0))
-        slope = pce / (n_inter + 1)
-        pax_auto, pax_bus = econ.vot_auto * pax / 3600.0, econ.vot_bus * pax / 3600.0
-        signals = tuple(
-            (
-                s.vehicles(entering),
-                slope if s.buses else 0.0,
-                s.capacity,
-                sum(share for _, share, _ in s.autos) * pax_auto,
-                pax_bus if s.buses else np.zeros(n_inter),
-            )
-            for s in streams
-        )
-
+    pax = (length - np.asarray(geom.intersection_positions)) ** 2 / (2.0 * length)
+    entering = signal_auto_pax(scenario, DemandField(q0=1.0, length_mi=length, auto_share=1.0))
+    slope = pce / (geom.n_intersections + 1)
+    pax_auto, pax_bus = econ.vot_auto * pax / 3600.0, econ.vot_bus * pax / 3600.0
+    signals = np.hstack([
+        np.vstack(np.broadcast_arrays(
+            s.vehicles(entering), slope if s.buses else 0.0, s.capacity,
+            sum(share for _, share, _ in s.autos) * pax_auto, pax_bus if s.buses else 0.0,
+        ))
+        for s in streams
+    ])
+    sig = scenario.signal  # the overflow term rises with volume iff 8*k*I/(c*T) <= 4
+    spare = 8.0 * sig.incremental_delay_factor * sig.upstream_filter / sig.analysis_period_hr
+    monotone = bool(np.all(spare / signals[2] <= 4.0))
     load_moment = float(upstream**bus.wait_gamma3 @ weights)
-    return _MomentTable(poly, boardings, load_moment, signals)
+    return _MomentTable(poly, boardings, load_moment, signals, monotone)
 
 
 class FrequencySweep:
@@ -145,6 +156,7 @@ class FrequencySweep:
         self.auto_share = auto_share
         self._shares = np.atleast_1d(np.asarray(auto_share, dtype=float))
         self._table = _moment_table(scenario, policy)
+        self.priced = 0  # candidates row_minima has priced in full
 
     # -- slow but fully general path ----------------------------------------
 
@@ -178,16 +190,47 @@ class FrequencySweep:
         elif self._table is None:
             out = self._fallback_totals(rows)
         else:
-            out = self._table_totals(rows)
+            out = self._add_signals(*self._base(rows), rows)
         return out[0] if np.ndim(self.auto_share) == 0 and f_arr.ndim == 1 else out
 
-    def _table_totals(self, f: np.ndarray) -> np.ndarray:
-        table = self._table
-        bus, econ = self.scenario.bus, self.scenario.econ
+    def row_minima(self, rows: np.ndarray):
+        """Each row's first minimum of :meth:`totals` over NaN-padded (n_shares,
+        n_F) rows as (frequencies, costs); cost inf where nothing is finite."""
+        rows = np.asarray(rows, dtype=float)
+        if self._table is None or not self._table.monotone:
+            self.priced += np.count_nonzero(~np.isnan(rows))
+            return _scan_rows(rows, self.totals(rows))
+        if np.any(rows <= 0):
+            raise ValidationError("frequency candidates must be positive")
+        a, b, base = self._base(rows)
+        lower = base + self._share_terms[3]  # delay cost at F = 0 bounds it below
+        r = np.arange(rows.shape[0])
+        k = np.argmin(np.where(np.isnan(lower), np.inf, lower), axis=1)
+        upper = self._add_signals(a[:, 0], b[:, 0], base[r, k], rows[r, k])
+        keep = lower <= (upper + 1e-12 * np.abs(upper))[:, None]  # rounding slack
+        keep[r, k] = False
+        ri, ci = np.nonzero(keep)
+        values = np.full(rows.shape, np.inf)
+        values[r, k] = upper
+        if ri.size:
+            values[ri, ci] = self._add_signals(a[ri, 0], b[ri, 0], base[ri, ci], rows[ri, ci])
+        self.priced += r.size + ri.size
+        return _scan_rows(rows, values)
+
+    @cached_property
+    def _share_terms(self):
+        """Share columns a, b, their coefficients in F and their delay cost at F = 0."""
         a = self.q0 * self._shares[:, None]
         b = self.q0 * (1.0 - self._shares[:, None])
-        j, m, _ = table.poly.shape
-        coeffs = np.einsum("rj,rm,jmk->rk", a ** np.arange(j), b ** np.arange(m), table.poly)
+        j, m, _ = self._table.poly.shape
+        coeffs = np.einsum("rj,rm,jmk->rk", a ** np.arange(j), b ** np.arange(m), self._table.poly)
+        return a, b, coeffs, self._add_signals(a, b, np.zeros(a.shape), 0.0)
+
+    def _base(self, f: np.ndarray):
+        """Share columns a, b and the totals without signal delay on rows f."""
+        table = self._table
+        bus, econ = self.scenario.bus, self.scenario.econ
+        a, b, coeffs, _ = self._share_terms
         out = np.zeros(f.shape)
         for k in range(coeffs.shape[1] - 1, -1, -1):
             out = out * f + coeffs[:, k : k + 1]
@@ -199,10 +242,12 @@ class FrequencySweep:
             / f
         )
         out += econ.vot_wait * waiting
-        # one (n_shares, n_F) array per intersection keeps the temporaries small
-        for base, slope, capacity, pax_a, pax_b in table.signals:
-            for i in range(base.shape[0]):
-                arriving = base[i] * a + slope * f if slope else base[i] * a
-                seconds = intersection_delay(self.scenario.signal, arriving, capacity)
-                out += (pax_a[i] * a + pax_b[i] * b) * seconds
+        return a, b, out
+
+    def _add_signals(self, a, b, out: np.ndarray, f) -> np.ndarray:
+        """``out`` plus each signal column's delay cost, added in table order."""
+        base, slope, capacity, pax_a, pax_b = self._table.signals[(...,) + (None,) * out.ndim]
+        seconds = intersection_delay(self.scenario.signal, base * a + slope * f, capacity)
+        for term in (pax_a * a + pax_b * b) * seconds:
+            out += term
         return out

@@ -223,6 +223,7 @@ VALID_SPLIT_RULES = ("cost_min", "equilibrium")
 class SolverSettings:
     """Numerical resolutions and rule variants used by the optimizer layers."""
 
+    # at most 100,000: a batched cost holds 32-frequency node profiles, 26 MB each there
     n_cells: int = 600
     r_step: float = 0.01  # coarse mode-split lattice
     r_refine_factor: int = 10  # one refinement round shrinks the step by this
@@ -234,6 +235,7 @@ class SolverSettings:
 
     def __post_init__(self) -> None:
         _require(self.n_cells >= 2, f"n_cells must be >= 2, got {self.n_cells}")
+        _require(self.n_cells <= 100_000, f"n_cells must be <= 100000, got {self.n_cells}")
         _require(self.n_cells % 2 == 0, f"n_cells must be even, got {self.n_cells}")
         _require(0 < self.r_step <= 0.5, f"r_step must lie in (0, 0.5], got {self.r_step}")
         _require(

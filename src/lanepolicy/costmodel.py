@@ -349,14 +349,15 @@ def discomfort_cost(ctx: EvaluationContext, policy: Policy, x):
     return _at(ctx, ctx._cached(key, build), x)
 
 
-def intersection_delay(signal: SignalParams, arriving_vph, capacity_vph: float):
+def intersection_delay(signal: SignalParams, arriving_vph, capacity_vph):
     """Average signal delay in seconds per vehicle (uniform plus overflow term).
 
     Control delay for a pre-timed signal: a uniform term from the red phase,
     capped at saturation, plus an overflow term that grows with the
     volume-to-capacity ratio X and stays finite and continuous across X = 1.
+    ``capacity_vph`` may be an array that broadcasts against ``arriving_vph``.
     """
-    if capacity_vph <= 0:
+    if np.any(np.asarray(capacity_vph) <= 0):
         raise ValidationError(f"intersection capacity must be > 0, got {capacity_vph}")
     x_ratio = np.asarray(arriving_vph, dtype=float) / capacity_vph
     if np.any(x_ratio < 0):
@@ -371,7 +372,7 @@ def intersection_delay(signal: SignalParams, arriving_vph, capacity_vph: float):
         (x_ratio - 1.0) + np.sqrt((x_ratio - 1.0) ** 2 + spare / (capacity_vph * t_i))
     )
     out = uniform + overflow
-    return float(out) if np.isscalar(arriving_vph) else out
+    return float(out) if np.isscalar(arriving_vph) and np.isscalar(capacity_vph) else out
 
 
 def signal_auto_pax(scenario: Scenario, demand_field: DemandField) -> np.ndarray:

@@ -7,11 +7,12 @@ on a coarse lattice and one refined window, so the deterministic
 smallest-argument tie-break prefers the largest auto share, which keeps the
 degenerate zero-demand case at R = 1.
 
-Each split lattice is priced in two batched calls on one
-:class:`~lanepolicy._fsweep.FrequencySweep` over its feasible shares: every
-share's integer-F row masked below its floor, then every share's refinement
-window (ragged rows, NaN-padded).  :func:`optimize_frequency` is the
-one-share case.
+Each split lattice is searched by two batched
+:meth:`~lanepolicy._fsweep.FrequencySweep.row_minima` calls on one sweep over its
+feasible shares, one on every share's integer-F row masked below its floor and
+one on every share's refinement window (NaN-padded); each prices signal delay
+only where its lower bound at F = 0 fails to prune a candidate, or everywhere
+when that bound does not hold.  :func:`optimize_frequency` is the one-share case.
 
 Two diagnostics are functions that callers evaluate at an optimum: a
 central finite difference of total cost in F (:func:`foc_residual`) and the
@@ -27,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._fsweep import FrequencySweep
+from ._fsweep import FrequencySweep, _scan_rows
 from .config import Scenario
 from .costmodel import (
     CostBreakdown,
@@ -95,20 +96,12 @@ def _refine_candidates(center, lower, upper, step: float, half_width: float) -> 
     return pts
 
 
-def _scan_rows(candidates: np.ndarray, values: np.ndarray):
-    """Per row, the first minimum over finite values (smallest argument on
-    ties); cost inf for a row with no finite value."""
-    values = np.where(np.isfinite(values), values, np.inf)
-    k = np.argmin(values, axis=1)
-    rows = np.arange(k.shape[0])
-    return candidates[rows, k], values[rows, k]
-
-
-def _frequency_optima(scenario: Scenario, policy: Policy, q0: float, auto_shares, evaluate=None):
+def _frequency_optima(scenario: Scenario, policy: Policy, q0: float, auto_shares, search=None):
     """:func:`optimize_frequency` for an array of shares in two batched passes.
 
-    ``evaluate`` maps NaN-padded (n_shares, n_F) candidate rows to costs and
-    defaults to one :class:`FrequencySweep` over the feasible shares.
+    ``search`` maps NaN-padded (n_shares, n_F) candidate rows to each row's
+    best frequency and cost, and defaults to
+    :meth:`FrequencySweep.row_minima` on one sweep over the feasible shares.
     Returns each share's best frequency and cost; the cost is inf for a share
     whose floor exceeds the cap or whose candidates all evaluated non-finite.
     """
@@ -119,8 +112,8 @@ def _frequency_optima(scenario: Scenario, policy: Policy, q0: float, auto_shares
     best_f, best_cost = np.full(f_min.shape, np.nan), np.full(f_min.shape, np.inf)
     if not ok.any():
         return best_f, best_cost
-    if evaluate is None:
-        evaluate = FrequencySweep(scenario, policy, q0, auto_shares[ok]).totals
+    if search is None:
+        search = FrequencySweep(scenario, policy, q0, auto_shares[ok]).row_minima
     f_min = f_min[ok]
     first = np.maximum(1.0, np.ceil(f_min - 1e-9))
     lattice = np.arange(first.min(), cap + 1e-9, 1.0)
@@ -128,14 +121,14 @@ def _frequency_optima(scenario: Scenario, policy: Policy, q0: float, auto_shares
     coarse = np.where(on, lattice, np.nan)
     if not on.any(axis=1).all():  # a floor above the last lattice point: the cap alone
         coarse = np.column_stack([coarse, np.where(on.any(axis=1), np.nan, cap)])
-    f1, c1 = _scan_rows(coarse, evaluate(coarse))
+    f1, c1 = search(coarse)
 
     window = _refine_candidates(
         np.where(np.isfinite(c1), f1, np.nan), np.maximum(1.0, f_min), cap,
         solver.f_refine_step, half_width=1.0,
     )
     if window.shape[1]:
-        f2, c2 = _scan_rows(window, evaluate(window))
+        f2, c2 = search(window)
         searched = ~np.isnan(window).all(axis=1)
         better = searched & ((c2 < c1) | ((c2 == c1) & (f2 < f1)))
         f1 = np.where(better, f2, f1)
@@ -169,14 +162,13 @@ def optimize_frequency(
             f"auto share {auto_share:g} needs at least {f_min:.2f} buses/hr, above the "
             f"search cap {cap:g}"
         )
-    evaluate = None
+    search = None
     if cost_fn is not None:
-        def evaluate(rows: np.ndarray) -> np.ndarray:
-            return np.array(
-                [[np.nan if np.isnan(f) else float(cost_fn(float(f))) for f in row] for row in rows]
-            )
+        def search(rows: np.ndarray):
+            costs = [[np.nan if np.isnan(f) else cost_fn(float(f)) for f in row] for row in rows]
+            return _scan_rows(rows, np.array(costs, dtype=float))
 
-    f, cost = _frequency_optima(scenario, policy, q0, np.array([auto_share]), evaluate)
+    f, cost = _frequency_optima(scenario, policy, q0, np.array([auto_share]), search)
     if np.isinf(cost[0]):
         raise InfeasibleError("every candidate evaluated non-finite")
     return float(f[0]), float(cost[0])

@@ -367,6 +367,7 @@ _HUGE_INT = "1" + "0" * 400  # parses as an int that no float can hold
         ["cost", "--policy", "mtp", "--q0", "1000", "--set", f"econ.vot_wait={_HUGE_INT}"],
         ["cost", "--policy", "mtp", "--q0", "1000", "--set", f"geometry.n_lanes={_HUGE_INT}"],
         ["cost", "--policy", "mtp", "--q0", "1000", "--set", f"solver.n_cells={_HUGE_INT}"],
+        ["cost", "--policy", "mtp", "--q0", "1000", "--set", "solver.n_cells=100000000000000000000"],
     ],
 )
 def test_non_finite_input_exits_2(tmp_path, capsys, argv):

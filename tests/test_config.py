@@ -109,6 +109,11 @@ class TestLoadScenario:
         with pytest.raises(ValidationError):
             load_scenario({"solver": {"r_step": 0.0}})
 
+    def test_cell_count_bounded(self):
+        assert load_scenario({"solver": {"n_cells": 100_000}}).solver.n_cells == 100_000
+        with pytest.raises(ValidationError, match="n_cells"):
+            load_scenario({"solver": {"n_cells": 100_002}})
+
     def test_fingerprint_changes_with_content(self, baseline: Scenario):
         other = load_scenario({"econ": {"vot_auto": 18.5}})
         assert scenario_fingerprint(other) != scenario_fingerprint(baseline)

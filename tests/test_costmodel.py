@@ -25,7 +25,8 @@ from lanepolicy import (
     waiting_time,
 )
 from lanepolicy.costmodel import build_context, cost_totals, delay_args
-from lanepolicy._fsweep import FrequencySweep
+from lanepolicy._fsweep import FrequencySweep, _scan_rows
+from lanepolicy.optimizer import _refine_candidates, min_frequency
 
 from _oracle import oracle_breakdown
 
@@ -197,6 +198,21 @@ class TestIntersectionDelay:
     def test_negative_volume_rejected(self, baseline: Scenario):
         with pytest.raises(ValidationError):
             intersection_delay(baseline.signal, -1.0, 1500.0)
+
+    def test_stacked_capacities_match_scalar_calls(self, baseline: Scenario):
+        sig = baseline.signal
+        arriving = np.array([[0.0, 750.0, 1600.0, 2900.0], [200.0, 1350.0, 3300.0, 4800.0]])
+        capacity = np.array([[1500.0], [3000.0]])
+        scalar = [
+            [intersection_delay(sig, float(v), float(c[0])) for v in row]
+            for row, c in zip(arriving, capacity)
+        ]
+        np.testing.assert_array_equal(intersection_delay(sig, arriving, capacity), scalar)
+
+    @pytest.mark.parametrize("capacity", [0.0, [1500.0, 0.0], [[-1.0], [1500.0]]])
+    def test_nonpositive_capacity_rejected(self, baseline: Scenario, capacity):
+        with pytest.raises(ValidationError, match="capacity"):
+            intersection_delay(baseline.signal, np.array([100.0, 200.0]), np.array(capacity))
 
 
 class TestDelayArgs:
@@ -452,3 +468,85 @@ class TestFrequencySweep:
             np.testing.assert_array_equal(np.isnan(got), np.isnan(rows))
             expected = self._direct(scen, Policy.HOVLP, 700.0, self._SHARES, rows)
             np.testing.assert_allclose(got, expected, rtol=5e-12)
+
+    @staticmethod
+    def _lattice_rows(scen, q0, shares):
+        """The optimizer's rows: integer F masked below each share's floor (all
+        NaN above the cap) and 0.1-step windows, one with no center."""
+        floor = min_frequency(scen, q0, shares)
+        lattice = np.arange(1.0, scen.solver.f_cap + 1e-9)
+        coarse = np.where(lattice >= np.ceil(floor - 1e-9)[:, None], lattice, np.nan)
+        centers = np.where(np.arange(shares.size) % 7 == 3, np.nan, np.maximum(floor, 1.0) + 5.0)
+        window = _refine_candidates(centers, np.maximum(1.0, floor), scen.solver.f_cap, 0.1, 1.0)
+        return coarse, window
+
+    @staticmethod
+    def _check_row_minima(sweep, rows):
+        """row_minima equals the full scan of totals bit for bit; returns the scan."""
+        expected = _scan_rows(rows, sweep.totals(rows))
+        for got, want in zip(sweep.row_minima(rows), expected):
+            np.testing.assert_array_equal(got, want)
+        return expected
+
+    @pytest.mark.parametrize("n_intersections", [0, 3, 10])
+    @pytest.mark.parametrize("mode", ["segment", "cumulative"])
+    @pytest.mark.parametrize("policy", POLICY_ORDER)
+    def test_row_minima_match_a_full_scan(self, policy, mode, n_intersections):
+        scen = load_scenario(
+            {
+                "solver": {"delay_volume_mode": mode},
+                "geometry": {"n_intersections": n_intersections},
+            }
+        )
+        shares = np.linspace(0.0, 1.0, 41)
+        coarse, window = self._lattice_rows(scen, 1500.0, shares)
+        assert np.isnan(coarse).all(axis=1).any() and np.isnan(window).all(axis=1).any()
+        for rows in (coarse, window):
+            sweep = FrequencySweep(scen, policy, 1500.0, shares)
+            self._check_row_minima(sweep, rows)
+            assert sweep.priced < np.count_nonzero(~np.isnan(rows))
+
+    @pytest.mark.parametrize("policy", POLICY_ORDER)
+    def test_row_minima_where_delay_moves_the_minimum(self, policy):
+        # light demand on saturated, mostly red signals with heavy buses:
+        # signal delay moves some rows' minimum off the delay-free one
+        scen = load_scenario(
+            {
+                "bpr": {"bus_pce": 15.0},
+                "geometry": {"lane_capacity_vph": 900.0},
+                "signal": {"green_ratio": 0.3},
+            }
+        )
+        shares = np.linspace(0.0, 1.0, 41)
+        moved = 0
+        for rows in self._lattice_rows(scen, 100.0, shares):
+            sweep = FrequencySweep(scen, policy, 100.0, shares)
+            expected = self._check_row_minima(sweep, rows)
+            without_delay = _scan_rows(rows, sweep._base(rows)[2])[0]
+            moved += np.count_nonzero(without_delay != expected[0])
+        assert moved > 0
+
+    def test_row_minima_price_everything_where_delay_can_fall(self):
+        # k = 1000 makes 8*k*I/(c*T) = 5.3 on EBLP's 1500 veh/hr bus lane, so
+        # the overflow term falls with volume near X = 0 and the bound fails
+        scen = load_scenario({"signal": {"incremental_delay_factor": 1000.0}})
+        shares = np.linspace(0.0, 1.0, 41)
+        for rows in self._lattice_rows(scen, 1500.0, shares):
+            sweep = FrequencySweep(scen, Policy.EBLP, 1500.0, shares)
+            self._check_row_minima(sweep, rows)
+            assert sweep.priced == np.count_nonzero(~np.isnan(rows))
+
+    def test_row_minima_ties_take_the_smallest_frequency(self, baseline: Scenario, monkeypatch):
+        # with no bus riders EBLP's signal delay does not depend on F, so a
+        # flat synthetic base makes every candidate of a row tie exactly
+        sweep = FrequencySweep(baseline, Policy.EBLP, 900.0, np.array([1.0, 1.0]))
+        base = sweep._base
+        monkeypatch.setattr(
+            sweep, "_base", lambda f: (*base(f)[:2], np.where(np.isnan(f), np.nan, 1234.5))
+        )
+        rows = np.array([[np.nan, 7.0, 8.0, 9.0], [3.0, 4.0, 5.0, np.nan]])
+        totals = sweep.totals(rows)
+        assert np.all(totals[~np.isnan(rows)] == totals[0, 1])
+        f, cost = sweep.row_minima(rows)
+        np.testing.assert_array_equal(f, [7.0, 3.0])
+        np.testing.assert_array_equal(cost, [totals[0, 1]] * 2)
