@@ -21,10 +21,11 @@ property test pins the two paths together.  Non-integer exponents have no
 table; their sweeps price each share's candidates with
 :func:`~lanepolicy.costmodel.cost_totals`, a block of frequencies at a time.
 
-:meth:`FrequencySweep.row_minima` prices signal delay only where a lower
-bound, the delay at F = 0, does not exceed the row's best priced total.  The
-bound needs 8*k*I/(c*T) <= 4 for every stream capacity c, so that delay never
-falls as volume rises; otherwise, and without a table, it uses :meth:`totals`.
+:meth:`FrequencySweep.row_minima` prices signal delay only where its value
+at F = 0, a lower bound, does not exceed the row's best priced total.  Delay
+never falls as bus volume rises: for every X >= 0 the uniform term rises through
+min(1, X), and for every s = 8*k*I/(c*T) > 0 the overflow term's slope
+1 + (X - 1 + s/2)/sqrt((X - 1)^2 + s*X) is >= 0.  Without a table it scans totals.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = ["FrequencySweep"]
 
 _MAX_POLY_DEGREE = 12
 _F_BLOCK = 32  # frequencies per cost_totals call on the table-less path
+_DELAY_BLOCK = 1 << 18  # delay terms per intersection_delay call, to bound temporaries
 
 
 def _scan_rows(candidates: np.ndarray, values: np.ndarray):
@@ -76,7 +78,6 @@ class _MomentTable(NamedTuple):
     # rows base, slope, capacity, pax_a, pax_b; one column per (stream, intersection):
     # a*base + slope*F veh/hr arrive on capacity and pay a*pax_a + b*pax_b $/s of delay
     signals: np.ndarray
-    monotone: bool  # signal delay never falls as arriving volume rises
 
 
 @lru_cache(maxsize=64)
@@ -134,11 +135,8 @@ def _moment_table(scenario: Scenario, policy: Policy) -> _MomentTable | None:
         ))
         for s in streams
     ])
-    sig = scenario.signal  # the overflow term rises with volume iff 8*k*I/(c*T) <= 4
-    spare = 8.0 * sig.incremental_delay_factor * sig.upstream_filter / sig.analysis_period_hr
-    monotone = bool(np.all(spare / signals[2] <= 4.0))
     load_moment = float(upstream**bus.wait_gamma3 @ weights)
-    return _MomentTable(poly, boardings, load_moment, signals, monotone)
+    return _MomentTable(poly, boardings, load_moment, signals)
 
 
 class FrequencySweep:
@@ -197,7 +195,7 @@ class FrequencySweep:
         """Each row's first minimum of :meth:`totals` over NaN-padded (n_shares,
         n_F) rows as (frequencies, costs); cost inf where nothing is finite."""
         rows = np.asarray(rows, dtype=float)
-        if self._table is None or not self._table.monotone:
+        if self._table is None:
             self.priced += np.count_nonzero(~np.isnan(rows))
             return _scan_rows(rows, self.totals(rows))
         if np.any(rows <= 0):
@@ -214,7 +212,7 @@ class FrequencySweep:
         values[r, k] = upper
         if ri.size:
             values[ri, ci] = self._add_signals(a[ri, 0], b[ri, 0], base[ri, ci], rows[ri, ci])
-        self.priced += r.size + ri.size
+        self.priced += np.count_nonzero(~np.isnan(rows[r, k])) + ri.size
         return _scan_rows(rows, values)
 
     @cached_property
@@ -246,8 +244,11 @@ class FrequencySweep:
 
     def _add_signals(self, a, b, out: np.ndarray, f) -> np.ndarray:
         """``out`` plus each signal column's delay cost, added in table order."""
-        base, slope, capacity, pax_a, pax_b = self._table.signals[(...,) + (None,) * out.ndim]
-        seconds = intersection_delay(self.scenario.signal, base * a + slope * f, capacity)
-        for term in (pax_a * a + pax_b * b) * seconds:
-            out += term
+        signals = self._table.signals[(...,) + (None,) * out.ndim]
+        step = max(1, _DELAY_BLOCK // max(1, out.size))
+        for start in range(0, signals.shape[1], step):
+            base, slope, capacity, pax_a, pax_b = signals[:, start : start + step]
+            seconds = intersection_delay(self.scenario.signal, base * a + slope * f, capacity)
+            for term in (pax_a * a + pax_b * b) * seconds:
+                out += term
         return out

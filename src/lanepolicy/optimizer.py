@@ -8,11 +8,10 @@ smallest-argument tie-break prefers the largest auto share, which keeps the
 degenerate zero-demand case at R = 1.
 
 Each split lattice is searched by two batched
-:meth:`~lanepolicy._fsweep.FrequencySweep.row_minima` calls on one sweep over its
-feasible shares, one on every share's integer-F row masked below its floor and
-one on every share's refinement window (NaN-padded); each prices signal delay
-only where its lower bound at F = 0 fails to prune a candidate, or everywhere
-when that bound does not hold.  :func:`optimize_frequency` is the one-share case.
+:meth:`~lanepolicy._fsweep.FrequencySweep.row_minima` calls on one sweep over
+its feasible shares: every share's integer-F row masked below its floor, then
+every share's refinement window (NaN-padded).  Each prices signal delay only where
+its F = 0 lower bound cannot prune.  :func:`optimize_frequency` is the one-share case.
 
 Two diagnostics are functions that callers evaluate at an optimum: a
 central finite difference of total cost in F (:func:`foc_residual`) and the
@@ -99,9 +98,8 @@ def _refine_candidates(center, lower, upper, step: float, half_width: float) -> 
 def _frequency_optima(scenario: Scenario, policy: Policy, q0: float, auto_shares, search=None):
     """:func:`optimize_frequency` for an array of shares in two batched passes.
 
-    ``search`` maps NaN-padded (n_shares, n_F) candidate rows to each row's
-    best frequency and cost, and defaults to
-    :meth:`FrequencySweep.row_minima` on one sweep over the feasible shares.
+    ``search`` maps NaN-padded (n_shares, n_F) rows to each row's best frequency
+    and cost; it defaults to :meth:`FrequencySweep.row_minima` over the feasible shares.
     Returns each share's best frequency and cost; the cost is inf for a share
     whose floor exceeds the cap or whose candidates all evaluated non-finite.
     """

@@ -526,15 +526,31 @@ class TestFrequencySweep:
             moved += np.count_nonzero(without_delay != expected[0])
         assert moved > 0
 
-    def test_row_minima_price_everything_where_delay_can_fall(self):
-        # k = 1000 makes 8*k*I/(c*T) = 5.3 on EBLP's 1500 veh/hr bus lane, so
-        # the overflow term falls with volume near X = 0 and the bound fails
+    def test_row_minima_prune_on_a_steep_overflow_term(self):
+        # k = 1000 makes 8*k*I/(c*T) = 5.3 on EBLP's 1500 veh/hr bus lane; the
+        # overflow term still rises with volume from X = 0, so the bound holds
         scen = load_scenario({"signal": {"incremental_delay_factor": 1000.0}})
+        volumes = np.linspace(0.0, 3000.0, 301)
+        assert np.all(np.diff(intersection_delay(scen.signal, volumes, 1500.0)) >= 0.0)
         shares = np.linspace(0.0, 1.0, 41)
         for rows in self._lattice_rows(scen, 1500.0, shares):
             sweep = FrequencySweep(scen, Policy.EBLP, 1500.0, shares)
             self._check_row_minima(sweep, rows)
-            assert sweep.priced == np.count_nonzero(~np.isnan(rows))
+            assert sweep.priced < np.count_nonzero(~np.isnan(rows))
+
+    def test_delay_blocks_keep_every_float(self, baseline: Scenario, monkeypatch):
+        # smaller blocks bound the delay temporaries; the addition order is the same
+        sweep = FrequencySweep(baseline, Policy.HOVLP, 1500.0, self._SHARES)
+        rows = np.tile(np.arange(1.0, 61.0), (self._SHARES.size, 1))
+        whole = sweep.totals(rows)
+        monkeypatch.setattr("lanepolicy._fsweep._DELAY_BLOCK", 500)
+        np.testing.assert_array_equal(sweep.totals(rows), whole)
+
+    def test_row_minima_without_a_table_scan_every_candidate(self):
+        scen = load_scenario({"bpr": {"beta_auto": 4.5}, "solver": {"n_cells": 20}})
+        sweep = FrequencySweep(scen, Policy.HOVLP, 700.0, self._SHARES)
+        self._check_row_minima(sweep, self._PER_SHARE_ROWS)
+        assert sweep.priced == np.count_nonzero(~np.isnan(self._PER_SHARE_ROWS))
 
     def test_row_minima_ties_take_the_smallest_frequency(self, baseline: Scenario, monkeypatch):
         # with no bus riders EBLP's signal delay does not depend on F, so a
