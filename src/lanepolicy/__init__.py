@@ -64,6 +64,7 @@ from .optimizer import (
     foc_residual,
     min_frequency,
     optimize_frequency,
+    optimize_policies,
     optimize_policy,
 )
 from .threshold import (
@@ -148,6 +149,7 @@ __all__ = [
     "min_frequency",
     "optimize_frequency",
     "optimize_policy",
+    "optimize_policies",
     "foc_residual",
     "equilibrium_gap",
     # thresholds

@@ -14,12 +14,13 @@ from :data:`~lanepolicy.costmodel.LANE_TABLE`.  Only signalized-intersection
 delay is evaluated directly, in one ``intersection_delay`` call over one
 column of constants per (lane stream, intersection).
 
-:class:`FrequencySweep` is a cheap view of the table at one q0 and one or
-many auto shares.  It reproduces `costmodel.cost_breakdown` totals to
-floating-point reordering error (the expansion is algebraically exact); a
-property test pins the two paths together.  Non-integer exponents have no
-table; their sweeps price each share's candidates with
-:func:`~lanepolicy.costmodel.cost_totals`, a block of frequencies at a time.
+:class:`FrequencySweep` is a cheap view of the table at one or many auto
+shares, each at one q0 or at its own.  It reproduces
+`costmodel.cost_breakdown` totals to floating-point reordering error (the
+expansion is algebraically exact); a property test pins the two paths
+together.  Non-integer exponents have no table; their sweeps price each
+share's candidates with :func:`~lanepolicy.costmodel.cost_totals`, a block
+of frequencies at a time.
 
 :meth:`FrequencySweep.row_minima` prices signal delay only where its value
 at F = 0, a lower bound, does not exceed the row's best priced total.  Delay
@@ -51,8 +52,9 @@ _DELAY_BLOCK = 1 << 18  # delay terms per intersection_delay call, to bound temp
 
 def _scan_rows(candidates: np.ndarray, values: np.ndarray):
     """Per row, the first minimum over finite values (smallest argument on
-    ties); cost inf for a row with no finite value."""
-    values = np.where(np.isfinite(values), values, np.inf)
+    ties); cost inf for a row with no finite value.  Overwrites every
+    non-finite entry of ``values`` with inf."""
+    values[~np.isfinite(values)] = np.inf
     k = np.argmin(values, axis=1)
     rows = np.arange(k.shape[0])
     return candidates[rows, k], values[rows, k]
@@ -140,19 +142,28 @@ def _moment_table(scenario: Scenario, policy: Policy) -> _MomentTable | None:
 
 
 class FrequencySweep:
-    """Total cost as a cheap function of frequency at one q0.
+    """Total cost as a cheap function of frequency at fixed (q0, R) rows.
 
-    ``auto_share`` is one share or a 1-D array of shares.  Building a sweep
-    looks up the (scenario, policy) moment table; :meth:`totals` then prices
-    any number of candidate-frequency rows.
+    ``auto_share`` is one share or a 1-D array of shares; ``q0`` is one
+    density for every share or an array of the same shape, one per share.
+    Building a sweep looks up the (scenario, policy) moment table;
+    :meth:`totals` then prices any number of candidate-frequency rows.
     """
 
-    def __init__(self, scenario: Scenario, policy: Policy, q0: float, auto_share):
+    def __init__(self, scenario: Scenario, policy: Policy, q0, auto_share):
         self.scenario = scenario
         self.policy = policy
         self.q0 = q0
         self.auto_share = auto_share
         self._shares = np.atleast_1d(np.asarray(auto_share, dtype=float))
+        densities = np.asarray(q0, dtype=float)
+        if densities.ndim and densities.shape != np.shape(auto_share):
+            raise ValidationError(
+                f"q0 has shape {densities.shape}, auto_share {np.shape(auto_share)}"
+            )
+        if not (np.isfinite(densities) & (densities >= 0)).all():
+            raise ValidationError(f"q0 must be finite and >= 0, got {q0}")
+        self._q0s = np.full(self._shares.shape, densities)
         self._table = _moment_table(scenario, policy)
         self.priced = 0  # candidates row_minima has priced in full
 
@@ -160,12 +171,12 @@ class FrequencySweep:
 
     def _fallback_totals(self, f_arr: np.ndarray) -> np.ndarray:
         out = np.full(f_arr.shape, np.nan)
-        for i, share in enumerate(self._shares):
+        for i, (q0, share) in enumerate(zip(self._q0s, self._shares)):
             real = np.flatnonzero(~np.isnan(f_arr[i]))
             for start in range(0, real.size, _F_BLOCK):
                 cols = real[start : start + _F_BLOCK]
                 out[i, cols] = cost_totals(
-                    self.scenario, self.policy, self.q0, float(share), f_arr[i, cols]
+                    self.scenario, self.policy, float(q0), float(share), f_arr[i, cols]
                 )
         return out
 
@@ -200,15 +211,21 @@ class FrequencySweep:
             return _scan_rows(rows, self.totals(rows))
         if np.any(rows <= 0):
             raise ValidationError("frequency candidates must be positive")
+        # Whole-lattice arrays are updated in place: fresh temporaries of this
+        # size cost more in page faults than their arithmetic.
         a, b, base = self._base(rows)
         lower = base + self._share_terms[3]  # delay cost at F = 0 bounds it below
+        padding = np.isnan(lower)
+        lower[padding] = np.inf
         r = np.arange(rows.shape[0])
-        k = np.argmin(np.where(np.isnan(lower), np.inf, lower), axis=1)
+        k = np.argmin(lower, axis=1)
         upper = self._add_signals(a[:, 0], b[:, 0], base[r, k], rows[r, k])
         keep = lower <= (upper + 1e-12 * np.abs(upper))[:, None]  # rounding slack
+        keep[padding] = False
         keep[r, k] = False
         ri, ci = np.nonzero(keep)
-        values = np.full(rows.shape, np.inf)
+        values = lower
+        values.fill(np.inf)
         values[r, k] = upper
         if ri.size:
             values[ri, ci] = self._add_signals(a[ri, 0], b[ri, 0], base[ri, ci], rows[ri, ci])
@@ -218,8 +235,8 @@ class FrequencySweep:
     @cached_property
     def _share_terms(self):
         """Share columns a, b, their coefficients in F and their delay cost at F = 0."""
-        a = self.q0 * self._shares[:, None]
-        b = self.q0 * (1.0 - self._shares[:, None])
+        q0, shares = self._q0s[:, None], self._shares[:, None]
+        a, b = q0 * shares, q0 * (1.0 - shares)
         j, m, _ = self._table.poly.shape
         coeffs = np.einsum("rj,rm,jmk->rk", a ** np.arange(j), b ** np.arange(m), self._table.poly)
         return a, b, coeffs, self._add_signals(a, b, np.zeros(a.shape), 0.0)
@@ -229,17 +246,22 @@ class FrequencySweep:
         table = self._table
         bus, econ = self.scenario.bus, self.scenario.econ
         a, b, coeffs, _ = self._share_terms
+        # vot_wait * (g1*boardings*b/f + g2*load*b^(g3+1) / (capacity*f)^g3 / f)
+        # plus the polynomial in F; at most two arrays of f's size at a time
+        waiting = bus.wait_gamma1 * table.boardings * b / f
+        crowded = bus.capacity_pax * f
+        crowded **= bus.wait_gamma3
+        load = bus.wait_gamma2 * table.load_moment * b ** (bus.wait_gamma3 + 1.0)
+        np.divide(load, crowded, out=crowded)
+        crowded /= f
+        waiting += crowded
+        del crowded
+        waiting *= econ.vot_wait
         out = np.zeros(f.shape)
         for k in range(coeffs.shape[1] - 1, -1, -1):
-            out = out * f + coeffs[:, k : k + 1]
-        waiting = bus.wait_gamma1 * table.boardings * b / f + (
-            bus.wait_gamma2
-            * table.load_moment
-            * b ** (bus.wait_gamma3 + 1.0)
-            / (bus.capacity_pax * f) ** bus.wait_gamma3
-            / f
-        )
-        out += econ.vot_wait * waiting
+            out *= f
+            out += coeffs[:, k : k + 1]
+        out += waiting
         return a, b, out
 
     def _add_signals(self, a, b, out: np.ndarray, f) -> np.ndarray:

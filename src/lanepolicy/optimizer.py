@@ -7,11 +7,17 @@ on a coarse lattice and one refined window, so the deterministic
 smallest-argument tie-break prefers the largest auto share, which keeps the
 degenerate zero-demand case at R = 1.
 
-Each split lattice is searched by two batched
-:meth:`~lanepolicy._fsweep.FrequencySweep.row_minima` calls on one sweep over
-its feasible shares: every share's integer-F row masked below its floor, then
-every share's refinement window (NaN-padded).  Each prices signal delay only where
-its F = 0 lower bound cannot prune.  :func:`optimize_frequency` is the one-share case.
+The cost-minimizing split is searched for a block of densities at once.
+Every density's coarse split lattice is stacked into one set of (q0, R) rows
+and priced by one :func:`_frequency_optima` call; every density's refined
+window around its coarse winner is priced by one more.  Each call is two
+batched :meth:`~lanepolicy._fsweep.FrequencySweep.row_minima` calls on one
+sweep over the feasible rows: every row's integer-F lattice masked below its
+floor, then every row's refinement window (NaN-padded).  Each prices signal
+delay only where its F = 0 lower bound cannot prune.  Rows are priced
+elementwise, so an optimum does not depend on the block it was solved in.
+:func:`optimize_frequency` is the one-share case and :func:`optimize_policy`
+the one-density case of :func:`optimize_policies`.
 
 Two diagnostics are functions that callers evaluate at an optimum: a
 central finite difference of total cost in F (:func:`foc_residual`) and the
@@ -22,8 +28,8 @@ on the signed gap, bracketed on one batched scan of the interior shares.
 
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +51,7 @@ __all__ = [
     "min_frequency",
     "optimize_frequency",
     "optimize_policy",
+    "optimize_policies",
     "foc_residual",
     "equilibrium_gap",
 ]
@@ -63,21 +70,25 @@ class PolicyOptimum:
     constraint_binding: bool  # service-capacity floor active at f_star
 
 
-def min_frequency(scenario: Scenario, q0: float, auto_share):
+def min_frequency(scenario: Scenario, q0, auto_share):
     """Lowest frequency able to carry all bus boardings, buses/hr.
 
     The onboard load peaks at the inner end of the corridor where it equals
     all bus demand, (1-R)*q0*A/2; dividing by bus capacity gives the floor.
-    ``auto_share`` may be an array of shares.
+    ``auto_share`` may be an array of shares, and ``q0`` an array of the
+    same shape with one density per share.
     """
-    if not np.isfinite(q0):
+    densities = np.asarray(q0, dtype=float)
+    if not np.isfinite(densities).all():
         raise ValidationError(f"q0 must be finite, got {q0}")
     shares = np.asarray(auto_share, dtype=float)
+    if densities.ndim and densities.shape != shares.shape:
+        raise ValidationError(f"q0 has shape {densities.shape}, auto_share {shares.shape}")
     if not np.all((0 <= shares) & (shares <= 1)):
         raise ValidationError(f"auto_share must lie in [0, 1], got {auto_share}")
-    peak_load = (1.0 - shares) * q0 * scenario.geometry.length_mi / 2.0
+    peak_load = (1.0 - shares) * densities * scenario.geometry.length_mi / 2.0
     out = peak_load / scenario.bus.capacity_pax
-    return float(out) if shares.ndim == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def _refine_candidates(center, lower, upper, step: float, half_width: float) -> np.ndarray:
@@ -95,13 +106,15 @@ def _refine_candidates(center, lower, upper, step: float, half_width: float) -> 
     return pts
 
 
-def _frequency_optima(scenario: Scenario, policy: Policy, q0: float, auto_shares, search=None):
+def _frequency_optima(scenario: Scenario, policy: Policy, q0, auto_shares, search=None):
     """:func:`optimize_frequency` for an array of shares in two batched passes.
 
-    ``search`` maps NaN-padded (n_shares, n_F) rows to each row's best frequency
-    and cost; it defaults to :meth:`FrequencySweep.row_minima` over the feasible shares.
-    Returns each share's best frequency and cost; the cost is inf for a share
-    whose floor exceeds the cap or whose candidates all evaluated non-finite.
+    ``q0`` is one density or an array with one density per share.  ``search``
+    maps NaN-padded (n_shares, n_F) rows to each row's best frequency and
+    cost; it defaults to :meth:`FrequencySweep.row_minima` over the feasible
+    shares.  Returns each share's best frequency and cost; the cost is inf for
+    a share whose floor exceeds the cap or whose candidates all evaluated
+    non-finite.
     """
     solver = scenario.solver
     cap = solver.f_cap
@@ -111,6 +124,7 @@ def _frequency_optima(scenario: Scenario, policy: Policy, q0: float, auto_shares
     if not ok.any():
         return best_f, best_cost
     if search is None:
+        q0 = np.full(ok.shape, q0)[ok]
         search = FrequencySweep(scenario, policy, q0, auto_shares[ok]).row_minima
     f_min = f_min[ok]
     first = np.maximum(1.0, np.ceil(f_min - 1e-9))
@@ -205,34 +219,56 @@ def equilibrium_gap(
     return float(integrate_values(diff * weight, ctx.grid) / integrate_values(weight, ctx.grid))
 
 
-def _split_lattice(solver, center: float | None = None) -> np.ndarray:
-    """Bus-share lattice on [0, 1]; refined around ``center`` when given."""
-    if center is None:
+def _split_lattice(solver, centers=None) -> np.ndarray:
+    """Bus-share lattice on [0, 1]; with ``centers``, one NaN-padded refined
+    window around each center."""
+    if centers is None:
         n = int(round(1.0 / solver.r_step))
         return np.minimum(np.arange(n + 1) * solver.r_step, 1.0)
     step = solver.r_step / solver.r_refine_factor
-    row = _refine_candidates(np.array([center]), 0.0, 1.0, step, half_width=solver.r_step)[0]
-    return row[~np.isnan(row)]
+    return _refine_candidates(centers, 0.0, 1.0, step, half_width=solver.r_step)
 
 
-def _best_split_cost_min(scenario: Scenario, policy: Policy, q0: float):
-    def scan(bus_shares: np.ndarray):
-        """(cost, bus share, frequency) of the cheapest share, the smallest
-        share on ties; None when no share is feasible."""
-        f_star, cost = _frequency_optima(scenario, policy, q0, 1.0 - bus_shares)
-        k = int(np.argmin(cost))
-        if np.isinf(cost[k]):
-            return None
-        return float(cost[k]), float(bus_shares[k]), float(f_star[k])
+def _split_minima(scenario: Scenario, policy: Policy, q0s: np.ndarray, bus_shares: np.ndarray):
+    """Per density, (cost, bus share, frequency) of the cheapest share in its
+    NaN-padded row of ``bus_shares``, the first on ties; None when no share is
+    feasible.  Every real (density, share) pair is one row of one search."""
+    real = ~np.isnan(bus_shares)
+    f_star, cost = np.full(real.shape, np.nan), np.full(real.shape, np.inf)
+    f_star[real], cost[real] = _frequency_optima(
+        scenario, policy, np.repeat(q0s, real.sum(axis=1)), 1.0 - bus_shares[real]
+    )
+    best = np.arange(real.shape[0]), np.argmin(cost, axis=1)
+    return [
+        None if np.isinf(c) else (float(c), float(share), float(f))
+        for c, share, f in zip(cost[best], bus_shares[best], f_star[best])
+    ]
 
-    best = scan(_split_lattice(scenario.solver))
-    if best is None:
-        raise InfeasibleError(
+
+def _best_split_cost_min(scenario: Scenario, policy: Policy, q0s: np.ndarray) -> list:
+    """Cost-minimizing (cost, bus share, frequency) at each density of a block,
+    or the :class:`InfeasibleError` of a density with no feasible split.
+
+    One search over every density's coarse split lattice, then one over every
+    feasible density's refined window; ties go to the smallest bus share.
+    """
+    solver = scenario.solver
+    lattice = _split_lattice(solver)
+    coarse = _split_minima(scenario, policy, q0s, np.tile(lattice, (q0s.size, 1)))
+    out = [
+        best if best is not None else InfeasibleError(
             f"no feasible mode split at q0={q0:g}: the service-capacity floor exceeds "
-            f"the frequency cap {scenario.solver.f_cap:g} for every split"
+            f"the frequency cap {solver.f_cap:g} for every split"
         )
-    refined = scan(_split_lattice(scenario.solver, center=best[1]))
-    return refined if refined is not None and refined[:2] < best[:2] else best
+        for q0, best in zip(q0s, coarse)
+    ]
+    solved = [i for i, best in enumerate(coarse) if best is not None]
+    if solved:
+        windows = _split_lattice(solver, centers=np.array([coarse[i][1] for i in solved]))
+        for i, refined in zip(solved, _split_minima(scenario, policy, q0s[solved], windows)):
+            if refined is not None and refined[:2] < coarse[i][:2]:
+                out[i] = refined
+    return out
 
 
 def _best_split_equilibrium(scenario: Scenario, policy: Policy, q0: float):
@@ -279,12 +315,90 @@ def _best_split_equilibrium(scenario: Scenario, policy: Policy, q0: float):
     return cost, 1.0 - root, f_star
 
 
-@lru_cache(maxsize=65536)
-def _optimize_policy_cached(scenario: Scenario, policy: Policy, q0: float) -> PolicyOptimum:
-    if scenario.solver.split_rule == "equilibrium" and q0 > 0:
-        cost, bus_share, f_star = _best_split_equilibrium(scenario, policy, q0)
-    else:
-        cost, bus_share, f_star = _best_split_cost_min(scenario, policy, q0)
+# Lattice cells (density x coarse share x integer frequency) per cost-min
+# search block, to bound the search's temporaries: three densities on the
+# default 101-share, 120-bus/hr lattice.
+_CELL_BLOCK = 40_000
+
+_CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
+
+
+class _BatchMemo:
+    """Bounded LRU memo of per-density results for a batch solver.
+
+    Calling it with (scenario, policy, densities) looks every density up
+    first and hands only the missing ones, once each, to one ``solve`` call.
+    Hits and misses count densities, as ``functools.lru_cache`` counts calls.
+    A density whose result is an exception is not stored.
+    """
+
+    def __init__(self, solve, maxsize: int):
+        self._solve = solve
+        self._maxsize = maxsize
+        self._memo: OrderedDict = OrderedDict()
+        self._hits = self._misses = 0
+
+    def __call__(self, scenario: Scenario, policy: Policy, q0s: list[float]) -> list:
+        memo = self._memo
+        found, missing = {}, []
+        for q0 in q0s:
+            if q0 in found:
+                self._hits += 1
+            elif (key := (scenario, policy, q0)) in memo:
+                self._hits += 1
+                memo.move_to_end(key)
+                found[q0] = memo[key]
+            else:
+                self._misses += 1
+                found[q0] = None  # solved below
+                missing.append(q0)
+        if missing:
+            for q0, result in zip(missing, self._solve(scenario, policy, np.array(missing))):
+                found[q0] = result
+                if not isinstance(result, Exception):
+                    memo[(scenario, policy, q0)] = result
+                    if len(memo) > self._maxsize:
+                        memo.popitem(last=False)
+        return [found[q0] for q0 in q0s]
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, self._maxsize, len(self._memo))
+
+    def cache_clear(self) -> None:
+        self._memo.clear()
+        self._hits = self._misses = 0
+
+
+def _solve_policies(scenario: Scenario, policy: Policy, q0s: np.ndarray) -> list:
+    """Each density's :class:`PolicyOptimum`, or the :class:`InfeasibleError`
+    that stopped its search.  Cost-min splits are searched in blocks of
+    :data:`_CELL_BLOCK` lattice cells; the ``equilibrium`` rule solves each
+    positive density on its own."""
+    solver = scenario.solver
+    splits: list = [None] * q0s.size
+    cost_min = []
+    for i, q0 in enumerate(q0s):
+        if solver.split_rule == "equilibrium" and q0 > 0:
+            try:
+                splits[i] = _best_split_equilibrium(scenario, policy, float(q0))
+            except InfeasibleError as exc:
+                splits[i] = exc
+        else:
+            cost_min.append(i)
+    step = max(1, _CELL_BLOCK // (_split_lattice(solver).size * (int(solver.f_cap) + 1)))
+    for start in range(0, len(cost_min), step):
+        block = cost_min[start : start + step]
+        for i, split in zip(block, _best_split_cost_min(scenario, policy, q0s[block])):
+            splits[i] = split
+    return [
+        split if isinstance(split, Exception) else _optimum(scenario, policy, float(q0), *split)
+        for q0, split in zip(q0s, splits)
+    ]
+
+
+def _optimum(
+    scenario: Scenario, policy: Policy, q0: float, cost: float, bus_share: float, f_star: float
+) -> PolicyOptimum:
     auto_share = 1.0 - bus_share
     f_min = min_frequency(scenario, q0, auto_share)
     if f_star < f_min - 1e-9:
@@ -303,15 +417,42 @@ def _optimize_policy_cached(scenario: Scenario, policy: Policy, q0: float) -> Po
     )
 
 
+# Memoized on (scenario, policy, q0); all three are immutable.
+_optimize_policy_cached = _BatchMemo(_solve_policies, maxsize=65536)
+
+
+def _lookup(scenario: Scenario, policy, q0s) -> list:
+    """Each density's optimum from the memo, solving the missing ones in one
+    batch; an :class:`InfeasibleError` stands for a density without one."""
+    densities = [float(q0) for q0 in q0s]
+    if not all(0.0 <= q0 < np.inf for q0 in densities):  # also rejects NaN
+        raise ValidationError(f"q0 must be finite and >= 0, got {q0s}")
+    if not isinstance(policy, Policy):
+        policy = Policy.parse(str(policy))
+    return _optimize_policy_cached(scenario, policy, densities)
+
+
+def optimize_policies(scenario: Scenario, policy: Policy, q0s) -> list[PolicyOptimum]:
+    """:func:`optimize_policy` at each density of ``q0s``, in order.
+
+    Densities already in the memo are not solved again; the rest are solved
+    together, a block of densities per batched split search.
+
+    :raises InfeasibleError: for the first density in ``q0s`` without an optimum.
+    """
+    optima = _lookup(scenario, policy, q0s)
+    for optimum in optima:
+        if isinstance(optimum, InfeasibleError):
+            raise optimum
+    return optima
+
+
 def optimize_policy(scenario: Scenario, policy: Policy, q0: float) -> PolicyOptimum:
     """Jointly optimize mode split and frequency; returns the full optimum.
 
     Outer scan over the mode split (coarse lattice plus one refinement, ties
     to the largest auto share), inner :func:`optimize_frequency` per split.
     Results are memoized on (scenario, policy, q0); all three are immutable.
+    This is the one-density case of :func:`optimize_policies`.
     """
-    if q0 < 0:
-        raise ValidationError(f"q0 must be >= 0, got {q0}")
-    if not isinstance(policy, Policy):
-        policy = Policy.parse(str(policy))
-    return _optimize_policy_cached(scenario, policy, float(q0))
+    return optimize_policies(scenario, policy, [q0])[0]

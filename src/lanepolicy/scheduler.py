@@ -7,9 +7,10 @@ Runs of identical assignments become timetable entries; cumulative costs use
 a left-endpoint rectangle rule (hourly cost x step length), and savings are
 reported against each policy operated alone over the whole horizon.
 
-Per-step optimization is cached on demand density quantized to 1 pax/hr/mi
-buckets; the induced cost error is estimated from the local slope of the
-sampled cost curves and reported on the step table.
+Per-step optima are shared within demand-density buckets 1 pax/hr/mi wide:
+each allowed policy is optimized once at every distinct bucket, all of them
+in one batched call, and the induced cost error is estimated from the local
+slope of the sampled cost curves and reported on the step table.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .config import Scenario
 from .costmodel import POLICY_ORDER, Policy
 from .errors import NumericDomainError, ValidationError
-from .optimizer import optimize_policy
+from .optimizer import optimize_policies
 from .stochastic import Trajectory, clock_label
 
 SCHEDULE_CSV_COLUMNS = (
@@ -38,7 +39,7 @@ SCHEDULE_CSV_COLUMNS = (
 )
 
 # Demand buckets are 1 pax/hr/mi wide; per-step optima are shared within a
-# bucket because re-optimizing every step is the dominant cost.
+# bucket because a cold optimum per distinct density is the dominant cost.
 _BUCKET_WIDTH = 1.0
 
 
@@ -130,10 +131,7 @@ def evaluate_trajectory(
 
     # curve[k, j]: optimized total of order[k] at distinct bucket j.
     curve = np.array(
-        [
-            [optimize_policy(scenario, p, float(b)).breakdown.total for b in distinct]
-            for p in order
-        ]
+        [[opt.breakdown.total for opt in optimize_policies(scenario, p, distinct)] for p in order]
     )
     per_step = curve[:, step_bucket]
     per_step.setflags(write=False)

@@ -21,7 +21,7 @@ from .config import Scenario
 from .costmodel import POLICY_ORDER, Policy
 from .errors import InfeasibleError, ValidationError
 from .numeric import find_root
-from .optimizer import PolicyOptimum, optimize_policy
+from .optimizer import PolicyOptimum, _lookup, optimize_policies
 
 __all__ = [
     "CostCurve",
@@ -100,16 +100,21 @@ def cost_curve(
         raise ValidationError(f"n_samples must be >= 2, got {n_samples}")
     samples: list[tuple[float, PolicyOptimum]] = []
     failures: list[tuple[float, str]] = []
-    for q0 in np.linspace(lo, hi, int(n_samples)):
-        try:
-            samples.append((float(q0), optimize_policy(scenario, policy, float(q0))))
-        except InfeasibleError as exc:
-            failures.append((float(q0), str(exc)))
+    densities = [float(q0) for q0 in np.linspace(lo, hi, int(n_samples))]
+    for q0, optimum in zip(densities, _lookup(scenario, policy, densities)):
+        if isinstance(optimum, InfeasibleError):
+            failures.append((q0, str(optimum)))
+        else:
+            samples.append((q0, optimum))
     return CostCurve(policy=policy, samples=tuple(samples), failures=tuple(failures))
 
 
+def _totals(scenario: Scenario, policy: Policy, q0s) -> list[float]:
+    return [opt.breakdown.total for opt in optimize_policies(scenario, policy, q0s)]
+
+
 def _total(scenario: Scenario, policy: Policy, q0: float) -> float:
-    return optimize_policy(scenario, policy, q0).breakdown.total
+    return _totals(scenario, policy, [q0])[0]
 
 
 def find_threshold(
@@ -131,7 +136,7 @@ def find_threshold(
         return _total(scenario, p1, q0) - _total(scenario, p2, q0)
 
     grid = np.linspace(lo, hi, _SCAN_POINTS)
-    values = [delta(float(q0)) for q0 in grid]
+    values = [c1 - c2 for c1, c2 in zip(_totals(scenario, p1, grid), _totals(scenario, p2, grid))]
     bracket = None
     for i in range(len(grid) - 1):
         if values[i] == 0.0 and values[i + 1] == 0.0:
@@ -174,10 +179,8 @@ def policy_regions(
 
     n_below = int(np.ceil((hi - lo) / resolution - 1e-9))
     lattice = [float(q0) for q0 in np.arange(n_below) * resolution + lo] + [hi]
-    winners: list[Policy] = []
-    for q0 in lattice:
-        totals = [(_total(scenario, p, q0), k) for k, p in enumerate(policies)]
-        winners.append(policies[min(totals)[1]])
+    totals = [_totals(scenario, p, lattice) for p in policies]
+    winners = [policies[min((t, k) for k, t in enumerate(column))[1]] for column in zip(*totals)]
 
     regions: list[PolicyRegion] = []
     run_start = lo

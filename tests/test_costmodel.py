@@ -546,6 +546,30 @@ class TestFrequencySweep:
         monkeypatch.setattr("lanepolicy._fsweep._DELAY_BLOCK", 500)
         np.testing.assert_array_equal(sweep.totals(rows), whole)
 
+    @pytest.mark.parametrize("beta_auto,n_cells", [(4.0, 600), (4.5, 20)])
+    def test_per_share_densities_match_separate_sweeps(self, beta_auto, n_cells):
+        # one row per (q0, share) pair prices every row as its own sweep would
+        scen = load_scenario({"bpr": {"beta_auto": beta_auto}, "solver": {"n_cells": n_cells}})
+        q0s = np.array([0.0, 450.0, 900.0, 2100.0])
+        stacked = FrequencySweep(scen, Policy.HOVLP, q0s, self._SHARES)
+        rows = self._PER_SHARE_ROWS
+        got_totals = stacked.totals(rows)
+        got_f, got_cost = stacked.row_minima(rows)
+        for i, (q0, share) in enumerate(zip(q0s, self._SHARES)):
+            alone = FrequencySweep(scen, Policy.HOVLP, q0, np.array([share]))
+            np.testing.assert_array_equal(got_totals[i], alone.totals(rows[i : i + 1])[0])
+            f, cost = alone.row_minima(rows[i : i + 1])
+            assert (got_f[i], got_cost[i]) == (f[0], cost[0])
+
+    @pytest.mark.parametrize(
+        "q0",
+        [np.nan, np.inf, -1.0, np.array([900.0, np.nan, 900.0, 900.0]), np.array([900.0, 900.0])],
+    )
+    def test_rejects_bad_densities(self, baseline: Scenario, q0):
+        # non-finite or negative, or not one density per share
+        with pytest.raises(ValidationError):
+            FrequencySweep(baseline, Policy.MTP, q0, self._SHARES)
+
     def test_row_minima_without_a_table_scan_every_candidate(self):
         scen = load_scenario({"bpr": {"beta_auto": 4.5}, "solver": {"n_cells": 20}})
         sweep = FrequencySweep(scen, Policy.HOVLP, 700.0, self._SHARES)

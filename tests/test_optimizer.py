@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from lanepolicy import (
     load_scenario,
     min_frequency,
     optimize_frequency,
+    optimize_policies,
     optimize_policy,
 )
+from lanepolicy import optimizer
 from lanepolicy.config import preset
 from lanepolicy.optimizer import equilibrium_gap, foc_residual
 
@@ -40,6 +43,20 @@ class TestMinFrequency:
     def test_share_list(self, baseline: Scenario):
         got = min_frequency(baseline, 1000.0, [0.5, 0.9])
         np.testing.assert_allclose(got, [0.5 * 1000.0 * 15.0 / 70.0, 0.1 * 1000.0 * 15.0 / 70.0])
+
+    def test_per_share_densities(self, baseline: Scenario):
+        got = min_frequency(baseline, np.array([500.0, 1000.0]), np.array([0.5, 0.9]))
+        np.testing.assert_array_equal(
+            got, [min_frequency(baseline, 500.0, 0.5), min_frequency(baseline, 1000.0, 0.9)]
+        )
+
+    @pytest.mark.parametrize(
+        "q0", [[500.0, float("nan")], [float("inf"), 1000.0], [500.0, 600.0, 700.0]]
+    )
+    def test_bad_density_arrays_rejected(self, baseline: Scenario, q0):
+        # a non-finite entry, or not one density per share
+        with pytest.raises(ValidationError):
+            min_frequency(baseline, np.array(q0), np.array([0.5, 0.9]))
 
 
 class TestOptimizeFrequency:
@@ -328,3 +345,110 @@ def test_golden_equilibrium_optima(name):
         opt = optimize_policy(scen, Policy(policy), q0)
         assert (opt.r_star, opt.f_star) == (r_star, f_star), (policy, q0)
         assert opt.breakdown.total == pytest.approx(total, rel=1e-12), (policy, q0)
+
+
+# The scenarios of the golden tables plus one per model switch the batched
+# split search passes through, and an equilibrium-rule scenario whose interior
+# splits all break the capacity floor above q0 = 1250 under f_cap 37.5 (the
+# cost-min rule always has the feasible all-auto split).
+_BATCH_SCENARIOS = {
+    "contrast": _golden_scenario("contrast"),
+    "baseline": Scenario(),
+    "seattle_i5": preset("seattle_i5"),
+    "seattle_sr99": preset("seattle_sr99"),
+    "cumulative": load_scenario({"solver": {"delay_volume_mode": "cumulative"}}),
+    "no_intersections": load_scenario({"geometry": {"n_intersections": 0}}),
+    "f_cap_37.5": load_scenario({"solver": {"f_cap": 37.5}}),
+    "f_cap_37.5_equilibrium": load_scenario(
+        {"solver": {"f_cap": 37.5, "split_rule": "equilibrium"}, "bus": {"capacity_pax": 5.0}}
+    ),
+}
+# Unsorted, with duplicates and q0 = 0; at 20000 only the smallest bus shares
+# are feasible.  Eleven densities span several blocks of the default budget.
+_BATCH_Q0 = [1476.0, 0.0, 658.0, 150.0, 2214.0, 658.0, 1072.3, 2007.0, 40.5, 1072.3, 20000.0]
+
+
+def _record(optimum):
+    """Every field of an optimum, or the message of its InfeasibleError."""
+    if isinstance(optimum, InfeasibleError):
+        return str(optimum)
+    return (
+        optimum.policy,
+        optimum.q0,
+        optimum.r_star,
+        optimum.f_star,
+        dataclasses.astuple(optimum.breakdown),
+        optimum.constraint_binding,
+    )
+
+
+def _one_at_a_time(scen: Scenario, policy: Policy, q0: float):
+    try:
+        return _record(optimize_policy(scen, policy, q0))
+    except InfeasibleError as exc:
+        return str(exc)
+
+
+class TestOptimizePolicies:
+    @pytest.mark.parametrize("cell_block", [None, 64 * 101 * 121], ids=["default", "one_block"])
+    @pytest.mark.parametrize("name", list(_BATCH_SCENARIOS))
+    def test_batch_matches_one_density_at_a_time(self, name, cell_block, monkeypatch):
+        scen = _BATCH_SCENARIOS[name]
+        q0s = _BATCH_Q0[:5] if scen.solver.split_rule == "equilibrium" else _BATCH_Q0
+        if cell_block is not None:
+            monkeypatch.setattr(optimizer, "_CELL_BLOCK", cell_block)
+        memo = optimizer._optimize_policy_cached
+        for policy in Policy:
+            memo.cache_clear()
+            batch = [_record(opt) for opt in optimizer._lookup(scen, policy, q0s)]
+            memo.cache_clear()
+            assert batch == [_one_at_a_time(scen, policy, q0) for q0 in q0s], policy
+            failures = [record for record in batch if isinstance(record, str)]
+            if failures:
+                with pytest.raises(InfeasibleError, match=re.escape(failures[0])):
+                    optimize_policies(scen, policy, q0s)
+            else:
+                assert [_record(opt) for opt in optimize_policies(scen, policy, q0s)] == batch
+        if name == "f_cap_37.5_equilibrium":
+            assert failures  # the scenario covers infeasible densities
+
+    def test_second_call_is_all_memo_hits(self, baseline: Scenario, monkeypatch):
+        first = optimize_policies(baseline, Policy.HOVLP, _BATCH_Q0)
+        assert first[2] is first[5]  # one optimum per distinct density
+        before = optimizer._optimize_policy_cached.cache_info()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("FrequencySweep built")
+
+        monkeypatch.setattr(optimizer, "FrequencySweep", refuse)
+        again = optimize_policies(baseline, Policy.HOVLP, _BATCH_Q0)
+        assert all(a is b for a, b in zip(first, again))
+        after = optimizer._optimize_policy_cached.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + len(_BATCH_Q0)
+
+    def test_validation(self, baseline: Scenario):
+        for q0s in ([500.0, -1.0], [float("nan")], [float("inf"), 500.0]):
+            with pytest.raises(ValidationError):
+                optimize_policies(baseline, Policy.MTP, q0s)
+        assert optimize_policies(baseline, Policy.MTP, []) == []
+
+    def test_memo_is_a_bounded_lru_that_skips_errors(self):
+        solved = []
+
+        def solve(scenario, policy, q0s):
+            solved.append(list(q0s))
+            return [InfeasibleError("none") if q0 == 9.0 else q0 * 10.0 for q0 in q0s]
+
+        memo = optimizer._BatchMemo(solve, maxsize=2)
+        assert memo(None, Policy.MTP, [1.0, 2.0]) == [10.0, 20.0]
+        memo(None, Policy.MTP, [1.0])  # 2.0 is now the least recently used
+        memo(None, Policy.MTP, [3.0])
+        assert memo(None, Policy.MTP, [2.0, 1.0, 2.0]) == [20.0, 10.0, 20.0]
+        assert solved == [[1.0, 2.0], [3.0], [2.0]]
+        assert memo.cache_info() == (3, 4, 2, 2)
+        memo(None, Policy.MTP, [9.0])
+        memo(None, Policy.MTP, [9.0])
+        assert solved[-2:] == [[9.0], [9.0]]
+        memo.cache_clear()
+        assert memo.cache_info() == (0, 0, 2, 0)

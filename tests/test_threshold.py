@@ -8,6 +8,7 @@ import io
 import pytest
 
 from lanepolicy import (
+    InfeasibleError,
     Policy,
     Scenario,
     ValidationError,
@@ -18,20 +19,21 @@ from lanepolicy import (
     policy_regions,
     write_curves_csv,
 )
-from lanepolicy import threshold
+from lanepolicy import optimizer, threshold
 from lanepolicy.threshold import CURVE_CSV_COLUMNS
 
 
 @pytest.fixture
 def evaluated(monkeypatch) -> list[float]:
-    """Densities at which the threshold module optimizes, in call order."""
+    """Densities looked up in the optimizer's memo, in call order."""
     seen: list[float] = []
+    memo = optimizer._optimize_policy_cached
 
-    def recording(scenario, policy, q0):
-        seen.append(q0)
-        return optimize_policy(scenario, policy, q0)
+    def recording(scenario, policy, q0s):
+        seen.extend(q0s)
+        return memo(scenario, policy, q0s)
 
-    monkeypatch.setattr(threshold, "optimize_policy", recording)
+    monkeypatch.setattr(optimizer, "_optimize_policy_cached", recording)
     return seen
 
 
@@ -59,6 +61,29 @@ class TestCostCurve:
         for q0, reason in curve.failures:
             assert 1500.0 <= q0 <= 2500.0
             assert reason  # a human-readable explanation
+
+    def test_failures_match_one_density_at_a_time(self):
+        # equilibrium splits all break the capacity floor above q0 = 1250
+        scen = load_scenario(
+            {
+                "solver": {"f_cap": 37.5, "split_rule": "equilibrium"},
+                "bus": {"capacity_pax": 5.0},
+            }
+        )
+        curve = cost_curve(scen, Policy.MTP, (0.0, 2000.0), 5)
+        samples, failures = [], []
+        for q0 in (0.0, 500.0, 1000.0, 1500.0, 2000.0):
+            try:
+                samples.append((q0, optimize_policy(scen, Policy.MTP, q0)))
+            except InfeasibleError as exc:
+                failures.append((q0, str(exc)))
+        assert curve.failures == tuple(failures)
+        assert [q0 for q0, _ in curve.samples] == [0.0, 500.0, 1000.0]
+        assert all(a is b for (_, a), (_, b) in zip(curve.samples, samples))
+        # an infeasible density is not memoized: asking again solves it again
+        misses = optimizer._optimize_policy_cached.cache_info().misses
+        cost_curve(scen, Policy.MTP, (0.0, 2000.0), 5)
+        assert optimizer._optimize_policy_cached.cache_info().misses == misses + 2
 
     def test_validation(self, baseline: Scenario):
         with pytest.raises(ValidationError):
