@@ -60,6 +60,7 @@ from .stochastic import (
     Trajectory,
     read_trajectory_csv,
     simulate,
+    simulate_ensemble,
     write_trajectory_csv,
 )
 from .threshold import cost_curve, find_threshold, policy_regions, write_curves_csv
@@ -307,6 +308,9 @@ def _cmd_sweep(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:
     if not 0.0 < lo < hi:
         raise ValidationError(f"demand range must satisfy 0 < lo < hi, got [{lo}, {hi}]")
     capacities = args.capacities if args.capacities else [None]
+    repeated = sorted({c for c in capacities if capacities.count(c) > 1})
+    if repeated:
+        raise ValidationError("repeated capacities: %s" % ", ".join("%g" % c for c in repeated))
 
     threshold_rows: list[tuple] = []
     region_summary: dict[str, list] = {}
@@ -441,16 +445,15 @@ def _trajectory_meta(traj: Trajectory, rel_manifest: str) -> dict:
 
 
 def _cmd_simulate(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:
-    if args.n < 1:
-        raise ValidationError(f"need n >= 1 trajectories, got {args.n}")
     params = _ou_params(args)
     horizon = DEFAULT_HORIZON_HR if args.horizon is None else args.horizon
     dt = DEFAULT_DT_HR if args.dt is None else args.dt
-    seeds = [args.seed + i for i in range(args.n)]
+    trajectories = simulate_ensemble(
+        params, horizon=horizon, dt=dt, n=args.n, base_seed=args.seed, t0_clock=args.clock_start
+    )
     entries = []
-    for seed in seeds:
-        traj = simulate(params, horizon=horizon, dt=dt, seed=seed, t0_clock=args.clock_start)
-        name = f"trajectories/trajectory_seed{seed}.csv"
+    for traj in trajectories:
+        name = f"trajectories/trajectory_seed{traj.seed}.csv"
         _csv_with_meta(
             run.path(name),
             _trajectory_meta(traj, "../manifest.json"),
@@ -459,7 +462,7 @@ def _cmd_simulate(args: argparse.Namespace, scenario: Scenario, run: _Run) -> di
         entries.append(
             {
                 "file": name,
-                "seed": seed,
+                "seed": traj.seed,
                 "min_q0": float(traj.values.min()),
                 "max_q0": float(traj.values.max()),
                 "final_q0": float(traj.values[-1]),
@@ -468,14 +471,14 @@ def _cmd_simulate(args: argparse.Namespace, scenario: Scenario, run: _Run) -> di
         )
         print(
             "seed %d: q0 in [%.0f, %.0f], final %.0f, floor events %d"
-            % (seed, entries[-1]["min_q0"], entries[-1]["max_q0"], entries[-1]["final_q0"], traj.floor_events)
+            % (traj.seed, entries[-1]["min_q0"], entries[-1]["max_q0"], entries[-1]["final_q0"], traj.floor_events)
         )
     return {
         "params": dataclasses.asdict(params),
         "horizon_hr": horizon,
         "dt_hr": dt,
         "clock_start": args.clock_start,
-        "seeds": seeds,
+        "seeds": [traj.seed for traj in trajectories],
         "trajectories": entries,
         "note": _SYNTHETIC_PARAMS_NOTE,
     }

@@ -192,7 +192,7 @@ def simulate_ensemble(
 ) -> list[Trajectory]:
     """Simulate n independent trajectories with seeds base_seed, base_seed+1, ..."""
     if n < 1:
-        raise ValidationError("ensemble size must be >= 1")
+        raise ValidationError(f"ensemble size must be >= 1, got {n}")
     return [
         simulate(params, horizon=horizon, dt=dt, seed=base_seed + i, t0_clock=t0_clock)
         for i in range(n)

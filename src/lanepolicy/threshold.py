@@ -4,10 +4,12 @@ Sweeps optimized total cost against demand density for each lane policy,
 locates pairwise switching thresholds (the density where two policies' costs
 cross), and decomposes a density range into best-policy regions.
 
-Cost differences can in principle cross zero more than once; find_threshold
-reports the crossing nearest the low end of the bracket (at scan resolution)
-and policy_regions, a pointwise argmin with each boundary bisected within
-the lattice cell where the winner changes, is the authoritative decomposition.
+Both searches are one: the pointwise winner on a density lattice, ties going
+to the policy listed first, with each winner change bisected within its
+lattice cell.  policy_regions returns every region; find_threshold is the
+first boundary of its pair's regions on 33 densities, the winner change
+nearest the low end.  Two crossings inside one lattice cell leave the winner
+at both its ends the same, so neither search sees them.
 """
 
 from __future__ import annotations
@@ -86,6 +88,16 @@ def _validate_range(q0_lo: float, q0_hi: float) -> tuple[float, float]:
     return lo, hi
 
 
+def _lattice(lo: float, hi: float, resolution: float) -> list[float]:
+    """lo + resolution*k for each k with that density below hi, then hi.
+
+    With resolution = (hi - lo)/(n - 1) these are np.linspace(lo, hi, n)'s
+    densities, bit for bit.
+    """
+    n_below = int(np.ceil((hi - lo) / resolution - 1e-9))
+    return [float(q0) for q0 in np.arange(n_below) * resolution + lo] + [hi]
+
+
 def cost_curve(
     scenario: Scenario, policy: Policy, q0_range: tuple[float, float], n_samples: int
 ) -> CostCurve:
@@ -100,7 +112,7 @@ def cost_curve(
         raise ValidationError(f"n_samples must be >= 2, got {n_samples}")
     samples: list[tuple[float, PolicyOptimum]] = []
     failures: list[tuple[float, str]] = []
-    densities = [float(q0) for q0 in np.linspace(lo, hi, int(n_samples))]
+    densities = _lattice(lo, hi, (hi - lo) / (int(n_samples) - 1))
     for q0, optimum in zip(densities, _lookup(scenario, policy, densities)):
         if isinstance(optimum, InfeasibleError):
             failures.append((q0, str(optimum)))
@@ -113,8 +125,26 @@ def _totals(scenario: Scenario, policy: Policy, q0s) -> list[float]:
     return [opt.breakdown.total for opt in optimize_policies(scenario, policy, q0s)]
 
 
-def _total(scenario: Scenario, policy: Policy, q0: float) -> float:
-    return _totals(scenario, policy, [q0])[0]
+def _regions(scenario: Scenario, lattice: list[float], policies: tuple[Policy, ...]):
+    """Yield the best-policy regions over ``lattice`` from its low end.
+
+    Lazy: a caller that stops early bisects no later boundary.
+    """
+    totals = [_totals(scenario, p, lattice) for p in policies]
+    winners = [policies[min((t, k) for k, t in enumerate(column))[1]] for column in zip(*totals)]
+    run_start = lattice[0]
+    for i in range(1, len(lattice)):
+        below, above = winners[i - 1], winners[i]
+        if below == above:
+            continue
+        # below is no dearer at lattice[i - 1], above at lattice[i]: a bracket.
+        boundary = find_root(
+            lambda q0: _totals(scenario, below, [q0])[0] - _totals(scenario, above, [q0])[0],
+            lattice[i - 1], lattice[i], tol=scenario.solver.threshold_tol
+        )
+        yield PolicyRegion(q0_lo=run_start, q0_hi=boundary, policy=below)
+        run_start = boundary
+    yield PolicyRegion(q0_lo=run_start, q0_hi=lattice[-1], policy=winners[-1])
 
 
 def find_threshold(
@@ -122,39 +152,23 @@ def find_threshold(
 ) -> ThresholdResult:
     """Density where the optimized totals of two policies cross.
 
-    Scans the bracket coarsely for the sign change of C_p1 - C_p2 nearest
-    ``q0_lo``, then bisects it to the solver's threshold tolerance.  Without
-    a sign change the uniformly cheaper policy fills both sides and q0_star
-    is None.
+    The first boundary of the pair's regions on 33 evenly spaced densities,
+    ties going to ``p1``, bisected to the solver's threshold tolerance.
+    Without one the uniformly cheaper policy fills both sides and q0_star
+    is None.  At an exact tie the pair's order still matters: with zero
+    lane costs EBLP and HOVLP tie in the all-bus regime at 200, so
+    (EBLP, HOVLP) on [200, 1000] reports the crossing near 569 but
+    (HOVLP, EBLP) reports the tie point 200, HOVLP cheaper below.
     """
     p1, p2 = _as_policy(p1), _as_policy(p2)
     lo, hi = _validate_range(q0_lo, q0_hi)
     if p1 == p2:
         return ThresholdResult(pair=(p1, p2), q0_star=None, cheaper_below=p1, cheaper_above=p1)
-
-    def delta(q0: float) -> float:
-        return _total(scenario, p1, q0) - _total(scenario, p2, q0)
-
-    grid = np.linspace(lo, hi, _SCAN_POINTS)
-    values = [c1 - c2 for c1, c2 in zip(_totals(scenario, p1, grid), _totals(scenario, p2, grid))]
-    bracket = None
-    for i in range(len(grid) - 1):
-        if values[i] == 0.0 and values[i + 1] == 0.0:
-            continue  # identical on a stretch: not a crossing
-        if values[i] * values[i + 1] <= 0.0:
-            bracket = i
-            break
-    if bracket is None:
-        cheaper = p1 if values[int(np.argmax(np.abs(values)))] < 0 else p2
-        if all(v == 0.0 for v in values):
-            cheaper = p1
-        return ThresholdResult(pair=(p1, p2), q0_star=None, cheaper_below=cheaper, cheaper_above=cheaper)
-
-    tol = scenario.solver.threshold_tol
-    q0_star = find_root(delta, float(grid[bracket]), float(grid[bracket + 1]), tol=tol)
-    sign_below = values[bracket] if values[bracket] != 0.0 else -values[bracket + 1]
-    below, above = (p1, p2) if sign_below < 0 else (p2, p1)
-    return ThresholdResult(pair=(p1, p2), q0_star=float(q0_star), cheaper_below=below, cheaper_above=above)
+    regions = _regions(scenario, _lattice(lo, hi, (hi - lo) / (_SCAN_POINTS - 1)), (p1, p2))
+    first, second = next(regions), next(regions, None)
+    if second is None:
+        return ThresholdResult(pair=(p1, p2), q0_star=None, cheaper_below=first.policy, cheaper_above=first.policy)
+    return ThresholdResult(pair=(p1, p2), q0_star=first.q0_hi, cheaper_below=first.policy, cheaper_above=second.policy)
 
 
 def policy_regions(
@@ -165,38 +179,17 @@ def policy_regions(
 ) -> list[PolicyRegion]:
     """Decompose a density range into maximal best-policy intervals.
 
-    Pointwise argmin of the optimized totals on the lattice lo + resolution*k
-    below hi, then hi (cost_curve's densities when resolution = (hi-lo)/(n-1));
-    ties break toward the policy listed first, runs merge, and each interior
-    boundary is bisected to the threshold tolerance within its lattice cell.
+    Pointwise winners on the lattice lo + resolution*k below hi, then hi
+    (cost_curve's densities when resolution = (hi-lo)/(n-1)), ties going to
+    the policy listed first; each boundary is bisected to the threshold
+    tolerance within its lattice cell.
     """
     lo, hi = _validate_range(*q0_range)
     if resolution <= 0 or not np.isfinite(resolution):
         raise ValidationError(f"resolution must be positive, got {resolution}")
     if not policies:
         raise ValidationError("policies must be non-empty")
-    policies = tuple(_as_policy(p) for p in policies)
-
-    n_below = int(np.ceil((hi - lo) / resolution - 1e-9))
-    lattice = [float(q0) for q0 in np.arange(n_below) * resolution + lo] + [hi]
-    totals = [_totals(scenario, p, lattice) for p in policies]
-    winners = [policies[min((t, k) for k, t in enumerate(column))[1]] for column in zip(*totals)]
-
-    regions: list[PolicyRegion] = []
-    run_start = lo
-    for i in range(1, len(lattice)):
-        below, above = winners[i - 1], winners[i]
-        if below == above:
-            continue
-        # below is no dearer at lattice[i - 1], above at lattice[i]: a bracket.
-        boundary = find_root(
-            lambda q0: _total(scenario, below, q0) - _total(scenario, above, q0),
-            lattice[i - 1], lattice[i], tol=scenario.solver.threshold_tol
-        )
-        regions.append(PolicyRegion(q0_lo=run_start, q0_hi=boundary, policy=below))
-        run_start = boundary
-    regions.append(PolicyRegion(q0_lo=run_start, q0_hi=hi, policy=winners[-1]))
-    return regions
+    return list(_regions(scenario, _lattice(lo, hi, resolution), tuple(_as_policy(p) for p in policies)))
 
 
 CURVE_CSV_COLUMNS = (

@@ -236,6 +236,16 @@ class TestSweepCommand:
         assert caps == {"1500", "1800"}
 
 
+    def test_repeated_capacities_exit_2_and_write_nothing(self, tmp_path, capsys):
+        code = main(
+            ["sweep", "--q0-lo", "400", "--q0-hi", "600", "--n", "2",
+             "--capacities", "1500,1800,1500.0", "--out-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert "repeated capacities: 1500" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSimulateCommand:
     def test_deterministic_outputs(self, tmp_path):
         args = ["simulate", "--n", "2", "--horizon", "1", "--dt", "0.25",

@@ -146,6 +146,32 @@ class TestFindThreshold:
         with pytest.raises(ValidationError):
             find_threshold(baseline, Policy.MTP, Policy.EBLP, 900.0, 300.0)
 
+    def test_exact_tie_goes_to_the_first_listed_policy(self):
+        # Without lane costs EBLP and HOVLP tie exactly in the all-bus regime
+        # at 200, then EBLP is cheaper until the real crossing near 569.
+        s = load_scenario(
+            {"lane_costs": {key: 0.0 for key in (
+                "ebl_fixed", "ebl_variable_per_mi", "hovl_fixed", "hovl_variable_per_mi"
+            )}}
+        )
+        res = find_threshold(s, Policy.EBLP, Policy.HOVLP, 200.0, 1000.0)
+        assert res.q0_star == pytest.approx(569.1, abs=0.5)
+        assert (res.cheaper_below, res.cheaper_above) == (Policy.EBLP, Policy.HOVLP)
+
+        def gap(q0: float) -> float:
+            eblp = optimize_policy(s, Policy.EBLP, q0).breakdown.total
+            return eblp - optimize_policy(s, Policy.HOVLP, q0).breakdown.total
+
+        assert gap(res.q0_star - 50.0) < 0.0 < gap(res.q0_star + 50.0)
+        regions = policy_regions(s, (200.0, 1000.0), 25.0, (Policy.EBLP, Policy.HOVLP))
+        assert regions[0].q0_hi == res.q0_star
+        assert [r.policy for r in regions[:2]] == [Policy.EBLP, Policy.HOVLP]
+        # Known limit: in the other order HOVLP wins the tie, so the tie
+        # point itself is reported.
+        flipped = find_threshold(s, Policy.HOVLP, Policy.EBLP, 200.0, 1000.0)
+        assert flipped.q0_star == 200.0
+        assert (flipped.cheaper_below, flipped.cheaper_above) == (Policy.HOVLP, Policy.EBLP)
+
 
 class TestPolicyRegions:
     def test_contrast_scenario_switches_once(self, contrast: Scenario):
