@@ -51,6 +51,7 @@ from .costmodel import (
     bpr_time,
     bus_disutility,
     cost_breakdown,
+    cost_breakdowns,
     discomfort_cost,
     intersection_delay,
     line_haul_time,
@@ -144,6 +145,7 @@ __all__ = [
     "bus_disutility",
     "auto_disutility",
     "cost_breakdown",
+    "cost_breakdowns",
     # optimization
     "PolicyOptimum",
     "min_frequency",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -665,6 +666,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses: building one costs more than a short
+    ``cost`` command.  Parsing leaves it unchanged (``append`` copies its
+    default list), so no call sees another's arguments."""
+    return build_parser()
+
+
 # exception class -> (exit code, stderr label); the first match wins
 _EXIT_CODES = {
     ValidationError: (2, "error"),
@@ -677,8 +686,7 @@ _EXIT_CODES = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
 
     run: _Run | None = None
     try:

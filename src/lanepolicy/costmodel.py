@@ -1,7 +1,7 @@
 """Policy-specific cost physics for the three lane policies.
 
-For one (scenario, q0, R) point and one bus frequency F, or a 1-D array of
-frequencies, this module tabulates per-mile travel times along the corridor,
+For one (scenario, q0, R, F) operating point, or a stacked 1-D array of
+points, this module tabulates per-mile travel times along the corridor,
 accumulates them into line-haul times, adds waiting, crowding,
 signalized-intersection delay, fares and operating expenses, and rolls
 everything into the four system-cost components:
@@ -23,9 +23,12 @@ of auto travelers and its occupancy:
 Corridor travel times, per-intersection volumes, per-class money costs, the
 signage cost and the moment tables of :mod:`lanepolicy._fsweep` all read it.
 
-With an array of frequencies every node profile is (n_F, nodes) and every
-cost component an (n_F,) array: :func:`cost_totals` is that batched form and
-:func:`cost_breakdown` its one-point case.
+Each of q0, R and F may be one value or a 1-D array aligned with the
+others.  With any array every node profile is (n_points, nodes) and every
+cost component an (n_points,) array, each row priced by exactly the
+arithmetic of its one-point case: :func:`cost_breakdowns` and
+:func:`cost_totals` are that batched form and :func:`cost_breakdown` its
+one-point case.
 
 Positions are miles from the outer boundary; all travelers move toward the
 inner end, so flows at x accumulate demand from [x, length].
@@ -43,7 +46,7 @@ import numpy as np
 from .config import Scenario, SignalParams
 from .demand import DemandField, cumulative_demand, occupancy_split
 from .errors import UndefinedServiceError, ValidationError
-from .numeric import CorridorGrid, cumulative_values, integrate_values
+from .numeric import CorridorGrid, cumulative_values, dot_rows, integrate_values
 
 __all__ = [
     "Policy",
@@ -67,6 +70,7 @@ __all__ = [
     "auto_disutility",
     "mean_auto_disutility",
     "cost_breakdown",
+    "cost_breakdowns",
     "cost_totals",
 ]
 
@@ -201,19 +205,28 @@ class CostBreakdown:
         )
 
 
+def _col(value):
+    """A scalar itself, or a per-point 1-D array as an (n_points, 1) column
+    that broadcasts against node profiles."""
+    return value if np.ndim(value) == 0 else value[:, None]
+
+
 @dataclass(frozen=True)
 class EvaluationContext:
-    """One (scenario, q0, R) point at one frequency, with tabulated node
-    profiles.  :func:`cost_totals` also builds one over a 1-D array of
-    frequencies; then every node profile is (n_F, nodes).
+    """One (scenario, q0, R, F) operating point with tabulated node profiles.
+
+    :func:`cost_breakdowns` and :func:`cost_totals` also build one over a
+    stack of points: each of q0, R and F is then a scalar or a 1-D array
+    aligned with the others, and every node profile is (n_points, nodes).
+    A stacked context is priced at the grid nodes only.
 
     Profiles are computed lazily per (policy, class) and memoized, so nested
     integrals reuse a single tabulation pass.
     """
 
     scenario: Scenario
-    q0: float
-    auto_share: float
+    q0: float | np.ndarray
+    auto_share: float | np.ndarray
     frequency: float | np.ndarray
     grid: CorridorGrid
     demand_field: DemandField
@@ -227,8 +240,15 @@ class EvaluationContext:
     @property
     def f_col(self):
         """Frequency shaped to broadcast against node profiles: the scalar
-        itself, or an (n_F, 1) column."""
-        return self.frequency if np.ndim(self.frequency) == 0 else self.frequency[:, None]
+        itself, or an (n_points, 1) column."""
+        return _col(self.frequency)
+
+    def points(self, keep: np.ndarray) -> EvaluationContext:
+        """A fresh context over the stacked points where ``keep`` is true."""
+        def pick(value):
+            return value if np.ndim(value) == 0 else value[keep]
+
+        return _context(self.scenario, pick(self.q0), pick(self.auto_share), pick(self.frequency))
 
     def streams(self, policy: Policy) -> tuple[Stream, ...]:
         return self._cached(("streams", policy), lambda: LANE_TABLE[policy](self.scenario).streams)
@@ -242,14 +262,22 @@ class EvaluationContext:
 def build_context(
     scenario: Scenario, q0: float, auto_share: float, frequency: float
 ) -> EvaluationContext:
-    """Operating point at one bus frequency."""
-    if np.ndim(frequency) != 0:
-        raise ValidationError(f"frequency must be a scalar, got shape {np.shape(frequency)}")
+    """One operating point: q0, auto share and bus frequency are scalars."""
+    for name, value in (("q0", q0), ("auto_share", auto_share), ("frequency", frequency)):
+        if np.ndim(value) != 0:
+            raise ValidationError(f"{name} must be a scalar, got shape {np.shape(value)}")
     return _context(scenario, q0, auto_share, frequency)
 
 
-def _context(scenario: Scenario, q0: float, auto_share: float, frequency) -> EvaluationContext:
-    """Operating point at one frequency or a 1-D array of them."""
+def _context(scenario: Scenario, q0, auto_share, frequency) -> EvaluationContext:
+    """One operating point, or a stack of them: each of q0, auto share and
+    frequency is a scalar or a 1-D array aligned with the others."""
+    shapes = {np.shape(v) for v in (q0, auto_share, frequency) if np.ndim(v)}
+    if len(shapes) > 1 or any(len(shape) > 1 for shape in shapes):
+        raise ValidationError(
+            f"q0, auto_share and frequency must be scalars or aligned 1-D arrays, "
+            f"got shapes {sorted(shapes)}"
+        )
     if np.any(np.asarray(frequency) < 0):
         raise ValidationError(f"frequency must be >= 0, got {frequency}")
     demand_field = DemandField(q0=q0, length_mi=scenario.geometry.length_mi, auto_share=auto_share)
@@ -379,15 +407,16 @@ def signal_auto_pax(scenario: Scenario, demand_field: DemandField) -> np.ndarray
     """Auto travelers per hour counted at each intersection.
 
     ``segment`` volume mode counts those entering between an intersection and
-    the next; ``cumulative`` counts every one still upstream.
+    the next; ``cumulative`` counts every one still upstream.  A stacked
+    ``demand_field`` gives one row per point.
     """
     geom = scenario.geometry
     n = geom.n_intersections
     bounds = geom.length_mi * np.arange(1, n + 2) / (n + 1)
     upstream = cumulative_demand(demand_field, "auto", bounds)
     if scenario.solver.delay_volume_mode == "segment":
-        return upstream[:-1] - upstream[1:]
-    return upstream[:-1]
+        return upstream[..., :-1] - upstream[..., 1:]
+    return upstream[..., :-1]
 
 
 def _arriving(ctx: EvaluationContext, policy: Policy) -> tuple[np.ndarray, ...]:
@@ -443,7 +472,7 @@ def total_intersection_delay(ctx: EvaluationContext, policy: Policy, mode: str):
             for _, share, _ in stream.autos
         )
     passengers = cumulative_demand(ctx.demand_field, mode, np.asarray(geom.intersection_positions))
-    out = np.dot(per_vehicle, passengers) / 3600.0
+    out = dot_rows(per_vehicle, passengers) / 3600.0
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -490,12 +519,18 @@ def mean_auto_disutility(ctx: EvaluationContext, policy: Policy, x):
 
 def _user_cost(ctx: EvaluationContext, policy: Policy, mode: str):
     """Hourly cost to one mode's travelers: generalized trip costs over the
-    corridor plus the value of their signal delay."""
+    corridor plus the value of their signal delay; 0 at a point without
+    travelers of the mode."""
     share = ctx.auto_share if mode == "auto" else 1.0 - ctx.auto_share
     nodes = ctx.grid.nodes
-    density = share * ctx.q0 * (1.0 - nodes / ctx.demand_field.length_mi)
-    if not density.any():  # no travelers of this mode anywhere
+    density = _col(share * ctx.q0) * (1.0 - nodes / ctx.demand_field.length_mi)
+    present = density.any(axis=-1)
+    if not present.any():
         return 0.0
+    if not present.all():  # price the points with travelers of this mode alone
+        out = np.zeros(present.shape)
+        out[present] = _user_cost(ctx.points(present), policy, mode)
+        return out
     if mode == "bus":
         unit_cost, vot = bus_disutility(ctx, policy, nodes), ctx.scenario.econ.vot_bus
     else:
@@ -512,7 +547,7 @@ def _bus_operator_cost(ctx: EvaluationContext, policy: Policy):
 
 def _components(ctx: EvaluationContext, policy: Policy):
     """The four cost components in :data:`_COMPONENTS` order, unchecked."""
-    if np.any(np.asarray(ctx.frequency) == 0) and (1.0 - ctx.auto_share) * ctx.q0 > 0:
+    if np.any((np.asarray(ctx.frequency) == 0) & ((1.0 - ctx.auto_share) * ctx.q0 > 0)):
         raise UndefinedServiceError(
             "bus demand is positive but frequency is zero; waiting time is undefined"
         )
@@ -537,16 +572,45 @@ def cost_breakdown(
     return CostBreakdown(*_components(ctx, policy))
 
 
-def cost_totals(
-    scenario: Scenario, policy: Policy, q0: float, auto_share: float, frequencies
-) -> np.ndarray:
-    """Total hourly system cost at each of a 1-D array of frequencies.
+def _stacked_components(scenario: Scenario, policy: Policy, q0, auto_share, frequency):
+    """The four checked components at each of a 1-D array of points, each an
+    (n_points,) array priced in one stacked pass."""
+    points = [np.asarray(v, dtype=float) for v in (q0, auto_share, frequency)]
+    ctx = _context(scenario, *points)
+    shape = np.broadcast_shapes(*(v.shape for v in points))
+    if len(shape) != 1:
+        raise ValidationError(f"operating points must form a 1-D array, got shape {shape}")
+    parts = _components(ctx, policy)
+    return [np.broadcast_to(_checked(name, part), shape) for name, part in zip(_COMPONENTS, parts)]
 
-    The batched :func:`cost_breakdown`: the same components, checked and
-    clipped as :class:`CostBreakdown` does, summed in the same order.
+
+def cost_breakdowns(
+    scenario: Scenario, policy: Policy, q0, auto_share, frequency
+) -> list[CostBreakdown]:
+    """:func:`cost_breakdown` at each of a 1-D array of operating points.
+
+    Each of ``q0``, ``auto_share`` and ``frequency`` is a scalar or a 1-D
+    array aligned with the others.  The points are priced in one stacked
+    pass, every float as :func:`cost_breakdown` gives it for that point.
     """
-    f = np.asarray(frequencies, dtype=float)
-    if f.ndim != 1:
-        raise ValidationError(f"frequencies must form a 1-D array, got shape {f.shape}")
-    parts = _components(_context(scenario, q0, auto_share, f), policy)
-    return sum(_checked(name, part) for name, part in zip(_COMPONENTS, parts))
+    return [
+        CostBreakdown(*row)
+        for row in zip(*_stacked_components(scenario, policy, q0, auto_share, frequency))
+    ]
+
+
+def cost_totals(
+    scenario: Scenario, policy: Policy, q0, auto_share, frequencies
+) -> np.ndarray:
+    """Total hourly system cost at each of a 1-D array of operating points.
+
+    Each of ``q0``, ``auto_share`` and ``frequencies`` is a scalar or a 1-D
+    array aligned with the others.  Each entry is the ``total`` of
+    :func:`cost_breakdown` at its point, bit for bit: the same components,
+    checked and clipped as :class:`CostBreakdown` does, summed in the same
+    order.
+    """
+    bus_user, bus_operator, auto_user, signal = _stacked_components(
+        scenario, policy, q0, auto_share, frequencies
+    )
+    return bus_user + bus_operator + auto_user + signal

@@ -2,10 +2,12 @@
 
 Travelers originate along the corridor with density q(x) = q0*(1 - x/A) and
 all head to the inner end at x = A, so the flow passing location x is the
-demand accumulated on [x, A].  A scalar share R of all travelers drives; the
-rest ride buses.  Auto travelers split further into low- and high-occupancy
-vehicles, which yields the average occupancy used to convert person flows to
-vehicle flows.
+demand accumulated on [x, A].  A share R of all travelers drives; the rest
+ride buses.  A field may stack several operating points: q0 and R are then
+1-D arrays aligned with each other, and every profile gains a leading axis
+with one row per point.  Auto travelers split further into low- and
+high-occupancy vehicles, which yields the average occupancy used to convert
+person flows to vehicle flows.
 """
 
 from __future__ import annotations
@@ -31,21 +33,37 @@ _MODE_SHARES = ("auto", "bus", "total")
 
 @dataclass(frozen=True)
 class DemandField:
-    """Demand profile scalars: boundary density q0, length, and auto share R."""
+    """Demand profile: boundary density q0, length, and auto share R.
 
-    q0: float  # pax/hr/mi at x = 0
+    ``q0`` and ``auto_share`` are each a scalar or a 1-D array with one entry
+    per operating point; arrays must have the same length.
+    """
+
+    q0: float | np.ndarray  # pax/hr/mi at x = 0
     length_mi: float
-    auto_share: float  # R
+    auto_share: float | np.ndarray  # R
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.q0):
+        q0, share = np.asarray(self.q0, dtype=float), np.asarray(self.auto_share, dtype=float)
+        if q0.ndim > 1 or share.ndim > 1 or (q0.ndim and share.ndim and q0.shape != share.shape):
+            raise ValidationError(
+                f"q0 and auto_share must be scalars or aligned 1-D arrays, "
+                f"got shapes {q0.shape} and {share.shape}"
+            )
+        if not np.isfinite(q0).all():
             raise ValidationError(f"q0 must be finite, got {self.q0}")
-        if self.q0 < 0:
+        if (q0 < 0).any():
             raise ValidationError(f"q0 must be >= 0, got {self.q0}")
         if self.length_mi <= 0:
             raise ValidationError(f"length_mi must be > 0, got {self.length_mi}")
-        if not 0 <= self.auto_share <= 1:
+        if not ((0 <= share) & (share <= 1)).all():  # also rejects NaN
             raise ValidationError(f"auto_share must lie in [0, 1], got {self.auto_share}")
+
+
+def _per_point(value, x_arr: np.ndarray):
+    """A scalar, or a per-point array shaped to broadcast against positions
+    ``x_arr``: one row per point."""
+    return value if np.ndim(value) == 0 else np.reshape(value, np.shape(value) + (1,) * x_arr.ndim)
 
 
 def _check_position(x, length_mi: float):
@@ -58,24 +76,25 @@ def _check_position(x, length_mi: float):
 def density(field: DemandField, x):
     """Trip-origin density q0*(1 - x/A) in pax/hr/mi; accepts scalars or arrays."""
     x_arr = _check_position(x, field.length_mi)
-    out = field.q0 * (1.0 - x_arr / field.length_mi)
+    out = _per_point(field.q0, x_arr) * (1.0 - x_arr / field.length_mi)
     out = np.maximum(out, 0.0)  # guard the x = A boundary against roundoff
-    return float(out) if np.isscalar(x) else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def cumulative_demand(field: DemandField, mode: str, x):
     """Demand accumulated from x to the corridor end, pax/hr.
 
     Closed form share * q0 * (A - x)^2 / (2A); ``mode`` selects the share
-    (``auto`` -> R, ``bus`` -> 1 - R, ``total`` -> 1).
+    (``auto`` -> R, ``bus`` -> 1 - R, ``total`` -> 1).  A stacked field gives
+    one row per point.
     """
     if mode not in _MODE_SHARES:
         raise ValidationError(f"mode must be one of {_MODE_SHARES}, got {mode!r}")
     x_arr = _check_position(x, field.length_mi)
     share = {"auto": field.auto_share, "bus": 1.0 - field.auto_share, "total": 1.0}[mode]
     a = field.length_mi
-    out = share * field.q0 * (a - x_arr) ** 2 / (2.0 * a)
-    return float(out) if np.isscalar(x) else out
+    out = _per_point(share * field.q0, x_arr) * (a - x_arr) ** 2 / (2.0 * a)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 Quadrature is composite Simpson on a fixed, evenly spaced corridor grid over
 node-sampled values; the cumulative variant integrates pairwise so that its
 final node reproduces the plain composite rule bit for bit.  Both take
-stacked integrands whose last axis runs over the nodes.  Root finding is
-plain bisection.
+stacked integrands whose last axis runs over the nodes, and give each row
+exactly its one-row result.  Root finding is plain bisection.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ __all__ = [
     "CorridorGrid",
     "integrate_values",
     "cumulative_values",
+    "dot_rows",
     "find_root",
 ]
 
@@ -101,17 +102,29 @@ def cumulative_values(values: Sequence[float] | np.ndarray, grid: CorridorGrid) 
     return out
 
 
+def dot_rows(v: np.ndarray, w: np.ndarray):
+    """Dot product over the last axis of ``v`` and ``w``, stacked over the
+    leading axes.
+
+    Each row's result is bit for bit the 1-D product ``v_row @ w_row``: a
+    stacked matmul of (1, n) by (n, 1) blocks reduces each row as the 1-D
+    product does, where a matrix-vector product may not.
+    """
+    return (v[..., None, :] @ w[..., :, None])[..., 0, 0]
+
+
 def integrate_values(values: Sequence[float] | np.ndarray, grid: CorridorGrid):
     """Composite-Simpson integral of node-sampled ``values`` over the full grid.
 
     ``values`` may stack several integrands; the last axis runs over nodes.
-    One integrand gives a float, a stack an array of the leading shape.
+    One integrand gives a float, a stack an array of the leading shape whose
+    every entry is that row's one-integrand integral, bit for bit.
     """
     v = np.asarray(values, dtype=float)
     if v.shape[-1:] != grid.nodes.shape:
         raise ValidationError(f"expected {grid.nodes.shape[0]} node values, got {v.shape}")
     _check_finite(v, grid.nodes)
-    out = v @ grid.simpson_weights
+    out = dot_rows(v, grid.simpson_weights)
     return float(out) if v.ndim == 1 else out
 
 

@@ -17,13 +17,17 @@ floor, then every row's refinement window (NaN-padded).  Each prices signal
 delay only where its F = 0 lower bound cannot prune.  Rows are priced
 elementwise, so an optimum does not depend on the block it was solved in.
 :func:`optimize_frequency` is the one-share case and :func:`optimize_policy`
-the one-density case of :func:`optimize_policies`.
+the one-density case of :func:`optimize_policies`.  The winning operating
+points of a call are then priced together, one point or a stacked array of
+points per :func:`~lanepolicy.costmodel.cost_breakdowns` pass, which gives
+every float of the one-point :func:`~lanepolicy.costmodel.cost_breakdown`.
 
 Two diagnostics are functions that callers evaluate at an optimum: a
 central finite difference of total cost in F (:func:`foc_residual`) and the
 demand-weighted disutility gap between the modes (:func:`equilibrium_gap`).
 The ``equilibrium`` split rule replaces the outer cost scan with a root solve
-on the signed gap, bracketed on one batched scan of the interior shares.
+on the signed gap, bracketed on one batched scan of the interior shares whose
+gaps, each at its share's optimal frequency, are priced in one stacked pass.
 """
 
 from __future__ import annotations
@@ -37,10 +41,13 @@ from ._fsweep import FrequencySweep, _scan_rows
 from .config import Scenario
 from .costmodel import (
     CostBreakdown,
+    EvaluationContext,
     Policy,
+    _context,
     build_context,
     bus_disutility,
     cost_breakdown,
+    cost_breakdowns,
     mean_auto_disutility,
 )
 from .errors import InfeasibleError, ValidationError
@@ -211,12 +218,18 @@ def equilibrium_gap(
     if q0 <= 0 or not 0 < auto_share < 1:
         return None
     ctx = build_context(scenario, q0, auto_share, frequency)
+    return float(_disutility_gap(ctx, policy, signed))
+
+
+def _disutility_gap(ctx: EvaluationContext, policy: Policy, signed: bool):
+    """:func:`equilibrium_gap` at the operating point of ``ctx``, or at each
+    of its stacked points."""
     nodes = ctx.grid.nodes
     diff = mean_auto_disutility(ctx, policy, nodes) - bus_disutility(ctx, policy, nodes)
     weight = 1.0 - nodes / ctx.grid.length  # linear demand density, q0 cancels
     if not signed:
         diff = np.abs(diff)
-    return float(integrate_values(diff * weight, ctx.grid) / integrate_values(weight, ctx.grid))
+    return integrate_values(diff * weight, ctx.grid) / integrate_values(weight, ctx.grid)
 
 
 def _split_lattice(solver, centers=None) -> np.ndarray:
@@ -275,12 +288,9 @@ def _best_split_equilibrium(scenario: Scenario, policy: Policy, q0: float):
     """Mode split where auto and bus disutilities balance, frequency re-optimized."""
     solver = scenario.solver
 
-    def gap_at(auto_share: float, frequency: float) -> float:
-        gap = equilibrium_gap(scenario, policy, q0, auto_share, frequency, signed=True)
-        return gap if gap is not None else 0.0
-
     def signed_gap(auto_share: float) -> float:
-        return gap_at(auto_share, optimize_frequency(scenario, policy, q0, auto_share)[0])
+        frequency = optimize_frequency(scenario, policy, q0, auto_share)[0]
+        return equilibrium_gap(scenario, policy, q0, auto_share, frequency, signed=True)
 
     # the service-capacity floor makes low auto shares infeasible; the
     # feasible region is an upper interval of R, so consecutive feasible
@@ -288,12 +298,19 @@ def _best_split_equilibrium(scenario: Scenario, policy: Policy, q0: float):
     lattice = np.arange(solver.r_step, 1.0 - solver.r_step + 1e-12, solver.r_step)
     f_star, cost = _frequency_optima(scenario, policy, q0, lattice)
     feasible = np.isfinite(cost)
-    samples = [float(r) for r in lattice[feasible]]
-    values = [gap_at(r, float(f)) for r, f in zip(samples, f_star[feasible])]
-    if not samples:
+    if not feasible.any():
         raise InfeasibleError(
             f"no feasible interior mode split at q0={q0:g} for the equilibrium rule"
         )
+    # every sample is an interior share at q0 > 0, so each has a gap
+    shares, frequencies = lattice[feasible], f_star[feasible]
+    blocks = [slice(k, k + _PRICE_BLOCK) for k in range(0, shares.size, _PRICE_BLOCK)]
+    gaps = [
+        _disutility_gap(_context(scenario, q0, shares[b], frequencies[b]), policy, signed=True)
+        for b in blocks
+    ]
+    samples = [float(r) for r in shares]
+    values = [float(gap) for gap in np.concatenate(gaps)]
     root = None
     for i in range(len(samples) - 1):
         if values[i] == 0.0:
@@ -319,6 +336,10 @@ def _best_split_equilibrium(scenario: Scenario, policy: Policy, q0: float):
 # search block, to bound the search's temporaries: three densities on the
 # default 101-share, 120-bus/hr lattice.
 _CELL_BLOCK = 40_000
+
+# Operating points per stacked pricing pass (the winners' breakdowns, the
+# equilibrium rule's gaps), to bound its (points x nodes) profiles.
+_PRICE_BLOCK = 16
 
 _CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
 
@@ -373,7 +394,8 @@ def _solve_policies(scenario: Scenario, policy: Policy, q0s: np.ndarray) -> list
     """Each density's :class:`PolicyOptimum`, or the :class:`InfeasibleError`
     that stopped its search.  Cost-min splits are searched in blocks of
     :data:`_CELL_BLOCK` lattice cells; the ``equilibrium`` rule solves each
-    positive density on its own."""
+    positive density on its own.  The winners are priced :data:`_PRICE_BLOCK`
+    points at a time."""
     solver = scenario.solver
     splits: list = [None] * q0s.size
     cost_min = []
@@ -390,31 +412,41 @@ def _solve_policies(scenario: Scenario, policy: Policy, q0s: np.ndarray) -> list
         block = cost_min[start : start + step]
         for i, split in zip(block, _best_split_cost_min(scenario, policy, q0s[block])):
             splits[i] = split
+    solved = [i for i, split in enumerate(splits) if not isinstance(split, Exception)]
+    for start in range(0, len(solved), _PRICE_BLOCK):
+        block = solved[start : start + _PRICE_BLOCK]
+        optima = _optima(scenario, policy, q0s[block], [splits[i] for i in block])
+        for i, optimum in zip(block, optima):
+            splits[i] = optimum
+    return splits
+
+
+def _optima(scenario: Scenario, policy: Policy, q0s: np.ndarray, splits: list) -> list:
+    """The optima at densities ``q0s`` from their (cost, bus share, frequency)
+    splits, every winner priced in one stacked pass."""
+    _, bus_shares, f_stars = (np.array(column) for column in zip(*splits))
+    auto_shares = 1.0 - bus_shares
+    f_mins = min_frequency(scenario, q0s, auto_shares)
+    for f_star, f_min in zip(f_stars, f_mins):
+        if f_star < f_min - 1e-9:
+            raise InfeasibleError(
+                f"internal error: optimized frequency {f_star} violates the capacity floor {f_min}"
+            )
+    breakdowns = cost_breakdowns(scenario, policy, q0s, auto_shares, f_stars)
+    binding = np.abs(f_stars - f_mins) <= scenario.solver.f_refine_step / 2.0 + 1e-9
     return [
-        split if isinstance(split, Exception) else _optimum(scenario, policy, float(q0), *split)
-        for q0, split in zip(q0s, splits)
-    ]
-
-
-def _optimum(
-    scenario: Scenario, policy: Policy, q0: float, cost: float, bus_share: float, f_star: float
-) -> PolicyOptimum:
-    auto_share = 1.0 - bus_share
-    f_min = min_frequency(scenario, q0, auto_share)
-    if f_star < f_min - 1e-9:
-        raise InfeasibleError(
-            f"internal error: optimized frequency {f_star} violates the capacity floor {f_min}"
+        PolicyOptimum(
+            policy=policy,
+            q0=float(q0),
+            r_star=float(auto_share),
+            f_star=float(f_star),
+            breakdown=breakdown,
+            constraint_binding=bool(bound),
         )
-    breakdown = cost_breakdown(scenario, policy, q0, auto_share, f_star)
-    binding = abs(f_star - f_min) <= scenario.solver.f_refine_step / 2.0 + 1e-9
-    return PolicyOptimum(
-        policy=policy,
-        q0=q0,
-        r_star=auto_share,
-        f_star=f_star,
-        breakdown=breakdown,
-        constraint_binding=binding,
-    )
+        for q0, auto_share, f_star, breakdown, bound in zip(
+            q0s, auto_shares, f_stars, breakdowns, binding
+        )
+    ]
 
 
 # Memoized on (scenario, policy, q0); all three are immutable.

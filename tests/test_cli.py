@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from lanepolicy import Policy, Scenario, cost_breakdown, min_frequency
-from lanepolicy.cli import build_scenario, main
+from lanepolicy.cli import build_parser, build_scenario, main
 from lanepolicy.optimizer import foc_residual
 
 
@@ -175,6 +176,18 @@ class TestCostCommand:
              "--set", "geometry.n_lanes=abc", "--out-dir", str(tmp_path)]
         )
         assert code == 2
+
+    def test_reused_parser_does_not_leak_arguments(self, tmp_path):
+        point = ["cost", "--policy", "mtp", "--q0", "400", "--R", "0.8", "--F", "12",
+                 "--out-dir", str(tmp_path)]
+        assert main([*point, "--set", "econ.vot_wait=20", "--set", "geometry.n_lanes=4",
+                     "--run-name", "first"]) == 0
+        assert main([*point, "--run-name", "second"]) == 0
+        first = read_manifest(tmp_path / "first")["scenario"]
+        second = read_manifest(tmp_path / "second")["scenario"]
+        assert (first["econ"]["vot_wait"], first["geometry"]["n_lanes"]) == (20.0, 4)
+        assert second == dataclasses.asdict(Scenario())
+        assert build_parser() is not build_parser()  # the public builder stays fresh
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

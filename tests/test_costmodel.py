@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from lanepolicy import (
     Scenario,
     UndefinedServiceError,
     ValidationError,
+    DemandField,
     auto_disutility,
     bpr_time,
     bus_disutility,
@@ -24,7 +27,13 @@ from lanepolicy import (
     unit_time_profile,
     waiting_time,
 )
-from lanepolicy.costmodel import build_context, cost_totals, delay_args
+from lanepolicy.costmodel import (
+    build_context,
+    cost_breakdowns,
+    cost_totals,
+    delay_args,
+    signal_auto_pax,
+)
 from lanepolicy._fsweep import FrequencySweep, _scan_rows
 from lanepolicy.optimizer import _refine_candidates, min_frequency
 
@@ -383,6 +392,78 @@ class TestCostBreakdown:
         # charging only the entering segment
         seg = cost_breakdown(Scenario(), Policy.MTP, 1000.0, 0.75, 16.0)
         assert got.total > seg.total
+
+
+# Stacked operating points (q0, R, F): rows with R = 0, R = 1 and q0 = 0
+# share a batch with interior points, so each user cost mixes priced and
+# zero rows.
+_POINTS = (
+    np.array([1000.0, 700.0, 1400.0, 50.0, 0.0, 900.0, 2214.0, 300.0]),
+    np.array([0.75, 0.0, 1.0, 0.0, 1.0, 0.6, 0.748, 0.25]),
+    np.array([16.0, 30.0, 22.0, 2.0, 1.0, 45.5, 119.556, 7.25]),
+)
+
+
+class TestStackedPoints:
+    @pytest.mark.parametrize("n_intersections", [0, 3, 10])
+    @pytest.mark.parametrize("mode", ["segment", "cumulative"])
+    @pytest.mark.parametrize("policy", POLICY_ORDER)
+    def test_every_component_matches_one_point_breakdowns(self, policy, mode, n_intersections):
+        scen = load_scenario({
+            "solver": {"delay_volume_mode": mode},
+            "geometry": {"n_intersections": n_intersections},
+        })
+        got = cost_breakdowns(scen, policy, *_POINTS)
+        expected = [cost_breakdown(scen, policy, *map(float, point)) for point in zip(*_POINTS)]
+        assert [dataclasses.astuple(b) for b in got] == [dataclasses.astuple(b) for b in expected]
+        assert list(cost_totals(scen, policy, *_POINTS)) == [b.total for b in expected]
+
+    @pytest.mark.parametrize("beta_auto", [4.0, 4.5])
+    @pytest.mark.parametrize("policy", POLICY_ORDER)
+    def test_totals_equal_breakdown_totals(self, policy, beta_auto):
+        scen = load_scenario({"bpr": {"beta_auto": beta_auto}})
+        fs = np.array([0.5, 16.0, 37.3, 120.0])
+        got = cost_totals(scen, policy, 1000.0, 0.75, fs)
+        assert list(got) == [cost_breakdown(scen, policy, 1000.0, 0.75, f).total for f in fs]
+
+    def test_scalar_inputs_broadcast_against_arrays(self, baseline: Scenario):
+        q0s = np.array([400.0, 800.0, 1600.0])
+        got = cost_totals(baseline, Policy.HOVLP, q0s, 0.7, 24.0)
+        expected = [cost_breakdown(baseline, Policy.HOVLP, q0, 0.7, 24.0).total for q0 in q0s]
+        assert list(got) == expected
+
+    def test_point_shapes_validated(self, baseline: Scenario):
+        two, three = np.array([500.0, 600.0]), np.array([8.0, 9.0, 10.0])
+        with pytest.raises(ValidationError, match="aligned"):
+            cost_totals(baseline, Policy.MTP, two, 0.5, three)
+        with pytest.raises(ValidationError, match="1-D"):
+            cost_totals(baseline, Policy.MTP, 500.0, 0.5, np.ones((2, 2)))
+        with pytest.raises(ValidationError, match="1-D"):
+            cost_totals(baseline, Policy.MTP, 500.0, 0.5, 8.0)
+        for name, point in (("q0", (two, 0.5, 8.0)), ("auto_share", (500.0, [0.5], 8.0))):
+            with pytest.raises(ValidationError, match=f"{name} must be a scalar"):
+                build_context(baseline, *point)
+
+    def test_stacked_points_keep_the_checks(self, baseline: Scenario):
+        q0s, shares = np.array([500.0, 500.0]), np.array([1.0, 0.5])
+        with pytest.raises(UndefinedServiceError):
+            cost_breakdowns(baseline, Policy.MTP, q0s, shares, 0.0)
+        with pytest.raises(ValidationError, match="auto_share"):
+            cost_totals(baseline, Policy.MTP, 500.0, np.array([0.5, 1.5]), 8.0)
+        # F = 0 is defined at the points without bus riders
+        zero = cost_breakdowns(baseline, Policy.EBLP, np.array([500.0, 0.0]), 1.0, 0.0)
+        assert zero == [cost_breakdown(baseline, Policy.EBLP, q0, 1.0, 0.0) for q0 in (500.0, 0.0)]
+
+    @pytest.mark.parametrize("mode", ["segment", "cumulative"])
+    def test_signal_auto_pax_takes_rows_of_a_stacked_field(self, mode):
+        scen = load_scenario({"solver": {"delay_volume_mode": mode}})
+        q0s, shares = np.array([300.0, 1200.0, 0.0]), np.array([0.4, 0.9, 0.5])
+        length = scen.geometry.length_mi
+        got = signal_auto_pax(scen, DemandField(q0=q0s, length_mi=length, auto_share=shares))
+        assert got.shape == (3, scen.geometry.n_intersections)
+        for row, q0, share in zip(got, q0s, shares):
+            one = signal_auto_pax(scen, DemandField(q0=q0, length_mi=length, auto_share=share))
+            assert list(row) == list(one)
 
 
 class TestFrequencySweep:

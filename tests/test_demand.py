@@ -83,6 +83,37 @@ class TestCumulativeDemand:
             with pytest.raises(ValidationError):
                 DemandField(q0=q0, length_mi=30.0, auto_share=0.5)
 
+    @pytest.mark.parametrize(
+        "q0,share",
+        [
+            (np.array([100.0, np.nan]), 0.5),
+            (np.array([100.0, np.inf]), np.array([0.5, 0.5])),
+            (np.array([100.0, -1.0]), 0.5),
+            (100.0, np.array([0.5, 1.2])),
+            (100.0, np.array([-0.1, 0.5])),
+            (100.0, np.array([0.5, np.nan])),
+            (np.array([100.0, 200.0]), np.array([0.5, 0.5, 0.5])),
+            (np.ones((2, 2)), 0.5),
+        ],
+    )
+    def test_invalid_stacked_field_parameters(self, q0, share):
+        with pytest.raises(ValidationError):
+            DemandField(q0=q0, length_mi=30.0, auto_share=share)
+
+    def test_stacked_field_gives_one_row_per_point(self):
+        q0s, shares = np.array([1000.0, 0.0, 400.0]), np.array([0.75, 0.5, 0.0])
+        field = DemandField(q0=q0s, length_mi=30.0, auto_share=shares)
+        xs = np.linspace(0.0, 30.0, 7)
+        for mode in ("auto", "bus", "total"):
+            rows = cumulative_demand(field, mode, xs)
+            assert rows.shape == (3, 7)
+            for row, q0, r in zip(rows, q0s, shares):
+                assert list(row) == list(cumulative_demand(make_field(q0=q0, r=r), mode, xs))
+            at_one = cumulative_demand(field, mode, 12.0)
+            assert list(at_one) == [cumulative_demand(make_field(q0=q0, r=r), mode, 12.0)
+                                    for q0, r in zip(q0s, shares)]
+        assert list(density(field, 15.0)) == [500.0, 0.0, 200.0]
+
 
 class TestOccupancySplit:
     def test_default_mix(self):

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from lanepolicy import BracketError, NumericDomainError, ValidationError
-from lanepolicy.numeric import CorridorGrid, cumulative_values, find_root, integrate_values
+from lanepolicy.numeric import (
+    CorridorGrid,
+    cumulative_values,
+    dot_rows,
+    find_root,
+    integrate_values,
+)
 
 
 class TestCorridorGrid:
@@ -46,6 +52,13 @@ class TestIntegrate:
         assert got.shape == (3,)
         for row, value in zip(stack, got):
             assert value == pytest.approx(integrate_values(row, grid), rel=1e-14)
+
+    def test_stacked_rows_equal_one_row_integrals_exactly(self):
+        grid = CorridorGrid(length=30.0, n_cells=600)
+        rows = np.random.default_rng(3).random((54, 601)) * 1e3
+        assert list(integrate_values(rows, grid)) == [integrate_values(row, grid) for row in rows]
+        weights = np.random.default_rng(4).random((54, 601))
+        assert list(dot_rows(rows, weights)) == [a @ b for a, b in zip(rows, weights)]
 
     def test_values_shape_checked(self):
         grid = CorridorGrid(length=2.0, n_cells=4)

@@ -21,7 +21,7 @@ from lanepolicy import (
     optimize_policies,
     optimize_policy,
 )
-from lanepolicy import optimizer
+from lanepolicy import costmodel, optimizer
 from lanepolicy.config import preset
 from lanepolicy.optimizer import equilibrium_gap, foc_residual
 
@@ -426,6 +426,48 @@ class TestOptimizePolicies:
         after = optimizer._optimize_policy_cached.cache_info()
         assert after.misses == before.misses
         assert after.hits == before.hits + len(_BATCH_Q0)
+
+    @pytest.mark.parametrize("n_densities", [1, 5, 40])
+    def test_winners_priced_without_scalar_breakdowns(self, baseline, n_densities, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scalar cost_breakdown called")
+
+        passes = []
+
+        def counted(scenario, policy, q0, auto_share, frequency):
+            passes.append(np.size(q0))
+            return costmodel.cost_breakdowns(scenario, policy, q0, auto_share, frequency)
+
+        monkeypatch.setattr(costmodel, "cost_breakdown", refuse)
+        monkeypatch.setattr(optimizer, "cost_breakdown", refuse)
+        monkeypatch.setattr(optimizer, "cost_breakdowns", counted)
+        optimizer._optimize_policy_cached.cache_clear()
+        q0s = list(np.linspace(100.0, 2000.0, n_densities) + 0.123)  # cold densities
+        optima = optimize_policies(baseline, Policy.EBLP, q0s)
+        block = optimizer._PRICE_BLOCK
+        assert passes == [min(block, n_densities - k) for k in range(0, n_densities, block)]
+        optimizer._optimize_policy_cached.cache_clear()
+        monkeypatch.undo()
+        assert [_record(opt) for opt in optima] == [
+            _one_at_a_time(baseline, Policy.EBLP, q0) for q0 in q0s
+        ]
+
+    def test_equilibrium_scan_prices_gaps_in_stacked_passes(self, monkeypatch):
+        scen = load_scenario({"solver": {"split_rule": "equilibrium"}})
+        calls = []
+        scalar_gap = optimizer.equilibrium_gap
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return scalar_gap(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "equilibrium_gap", counted)
+        optimizer._optimize_policy_cached.cache_clear()
+        optimize_policy(scen, Policy.MTP, 1000.0)
+        optimizer._optimize_policy_cached.cache_clear()
+        # only the bisection prices one share at a time: two bracket ends and
+        # log2(r_step / tolerance) = log2(10) < 4 halvings
+        assert 0 < len(calls) <= 6
 
     def test_validation(self, baseline: Scenario):
         for q0s in ([500.0, -1.0], [float("nan")], [float("inf"), 500.0]):
