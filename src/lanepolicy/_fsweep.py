@@ -27,6 +27,16 @@ at F = 0, a lower bound, does not exceed the row's best priced total.  Delay
 never falls as bus volume rises: for every X >= 0 the uniform term rises through
 min(1, X), and for every s = 8*k*I/(c*T) > 0 the overflow term's slope
 1 + (X - 1 + s/2)/sqrt((X - 1)^2 + s*X) is >= 0.  Without a table it scans totals.
+
+:meth:`FrequencySweep.lower_bounds` bounds a whole share row from below over
+a frequency range cut into :data:`_BOUND_BLOCKS` blocks, so a caller can drop
+shares that cannot win before pricing any of their candidates.  On a block
+[x0, x1] each monomial c*F^k is monotone for F > 0, so min(c*x0^k, c*x1^k)
+bounds it whatever the sign of c; both waiting terms fall as F rises (config
+keeps gamma1, gamma2, gamma3 > 0 and vot_wait >= 0, and b >= 0), so their
+value at x1 bounds them; delay is bounded by its F = 0 column as above.
+:meth:`FrequencySweep.subset` is a view of some rows that reuses the share
+terms, so it prices every candidate to the same float as the whole sweep.
 """
 
 from __future__ import annotations
@@ -48,6 +58,7 @@ __all__ = ["FrequencySweep"]
 _MAX_POLY_DEGREE = 12
 _F_BLOCK = 32  # frequencies per cost_totals call on the table-less path
 _DELAY_BLOCK = 1 << 18  # delay terms per intersection_delay call, to bound temporaries
+_BOUND_BLOCKS = 8  # frequency blocks per row in FrequencySweep.lower_bounds
 
 
 def _scan_rows(candidates: np.ndarray, values: np.ndarray):
@@ -232,6 +243,34 @@ class FrequencySweep:
         self.priced += np.count_nonzero(~np.isnan(rows[r, k])) + ri.size
         return _scan_rows(rows, values)
 
+    def lower_bounds(self, lo, hi):
+        """Each row's lower bound on :meth:`totals` at every F in [lo, hi],
+        the least over equal blocks [x0, x1] of the monomials' smaller end
+        values, waiting at x1 and delay at F = 0 (see the module docstring).
+        ``lo`` and ``hi`` are positive scalars or one value per row.  None
+        without a table."""
+        if self._table is None:
+            return None
+        _, b, coeffs, delay = self._share_terms
+        edges = np.linspace(
+            np.broadcast_to(lo, delay.shape[:1]), np.broadcast_to(hi, delay.shape[:1]),
+            _BOUND_BLOCKS + 1, axis=1,
+        )
+        out = self._waiting(b, edges[:, 1:])
+        for k in range(coeffs.shape[1]):
+            monomial = coeffs[:, k : k + 1] * edges**k
+            out += np.minimum(monomial[:, :-1], monomial[:, 1:])
+        return np.min(out, axis=1) + delay[:, 0]
+
+    def subset(self, index) -> FrequencySweep:
+        """The sweep at some of its rows (an index array or a boolean mask).
+        The view reuses this sweep's share terms, so it prices every candidate
+        to the same float."""
+        view = FrequencySweep(self.scenario, self.policy, self._q0s[index], self._shares[index])
+        if self._table is not None:
+            view._share_terms = tuple(term[index] for term in self._share_terms)
+        return view
+
     @cached_property
     def _share_terms(self):
         """Share columns a, b, their coefficients in F and their delay cost at F = 0."""
@@ -241,13 +280,12 @@ class FrequencySweep:
         coeffs = np.einsum("rj,rm,jmk->rk", a ** np.arange(j), b ** np.arange(m), self._table.poly)
         return a, b, coeffs, self._add_signals(a, b, np.zeros(a.shape), 0.0)
 
-    def _base(self, f: np.ndarray):
-        """Share columns a, b and the totals without signal delay on rows f."""
+    def _waiting(self, b, f: np.ndarray) -> np.ndarray:
+        """Waiting cost vot_wait * (g1*boardings*b/f + g2*load*b^(g3+1) /
+        (capacity*f)^g3 / f) at bus demand column b on rows f; at most two
+        arrays of f's size at a time."""
         table = self._table
-        bus, econ = self.scenario.bus, self.scenario.econ
-        a, b, coeffs, _ = self._share_terms
-        # vot_wait * (g1*boardings*b/f + g2*load*b^(g3+1) / (capacity*f)^g3 / f)
-        # plus the polynomial in F; at most two arrays of f's size at a time
+        bus = self.scenario.bus
         waiting = bus.wait_gamma1 * table.boardings * b / f
         crowded = bus.capacity_pax * f
         crowded **= bus.wait_gamma3
@@ -256,7 +294,13 @@ class FrequencySweep:
         crowded /= f
         waiting += crowded
         del crowded
-        waiting *= econ.vot_wait
+        waiting *= self.scenario.econ.vot_wait
+        return waiting
+
+    def _base(self, f: np.ndarray):
+        """Share columns a, b and the totals without signal delay on rows f."""
+        a, b, coeffs, _ = self._share_terms
+        waiting = self._waiting(b, f)
         out = np.zeros(f.shape)
         for k in range(coeffs.shape[1] - 1, -1, -1):
             out *= f

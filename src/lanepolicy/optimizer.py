@@ -14,8 +14,15 @@ window around its coarse winner is priced by one more.  Each call is two
 batched :meth:`~lanepolicy._fsweep.FrequencySweep.row_minima` calls on one
 sweep over the feasible rows: every row's integer-F lattice masked below its
 floor, then every row's refinement window (NaN-padded).  Each prices signal
-delay only where its F = 0 lower bound cannot prune.  Rows are priced
-elementwise, so an optimum does not depend on the block it was solved in.
+delay only where its F = 0 lower bound cannot prune.  Before either pass,
+each density's shares are bounded below over their whole frequency range
+(:meth:`~lanepolicy._fsweep.FrequencySweep.lower_bounds`), the lowest-bound
+share is priced at its first candidate, and only the shares whose bound does
+not exceed that total are searched (:func:`_winnable`); every dropped share
+costs more than a total already priced for its density, so neither the
+coarse first minimum nor the refined one can change.  Rows are priced
+elementwise and no bound crosses densities, so an optimum does not depend
+on the block it was solved in.
 :func:`optimize_frequency` is the one-share case and :func:`optimize_policy`
 the one-density case of :func:`optimize_policies`.  The winning operating
 points of a call are then priced together, one point or a stacked array of
@@ -113,15 +120,19 @@ def _refine_candidates(center, lower, upper, step: float, half_width: float) -> 
     return pts
 
 
-def _frequency_optima(scenario: Scenario, policy: Policy, q0, auto_shares, search=None):
+def _frequency_optima(
+    scenario: Scenario, policy: Policy, q0, auto_shares, search=None, groups=None
+):
     """:func:`optimize_frequency` for an array of shares in two batched passes.
 
     ``q0`` is one density or an array with one density per share.  ``search``
     maps NaN-padded (n_shares, n_F) rows to each row's best frequency and
     cost; it defaults to :meth:`FrequencySweep.row_minima` over the feasible
-    shares.  Returns each share's best frequency and cost; the cost is inf for
-    a share whose floor exceeds the cap or whose candidates all evaluated
-    non-finite.
+    shares.  ``groups`` labels each share with the density whose cheapest
+    share is sought; a share that cannot be it is then not searched (see
+    :func:`_winnable`).  Returns each share's best frequency and cost; the
+    cost is inf for a share whose floor exceeds the cap, whose candidates all
+    evaluated non-finite, or that was not searched.
     """
     solver = scenario.solver
     cap = solver.f_cap
@@ -130,11 +141,15 @@ def _frequency_optima(scenario: Scenario, policy: Policy, q0, auto_shares, searc
     best_f, best_cost = np.full(f_min.shape, np.nan), np.full(f_min.shape, np.inf)
     if not ok.any():
         return best_f, best_cost
+    first = np.maximum(1.0, np.ceil(f_min - 1e-9))  # each share's first integer candidate
     if search is None:
-        q0 = np.full(ok.shape, q0)[ok]
-        search = FrequencySweep(scenario, policy, q0, auto_shares[ok]).row_minima
-    f_min = f_min[ok]
-    first = np.maximum(1.0, np.ceil(f_min - 1e-9))
+        sweep = FrequencySweep(scenario, policy, np.full(ok.shape, q0)[ok], auto_shares[ok])
+        if groups is not None:
+            keep = _winnable(sweep, groups[ok], f_min[ok], first[ok], cap)
+            ok[ok] = keep
+            sweep = sweep.subset(keep)
+        search = sweep.row_minima
+    f_min, first = f_min[ok], first[ok]
     lattice = np.arange(first.min(), cap + 1e-9, 1.0)
     on = lattice >= first[:, None]
     coarse = np.where(on, lattice, np.nan)
@@ -155,6 +170,33 @@ def _frequency_optima(scenario: Scenario, policy: Policy, q0, auto_shares, searc
         c1 = np.where(better | (searched & np.isinf(c2)), c2, c1)
     best_f[ok], best_cost[ok] = f1, c1
     return best_f, best_cost
+
+
+def _winnable(sweep: FrequencySweep, groups, f_min, first, cap) -> np.ndarray:
+    """Which rows of ``sweep`` can hold their group's cheapest optimum.
+
+    A row's bound is :meth:`FrequencySweep.lower_bounds` over [max(1, f_min -
+    1e-9), cap], which holds every coarse candidate (the first, ``first`` =
+    max(1, ceil(f_min - 1e-9)), may sit 1e-9 below the floor), the cap-only
+    column and every refinement candidate.  Per group, the row with the lowest
+    bound is priced exactly at its first coarse candidate, min(``first``,
+    cap); call that total U.  Every candidate of a row whose bound exceeds U
+    costs more than U, which is at least the group's minimum, so the row can
+    neither be the group's first minimum nor tie with it.  The slack
+    1e-9*|U| on U absorbs the rounding of bound and totals: they add the
+    same terms in different orders, and with the model's nonnegative cost
+    rates each sum is within a few ulps of exact.  A NaN bound or U keeps the
+    row; a table-less sweep has no bound and keeps every row.
+    """
+    bounds = sweep.lower_bounds(np.maximum(1.0, f_min - 1e-9), cap)
+    if bounds is None:
+        return np.ones(groups.shape, dtype=bool)
+    order = np.lexsort((bounds, groups))
+    lowest = order[np.r_[True, np.diff(groups[order]) != 0]]
+    upper = sweep.subset(lowest).totals(np.minimum(first[lowest], cap)[:, None])[:, 0]
+    limit = np.empty(groups.max() + 1)
+    limit[groups[lowest]] = upper + 1e-9 * np.abs(upper)
+    return ~(bounds > limit[groups])
 
 
 def optimize_frequency(
@@ -248,8 +290,9 @@ def _split_minima(scenario: Scenario, policy: Policy, q0s: np.ndarray, bus_share
     feasible.  Every real (density, share) pair is one row of one search."""
     real = ~np.isnan(bus_shares)
     f_star, cost = np.full(real.shape, np.nan), np.full(real.shape, np.inf)
+    groups = np.repeat(np.arange(q0s.size), real.sum(axis=1))
     f_star[real], cost[real] = _frequency_optima(
-        scenario, policy, np.repeat(q0s, real.sum(axis=1)), 1.0 - bus_shares[real]
+        scenario, policy, q0s[groups], 1.0 - bus_shares[real], groups=groups
     )
     best = np.arange(real.shape[0]), np.argmin(cost, axis=1)
     return [
@@ -333,9 +376,13 @@ def _best_split_equilibrium(scenario: Scenario, policy: Policy, q0: float):
 
 
 # Lattice cells (density x coarse share x integer frequency) per cost-min
-# search block, to bound the search's temporaries: three densities on the
-# default 101-share, 120-bus/hr lattice.
-_CELL_BLOCK = 40_000
+# search block, to bound the search's temporaries: nine densities on the
+# default 101-share, 120-bus/hr lattice.  Only shares that can win build a
+# frequency lattice, so most of a block's temporaries are its refined
+# windows' lattices and its shares' bound terms.  On the `schedule` benchmark
+# this size keeps peak RSS at the unpruned 3-density search's; each further
+# 40,000 cells added about 0.6 MiB.
+_CELL_BLOCK = 120_000
 
 # Operating points per stacked pricing pass (the winners' breakdowns, the
 # equilibrium rule's gaps), to bound its (points x nodes) profiles.
@@ -456,7 +503,13 @@ _optimize_policy_cached = _BatchMemo(_solve_policies, maxsize=65536)
 def _lookup(scenario: Scenario, policy, q0s) -> list:
     """Each density's optimum from the memo, solving the missing ones in one
     batch; an :class:`InfeasibleError` stands for a density without one."""
-    densities = [float(q0) for q0 in q0s]
+    try:
+        densities = np.asarray(q0s, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
+        densities = None
+    if densities is None or densities.ndim != 1:
+        raise ValidationError(f"q0s must be a 1-D sequence of densities, got {q0s!r}")
+    densities = densities.tolist()
     if not all(0.0 <= q0 < np.inf for q0 in densities):  # also rejects NaN
         raise ValidationError(f"q0 must be finite and >= 0, got {q0s}")
     if not isinstance(policy, Policy):

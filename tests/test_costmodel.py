@@ -34,6 +34,7 @@ from lanepolicy.costmodel import (
     delay_args,
     signal_auto_pax,
 )
+from lanepolicy import _fsweep
 from lanepolicy._fsweep import FrequencySweep, _scan_rows
 from lanepolicy.optimizer import _refine_candidates, min_frequency
 
@@ -656,6 +657,73 @@ class TestFrequencySweep:
         sweep = FrequencySweep(scen, Policy.HOVLP, 700.0, self._SHARES)
         self._check_row_minima(sweep, self._PER_SHARE_ROWS)
         assert sweep.priced == np.count_nonzero(~np.isnan(self._PER_SHARE_ROWS))
+        assert sweep.lower_bounds(1.0, 120.0) is None  # nor can a caller drop a share
+
+    @staticmethod
+    def _check_lower_bounds(scen, policy, q0, shares):
+        """Each share's bound over [max(1, F_min - 1e-9), f_cap] is at most
+        totals at the optimizer's integer candidates, at 0.1-step points
+        across [max(1, F_min), f_cap] and at f_cap, to rounding."""
+        cap = scen.solver.f_cap
+        floor = min_frequency(scen, q0, shares)
+        sweep = FrequencySweep(scen, policy, q0, shares)
+        bounds = sweep.lower_bounds(np.maximum(1.0, floor - 1e-9), cap)
+        for share, f_min, bound in zip(shares, floor, bounds):
+            lo = max(1.0, f_min)
+            candidates = np.concatenate([
+                np.arange(max(1.0, np.ceil(f_min - 1e-9)), cap + 1e-9),
+                np.minimum(lo + 0.1 * np.arange(int((cap - lo) / 0.1) + 1), cap),
+                [cap],
+            ])
+            totals = FrequencySweep(scen, policy, q0, share).totals(candidates)
+            assert np.all(bound <= totals + 1e-12 * np.abs(totals)), (share, f_min)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        beta_auto=st.integers(1, 6),
+        beta_bus=st.integers(1, 6),
+        gamma3=st.floats(0.3, 3.0),
+        capacity=st.floats(600.0, 2400.0),
+        pce=st.floats(1.0, 15.0),
+        green=st.floats(0.2, 0.9),
+        cycle=st.floats(40.0, 200.0),
+        k=st.floats(0.05, 1000.0),
+        n_intersections=st.integers(0, 10),
+        mode=st.sampled_from(["segment", "cumulative"]),
+        policy=st.sampled_from(POLICY_ORDER),
+        q0=st.floats(0.0, 3000.0),
+    )
+    def test_lower_bounds_hold_at_every_candidate(
+        self, beta_auto, beta_bus, gamma3, capacity, pce, green, cycle, k, n_intersections,
+        mode, policy, q0,
+    ):
+        scen = load_scenario({
+            "bpr": {"beta_auto": beta_auto, "beta_bus": beta_bus, "bus_pce": pce},
+            "bus": {"wait_gamma3": gamma3},
+            "geometry": {"lane_capacity_vph": capacity, "n_intersections": n_intersections},
+            "signal": {"green_ratio": green, "cycle_s": cycle, "incremental_delay_factor": k},
+            "solver": {"delay_volume_mode": mode, "n_cells": 60},
+        })
+        shares = np.linspace(0.0, 1.0, 11)
+        shares = shares[min_frequency(scen, q0, shares) <= scen.solver.f_cap]
+        self._check_lower_bounds(scen, policy, q0, shares)
+
+    @pytest.mark.parametrize("policy", POLICY_ORDER)
+    def test_lower_bounds_assume_no_coefficient_sign(self, baseline: Scenario, policy, monkeypatch):
+        # negated polynomial coefficients make every monomial fall in F; the
+        # endpoint rule takes the lower end either way
+        table = _fsweep._moment_table(baseline, policy)
+        negated = table._replace(poly=-table.poly)
+        monkeypatch.setattr(_fsweep, "_moment_table", lambda scenario, policy: negated)
+        self._check_lower_bounds(baseline, policy, 900.0, np.linspace(0.2, 1.0, 9))
+
+    def test_subsets_price_like_the_whole_sweep(self, baseline: Scenario):
+        q0s = np.array([0.0, 450.0, 900.0, 2100.0])
+        sweep = FrequencySweep(baseline, Policy.HOVLP, q0s, self._SHARES)
+        rows = self._PER_SHARE_ROWS
+        whole = sweep.totals(rows)
+        for index in (np.array([2, 0]), np.array([False, True, True, False])):
+            np.testing.assert_array_equal(sweep.subset(index).totals(rows[index]), whole[index])
 
     def test_row_minima_ties_take_the_smallest_frequency(self, baseline: Scenario, monkeypatch):
         # with no bus riders EBLP's signal delay does not depend on F, so a

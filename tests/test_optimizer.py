@@ -22,6 +22,7 @@ from lanepolicy import (
     optimize_policy,
 )
 from lanepolicy import costmodel, optimizer
+from lanepolicy._fsweep import FrequencySweep
 from lanepolicy.config import preset
 from lanepolicy.optimizer import equilibrium_gap, foc_residual
 
@@ -363,6 +364,23 @@ _BATCH_SCENARIOS = {
         {"solver": {"f_cap": 37.5, "split_rule": "equilibrium"}, "bus": {"capacity_pax": 5.0}}
     ),
 }
+# The batch scenarios with every policy, plus the scenarios whose signal
+# delay moves a row's minimum or whose overflow term is steep, each with the
+# policies the frequency-sweep tests run them with.
+_PRUNE_CASES = {
+    **{name: (scen, list(Policy)) for name, scen in _BATCH_SCENARIOS.items()},
+    "delay_moves_minimum": (
+        load_scenario({
+            "bpr": {"bus_pce": 15.0},
+            "geometry": {"lane_capacity_vph": 900.0},
+            "signal": {"green_ratio": 0.3},
+        }),
+        list(Policy),
+    ),
+    "steep_overflow": (
+        load_scenario({"signal": {"incremental_delay_factor": 1000.0}}), [Policy.EBLP]
+    ),
+}
 # Unsorted, with duplicates and q0 = 0; at 20000 only the smallest bus shares
 # are feasible.  Eleven densities span several blocks of the default budget.
 _BATCH_Q0 = [1476.0, 0.0, 658.0, 150.0, 2214.0, 658.0, 1072.3, 2007.0, 40.5, 1072.3, 20000.0]
@@ -470,10 +488,48 @@ class TestOptimizePolicies:
         assert 0 < len(calls) <= 6
 
     def test_validation(self, baseline: Scenario):
-        for q0s in ([500.0, -1.0], [float("nan")], [float("inf"), 500.0]):
+        for q0s in (
+            [500.0, -1.0], [float("nan")], [float("inf"), 500.0],
+            np.array([[500.0]]), 500.0, np.float64(500.0), [[500.0], [600.0, 700.0]], ["x"],
+        ):
             with pytest.raises(ValidationError):
                 optimize_policies(baseline, Policy.MTP, q0s)
         assert optimize_policies(baseline, Policy.MTP, []) == []
+
+    @pytest.mark.parametrize("name", list(_PRUNE_CASES))
+    def test_pruned_split_search_matches_a_full_one(self, name, monkeypatch):
+        # the reference searches every share: no bound, so no row is dropped
+        scen, policies = _PRUNE_CASES[name]
+        q0s = _BATCH_Q0[:5] if scen.solver.split_rule == "equilibrium" else _BATCH_Q0
+        memo = optimizer._optimize_policy_cached
+        for policy in policies:
+            memo.cache_clear()
+            pruned = [_record(opt) for opt in optimizer._lookup(scen, policy, q0s)]
+            with monkeypatch.context() as patch:
+                patch.setattr(FrequencySweep, "lower_bounds", lambda self, lo, hi: None)
+                memo.cache_clear()
+                full = [_record(opt) for opt in optimizer._lookup(scen, policy, q0s)]
+            memo.cache_clear()
+            assert pruned == full, policy
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_coarse_split_pass_searches_few_shares(self, policy, monkeypatch):
+        # the bound must keep dropping most shares, or the search is back to
+        # a full lattice per share without any test failing
+        passes = []
+        winnable = optimizer._winnable
+
+        def counted(sweep, groups, *args):
+            keep = winnable(sweep, groups, *args)
+            passes.append((np.count_nonzero(keep), keep.size))
+            return keep
+
+        monkeypatch.setattr(optimizer, "_winnable", counted)
+        optimizer._optimize_policy_cached.cache_clear()
+        optimize_policies(_golden_scenario("contrast"), policy, [250.0, 660.0, 1200.0])
+        optimizer._optimize_policy_cached.cache_clear()
+        kept, rows = passes[0]  # coarse pass, then the refined one
+        assert len(passes) == 2 and kept <= 0.1 * rows
 
     def test_memo_is_a_bounded_lru_that_skips_errors(self):
         solved = []
