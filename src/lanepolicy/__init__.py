@@ -41,7 +41,6 @@ from .demand import (
     cumulative_demand,
     density,
     occupancy_split,
-    total_volume,
 )
 from .costmodel import (
     POLICY_ORDER,
@@ -83,7 +82,6 @@ from .stochastic import (
     read_trajectory_csv,
     simulate,
     simulate_ensemble,
-    write_ensemble,
     write_trajectory_csv,
 )
 from .scheduler import (
@@ -93,7 +91,6 @@ from .scheduler import (
     build_schedule,
     evaluate_trajectory,
     format_timetable,
-    savings_report,
     schedule_summary,
     write_schedule_csv,
     write_schedule_json,
@@ -130,7 +127,6 @@ __all__ = [
     "density",
     "cumulative_demand",
     "occupancy_split",
-    "total_volume",
     # cost model
     "Policy",
     "POLICY_ORDER",
@@ -169,14 +165,12 @@ __all__ = [
     "simulate_ensemble",
     "read_trajectory_csv",
     "write_trajectory_csv",
-    "write_ensemble",
     # scheduling
     "StepTable",
     "ScheduleEntry",
     "Schedule",
     "evaluate_trajectory",
     "build_schedule",
-    "savings_report",
     "format_timetable",
     "schedule_summary",
     "write_schedule_csv",

@@ -44,7 +44,13 @@ from .errors import (
     UndefinedServiceError,
     ValidationError,
 )
-from .optimizer import foc_residual, min_frequency, optimize_frequency, optimize_policy
+from .optimizer import (
+    _split_lattice,
+    foc_residual,
+    min_frequency,
+    optimize_frequency,
+    optimize_policy,
+)
 from .scheduler import (
     build_schedule,
     evaluate_trajectory,
@@ -202,21 +208,16 @@ def _base_manifest(command: str, argv: Sequence[str], scenario: Scenario) -> dic
 def _best_split_at_fixed_f(
     scenario: Scenario, policy: Policy, q0: float, frequency: float
 ) -> float:
-    """Cheapest auto share when the frequency is pinned by the caller.
+    """Cheapest auto share on the optimizer's split lattice when the frequency
+    is pinned by the caller.
 
     Only shares whose bus demand fits the pinned frequency are admissible;
-    ties prefer the larger auto share.
+    R = 1 always is.  Ties prefer the larger auto share.
     """
-    step = scenario.solver.r_step
-    shares = np.minimum(np.arange(0.0, 1.0 + step / 2, step), 1.0)
+    shares = 1.0 - _split_lattice(scenario.solver)  # descending from R = 1
     shares = shares[min_frequency(scenario, q0, shares) <= frequency + 1e-9]
-    if shares.size == 0:
-        raise InfeasibleError(
-            f"no mode split can carry the bus demand at F={frequency:g} buses/hr"
-        )
     totals = FrequencySweep(scenario, policy, q0, shares).totals([frequency])[:, 0]
-    # the last of equal minima is the largest auto share
-    return float(shares[-1 - int(np.argmin(totals[::-1]))])
+    return float(shares[np.argmin(totals)])
 
 
 def _cmd_cost(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:
@@ -424,13 +425,19 @@ def _cmd_sweep(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:
 # simulate command
 
 
-def _ou_params(args: argparse.Namespace) -> OUParams:
-    defaults = OUParams()
-    return OUParams(
-        mean_reversion=defaults.mean_reversion if args.mean_reversion is None else args.mean_reversion,
-        long_run_level=defaults.long_run_level if args.long_run_level is None else args.long_run_level,
-        volatility=defaults.volatility if args.volatility is None else args.volatility,
-        q0_init=defaults.q0_init if args.q0_init is None else args.q0_init,
+def _generator(args: argparse.Namespace) -> tuple[OUParams, float, float, float]:
+    """Demand-process parameters, horizon, step and clock start from the
+    generator flags; each flag left out takes its default."""
+    given = {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(OUParams)
+        if getattr(args, field.name) is not None
+    }
+    return (
+        OUParams(**given),
+        DEFAULT_HORIZON_HR if args.horizon is None else args.horizon,
+        DEFAULT_DT_HR if args.dt is None else args.dt,
+        DEFAULT_CLOCK_START_HR if args.clock_start is None else args.clock_start,
     )
 
 
@@ -446,11 +453,9 @@ def _trajectory_meta(traj: Trajectory, rel_manifest: str) -> dict:
 
 
 def _cmd_simulate(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:
-    params = _ou_params(args)
-    horizon = DEFAULT_HORIZON_HR if args.horizon is None else args.horizon
-    dt = DEFAULT_DT_HR if args.dt is None else args.dt
+    params, horizon, dt, clock_start = _generator(args)
     trajectories = simulate_ensemble(
-        params, horizon=horizon, dt=dt, n=args.n, base_seed=args.seed, t0_clock=args.clock_start
+        params, horizon=horizon, dt=dt, n=args.n, base_seed=args.seed, t0_clock=clock_start
     )
     entries = []
     for traj in trajectories:
@@ -478,7 +483,7 @@ def _cmd_simulate(args: argparse.Namespace, scenario: Scenario, run: _Run) -> di
         "params": dataclasses.asdict(params),
         "horizon_hr": horizon,
         "dt_hr": dt,
-        "clock_start": args.clock_start,
+        "clock_start": clock_start,
         "seeds": [traj.seed for traj in trajectories],
         "trajectories": entries,
         "note": _SYNTHETIC_PARAMS_NOTE,
@@ -502,6 +507,7 @@ def _cmd_schedule(args: argparse.Namespace, scenario: Scenario, run: _Run) -> di
         args.q0_init,
         args.horizon,
         args.dt,
+        args.clock_start,
         args.seed,
     )
     if args.trajectory is not None:
@@ -513,11 +519,9 @@ def _cmd_schedule(args: argparse.Namespace, scenario: Scenario, run: _Run) -> di
         seeds: list[int] = []
         source = {"kind": "file", "path": os.path.abspath(args.trajectory)}
     else:
-        params = _ou_params(args)
-        horizon = DEFAULT_HORIZON_HR if args.horizon is None else args.horizon
-        dt = DEFAULT_DT_HR if args.dt is None else args.dt
+        params, horizon, dt, clock_start = _generator(args)
         seed = 0 if args.seed is None else args.seed
-        traj = simulate(params, horizon=horizon, dt=dt, seed=seed, t0_clock=args.clock_start)
+        traj = simulate(params, horizon=horizon, dt=dt, seed=seed, t0_clock=clock_start)
         seeds = [seed]
         source = {
             "kind": "generated",
@@ -607,7 +611,7 @@ def _add_generator_flags(parser: argparse.ArgumentParser, with_n: bool) -> None:
                         help="simulated hours (default 12)")
     parser.add_argument("--dt", type=float, default=None,
                         help="step size in hours (default 1/60)")
-    parser.add_argument("--clock-start", type=float, default=DEFAULT_CLOCK_START_HR,
+    parser.add_argument("--clock-start", type=float, default=None,
                         help="clock hour of the first sample (default 7.0)")
     if with_n:
         parser.add_argument("--n", type=int, default=10,

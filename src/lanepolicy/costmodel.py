@@ -83,10 +83,14 @@ class Policy(enum.Enum):
     HOVLP = "hovlp"
 
     @classmethod
-    def parse(cls, name: str) -> "Policy":
+    def parse(cls, name: "Policy | str") -> "Policy":
+        """A policy as given, or the one named ``name`` (case and surrounding
+        blanks ignored)."""
+        if isinstance(name, cls):
+            return name
         try:
             return cls(name.strip().lower())
-        except ValueError:
+        except (AttributeError, ValueError):
             raise ValidationError(
                 f"unknown policy {name!r}; expected one of "
                 f"{', '.join(p.value for p in cls)}"

@@ -7,7 +7,8 @@ ride buses.  A field may stack several operating points: q0 and R are then
 1-D arrays aligned with each other, and every profile gains a leading axis
 with one row per point.  Auto travelers split further into low- and
 high-occupancy vehicles, which yields the average occupancy used to convert
-person flows to vehicle flows.
+person flows to vehicle flows.  Vehicle volumes themselves, auto and bus, are
+built per lane stream in ``costmodel`` from its lane table.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "density",
     "cumulative_demand",
     "occupancy_split",
-    "total_volume",
 ]
 
 _MODE_SHARES = ("auto", "bus", "total")
@@ -121,13 +121,3 @@ def occupancy_split(occ: OccupancyParams) -> OccupancySplit:
     q_h = 1.0 - q_l
     o_avg = o_low * o_high / (o_high * q_l + o_low * q_h)
     return OccupancySplit(low_fraction=q_l, high_fraction=q_h, average_occupancy=o_avg)
-
-
-def total_volume(field: DemandField, average_occupancy: float, bus_pce: float, frequency: float, x):
-    """Auto-equivalent traffic volume at x: Q_auto(x)/O_avg + PCE*F, veh/hr."""
-    if frequency < 0:
-        raise ValidationError(f"frequency must be >= 0, got {frequency}")
-    if average_occupancy <= 0:
-        raise ValidationError(f"average_occupancy must be > 0, got {average_occupancy}")
-    q_auto = cumulative_demand(field, "auto", x)
-    return q_auto / average_occupancy + bus_pce * frequency

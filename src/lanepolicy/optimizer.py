@@ -512,9 +512,7 @@ def _lookup(scenario: Scenario, policy, q0s) -> list:
     densities = densities.tolist()
     if not all(0.0 <= q0 < np.inf for q0 in densities):  # also rejects NaN
         raise ValidationError(f"q0 must be finite and >= 0, got {q0s}")
-    if not isinstance(policy, Policy):
-        policy = Policy.parse(str(policy))
-    return _optimize_policy_cached(scenario, policy, densities)
+    return _optimize_policy_cached(scenario, Policy.parse(policy), densities)
 
 
 def optimize_policies(scenario: Scenario, policy: Policy, q0s) -> list[PolicyOptimum]:

@@ -1,11 +1,12 @@
 """Demand-triggered lane-policy switching timetables.
 
-Given a simulated demand trajectory and a set of allowed policies, each time
-step is assigned the policy whose optimized total system cost is lowest at
-that step's demand density (ties broken by the fixed order MTP, EBLP, HOVLP).
-Runs of identical assignments become timetable entries; cumulative costs use
-a left-endpoint rectangle rule (hourly cost x step length), and savings are
-reported against each policy operated alone over the whole horizon.
+Given a simulated demand trajectory and a set of allowed policies (members of
+Policy or their names), each time step is assigned the policy whose optimized
+total system cost is lowest at that step's demand density (ties broken by the
+fixed order MTP, EBLP, HOVLP).  Runs of identical assignments become
+timetable entries; cumulative costs use a left-endpoint rectangle rule
+(hourly cost x step length), and Schedule.savings_vs holds the saving against
+each policy operated alone over the whole horizon.
 
 Per-step optima are shared within demand-density buckets 1 pax/hr/mi wide:
 each allowed policy is optimized once at every distinct bucket, all of them
@@ -97,27 +98,16 @@ class Schedule:
     savings_vs: Mapping[Policy, float]
     quantization_bound: float = 0.0
 
-    @property
-    def policies_used(self) -> tuple[Policy, ...]:
-        seen: list[Policy] = []
-        for entry in self.entries:
-            if entry.policy not in seen:
-                seen.append(entry.policy)
-        return tuple(seen)
 
-
-def _ordered_allowed(allowed: Iterable[Policy]) -> tuple[Policy, ...]:
-    allowed_set = set(allowed)
+def _ordered_allowed(allowed: Iterable[Policy | str]) -> tuple[Policy, ...]:
+    allowed_set = {Policy.parse(item) for item in allowed}
     if not allowed_set:
         raise ValidationError("allowed policy set must not be empty")
-    for item in allowed_set:
-        if not isinstance(item, Policy):
-            raise ValidationError(f"not a policy: {item!r}")
     return tuple(p for p in POLICY_ORDER if p in allowed_set)
 
 
 def evaluate_trajectory(
-    scenario: Scenario, traj: Trajectory, allowed: Iterable[Policy]
+    scenario: Scenario, traj: Trajectory, allowed: Iterable[Policy | str]
 ) -> StepTable:
     """Optimize each allowed policy at each trajectory step.
 
@@ -237,14 +227,6 @@ def build_schedule(table: StepTable, min_dwell: float = 0.0) -> Schedule:
         savings_vs=_savings(per_policy, combined),
         quantization_bound=table.quantization_bound,
     )
-
-
-def savings_report(schedule: Schedule) -> dict[Policy, float]:
-    """Fractional saving of the timetable against each single policy.
-
-    savings[p] = (W_p - W_combined) / W_p.
-    """
-    return _savings(schedule.per_policy_cumulative, schedule.combined_cumulative)
 
 
 def _savings(per_policy: Mapping[Policy, float], combined: float) -> dict[Policy, float]:

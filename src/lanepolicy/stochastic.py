@@ -10,11 +10,15 @@ mean_reversion * long_run_level / theta, and dW a fresh N(0, dt) draw.  With
 zero volatility the path relaxes exponentially toward long_run_level; with
 mean_reversion = volatility = 0 it is constant.
 
-Reproducibility contract: a trajectory with seed s consumes exactly n_steps
-standard normal variates, in step order, from
+Reproducibility contract: a trajectory with integer seed s >= 0 consumes
+exactly n_steps standard normal variates, in step order, from
 ``numpy.random.Generator(numpy.random.Philox(key=s))``.  Ensembles use keys
 base_seed, base_seed + 1, ...  Same seed and parameters give bitwise-identical
 values.
+
+A trajectory file is one CSV (clock_time, t_hours, q0) whose first clock_time
+is the start of day as HH:MM; ``lanepolicy simulate`` writes an ensemble as
+one such file per seed in its run directory.
 
 The default experiment parameters (rate 1.5/hr, level 1500 pax/hr/mi,
 volatility 0.3, initial 1000, horizon 12 hr from 07:00, 1-minute steps) are
@@ -24,11 +28,12 @@ synthetic placeholders, not calibrated values; outputs label them as such.
 from __future__ import annotations
 
 import csv
-import json
 import math
+import operator
 import os
+import re
 from dataclasses import asdict, dataclass
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
@@ -44,15 +49,6 @@ DEFAULT_CLOCK_START_HR = 7.0
 DEMAND_FLOOR = 1.0
 
 TRAJECTORY_CSV_COLUMNS = ("clock_time", "t_hours", "q0")
-
-_SYNTHETIC_NOTE = (
-    "default experiment parameters are synthetic placeholders, not values "
-    "calibrated from observed demand"
-)
-_DRIFT_NOTE = (
-    "relaxation target equals long_run_level * mean_reversion / "
-    "(mean_reversion + volatility**2 / 2)"
-)
 
 
 @dataclass(frozen=True)
@@ -133,6 +129,17 @@ def _step_count(horizon: float, dt: float) -> int:
     return int(math.floor(horizon / dt + 1e-9))
 
 
+def _check_seed(seed) -> int:
+    """``seed`` as a Python int: a non-negative Python or NumPy integer, not a bool."""
+    try:
+        value = None if isinstance(seed, bool) else operator.index(seed)
+    except TypeError:
+        value = None
+    if value is None or value < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return value
+
+
 def simulate(
     params: OUParams,
     horizon: float = DEFAULT_HORIZON_HR,
@@ -146,9 +153,7 @@ def simulate(
     bitwise-identical values.
     """
     n_steps = _step_count(horizon, dt)
-    seed = int(seed)
-    if seed < 0:
-        raise ValidationError("seed must be a non-negative integer")
+    seed = _check_seed(seed)
     if not math.isfinite(t0_clock):
         raise ValidationError(f"t0_clock must be finite, got {t0_clock}")
 
@@ -193,6 +198,7 @@ def simulate_ensemble(
     """Simulate n independent trajectories with seeds base_seed, base_seed+1, ..."""
     if n < 1:
         raise ValidationError(f"ensemble size must be >= 1, got {n}")
+    base_seed = _check_seed(base_seed)
     return [
         simulate(params, horizon=horizon, dt=dt, seed=base_seed + i, t0_clock=t0_clock)
         for i in range(n)
@@ -254,60 +260,10 @@ def _read_trajectory_rows(handle: IO[str]) -> Trajectory:
     if np.any(q <= 0.0):
         raise ValidationError("trajectory q0 values must be positive")
     label = body[0][0]
-    try:
-        hh, mm = label.split(":")
-        t0_clock = int(hh) + int(mm) / 60.0
-    except ValueError:
-        raise ValidationError(f"bad clock_time label {label!r}; expected HH:MM") from None
+    clock = re.fullmatch(r"([01]?[0-9]|2[0-3]):([0-5][0-9])", label, re.ASCII)
+    if clock is None:
+        raise ValidationError(f"bad clock_time label {label!r}; expected HH:MM from 00:00 to 23:59")
+    t0_clock = int(clock[1]) + int(clock[2]) / 60.0
     floors = int(np.sum(q <= DEMAND_FLOOR))
     q.setflags(write=False)
     return Trajectory(t0_clock=t0_clock, dt=dt, values=q, seed=-1, floor_events=floors)
-
-
-def write_ensemble(
-    trajectories: Sequence[Trajectory],
-    directory: str | os.PathLike,
-    params: OUParams | None = None,
-) -> list[str]:
-    """Write one CSV per trajectory plus a manifest.json into `directory`.
-
-    Returns the list of written file paths (manifest last).
-    """
-    if not trajectories:
-        raise ValidationError("need at least one trajectory to write")
-    os.makedirs(directory, exist_ok=True)
-    paths: list[str] = []
-    entries = []
-    for traj in trajectories:
-        name = "trajectory_seed%d.csv" % traj.seed
-        path = os.path.join(directory, name)
-        write_trajectory_csv(traj, path)
-        paths.append(path)
-        entries.append(
-            {
-                "file": name,
-                "seed": traj.seed,
-                "n_steps": traj.n_steps,
-                "floor_events": traj.floor_events,
-            }
-        )
-    manifest = {
-        "kind": "demand_trajectory_ensemble",
-        "rng": "numpy Philox counter-based generator, key = seed",
-        "columns": list(TRAJECTORY_CSV_COLUMNS),
-        "units": {"t_hours": "hours", "q0": "pax/hr/mi"},
-        "t0_clock": trajectories[0].t0_clock,
-        "dt_hr": trajectories[0].dt,
-        "horizon_hr": trajectories[0].horizon,
-        "demand_floor": DEMAND_FLOOR,
-        "trajectories": entries,
-        "notes": [_SYNTHETIC_NOTE, _DRIFT_NOTE],
-    }
-    if params is not None:
-        manifest["params"] = asdict(params)
-    manifest_path = os.path.join(directory, "manifest.json")
-    with open(manifest_path, "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    paths.append(manifest_path)
-    return paths

@@ -73,10 +73,6 @@ class PolicyRegion:
     policy: Policy
 
 
-def _as_policy(value) -> Policy:
-    return value if isinstance(value, Policy) else Policy.parse(str(value))
-
-
 def _validate_range(q0_lo: float, q0_hi: float) -> tuple[float, float]:
     lo, hi = float(q0_lo), float(q0_hi)
     if not (np.isfinite(lo) and np.isfinite(hi)):
@@ -106,7 +102,7 @@ def cost_curve(
     Densities where the optimization is infeasible are recorded on
     ``failures`` instead of aborting the sweep.
     """
-    policy = _as_policy(policy)
+    policy = Policy.parse(policy)
     lo, hi = _validate_range(*q0_range)
     if n_samples < 2:
         raise ValidationError(f"n_samples must be >= 2, got {n_samples}")
@@ -160,7 +156,7 @@ def find_threshold(
     (EBLP, HOVLP) on [200, 1000] reports the crossing near 569 but
     (HOVLP, EBLP) reports the tie point 200, HOVLP cheaper below.
     """
-    p1, p2 = _as_policy(p1), _as_policy(p2)
+    p1, p2 = Policy.parse(p1), Policy.parse(p2)
     lo, hi = _validate_range(q0_lo, q0_hi)
     if p1 == p2:
         return ThresholdResult(pair=(p1, p2), q0_star=None, cheaper_below=p1, cheaper_above=p1)
@@ -189,7 +185,7 @@ def policy_regions(
         raise ValidationError(f"resolution must be positive, got {resolution}")
     if not policies:
         raise ValidationError("policies must be non-empty")
-    return list(_regions(scenario, _lattice(lo, hi, resolution), tuple(_as_policy(p) for p in policies)))
+    return list(_regions(scenario, _lattice(lo, hi, resolution), tuple(Policy.parse(p) for p in policies)))
 
 
 CURVE_CSV_COLUMNS = (

@@ -12,7 +12,7 @@ import pytest
 
 from lanepolicy import Policy, Scenario, cost_breakdown, min_frequency
 from lanepolicy.cli import build_parser, build_scenario, main
-from lanepolicy.optimizer import foc_residual
+from lanepolicy.optimizer import _split_lattice, foc_residual
 
 
 def run_dirs(out_dir: Path) -> list[Path]:
@@ -105,12 +105,12 @@ class TestCostCommand:
         assert code == 0
         results = read_manifest(tmp_path / "fixed_f")["results"]
         assert results["mode"] == "optimized R, fixed F"
-        # brute-force scan: every share on the lattice that the pinned
-        # frequency can carry, ties to the larger auto share
+        # brute-force scan: every share on the optimizer's split lattice that
+        # the pinned frequency can carry, ties to the larger auto share
         scen = Scenario()
         best = min(
             (cost_breakdown(scen, Policy.parse(policy), q0, r, f).total, -r)
-            for r in np.minimum(np.arange(0.0, 1.005, 0.01), 1.0)
+            for r in 1.0 - _split_lattice(scen.solver)
             if min_frequency(scen, q0, r) <= f + 1e-9
         )
         assert results["R"] == -best[1]
@@ -118,15 +118,15 @@ class TestCostCommand:
         assert results["F"] == f
         assert results["breakdown"]["total"] == pytest.approx(total_expected, rel=1e-12)
 
-    def test_fixed_f_with_no_carrying_split_exits_3(self, tmp_path):
-        # with r_step = 0.3 the lattice stops at R = 0.9, whose bus demand
-        # needs more than 20 buses/hr at q0 = 2000
+    def test_fixed_f_searches_the_optimizer_lattice(self, tmp_path):
+        # with r_step = 0.3 every split but R = 1 needs more than 20 buses/hr
+        # at q0 = 2000; the optimizer's lattice always holds R = 1
         code = main(
             ["cost", "--policy", "mtp", "--q0", "2000", "--F", "20",
-             "--set", "solver.r_step=0.3", "--out-dir", str(tmp_path)]
+             "--set", "solver.r_step=0.3", "--out-dir", str(tmp_path), "--run-name", "r1"]
         )
-        assert code == 3
-        assert list(tmp_path.iterdir()) == []
+        assert code == 0
+        assert read_manifest(tmp_path / "r1")["results"]["R"] == 1.0
 
     def test_share_step_that_overshoots_one(self, tmp_path):
         # 1/0.15 rounds up to 7 steps; the last bus share clips to 1
@@ -349,6 +349,28 @@ class TestScheduleCommand:
              "--out-dir", str(tmp_path)]
         )
         assert code == 2
+
+    def test_trajectory_file_excludes_clock_start(self, tmp_path):
+        traj = tmp_path / "t.csv"
+        traj.write_text(
+            "clock_time,t_hours,q0\n07:00,0.0,500.0\n07:30,0.5,505.0\n08:00,1.0,495.0\n"
+        )
+        out = tmp_path / "runs"
+        code = main(
+            ["schedule", "--trajectory", str(traj), "--clock-start", "9",
+             "--out-dir", str(out)]
+        )
+        assert code == 2
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_clock_start_defaults_to_seven(self, tmp_path):
+        assert main(["simulate", "--n", "1", *_GENERATOR, "--out-dir", str(tmp_path),
+                     "--run-name", "sim"]) == 0
+        assert read_manifest(tmp_path / "sim")["results"]["clock_start"] == 7.0
+        sched = [*self.schedule_args(tmp_path, "sched"), "--clock-start", "9"]
+        assert main(sched) == 0
+        summary = json.loads((tmp_path / "sched" / "schedule.json").read_text())
+        assert summary["entries"][0]["entry_clock"] == "09:00"
 
     def test_missing_trajectory_file_exits_4(self, tmp_path):
         code = main(

@@ -49,6 +49,12 @@ class TestPolicyEnum:
         with pytest.raises(ValidationError):
             Policy.parse("busway")
 
+    def test_parse_returns_a_policy_as_given(self):
+        assert Policy.parse(Policy.MTP) is Policy.MTP
+        for other in (3, None, 1.5):
+            with pytest.raises(ValidationError):
+                Policy.parse(other)
+
     def test_canonical_order(self):
         assert POLICY_ORDER == (Policy.MTP, Policy.EBLP, Policy.HOVLP)
 

@@ -15,7 +15,6 @@ from lanepolicy import (
     cumulative_demand,
     density,
     occupancy_split,
-    total_volume,
 )
 
 
@@ -145,23 +144,3 @@ class TestOccupancySplit:
         assert split.low_fraction / occ.low_occupancy == pytest.approx(
             mu / split.average_occupancy, abs=1e-12
         )
-
-
-class TestTotalVolume:
-    def test_definition(self):
-        f = make_field(q0=1000.0, r=0.9)
-        got = total_volume(f, average_occupancy=1.8, bus_pce=3.0, frequency=16.0, x=0.0)
-        expect = 0.9 * 1000.0 * 30.0 / 2.0 / 1.8 + 3.0 * 16.0
-        assert got == pytest.approx(expect, rel=1e-12)
-        assert expect == pytest.approx(7548.0)
-
-    def test_bus_only_term_at_corridor_end(self):
-        f = make_field()
-        assert total_volume(f, 1.8, 3.0, 10.0, 30.0) == pytest.approx(30.0)
-
-    def test_guards(self):
-        f = make_field()
-        with pytest.raises(ValidationError):
-            total_volume(f, 1.8, 3.0, -1.0, 0.0)
-        with pytest.raises(ValidationError):
-            total_volume(f, 0.0, 3.0, 10.0, 0.0)

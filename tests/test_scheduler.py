@@ -19,7 +19,6 @@ from lanepolicy import (
     build_schedule,
     evaluate_trajectory,
     format_timetable,
-    savings_report,
     schedule_summary,
     simulate,
     write_schedule_csv,
@@ -122,10 +121,8 @@ class TestBuildSchedule:
         assert sched.per_policy_cumulative[Policy.MTP] == pytest.approx(0.5 * (1.0 + 3.0))
         assert sched.per_policy_cumulative[Policy.EBLP] == pytest.approx(0.5 * (2.0 + 2.0))
         assert sched.combined_cumulative == pytest.approx(0.5 * (1.0 + 2.0))
-        report = savings_report(sched)
-        assert report[Policy.MTP] == pytest.approx((2.0 - 1.5) / 2.0)
-        assert report[Policy.EBLP] == pytest.approx((2.0 - 1.5) / 2.0)
-        assert sched.savings_vs == report
+        assert sched.savings_vs[Policy.MTP] == pytest.approx((2.0 - 1.5) / 2.0)
+        assert sched.savings_vs[Policy.EBLP] == pytest.approx((2.0 - 1.5) / 2.0)
 
     def test_switching_no_worse_than_any_single_policy(self):
         rng = np.random.default_rng(0)
@@ -218,6 +215,16 @@ class TestEvaluateTrajectory:
         assert len(only_m.entries) == 1
         assert pair.combined_cumulative <= only_m.combined_cumulative + 1e-9
         assert full.combined_cumulative <= pair.combined_cumulative + 1e-9
+
+    def test_policy_names_are_accepted(self, contrast: Scenario, coarse_traj):
+        named = evaluate_trajectory(contrast, coarse_traj, ["mtp", "hovlp"])
+        members = evaluate_trajectory(contrast, coarse_traj, [Policy.MTP, Policy.HOVLP])
+        assert named.best == members.best
+        assert named.policies == members.policies
+        for policy in members.policies:
+            assert np.array_equal(named.totals[policy], members.totals[policy])
+        with pytest.raises(ValidationError):
+            evaluate_trajectory(contrast, coarse_traj, ["mtp", "tram"])
 
     def test_allowed_set_validated(self, contrast: Scenario, coarse_traj):
         with pytest.raises(ValidationError):

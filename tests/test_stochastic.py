@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 
 import numpy as np
@@ -16,7 +15,6 @@ from lanepolicy import (
     read_trajectory_csv,
     simulate,
     simulate_ensemble,
-    write_ensemble,
     write_trajectory_csv,
 )
 from lanepolicy.stochastic import DEMAND_FLOOR, TRAJECTORY_CSV_COLUMNS, clock_label
@@ -104,6 +102,17 @@ class TestSimulate:
         with pytest.raises(ValidationError):
             simulate(OUParams(), seed=-1)
 
+    @pytest.mark.parametrize("seed", [3.7, True, "3"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValidationError):
+            simulate(OUParams(), horizon=1.0, dt=0.5, seed=seed)
+
+    def test_numpy_integer_seed(self):
+        a = simulate(OUParams(), horizon=1.0, dt=0.25, seed=np.int64(3))
+        b = simulate(OUParams(), horizon=1.0, dt=0.25, seed=3)
+        assert a.seed == 3 and type(a.seed) is int
+        assert np.array_equal(a.values, b.values)
+
     @pytest.mark.parametrize("arg", ["horizon", "dt", "t0_clock"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_arguments_rejected(self, arg: str, value: float):
@@ -157,6 +166,10 @@ class TestEnsemble:
     def test_n_validated(self):
         with pytest.raises(ValidationError):
             simulate_ensemble(OUParams(), n=0)
+
+    def test_non_integer_base_seed_rejected(self):
+        with pytest.raises(ValidationError):
+            simulate_ensemble(OUParams(), horizon=1.0, dt=0.5, n=2, base_seed=2.5)
 
 
 class TestTrajectoryCsv:
@@ -227,16 +240,15 @@ class TestTrajectoryCsv:
         assert back.n_steps == 2
         assert back.values[1] == pytest.approx(910.0)
 
+    @pytest.mark.parametrize("label", ["07:75", "25:00", "-1:30"])
+    def test_reader_rejects_out_of_range_clock_labels(self, tmp_path, label: str):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"clock_time,t_hours,q0\n{label},0.0,100.0\n08:00,0.5,100.0\n")
+        with pytest.raises(ValidationError):
+            read_trajectory_csv(bad)
 
-class TestWriteEnsemble:
-    def test_files_and_manifest(self, tmp_path):
-        trajs = simulate_ensemble(OUParams(), horizon=1.0, dt=0.5, n=2, base_seed=3)
-        write_ensemble(trajs, tmp_path, params=OUParams())
-        names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == ["manifest.json", "trajectory_seed3.csv", "trajectory_seed4.csv"]
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["dt_hr"] == pytest.approx(0.5)
-        assert len(manifest["trajectories"]) == 2
-        assert manifest["params"]["long_run_level"] == pytest.approx(1500.0)
-        back = read_trajectory_csv(tmp_path / "trajectory_seed3.csv")
-        np.testing.assert_allclose(back.values, trajs[0].values, atol=1e-5)
+    def test_reader_takes_the_last_minute_of_the_day(self):
+        back = read_trajectory_csv(
+            io.StringIO("clock_time,t_hours,q0\n23:59,0.0,100.0\n00:29,0.5,100.0\n")
+        )
+        assert back.t0_clock == pytest.approx(23.0 + 59.0 / 60.0)
