@@ -599,20 +599,23 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_generator_flags(parser: argparse.ArgumentParser, with_n: bool) -> None:
+    process = OUParams()
     parser.add_argument("--mean-reversion", type=float, default=None,
-                        help="pull rate toward the long-run level, 1/hr (default 1.5)")
+                        help="pull rate toward the long-run level, 1/hr "
+                             f"(default {process.mean_reversion:g})")
     parser.add_argument("--long-run-level", type=float, default=None,
-                        help="stationary demand level, pax/hr/mi (default 1500)")
+                        help="stationary demand level, pax/hr/mi "
+                             f"(default {process.long_run_level:g})")
     parser.add_argument("--volatility", type=float, default=None,
-                        help="noise intensity (default 0.3)")
+                        help=f"noise intensity (default {process.volatility:g})")
     parser.add_argument("--q0-init", type=float, default=None,
-                        help="initial demand density, pax/hr/mi (default 1000)")
+                        help=f"initial demand density, pax/hr/mi (default {process.q0_init:g})")
     parser.add_argument("--horizon", type=float, default=None,
-                        help="simulated hours (default 12)")
+                        help=f"simulated hours (default {DEFAULT_HORIZON_HR:g})")
     parser.add_argument("--dt", type=float, default=None,
-                        help="step size in hours (default 1/60)")
+                        help=f"step size in hours (default 1/{1.0 / DEFAULT_DT_HR:g})")
     parser.add_argument("--clock-start", type=float, default=None,
-                        help="clock hour of the first sample (default 7.0)")
+                        help=f"clock hour of the first sample (default {DEFAULT_CLOCK_START_HR})")
     if with_n:
         parser.add_argument("--n", type=int, default=10,
                             help="number of trajectories (default 10)")

@@ -4,7 +4,10 @@ Quadrature is composite Simpson on a fixed, evenly spaced corridor grid over
 node-sampled values; the cumulative variant integrates pairwise so that its
 final node reproduces the plain composite rule bit for bit.  Both take
 stacked integrands whose last axis runs over the nodes, and give each row
-exactly its one-row result.  Root finding is plain bisection.
+exactly its one-row result.  Root finding is bisection batched over the
+bisection tree: each call of the function prices every midpoint that the
+next two steps could visit, and the walk makes the one-point bisection's
+decisions, so it returns the one-point result bit for bit.
 """
 
 from __future__ import annotations
@@ -128,39 +131,96 @@ def integrate_values(values: Sequence[float] | np.ndarray, grid: CorridorGrid):
     return float(out) if v.ndim == 1 else out
 
 
+# Bisection levels priced per call of ``g`` in :func:`find_root`: each call
+# prices every midpoint the next two steps could visit.  Deeper levels price
+# more points that the walk discards; on the threshold search three levels
+# were no faster than two, and four or more were slower.
+_BISECT_LEVELS = 2
+_NODES = 2**_BISECT_LEVELS - 1  # midpoints in one call's tree
+
+
+def _values(g: Callable[[np.ndarray], np.ndarray], points: list[float]) -> list[float]:
+    xs = np.array(points, dtype=float)
+    return np.broadcast_to(np.asarray(g(xs), dtype=float), xs.shape).tolist()
+
+
+def _not_finite(message: str, x: float) -> NumericDomainError:
+    """The error for a visited point ``x`` where ``g`` is not finite; ``x``
+    rides on it so that a caller can raise its own error for that point."""
+    exc = NumericDomainError(message)
+    exc.x = x
+    return exc
+
+
+def _midpoint_tree(a: float, b: float, tol: float) -> dict[int, float]:
+    """The midpoints that the next :data:`_BISECT_LEVELS` bisection steps
+    from [a, b] could visit, keyed by tree position: node k's left child is
+    2k + 1, its right child 2k + 2.  A step the walk would not take (width at
+    most ``tol``, or no float strictly inside) adds no node."""
+    tree = {}
+    stack = [(0, a, b)]
+    while stack:
+        k, a, b = stack.pop()
+        if k >= _NODES or not b - a > tol:
+            continue
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            continue
+        tree[k] = mid
+        stack += [(2 * k + 1, a, mid), (2 * k + 2, mid, b)]
+    return tree
+
+
 def find_root(
-    g: Callable[[float], float],
+    g: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     tol: float = 1e-9,
 ) -> float:
     """Bisect ``g`` on [lo, hi] down to interval width ``tol``.
 
+    ``g`` maps a 1-D array of points to their values (anything that
+    broadcasts to the points' shape).  One call prices both bracket ends;
+    each later call prices every midpoint that the next
+    :data:`_BISECT_LEVELS` steps could visit.  The walk then makes the
+    one-point bisection's decisions in its order, so the result does not
+    depend on the batching, and a value at a point the walk does not visit
+    is never read.
+
     :raises BracketError: when ``g(lo)`` and ``g(hi)`` have the same sign.
+    :raises NumericDomainError: when ``g`` is not finite at a visited point;
+        its ``x`` attribute is the first such point.
     """
     if tol <= 0:
         raise ValidationError(f"tol must be positive, got {tol}")
     a, b = (lo, hi) if lo <= hi else (hi, lo)
-    ga, gb = float(g(a)), float(g(b))
+    ga, gb = _values(g, [a, b])
     if not (math.isfinite(ga) and math.isfinite(gb)):
-        raise NumericDomainError(f"bracket endpoints evaluate non-finite: g({a})={ga}, g({b})={gb}")
+        raise _not_finite(
+            f"bracket endpoints evaluate non-finite: g({a})={ga}, g({b})={gb}",
+            a if not math.isfinite(ga) else b,
+        )
     if ga == 0.0:
         return a
     if gb == 0.0:
         return b
     if ga * gb > 0:
         raise BracketError(f"no sign change on [{a}, {b}]: g(a)={ga:.6g}, g(b)={gb:.6g}")
+    k, priced = _NODES, {}
     while b - a > tol:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             break  # float resolution exhausted
-        gm = float(g(mid))
+        if k >= _NODES:  # past the priced tree: price the next one
+            tree = _midpoint_tree(a, b, tol)
+            k, priced = 0, dict(zip(tree, _values(g, list(tree.values()))))
+        gm = priced[k]
         if not math.isfinite(gm):
-            raise NumericDomainError(f"g is not finite at x={mid}")
+            raise _not_finite(f"g is not finite at x={mid}", mid)
         if gm == 0.0:
             return mid
         if ga * gm < 0:
-            b = mid
+            b, k = mid, 2 * k + 1
         else:
-            a, ga = mid, gm
+            a, ga, k = mid, gm, 2 * k + 2
     return 0.5 * (a + b)

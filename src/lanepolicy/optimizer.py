@@ -34,7 +34,8 @@ central finite difference of total cost in F (:func:`foc_residual`) and the
 demand-weighted disutility gap between the modes (:func:`equilibrium_gap`).
 The ``equilibrium`` split rule replaces the outer cost scan with a root solve
 on the signed gap, bracketed on one batched scan of the interior shares whose
-gaps, each at its share's optimal frequency, are priced in one stacked pass.
+gaps, each at its share's optimal frequency, are priced in stacked passes;
+each bisection call prices its up to three shares the same way.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .costmodel import (
     cost_breakdowns,
     mean_auto_disutility,
 )
-from .errors import InfeasibleError, ValidationError
+from .errors import InfeasibleError, NumericDomainError, ValidationError
 from .numeric import find_root, integrate_values
 
 __all__ = [
@@ -327,45 +328,54 @@ def _best_split_cost_min(scenario: Scenario, policy: Policy, q0s: np.ndarray) ->
     return out
 
 
+def _signed_gaps(scenario: Scenario, policy: Policy, q0: float, auto_shares: np.ndarray):
+    """Signed :func:`equilibrium_gap` at each interior share's optimal
+    frequency, NaN where the share is infeasible: one
+    :func:`_frequency_optima` call, then the gaps in stacked passes of
+    :data:`_PRICE_BLOCK` points."""
+    f_star, cost = _frequency_optima(scenario, policy, q0, auto_shares)
+    gaps = np.full(auto_shares.shape, np.nan)
+    feasible = np.flatnonzero(np.isfinite(cost))
+    for k in range(0, feasible.size, _PRICE_BLOCK):
+        b = feasible[k : k + _PRICE_BLOCK]
+        gaps[b] = _disutility_gap(
+            _context(scenario, q0, auto_shares[b], f_star[b]), policy, signed=True
+        )
+    return gaps
+
+
 def _best_split_equilibrium(scenario: Scenario, policy: Policy, q0: float):
     """Mode split where auto and bus disutilities balance, frequency re-optimized."""
     solver = scenario.solver
-
-    def signed_gap(auto_share: float) -> float:
-        frequency = optimize_frequency(scenario, policy, q0, auto_share)[0]
-        return equilibrium_gap(scenario, policy, q0, auto_share, frequency, signed=True)
-
     # the service-capacity floor makes low auto shares infeasible; the
     # feasible region is an upper interval of R, so consecutive feasible
     # samples still bracket any interior root
     lattice = np.arange(solver.r_step, 1.0 - solver.r_step + 1e-12, solver.r_step)
-    f_star, cost = _frequency_optima(scenario, policy, q0, lattice)
-    feasible = np.isfinite(cost)
+    gaps = _signed_gaps(scenario, policy, q0, lattice)
+    feasible = ~np.isnan(gaps)
     if not feasible.any():
         raise InfeasibleError(
             f"no feasible interior mode split at q0={q0:g} for the equilibrium rule"
         )
-    # every sample is an interior share at q0 > 0, so each has a gap
-    shares, frequencies = lattice[feasible], f_star[feasible]
-    blocks = [slice(k, k + _PRICE_BLOCK) for k in range(0, shares.size, _PRICE_BLOCK)]
-    gaps = [
-        _disutility_gap(_context(scenario, q0, shares[b], frequencies[b]), policy, signed=True)
-        for b in blocks
-    ]
-    samples = [float(r) for r in shares]
-    values = [float(gap) for gap in np.concatenate(gaps)]
+    samples = [float(r) for r in lattice[feasible]]
+    values = [float(gap) for gap in gaps[feasible]]
     root = None
     for i in range(len(samples) - 1):
         if values[i] == 0.0:
             root = samples[i]
             break
         if values[i] * values[i + 1] < 0:
-            root = find_root(
-                signed_gap,
-                samples[i],
-                samples[i + 1],
-                tol=solver.r_step / solver.r_refine_factor,
-            )
+            try:
+                root = find_root(
+                    lambda shares: _signed_gaps(scenario, policy, q0, shares),
+                    samples[i],
+                    samples[i + 1],
+                    tol=solver.r_step / solver.r_refine_factor,
+                )
+            except NumericDomainError as exc:
+                # a visited share without an optimal frequency: raise its error
+                optimize_frequency(scenario, policy, q0, exc.x)
+                raise
             break
     if root is None:
         # no interior equilibrium: report the corner-most sampled split

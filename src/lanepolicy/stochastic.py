@@ -17,8 +17,9 @@ base_seed, base_seed + 1, ...  Same seed and parameters give bitwise-identical
 values.
 
 A trajectory file is one CSV (clock_time, t_hours, q0) whose first clock_time
-is the start of day as HH:MM; ``lanepolicy simulate`` writes an ensemble as
-one such file per seed in its run directory.
+is the start of day as HH:MM, and whose every later label is that start plus
+the sample's elapsed time, to the minute; ``lanepolicy simulate`` writes an
+ensemble as one such file per seed in its run directory.
 
 The default experiment parameters (rate 1.5/hr, level 1500 pax/hr/mi,
 volatility 0.3, initial 1000, horizon 12 hr from 07:00, 1-minute steps) are
@@ -227,8 +228,10 @@ def read_trajectory_csv(file: str | os.PathLike | IO[str]) -> Trajectory:
 
     Comment lines starting with ``#`` are skipped.  The step size is taken
     from the t_hours column (which must be uniform) and the clock start from
-    the first clock_time label.  The returned trajectory carries seed -1 to
-    mark an external source.
+    the first clock_time label.  Every label must be HH:MM from 00:00 to 23:59
+    and lie within a minute, mod 24 h, of the clock start plus its sample's
+    elapsed t_hours.  The returned trajectory carries seed -1 to mark an
+    external source.
     """
     if hasattr(file, "read"):
         return _read_trajectory_rows(file)
@@ -259,11 +262,28 @@ def _read_trajectory_rows(handle: IO[str]) -> Trajectory:
         raise ValidationError("trajectory t_hours column must be uniformly spaced")
     if np.any(q <= 0.0):
         raise ValidationError("trajectory q0 values must be positive")
-    label = body[0][0]
-    clock = re.fullmatch(r"([01]?[0-9]|2[0-3]):([0-5][0-9])", label, re.ASCII)
-    if clock is None:
-        raise ValidationError(f"bad clock_time label {label!r}; expected HH:MM from 00:00 to 23:59")
-    t0_clock = int(clock[1]) + int(clock[2]) / 60.0
+    clocks = []
+    for row in body:
+        clock = re.fullmatch(r"([01]?[0-9]|2[0-3]):([0-5][0-9])", row[0], re.ASCII)
+        if clock is None:
+            raise ValidationError(
+                f"bad clock_time label {row[0]!r}; expected HH:MM from 00:00 to 23:59"
+            )
+        clocks.append((int(clock[1]), int(clock[2])))
+    t0_clock = clocks[0][0] + clocks[0][1] / 60.0
+    # Each label rounds its own time to the minute, as does the first, so a
+    # label may sit up to a minute from the first label plus its elapsed
+    # time; the slack covers the 6-decimal rounding of t_hours.
+    minutes = np.array([60 * hh + mm for hh, mm in clocks])
+    drift = (minutes - minutes[0] - 60.0 * (t - t[0]) + 720.0) % 1440.0 - 720.0
+    late = np.flatnonzero(np.abs(drift) > 1.0 + 1e-3)
+    if late.size:
+        i = late[0]
+        expected = clock_label(t0_clock + t[i] - t[0])
+        raise ValidationError(
+            f"clock_time label {body[i][0]!r} at t_hours {body[i][1]} is out of sequence: "
+            f"the first label {body[0][0]!r} puts that sample at {expected}"
+        )
     floors = int(np.sum(q <= DEMAND_FLOOR))
     q.setflags(write=False)
     return Trajectory(t0_clock=t0_clock, dt=dt, values=q, seed=-1, floor_events=floors)

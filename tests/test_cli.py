@@ -279,6 +279,29 @@ class TestSimulateCommand:
     def test_rejects_nonpositive_count(self, tmp_path):
         assert main(["simulate", "--n", "0", "--out-dir", str(tmp_path)]) == 2
 
+    def test_help_shows_the_process_defaults(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--help"])
+        assert err.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for flag, default in (
+            ("--mean-reversion", "1.5"), ("--long-run-level", "1500"), ("--volatility", "0.3"),
+            ("--q0-init", "1000"), ("--horizon", "12"), ("--dt", "1/60"), ("--clock-start", "7.0"),
+        ):
+            help_line = text[text.rindex(f"{flag} {flag[2:].upper().replace('-', '_')}"):]
+            assert help_line.split(")")[0].endswith(f"(default {default}"), flag
+
+    def test_help_reads_the_defaults_from_the_process(self, capsys, monkeypatch):
+        from lanepolicy import OUParams, cli
+
+        monkeypatch.setattr(cli, "OUParams", lambda: OUParams(volatility=0.45))
+        monkeypatch.setattr(cli, "DEFAULT_DT_HR", 1.0 / 120.0)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["simulate", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "noise intensity (default 0.45)" in text
+        assert "step size in hours (default 1/120)" in text
+
 
 CONTRAST_SETS = [
     "--set", "occupancy.low_share=0.8",

@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lanepolicy import BracketError, NumericDomainError, ValidationError
+from lanepolicy import numeric
 from lanepolicy.numeric import (
     CorridorGrid,
     cumulative_values,
@@ -106,3 +109,130 @@ class TestFindRoot:
         with pytest.raises(NumericDomainError):
             find_root(lambda x: float("nan"), 0.0, 1.0)
 
+
+
+def _one_point_bisection(f, lo, hi, tol):
+    """Plain bisection that prices one point per call of ``f``: the walk
+    that :func:`find_root` batches."""
+    a, b = (lo, hi) if lo <= hi else (hi, lo)
+    ga, gb = float(f(a)), float(f(b))
+    if not (math.isfinite(ga) and math.isfinite(gb)):
+        raise NumericDomainError(f"bracket endpoints evaluate non-finite: g({a})={ga}, g({b})={gb}")
+    if ga == 0.0:
+        return a
+    if gb == 0.0:
+        return b
+    if ga * gb > 0:
+        raise BracketError(f"no sign change on [{a}, {b}]: g(a)={ga:.6g}, g(b)={gb:.6g}")
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            break
+        gm = float(f(mid))
+        if not math.isfinite(gm):
+            raise NumericDomainError(f"g is not finite at x={mid}")
+        if gm == 0.0:
+            return mid
+        if ga * gm < 0:
+            b = mid
+        else:
+            a, ga = mid, gm
+    return 0.5 * (a + b)
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args).hex()
+    except NumericDomainError as exc:
+        return type(exc), str(exc)
+
+
+_coefficient = st.floats(-1e3, 1e3, allow_nan=False)
+_end = st.floats(-50.0, 50.0, allow_nan=False)
+_tol = st.sampled_from([1e-12, 1e-9, 1e-3, 0.7])
+
+
+class TestBatchedBisection:
+    @given(st.tuples(_coefficient, _coefficient, _coefficient, _coefficient), _end, _end, _tol)
+    def test_random_cubics_match_one_point_bisection(self, coefficients, lo, hi, tol):
+        c3, c2, c1, c0 = coefficients
+
+        def cubic(x):
+            return ((c3 * x + c2) * x + c1) * x + c0
+
+        assert _outcome(find_root, cubic, lo, hi, tol) == _outcome(
+            _one_point_bisection, cubic, lo, hi, tol
+        )
+
+    @given(
+        st.integers(-100, 100), st.integers(1, 64), st.lists(st.booleans(), max_size=30),
+        st.sampled_from([1.0, -1.0]), _coefficient,
+    )
+    def test_root_on_a_midpoint_returned_exactly(self, lo, width, path, sign, shift):
+        # the root is the midpoint the walk reaches by following ``path``
+        a, b = float(lo), float(lo + width)
+        root = 0.5 * (a + b)
+        for right in path:
+            a, b = (root, b) if right else (a, root)
+            root = 0.5 * (a + b)
+
+        def g(x):
+            return sign * (x - root) * (x * x + abs(shift) + 1.0)
+
+        got = find_root(g, float(lo), float(lo + width), tol=1e-12)
+        assert got == root
+        assert got == _one_point_bisection(g, float(lo), float(lo + width), 1e-12)
+
+    def test_bracket_two_ulps_wide(self):
+        lo = 1.0
+        hi = np.nextafter(np.nextafter(lo, 2.0), 2.0)
+        middle = np.nextafter(lo, 2.0)
+        for g in (lambda x: x - hi, lambda x: x - lo - 1e-300, lambda x: lo - x + 1e-17):
+            got = find_root(g, lo, float(hi), tol=1e-300)
+            assert got == _one_point_bisection(g, lo, float(hi), 1e-300)
+            assert lo <= got <= hi
+        # the one float inside is the only midpoint: no float lies strictly
+        # inside either half
+        sizes = []
+
+        def sized(x):
+            sizes.append(x.size)
+            return x - lo - 1e-300
+
+        find_root(sized, lo, float(hi), tol=1e-300)
+        assert sizes == [2, 1]
+        assert find_root(lambda x: x - middle, lo, float(hi), tol=1e-300) == middle
+
+    def test_non_finite_value_off_the_walk_is_ignored(self):
+        priced = []
+
+        def g(x):
+            priced.extend(x.tolist())
+            return np.where(x == 3.0, np.nan, x - 1.2)
+
+        # from [0, 4] the walk visits 2 and then 1, never 3
+        got = find_root(g, 0.0, 4.0, tol=1e-6)
+        assert 3.0 in priced
+        assert got == _one_point_bisection(lambda x: x - 1.2, 0.0, 4.0, 1e-6)
+
+    def test_non_finite_value_on_the_walk_raises_with_its_point(self):
+        with pytest.raises(NumericDomainError, match="not finite at x=1.0") as info:
+            find_root(lambda x: np.where(x == 1.0, np.nan, x - 1.2), 0.0, 4.0, tol=1e-6)
+        assert info.value.x == 1.0
+
+    def test_each_call_prices_the_next_two_levels(self):
+        sizes = []
+
+        def g(x):
+            sizes.append(x.size)
+            return x - 0.3
+
+        find_root(g, 0.0, 1.0, tol=1e-3)
+        assert numeric._BISECT_LEVELS == 2
+        # two ends, then 3 midpoints per two of the 10 halvings down to 1e-3
+        assert sizes == [2, 3, 3, 3, 3, 3]
+        sizes.clear()
+        find_root(g, 0.0, 1.0, tol=3e-3)
+        # 9 halvings: the last call prices only the midpoint of a cell whose
+        # halves are already within tolerance
+        assert sizes == [2, 3, 3, 3, 3, 1]

@@ -479,13 +479,48 @@ class TestOptimizePolicies:
             calls.append(args[3])
             return scalar_gap(*args, **kwargs)
 
+        bisections = []
+        find_root = optimizer.find_root
+
+        def bisect(*args, **kwargs):
+            bisections.append(args[1:3])
+            return find_root(*args, **kwargs)
+
         monkeypatch.setattr(optimizer, "equilibrium_gap", counted)
+        monkeypatch.setattr(optimizer, "find_root", bisect)
         optimizer._optimize_policy_cached.cache_clear()
         optimize_policy(scen, Policy.MTP, 1000.0)
         optimizer._optimize_policy_cached.cache_clear()
-        # only the bisection prices one share at a time: two bracket ends and
-        # log2(r_step / tolerance) = log2(10) < 4 halvings
-        assert 0 < len(calls) <= 6
+        # the scan and the bisection both price gaps in stacked passes
+        assert len(bisections) == 1
+        assert calls == []
+
+    def test_equilibrium_bisection_reports_an_infeasible_share(self, monkeypatch):
+        scen = load_scenario({"solver": {"split_rule": "equilibrium"}})
+        brackets = []
+        find_root = optimizer.find_root
+
+        def bisect(g, lo, hi, tol):
+            brackets.append((lo, hi))
+            return find_root(g, lo, hi, tol=tol)
+
+        monkeypatch.setattr(optimizer, "find_root", bisect)
+        optimizer._optimize_policy_cached.cache_clear()
+        optimize_policy(scen, Policy.MTP, 1000.0)
+        [(lo, hi)] = brackets
+        frequency_optima = optimizer._frequency_optima
+
+        def failing(scenario, policy, q0, auto_shares, *args, **kwargs):
+            f, cost = frequency_optima(scenario, policy, q0, auto_shares, *args, **kwargs)
+            return f, np.where(auto_shares == 0.5 * (lo + hi), np.inf, cost)
+
+        # the bisection's first midpoint has no feasible frequency: the
+        # density fails as the one-share search fails there
+        monkeypatch.setattr(optimizer, "_frequency_optima", failing)
+        optimizer._optimize_policy_cached.cache_clear()
+        with pytest.raises(InfeasibleError, match="every candidate evaluated non-finite"):
+            optimize_policy(scen, Policy.MTP, 1000.0)
+        optimizer._optimize_policy_cached.cache_clear()
 
     def test_validation(self, baseline: Scenario):
         for q0s in (

@@ -252,3 +252,33 @@ class TestTrajectoryCsv:
             io.StringIO("clock_time,t_hours,q0\n23:59,0.0,100.0\n00:29,0.5,100.0\n")
         )
         assert back.t0_clock == pytest.approx(23.0 + 59.0 / 60.0)
+
+    def test_reader_checks_every_clock_label(self):
+        for labels in (("07:00", "99:99", "foo"), ("07:00", "07:30", "7:6")):
+            rows = "".join(f"{label},{0.5 * k},100.0\n" for k, label in enumerate(labels))
+            with pytest.raises(ValidationError, match="bad clock_time label"):
+                read_trajectory_csv(io.StringIO("clock_time,t_hours,q0\n" + rows))
+
+    @pytest.mark.parametrize(
+        "labels", [("07:00", "07:35", "08:00"), ("07:00", "08:00", "07:30"), ("07:00", "07:30", "20:00")]
+    )
+    def test_reader_rejects_out_of_sequence_labels(self, labels):
+        rows = "".join(f"{label},{0.5 * k},100.0\n" for k, label in enumerate(labels))
+        with pytest.raises(ValidationError, match="out of sequence"):
+            read_trajectory_csv(io.StringIO("clock_time,t_hours,q0\n" + rows))
+
+    def test_reader_accepts_labels_a_minute_off_and_past_midnight(self):
+        back = read_trajectory_csv(
+            io.StringIO("clock_time,t_hours,q0\n23:30,0.0,100.0\n00:01,0.5,100.0\n00:29,1.0,100.0\n")
+        )
+        assert back.t0_clock == pytest.approx(23.5)
+
+    @pytest.mark.parametrize("dt", [1.0 / 60.0, 1.0 / 120.0])
+    @pytest.mark.parametrize("t0_clock", [7.0, 23.9, 6.0 + 1.0 / 120.0])
+    def test_round_trip_at_sub_hour_steps(self, dt: float, t0_clock: float):
+        traj = simulate(OUParams(), horizon=3.0, dt=dt, seed=1, t0_clock=t0_clock)
+        buf = io.StringIO()
+        write_trajectory_csv(traj, buf)
+        back = read_trajectory_csv(io.StringIO(buf.getvalue()))
+        assert abs(back.dt - dt) < 1e-9
+        assert back.n_steps == traj.n_steps

@@ -173,6 +173,60 @@ class TestFindThreshold:
         assert (flipped.cheaper_below, flipped.cheaper_above) == (Policy.HOVLP, Policy.EBLP)
 
 
+class TestBoundaryBisection:
+    def test_find_threshold_solver_calls(self, contrast: Scenario, monkeypatch):
+        memo = optimizer._optimize_policy_cached
+        solve = memo._solve
+        calls = []
+
+        def counted(scenario, policy, q0s):
+            calls.append((policy, len(q0s)))
+            return solve(scenario, policy, q0s)
+
+        monkeypatch.setattr(memo, "_solve", counted)
+        memo.cache_clear()
+        res = find_threshold(contrast, Policy.MTP, Policy.HOVLP, 177.0, 2214.0)
+        memo.cache_clear()
+        assert res.q0_star == pytest.approx(657.9, abs=0.1)
+        # one call per policy for the 33-point scan; then the 6 bisection
+        # steps in the crossing's cell, two levels per call and policy
+        assert calls == [(Policy.MTP, 33), (Policy.HOVLP, 33)] + [
+            (Policy.MTP, 3), (Policy.HOVLP, 3)
+        ] * 3
+
+    @staticmethod
+    def _infeasible_at(monkeypatch, bad) -> list[float]:
+        """Make HOVLP infeasible at every density that ``bad`` accepts."""
+        memo = optimizer._optimize_policy_cached
+        errors = []
+
+        def failing(scenario, policy, q0s):
+            found = memo(scenario, policy, q0s)
+            if policy is not Policy.HOVLP:
+                return found
+            errors.extend(q0 for q0 in q0s if bad(q0))
+            return [
+                InfeasibleError(f"no optimum at q0={q0}") if bad(q0) else optimum
+                for q0, optimum in zip(q0s, found)
+            ]
+
+        monkeypatch.setattr(optimizer, "_optimize_policy_cached", failing)
+        return errors
+
+    def test_infeasible_density_on_the_walk_raises(self, contrast: Scenario, monkeypatch):
+        # 200 + 62.5 * 7.5, the first midpoint of the cell [637.5, 700]
+        self._infeasible_at(monkeypatch, lambda q0: q0 == 668.75)
+        with pytest.raises(InfeasibleError, match="no optimum at q0=668.75"):
+            find_threshold(contrast, Policy.MTP, Policy.HOVLP, 200.0, 2200.0)
+
+    def test_infeasible_density_off_the_walk_is_ignored(self, contrast: Scenario, monkeypatch):
+        expected = find_threshold(contrast, Policy.MTP, Policy.HOVLP, 200.0, 2200.0)
+        # the walk from [637.5, 700] goes left of 668.75, never to 684.375
+        errors = self._infeasible_at(monkeypatch, lambda q0: q0 == 684.375)
+        assert find_threshold(contrast, Policy.MTP, Policy.HOVLP, 200.0, 2200.0) == expected
+        assert errors == [684.375]
+
+
 class TestPolicyRegions:
     def test_contrast_scenario_switches_once(self, contrast: Scenario):
         regions = policy_regions(contrast, (200.0, 1200.0), 200.0)
