@@ -26,9 +26,8 @@ signage cost and the moment tables of :mod:`lanepolicy._fsweep` all read it.
 Each of q0, R and F may be one value or a 1-D array aligned with the
 others.  With any array every node profile is (n_points, nodes) and every
 cost component an (n_points,) array, each row priced by exactly the
-arithmetic of its one-point case: :func:`cost_breakdowns` and
-:func:`cost_totals` are that batched form and :func:`cost_breakdown` its
-one-point case.
+arithmetic of its one-point case: :func:`cost_breakdowns` is that batched
+form and :func:`cost_breakdown` its one-point case.
 
 Positions are miles from the outer boundary; all travelers move toward the
 inner end, so flows at x accumulate demand from [x, length].
@@ -71,7 +70,6 @@ __all__ = [
     "mean_auto_disutility",
     "cost_breakdown",
     "cost_breakdowns",
-    "cost_totals",
 ]
 
 
@@ -219,9 +217,9 @@ def _col(value):
 class EvaluationContext:
     """One (scenario, q0, R, F) operating point with tabulated node profiles.
 
-    :func:`cost_breakdowns` and :func:`cost_totals` also build one over a
-    stack of points: each of q0, R and F is then a scalar or a 1-D array
-    aligned with the others, and every node profile is (n_points, nodes).
+    :func:`cost_breakdowns` also builds one over a stack of points: each of
+    q0, R and F is then a scalar or a 1-D array aligned with the others, and
+    every node profile is (n_points, nodes).
     A stacked context is priced at the grid nodes only.
 
     Profiles are computed lazily per (policy, class) and memoized, so nested
@@ -576,18 +574,6 @@ def cost_breakdown(
     return CostBreakdown(*_components(ctx, policy))
 
 
-def _stacked_components(scenario: Scenario, policy: Policy, q0, auto_share, frequency):
-    """The four checked components at each of a 1-D array of points, each an
-    (n_points,) array priced in one stacked pass."""
-    points = [np.asarray(v, dtype=float) for v in (q0, auto_share, frequency)]
-    ctx = _context(scenario, *points)
-    shape = np.broadcast_shapes(*(v.shape for v in points))
-    if len(shape) != 1:
-        raise ValidationError(f"operating points must form a 1-D array, got shape {shape}")
-    parts = _components(ctx, policy)
-    return [np.broadcast_to(_checked(name, part), shape) for name, part in zip(_COMPONENTS, parts)]
-
-
 def cost_breakdowns(
     scenario: Scenario, policy: Policy, q0, auto_share, frequency
 ) -> list[CostBreakdown]:
@@ -597,24 +583,14 @@ def cost_breakdowns(
     array aligned with the others.  The points are priced in one stacked
     pass, every float as :func:`cost_breakdown` gives it for that point.
     """
+    points = [np.asarray(v, dtype=float) for v in (q0, auto_share, frequency)]
+    ctx = _context(scenario, *points)
+    shape = np.broadcast_shapes(*(v.shape for v in points))
+    if len(shape) != 1:
+        raise ValidationError(f"operating points must form a 1-D array, got shape {shape}")
+    parts = zip(_COMPONENTS, _components(ctx, policy))
     return [
         CostBreakdown(*row)
-        for row in zip(*_stacked_components(scenario, policy, q0, auto_share, frequency))
+        for row in zip(*(np.broadcast_to(_checked(name, part), shape) for name, part in parts))
     ]
 
-
-def cost_totals(
-    scenario: Scenario, policy: Policy, q0, auto_share, frequencies
-) -> np.ndarray:
-    """Total hourly system cost at each of a 1-D array of operating points.
-
-    Each of ``q0``, ``auto_share`` and ``frequencies`` is a scalar or a 1-D
-    array aligned with the others.  Each entry is the ``total`` of
-    :func:`cost_breakdown` at its point, bit for bit: the same components,
-    checked and clipped as :class:`CostBreakdown` does, summed in the same
-    order.
-    """
-    bus_user, bus_operator, auto_user, signal = _stacked_components(
-        scenario, policy, q0, auto_share, frequencies
-    )
-    return bus_user + bus_operator + auto_user + signal

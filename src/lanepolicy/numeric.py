@@ -25,6 +25,7 @@ __all__ = [
     "CorridorGrid",
     "integrate_values",
     "cumulative_values",
+    "cumulative_kernel",
     "dot_rows",
     "find_root",
 ]
@@ -102,6 +103,22 @@ def cumulative_values(values: Sequence[float] | np.ndarray, grid: CorridorGrid) 
     out[..., 2::2] = np.cumsum(h / 3.0 * (f0 + 4.0 * f1 + f2), axis=-1)
     # odd node k sits half a pair above even node k-1
     out[..., 1::2] = out[..., :-2:2] + h / 12.0 * (5.0 * f0 + 8.0 * f1 - f2)
+    return out
+
+
+def cumulative_kernel(weights: np.ndarray, grid: CorridorGrid) -> np.ndarray:
+    """The kernel K with ``cumulative_values(v, grid) @ weights == v @ K`` for
+    every node profile v, to rounding: the adjoint of the cumulative rule.  A
+    pair's increment is weighted by the tail sum of ``weights`` from its right
+    end, a half-pair's by its odd node's weight; the half-pair's -h/12 can
+    leave an entry negative."""
+    h = grid.h
+    tail = h / 3.0 * np.cumsum(weights[::-1])[::-1][2::2]  # per pair, from its right end
+    half = h / 12.0 * weights[1::2]
+    out = np.zeros(grid.nodes.shape)
+    out[:-2:2] += tail + 5.0 * half
+    out[1::2] += 4.0 * tail + 8.0 * half
+    out[2::2] += tail - half
     return out
 
 

@@ -187,11 +187,9 @@ def _winnable(sweep: FrequencySweep, groups, f_min, first, cap) -> np.ndarray:
     1e-9*|U| on U absorbs the rounding of bound and totals: they add the
     same terms in different orders, and with the model's nonnegative cost
     rates each sum is within a few ulps of exact.  A NaN bound or U keeps the
-    row; a table-less sweep has no bound and keeps every row.
+    row.
     """
     bounds = sweep.lower_bounds(np.maximum(1.0, f_min - 1e-9), cap)
-    if bounds is None:
-        return np.ones(groups.shape, dtype=bool)
     order = np.lexsort((bounds, groups))
     lowest = order[np.r_[True, np.diff(groups[order]) != 0]]
     upper = sweep.subset(lowest).totals(np.minimum(first[lowest], cap)[:, None])[:, 0]

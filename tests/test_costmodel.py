@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from lanepolicy import (
 from lanepolicy.costmodel import (
     build_context,
     cost_breakdowns,
-    cost_totals,
     delay_args,
     signal_auto_pax,
 )
@@ -347,19 +347,19 @@ class TestCostBreakdown:
     @pytest.mark.parametrize("policy", POLICY_ORDER)
     def test_batched_totals_match_breakdowns(self, baseline: Scenario, policy):
         fs = np.array([0.5, 16.0, 37.3, 120.0])
-        got = cost_totals(baseline, policy, 1000.0, 0.75, fs)
+        got = [b.total for b in cost_breakdowns(baseline, policy, 1000.0, 0.75, fs)]
         expected = [cost_breakdown(baseline, policy, 1000.0, 0.75, f).total for f in fs]
         np.testing.assert_allclose(got, expected, rtol=5e-12)
 
     def test_batched_totals_keep_the_checks(self, baseline: Scenario):
         with pytest.raises(UndefinedServiceError):
-            cost_totals(baseline, Policy.MTP, 1000.0, 0.75, np.array([8.0, 0.0]))
+            cost_breakdowns(baseline, Policy.MTP, 1000.0, 0.75, np.array([8.0, 0.0]))
         with pytest.raises(ValidationError):
-            cost_totals(baseline, Policy.MTP, 1000.0, 0.75, np.array([8.0, -1.0]))
+            cost_breakdowns(baseline, Policy.MTP, 1000.0, 0.75, np.array([8.0, -1.0]))
         # F = 0 is defined when no one rides the bus
-        no_bus = cost_totals(baseline, Policy.EBLP, 1000.0, 1.0, np.array([0.0, 4.0]))
+        no_bus = cost_breakdowns(baseline, Policy.EBLP, 1000.0, 1.0, np.array([0.0, 4.0]))
         expected = cost_breakdown(baseline, Policy.EBLP, 1000.0, 1.0, 0.0).total
-        assert no_bus[0] == pytest.approx(expected, rel=5e-12)
+        assert no_bus[0].total == pytest.approx(expected, rel=5e-12)
 
     def test_public_context_takes_one_frequency(self, baseline: Scenario):
         # the node-level functions interpolate one profile per context
@@ -423,30 +423,29 @@ class TestStackedPoints:
         got = cost_breakdowns(scen, policy, *_POINTS)
         expected = [cost_breakdown(scen, policy, *map(float, point)) for point in zip(*_POINTS)]
         assert [dataclasses.astuple(b) for b in got] == [dataclasses.astuple(b) for b in expected]
-        assert list(cost_totals(scen, policy, *_POINTS)) == [b.total for b in expected]
 
     @pytest.mark.parametrize("beta_auto", [4.0, 4.5])
     @pytest.mark.parametrize("policy", POLICY_ORDER)
     def test_totals_equal_breakdown_totals(self, policy, beta_auto):
         scen = load_scenario({"bpr": {"beta_auto": beta_auto}})
         fs = np.array([0.5, 16.0, 37.3, 120.0])
-        got = cost_totals(scen, policy, 1000.0, 0.75, fs)
-        assert list(got) == [cost_breakdown(scen, policy, 1000.0, 0.75, f).total for f in fs]
+        got = [b.total for b in cost_breakdowns(scen, policy, 1000.0, 0.75, fs)]
+        assert got == [cost_breakdown(scen, policy, 1000.0, 0.75, f).total for f in fs]
 
     def test_scalar_inputs_broadcast_against_arrays(self, baseline: Scenario):
         q0s = np.array([400.0, 800.0, 1600.0])
-        got = cost_totals(baseline, Policy.HOVLP, q0s, 0.7, 24.0)
+        got = [b.total for b in cost_breakdowns(baseline, Policy.HOVLP, q0s, 0.7, 24.0)]
         expected = [cost_breakdown(baseline, Policy.HOVLP, q0, 0.7, 24.0).total for q0 in q0s]
-        assert list(got) == expected
+        assert got == expected
 
     def test_point_shapes_validated(self, baseline: Scenario):
         two, three = np.array([500.0, 600.0]), np.array([8.0, 9.0, 10.0])
         with pytest.raises(ValidationError, match="aligned"):
-            cost_totals(baseline, Policy.MTP, two, 0.5, three)
+            cost_breakdowns(baseline, Policy.MTP, two, 0.5, three)
         with pytest.raises(ValidationError, match="1-D"):
-            cost_totals(baseline, Policy.MTP, 500.0, 0.5, np.ones((2, 2)))
+            cost_breakdowns(baseline, Policy.MTP, 500.0, 0.5, np.ones((2, 2)))
         with pytest.raises(ValidationError, match="1-D"):
-            cost_totals(baseline, Policy.MTP, 500.0, 0.5, 8.0)
+            cost_breakdowns(baseline, Policy.MTP, 500.0, 0.5, 8.0)
         for name, point in (("q0", (two, 0.5, 8.0)), ("auto_share", (500.0, [0.5], 8.0))):
             with pytest.raises(ValidationError, match=f"{name} must be a scalar"):
                 build_context(baseline, *point)
@@ -456,7 +455,7 @@ class TestStackedPoints:
         with pytest.raises(UndefinedServiceError):
             cost_breakdowns(baseline, Policy.MTP, q0s, shares, 0.0)
         with pytest.raises(ValidationError, match="auto_share"):
-            cost_totals(baseline, Policy.MTP, 500.0, np.array([0.5, 1.5]), 8.0)
+            cost_breakdowns(baseline, Policy.MTP, 500.0, np.array([0.5, 1.5]), 8.0)
         # F = 0 is defined at the points without bus riders
         zero = cost_breakdowns(baseline, Policy.EBLP, np.array([500.0, 0.0]), 1.0, 0.0)
         assert zero == [cost_breakdown(baseline, Policy.EBLP, q0, 1.0, 0.0) for q0 in (500.0, 0.0)]
@@ -523,7 +522,7 @@ class TestFrequencySweep:
     def test_share_batches_match_direct_evaluation(
         self, policy, mode, n_intersections, beta_auto, n_cells
     ):
-        # a non-integer beta has no moment table and prices candidates directly
+        # a non-integer beta prices its congestion terms through node kernels
         scen = load_scenario(
             {
                 "bpr": {"beta_auto": beta_auto},
@@ -542,11 +541,14 @@ class TestFrequencySweep:
             rtol=5e-12,
         )
 
-    def test_fallback_prices_only_real_candidates(self):
-        # non-integer beta leaves the moment table: padding comes back NaN and
-        # every real candidate matches its own cost_breakdown, also across
-        # the blocks a long row is priced in
-        scen = load_scenario({"bpr": {"beta_auto": 4.5}, "solver": {"n_cells": 20}})
+    @pytest.mark.parametrize("beta_bus", [1.5, 4.0])
+    def test_kernel_totals_price_only_real_candidates(self, beta_bus, monkeypatch):
+        # a non-integer beta prices its BPR terms through node kernels: padding
+        # comes back NaN and every real candidate matches its own
+        # cost_breakdown, in any block size, to the same float
+        scen = load_scenario(
+            {"bpr": {"beta_auto": 4.5, "beta_bus": beta_bus}, "solver": {"n_cells": 20}}
+        )
         long_rows = np.tile(np.linspace(1.0, 120.0, 70), (len(self._SHARES), 1))
         long_rows[0, 40:] = np.nan
         long_rows[2, 1:] = np.nan
@@ -556,6 +558,9 @@ class TestFrequencySweep:
             np.testing.assert_array_equal(np.isnan(got), np.isnan(rows))
             expected = self._direct(scen, Policy.HOVLP, 700.0, self._SHARES, rows)
             np.testing.assert_allclose(got, expected, rtol=5e-12)
+            with monkeypatch.context() as patch:
+                patch.setattr(_fsweep, "_KERNEL_BLOCK", 50)  # two cells per block
+                np.testing.assert_array_equal(sweep.totals(rows), got)
 
     @staticmethod
     def _lattice_rows(scen, q0, shares):
@@ -658,12 +663,44 @@ class TestFrequencySweep:
         with pytest.raises(ValidationError):
             FrequencySweep(baseline, Policy.MTP, q0, self._SHARES)
 
-    def test_row_minima_without_a_table_scan_every_candidate(self):
-        scen = load_scenario({"bpr": {"beta_auto": 4.5}, "solver": {"n_cells": 20}})
-        sweep = FrequencySweep(scen, Policy.HOVLP, 700.0, self._SHARES)
-        self._check_row_minima(sweep, self._PER_SHARE_ROWS)
-        assert sweep.priced == np.count_nonzero(~np.isnan(self._PER_SHARE_ROWS))
-        assert sweep.lower_bounds(1.0, 120.0) is None  # nor can a caller drop a share
+    @pytest.mark.parametrize("betas", [(4.5, 4.0), (4.0, 1.5), (13.0, 13.0)])
+    @pytest.mark.parametrize("policy", POLICY_ORDER)
+    def test_kernel_row_minima_prune_like_the_table(self, policy, betas):
+        # the kernel path keeps the delay prune, and its rows have bounds
+        beta_auto, beta_bus = betas
+        scen = load_scenario(
+            {"bpr": {"beta_auto": beta_auto, "beta_bus": beta_bus}, "solver": {"n_cells": 20}}
+        )
+        assert _fsweep._moment_table(scen, policy).kernels
+        shares = np.linspace(0.0, 1.0, 41)
+        for rows in self._lattice_rows(scen, 1500.0, shares):
+            sweep = FrequencySweep(scen, policy, 1500.0, shares)
+            self._check_row_minima(sweep, rows)
+            assert sweep.priced < np.count_nonzero(~np.isnan(rows))
+        assert np.isfinite(sweep.lower_bounds(1.0, 120.0)).all()
+
+    def test_kernel_row_minima_memory_is_set_by_the_block(self):
+        # One row_minima call at 2,001 nodes over 41 shares x the 120-point
+        # coarse lattice (3,622 real cells at q0 = 300).  The kernel path
+        # builds powers in one reused block of _KERNEL_BLOCK node values:
+        # 8 x 16,384 B = 128 KiB.  Everything else is whole-lattice arrays of
+        # 41 x 120 floats (38 KiB; row_minima, _base and the cell gathers keep
+        # fewer than 24 alive at once) and the signal delay of the few cells
+        # it prices in full.  Powers of every cell at every node at once would
+        # take 55 MiB; the per-candidate path before the kernels took 3.8 MiB.
+        scen = load_scenario({"bpr": {"beta_auto": 4.5}, "solver": {"n_cells": 2000}})
+        shares = np.linspace(0.0, 1.0, 41)
+        coarse, _ = self._lattice_rows(scen, 300.0, shares)
+        assert coarse.shape == (41, 120)
+        sweep = FrequencySweep(scen, Policy.MTP, 300.0, shares)
+        bound = 8 * _fsweep._KERNEL_BLOCK + 24 * 8 * coarse.size
+        tracemalloc.start()
+        try:
+            sweep.row_minima(coarse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
 
     @staticmethod
     def _check_lower_bounds(scen, policy, q0, shares):
@@ -686,8 +723,8 @@ class TestFrequencySweep:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        beta_auto=st.integers(1, 6),
-        beta_bus=st.integers(1, 6),
+        beta_auto=st.floats(1.0, 6.0),
+        beta_bus=st.floats(1.0, 6.0),
         gamma3=st.floats(0.3, 3.0),
         capacity=st.floats(600.0, 2400.0),
         pce=st.floats(1.0, 15.0),
@@ -713,6 +750,29 @@ class TestFrequencySweep:
         shares = np.linspace(0.0, 1.0, 11)
         shares = shares[min_frequency(scen, q0, shares) <= scen.solver.f_cap]
         self._check_lower_bounds(scen, policy, q0, shares)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("n_cells", [2, 60])
+    @pytest.mark.parametrize("policy", [Policy.MTP, Policy.HOVLP])
+    def test_kernel_lower_bounds_hold_for_either_sign(self, policy, n_cells, sign, monkeypatch):
+        # at two cells the half-pair weight makes one kernel entry -12.5; with
+        # the kernels negated every other entry is negative, so each term falls
+        # in F and only its K- part at the block's upper end bounds it
+        scen = load_scenario({
+            "bpr": {"beta_auto": 4.5, "beta_bus": 2.5},
+            "solver": {"n_cells": n_cells},
+        })
+        table = _fsweep._moment_table(scen, policy)
+        kernels = np.hstack([group.kernels for group in table.kernels])
+        assert (kernels < 0).any() and (kernels > 0).any()
+        signed = table._replace(
+            kernels=tuple(group._replace(kernels=sign * group.kernels) for group in table.kernels)
+        )
+        monkeypatch.setattr(_fsweep, "_moment_table", lambda scenario, policy: signed)
+        shares = np.linspace(0.0, 1.0, 11)
+        for q0 in (300.0, 1500.0):
+            feasible = shares[min_frequency(scen, q0, shares) <= scen.solver.f_cap]
+            self._check_lower_bounds(scen, policy, q0, feasible)
 
     @pytest.mark.parametrize("policy", POLICY_ORDER)
     def test_lower_bounds_assume_no_coefficient_sign(self, baseline: Scenario, policy, monkeypatch):

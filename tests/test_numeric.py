@@ -13,6 +13,7 @@ from lanepolicy import BracketError, NumericDomainError, ValidationError
 from lanepolicy import numeric
 from lanepolicy.numeric import (
     CorridorGrid,
+    cumulative_kernel,
     cumulative_values,
     dot_rows,
     find_root,
@@ -87,6 +88,24 @@ class TestCumulative:
         assert cumulative_values(vals, grid)[-1] == pytest.approx(
             integrate_values(vals, grid), rel=1e-12
         )
+
+
+    @pytest.mark.parametrize("n_cells", [2, 4, 20, 600])
+    def test_kernel_is_the_adjoint_of_the_cumulative_rule(self, n_cells):
+        # the dense form cumulative_values(I) @ w, built here only as a reference
+        grid = CorridorGrid(length=30.0, n_cells=n_cells)
+        weights = grid.simpson_weights * (1.0 - grid.nodes / grid.length)
+        kernel = cumulative_kernel(weights, grid)
+        dense = cumulative_values(np.eye(n_cells + 1), grid) @ weights
+        np.testing.assert_allclose(kernel, dense, rtol=1e-13, atol=1e-15 * np.abs(dense).max())
+        profiles = np.random.default_rng(n_cells).uniform(0.0, 2.0, (5, n_cells + 1))
+        np.testing.assert_allclose(
+            profiles @ kernel, cumulative_values(profiles, grid) @ weights, rtol=1e-13
+        )
+        # the half-pair weight -h/12 leaves one negative entry, at the last node
+        assert np.flatnonzero(kernel < 0).tolist() == [n_cells]
+        if n_cells == 2:
+            assert kernel[-1] == -12.5
 
 
 class TestFindRoot:

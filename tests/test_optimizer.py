@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import pathlib
 import re
 
 import numpy as np
@@ -334,6 +336,28 @@ _GOLDEN_EQUILIBRIUM = {
 }
 
 
+# "beta_auto,beta_bus" -> policy -> (R*, F*) at each of _KERNEL_Q0 on the
+# default scenario, recorded when these exponents had no moment table and the
+# search priced them one candidate at a time through `cost_totals`.
+_KERNEL_OPTIMA = json.loads((pathlib.Path(__file__).parent / "kernel_optima.json").read_text())
+_KERNEL_Q0 = [150.0, 400.0, 658.0, 900.0, 1072.0, 1476.0, 2007.0, 2214.0]
+
+
+@pytest.mark.parametrize("betas", list(_KERNEL_OPTIMA))
+def test_kernel_optima_match_the_per_candidate_search(betas):
+    beta_auto, beta_bus = map(float, betas.split(","))
+    scen = load_scenario({"bpr": {"beta_auto": beta_auto, "beta_bus": beta_bus}})
+    for policy in Policy:
+        optima = optimize_policies(scen, policy, _KERNEL_Q0)
+        assert [[opt.r_star, opt.f_star] for opt in optima] == _KERNEL_OPTIMA[betas][policy.value]
+        q0s, shares, f_stars = (
+            np.array([getattr(opt, name) for opt in optima]) for name in ("q0", "r_star", "f_star")
+        )
+        kernel = FrequencySweep(scen, policy, q0s, shares).totals(f_stars[:, None])[:, 0]
+        expected = [opt.breakdown.total for opt in optima]
+        np.testing.assert_allclose(kernel, expected, rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("name", ["baseline", "contrast"])
 def test_golden_equilibrium_optima(name):
     base = _golden_scenario(name)
@@ -533,7 +557,7 @@ class TestOptimizePolicies:
 
     @pytest.mark.parametrize("name", list(_PRUNE_CASES))
     def test_pruned_split_search_matches_a_full_one(self, name, monkeypatch):
-        # the reference searches every share: no bound, so no row is dropped
+        # the reference searches every share: a bound of -inf drops no row
         scen, policies = _PRUNE_CASES[name]
         q0s = _BATCH_Q0[:5] if scen.solver.split_rule == "equilibrium" else _BATCH_Q0
         memo = optimizer._optimize_policy_cached
@@ -541,16 +565,20 @@ class TestOptimizePolicies:
             memo.cache_clear()
             pruned = [_record(opt) for opt in optimizer._lookup(scen, policy, q0s)]
             with monkeypatch.context() as patch:
-                patch.setattr(FrequencySweep, "lower_bounds", lambda self, lo, hi: None)
+                patch.setattr(
+                    FrequencySweep, "lower_bounds", lambda self, lo, hi: np.full(lo.shape, -np.inf)
+                )
                 memo.cache_clear()
                 full = [_record(opt) for opt in optimizer._lookup(scen, policy, q0s)]
             memo.cache_clear()
             assert pruned == full, policy
 
+    @pytest.mark.parametrize("beta_auto", [4.0, 4.5])
     @pytest.mark.parametrize("policy", list(Policy))
-    def test_coarse_split_pass_searches_few_shares(self, policy, monkeypatch):
+    def test_coarse_split_pass_searches_few_shares(self, policy, beta_auto, monkeypatch):
         # the bound must keep dropping most shares, or the search is back to
-        # a full lattice per share without any test failing
+        # a full lattice per share without any test failing; 4.5 prices the
+        # congestion terms through kernels
         passes = []
         winnable = optimizer._winnable
 
@@ -561,7 +589,11 @@ class TestOptimizePolicies:
 
         monkeypatch.setattr(optimizer, "_winnable", counted)
         optimizer._optimize_policy_cached.cache_clear()
-        optimize_policies(_golden_scenario("contrast"), policy, [250.0, 660.0, 1200.0])
+        contrast = _golden_scenario("contrast")
+        scen = dataclasses.replace(
+            contrast, bpr=dataclasses.replace(contrast.bpr, beta_auto=beta_auto)
+        )
+        optimize_policies(scen, policy, [250.0, 660.0, 1200.0])
         optimizer._optimize_policy_cached.cache_clear()
         kept, rows = passes[0]  # coarse pass, then the refined one
         assert len(passes) == 2 and kept <= 0.1 * rows
