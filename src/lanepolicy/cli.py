@@ -24,7 +24,7 @@ import shutil
 import sys
 import tempfile
 import time
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .config import (
     preset_names,
     scenario_fingerprint,
 )
-from .costmodel import POLICY_ORDER, Policy, cost_breakdown
+from .costmodel import _COMPONENTS, POLICY_ORDER, Policy, cost_breakdown
 from .errors import (
     InfeasibleError,
     LanePolicyError,
@@ -85,7 +85,8 @@ _SYNTHETIC_PARAMS_NOTE = (
 # scenario assembly
 
 
-def _parse_set_item(item: str) -> tuple[str, str, object]:
+def _parse_set_item(item: str) -> dict:
+    """The one-field override document that ``--set section.key=value`` names."""
     key, sep, raw = item.partition("=")
     if not sep or not raw:
         raise ValidationError(f"--set expects section.key=value, got {item!r}")
@@ -96,7 +97,7 @@ def _parse_set_item(item: str) -> tuple[str, str, object]:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    return section.strip(), field.strip(), value
+    return {section.strip(): {field.strip(): value}}
 
 
 def build_scenario(
@@ -105,7 +106,7 @@ def build_scenario(
     set_items: Sequence[str] = (),
 ) -> Scenario:
     """Assemble the working scenario: preset, then file, then --set overrides."""
-    document = dataclasses.asdict(preset(preset_name))
+    overrides = []
     if scenario_file is not None:
         with open(scenario_file) as handle:
             try:
@@ -116,14 +117,9 @@ def build_scenario(
                 ) from None
         if not isinstance(file_doc, dict):
             raise ValidationError(f"{scenario_file}: scenario document must be a JSON object")
-        for section, body in file_doc.items():
-            if not isinstance(body, dict):
-                raise ValidationError(f"{section}: expected an object")
-            document.setdefault(section, {}).update(body)
-    for item in set_items:
-        section, field, value = _parse_set_item(item)
-        document.setdefault(section, {})[field] = value
-    return load_scenario(document)
+        overrides.append(file_doc)
+    overrides.extend(_parse_set_item(item) for item in set_items)
+    return preset(preset_name, *overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +136,12 @@ def _unique_path(base: str) -> str:
     raise AssertionError("unreachable")
 
 
-def _csv_with_meta(path: str, meta: dict, write_rows: Callable[[IO[str]], None]) -> None:
-    with open(path, "w", newline="") as handle:
-        for key, value in meta.items():
-            handle.write(f"# {key}={value}\n")
-        write_rows(handle)
+_MANIFEST = "manifest.json"
+
+
+def _table(header: str, lines: Iterable[str]) -> Callable[[IO[str]], None]:
+    """A CSV body writer: the column line, then one line per row."""
+    return lambda handle: handle.writelines(f"{line}\n" for line in (header, *lines))
 
 
 class _Run:
@@ -164,11 +161,20 @@ class _Run:
         self.outputs.append(relative)
         return full
 
+    def csv(self, relative: str, meta: dict, write_rows: Callable[[IO[str]], None]) -> None:
+        """Write one CSV under ``# key=value`` comment lines, the first naming
+        the manifest's path from the file's directory."""
+        manifest = os.path.relpath(_MANIFEST, os.path.dirname(relative) or os.curdir)
+        with open(self.path(relative), "w", newline="") as handle:
+            for key, value in {"manifest": manifest, **meta}.items():
+                handle.write(f"# {key}={value}\n")
+            write_rows(handle)
+
     def finalize(self, manifest: dict) -> str:
         manifest = dict(manifest)
         manifest["outputs"] = sorted(set(self.outputs))
         manifest["completed_utc"] = _utc_stamp()
-        with open(os.path.join(self.tmp, "manifest.json"), "w") as handle:
+        with open(os.path.join(self.tmp, _MANIFEST), "w") as handle:
             json.dump(manifest, handle, indent=2, sort_keys=True)
             handle.write("\n")
         final = _unique_path(os.path.join(self.out_root, self.name))
@@ -184,6 +190,7 @@ def _utc_stamp() -> str:
 
 
 def _base_manifest(command: str, argv: Sequence[str], scenario: Scenario) -> dict:
+    document = dataclasses.asdict(scenario)
     return {
         "artifact_version": __version__,
         "command": command,
@@ -191,8 +198,8 @@ def _base_manifest(command: str, argv: Sequence[str], scenario: Scenario) -> dic
         "invocation": "lanepolicy " + shlex.join(argv),
         "started_utc": _utc_stamp(),
         "scenario_fingerprint": scenario_fingerprint(scenario),
-        "scenario": dataclasses.asdict(scenario),
-        "solver": dataclasses.asdict(scenario.solver),
+        "scenario": document,
+        "solver": document["solver"],
         "highlighted_defaults": {
             "geometry.n_intersections": scenario.geometry.n_intersections,
             "econ.vot_wait": scenario.econ.vot_wait,
@@ -264,22 +271,14 @@ def _cmd_cost(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:
     ]
     if f + 1e-9 < f_min:
         lines.append("note          F is below the capacity floor; diagnostic evaluation only")
-    for name in ("bus_user", "bus_operator", "auto_user", "signal", "total"):
-        lines.append("%-13s $%.2f/hr" % (name, getattr(breakdown, name)))
+    costs = {name: getattr(breakdown, name) for name in (*_COMPONENTS, "total")}
+    lines += ["%-13s $%.2f/hr" % item for item in costs.items()]
     print("\n".join(lines))
 
-    rows = [(name, getattr(breakdown, name)) for name in
-            ("bus_user", "bus_operator", "auto_user", "signal", "total")]
-
-    def write_rows(handle: IO[str]) -> None:
-        handle.write("component,cost\n")
-        for name, value in rows:
-            handle.write("%s,%.6f\n" % (name, value))
-
-    _csv_with_meta(
-        run.path("breakdown.csv"),
-        {"manifest": "manifest.json", "units": "cost=$/hr", "policy": policy.value, "q0": q0},
-        write_rows,
+    run.csv(
+        "breakdown.csv",
+        {"units": "cost=$/hr", "policy": policy.value, "q0": q0},
+        _table("component,cost", ("%s,%.6f" % item for item in costs.items())),
     )
     return {
         "policy": policy.value,
@@ -288,7 +287,7 @@ def _cmd_cost(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:
         "F": f,
         "min_frequency": f_min,
         "mode": mode,
-        "breakdown": {name: value for name, value in rows},
+        "breakdown": costs,
         **diagnostics,
     }
 
@@ -314,110 +313,88 @@ def _cmd_sweep(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:
     if repeated:
         raise ValidationError("repeated capacities: %s" % ", ".join("%g" % c for c in repeated))
 
-    threshold_rows: list[tuple] = []
-    region_summary: dict[str, list] = {}
-    failure_total = 0
+    regions_by_capacity: dict[str, list[dict]] = {}
+    thresholds: list[dict] = []
     for capacity in capacities:
         scen = scenario if capacity is None else _with_capacity(scenario, capacity)
         cap_value = scen.geometry.lane_capacity_vph
         tag = "" if capacity is None else "_C%g" % capacity
 
         curves = [cost_curve(scen, p, (lo, hi), args.n) for p in POLICY_ORDER]
-        _csv_with_meta(
-            run.path(f"cost_curves{tag}.csv"),
+        run.csv(
+            f"cost_curves{tag}.csv",
             {
-                "manifest": "manifest.json",
                 "units": "q0=pax/hr/mi cost=$/hr R_star=fraction F_star=buses/hr",
                 "lane_capacity_vph": cap_value,
             },
-            lambda handle, curves=curves: write_curves_csv(curves, handle),
+            lambda handle: write_curves_csv(curves, handle),
         )
-        failures = [(c.policy, q0, msg) for c in curves for q0, msg in c.failures]
-        failure_total += len(failures)
-        if failures:
-            def write_failures(handle: IO[str], rows=failures) -> None:
-                handle.write("policy,q0,error\n")
-                for pol, q0, msg in rows:
-                    handle.write('%s,%g,"%s"\n' % (pol.value, q0, msg.replace('"', "'")))
 
-            _csv_with_meta(
-                run.path(f"failures{tag}.csv"),
-                {"manifest": "manifest.json", "units": "q0=pax/hr/mi"},
-                write_failures,
-            )
-
-        resolution = (hi - lo) / (args.n - 1)
-        regions = policy_regions(scen, (lo, hi), resolution)
-
-        def write_regions(handle: IO[str], rows=regions) -> None:
-            handle.write("q0_lo,q0_hi,policy\n")
-            for region in rows:
-                handle.write("%.6f,%.6f,%s\n" % (region.q0_lo, region.q0_hi, region.policy.value))
-
-        _csv_with_meta(
-            run.path(f"regions{tag}.csv"),
-            {
-                "manifest": "manifest.json",
-                "units": "q0=pax/hr/mi",
-                "lane_capacity_vph": cap_value,
-            },
-            write_regions,
-        )
-        region_summary["%g" % cap_value] = [
-            {"q0_lo": r.q0_lo, "q0_hi": r.q0_hi, "policy": r.policy.value} for r in regions
+        regions = [
+            {"q0_lo": r.q0_lo, "q0_hi": r.q0_hi, "policy": r.policy.value}
+            for r in policy_regions(scen, (lo, hi), (hi - lo) / (args.n - 1))
         ]
+        run.csv(
+            f"regions{tag}.csv",
+            {"units": "q0=pax/hr/mi", "lane_capacity_vph": cap_value},
+            _table(
+                "q0_lo,q0_hi,policy",
+                ("%.6f,%.6f,%s" % (r["q0_lo"], r["q0_hi"], r["policy"]) for r in regions),
+            ),
+        )
+        regions_by_capacity["%g" % cap_value] = regions
 
         for p1, p2 in itertools.combinations(POLICY_ORDER, 2):
             found = find_threshold(scen, p1, p2, lo, hi)
-            threshold_rows.append(
-                (
-                    cap_value,
-                    f"{p1.value}/{p2.value}",
-                    found.q0_star,
-                    found.cheaper_below.value,
-                    found.cheaper_above.value,
-                )
+            thresholds.append(
+                {
+                    "lane_capacity_vph": cap_value,
+                    "pair": f"{p1.value}/{p2.value}",
+                    "q0_star": found.q0_star,
+                    "cheaper_below": found.cheaper_below.value,
+                    "cheaper_above": found.cheaper_above.value,
+                }
             )
 
-    def write_thresholds(handle: IO[str]) -> None:
-        handle.write("lane_capacity_vph,pair,q0_star,cheaper_below,cheaper_above\n")
-        for cap_value, pair, q0_star, below, above in threshold_rows:
-            star = "" if q0_star is None else "%.6f" % q0_star
-            handle.write("%g,%s,%s,%s,%s\n" % (cap_value, pair, star, below, above))
-
-    _csv_with_meta(
-        run.path("thresholds.csv"),
-        {"manifest": "manifest.json", "units": "lane_capacity_vph=veh/hr q0_star=pax/hr/mi"},
-        write_thresholds,
+    run.csv(
+        "thresholds.csv",
+        {"units": "lane_capacity_vph=veh/hr q0_star=pax/hr/mi"},
+        _table(
+            "lane_capacity_vph,pair,q0_star,cheaper_below,cheaper_above",
+            (
+                "%g,%s,%s,%s,%s" % (
+                    t["lane_capacity_vph"],
+                    t["pair"],
+                    "" if t["q0_star"] is None else "%.6f" % t["q0_star"],
+                    t["cheaper_below"],
+                    t["cheaper_above"],
+                )
+                for t in thresholds
+            ),
+        ),
     )
 
-    for cap_key, regions in region_summary.items():
+    for cap_key, regions in regions_by_capacity.items():
         chain = " -> ".join(
             "%s[%.0f,%.0f]" % (r["policy"], r["q0_lo"], r["q0_hi"]) for r in regions
         )
         print(f"capacity {cap_key} veh/hr/lane: {chain}")
-    for cap_value, pair, q0_star, below, above in threshold_rows:
-        where = "none in range" if q0_star is None else "%.1f" % q0_star
-        print(f"  threshold {pair} @ C={cap_value:g}: {where} (below {below}, above {above})")
-    if failure_total:
-        print(f"  {failure_total} sample(s) failed; see failures CSV")
+    for t in thresholds:
+        where = "none in range" if t["q0_star"] is None else "%.1f" % t["q0_star"]
+        print(
+            f"  threshold {t['pair']} @ C={t['lane_capacity_vph']:g}: {where} "
+            f"(below {t['cheaper_below']}, above {t['cheaper_above']})"
+        )
 
     return {
         "q0_range": [lo, hi],
         "n_samples": args.n,
         "capacities": ["%g" % (c if c is not None else scenario.geometry.lane_capacity_vph) for c in capacities],
-        "regions": region_summary,
-        "thresholds": [
-            {
-                "lane_capacity_vph": cap_value,
-                "pair": pair,
-                "q0_star": q0_star,
-                "cheaper_below": below,
-                "cheaper_above": above,
-            }
-            for cap_value, pair, q0_star, below, above in threshold_rows
-        ],
-        "failed_samples": failure_total,
+        "regions": regions_by_capacity,
+        "thresholds": thresholds,
+        # policy_regions raises on the first density without an optimum,
+        # so every sweep that finishes priced all of its samples
+        "failed_samples": 0,
     }
 
 
@@ -425,14 +402,15 @@ def _cmd_sweep(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:
 # simulate command
 
 
+_PROCESS_FLAGS = tuple(field.name for field in dataclasses.fields(OUParams))
+# every flag that shapes a generated trajectory; --trajectory excludes them all
+_GENERATOR_FLAGS = (*_PROCESS_FLAGS, "horizon", "dt", "clock_start", "seed")
+
+
 def _generator(args: argparse.Namespace) -> tuple[OUParams, float, float, float]:
     """Demand-process parameters, horizon, step and clock start from the
     generator flags; each flag left out takes its default."""
-    given = {
-        field.name: getattr(args, field.name)
-        for field in dataclasses.fields(OUParams)
-        if getattr(args, field.name) is not None
-    }
+    given = {name: getattr(args, name) for name in _PROCESS_FLAGS if getattr(args, name) is not None}
     return (
         OUParams(**given),
         DEFAULT_HORIZON_HR if args.horizon is None else args.horizon,
@@ -441,9 +419,8 @@ def _generator(args: argparse.Namespace) -> tuple[OUParams, float, float, float]
     )
 
 
-def _trajectory_meta(traj: Trajectory, rel_manifest: str) -> dict:
+def _trajectory_meta(traj: Trajectory) -> dict:
     return {
-        "manifest": rel_manifest,
         "units": "t_hours=hours q0=pax/hr/mi",
         "seed": traj.seed,
         "dt_hr": traj.dt,
@@ -460,24 +437,19 @@ def _cmd_simulate(args: argparse.Namespace, scenario: Scenario, run: _Run) -> di
     entries = []
     for traj in trajectories:
         name = f"trajectories/trajectory_seed{traj.seed}.csv"
-        _csv_with_meta(
-            run.path(name),
-            _trajectory_meta(traj, "../manifest.json"),
-            lambda handle, traj=traj: write_trajectory_csv(traj, handle),
-        )
-        entries.append(
-            {
-                "file": name,
-                "seed": traj.seed,
-                "min_q0": float(traj.values.min()),
-                "max_q0": float(traj.values.max()),
-                "final_q0": float(traj.values[-1]),
-                "floor_events": traj.floor_events,
-            }
-        )
+        run.csv(name, _trajectory_meta(traj), lambda handle: write_trajectory_csv(traj, handle))
+        entry = {
+            "file": name,
+            "seed": traj.seed,
+            "min_q0": float(traj.values.min()),
+            "max_q0": float(traj.values.max()),
+            "final_q0": float(traj.values[-1]),
+            "floor_events": traj.floor_events,
+        }
+        entries.append(entry)
         print(
-            "seed %d: q0 in [%.0f, %.0f], final %.0f, floor events %d"
-            % (traj.seed, entries[-1]["min_q0"], entries[-1]["max_q0"], entries[-1]["final_q0"], traj.floor_events)
+            "seed %(seed)d: q0 in [%(min_q0).0f, %(max_q0).0f], final %(final_q0).0f, "
+            "floor events %(floor_events)d" % entry
         )
     return {
         "params": dataclasses.asdict(params),
@@ -500,18 +472,8 @@ def _cmd_schedule(args: argparse.Namespace, scenario: Scenario, run: _Run) -> di
         raise ValidationError("--allowed must list at least one policy")
     allowed = [Policy.parse(tok) for tok in tokens]
 
-    generator_flags = (
-        args.mean_reversion,
-        args.long_run_level,
-        args.volatility,
-        args.q0_init,
-        args.horizon,
-        args.dt,
-        args.clock_start,
-        args.seed,
-    )
     if args.trajectory is not None:
-        if any(value is not None for value in generator_flags):
+        if any(getattr(args, name) is not None for name in _GENERATOR_FLAGS):
             raise ValidationError(
                 "give either --trajectory or generator parameters, not both"
             )
@@ -532,11 +494,7 @@ def _cmd_schedule(args: argparse.Namespace, scenario: Scenario, run: _Run) -> di
             "note": _SYNTHETIC_PARAMS_NOTE,
         }
 
-    _csv_with_meta(
-        run.path("trajectory.csv"),
-        _trajectory_meta(traj, "manifest.json"),
-        lambda handle: write_trajectory_csv(traj, handle),
-    )
+    run.csv("trajectory.csv", _trajectory_meta(traj), lambda handle: write_trajectory_csv(traj, handle))
 
     table = evaluate_trajectory(scenario, traj, allowed)
     schedule = build_schedule(table, min_dwell=args.min_dwell)
@@ -545,10 +503,9 @@ def _cmd_schedule(args: argparse.Namespace, scenario: Scenario, run: _Run) -> di
         "demand quantization cost bound: $%.2f/hr per step" % schedule.quantization_bound
     )
 
-    _csv_with_meta(
-        run.path("schedule.csv"),
+    run.csv(
+        "schedule.csv",
         {
-            "manifest": "manifest.json",
             "units": "entry_t_hr=clock-hours exit_t_hr=clock-hours duration_min=minutes",
             "allowed": ",".join(p.value for p in allowed),
         },

@@ -408,15 +408,25 @@ def preset_names() -> tuple[str, ...]:
     return tuple(_PRESET_OVERRIDES)
 
 
-def preset(name: str) -> Scenario:
-    """Named scenario: ``baseline``, ``seattle_i5``, or ``seattle_sr99``."""
+def preset(name: str, *overrides: dict) -> Scenario:
+    """Named scenario: ``baseline``, ``seattle_i5``, or ``seattle_sr99``.
+
+    Each override document's sections are merged key by key over the
+    preset's, in order, so later documents win.
+    """
     try:
-        overrides = _PRESET_OVERRIDES[name]
+        base = _PRESET_OVERRIDES[name]
     except KeyError:
         raise ValidationError(
             f"unknown preset {name!r}; known presets: {', '.join(_PRESET_OVERRIDES)}"
         ) from None
-    return load_scenario(overrides)
+    document = {section: dict(body) for section, body in base.items()}
+    for override in overrides:
+        for section, body in override.items():
+            if not isinstance(body, dict):
+                raise ValidationError(f"{section}: expected an object")
+            document.setdefault(section, {}).update(body)
+    return load_scenario(document)
 
 
 def preset_demand_reference(name: str) -> float | None:

@@ -105,7 +105,7 @@ def cost_curve(
     """Optimize one policy at ``n_samples`` evenly spaced densities.
 
     Densities where the optimization is infeasible are recorded on
-    ``failures`` instead of aborting the sweep.
+    ``failures`` instead of raising.
     """
     policy = Policy.parse(policy)
     lo, hi = _validate_range(*q0_range)

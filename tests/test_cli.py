@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lanepolicy import Policy, Scenario, cost_breakdown, min_frequency
+from lanepolicy import Policy, Scenario, __version__, cost_breakdown, min_frequency
 from lanepolicy.cli import build_parser, build_scenario, main
 from lanepolicy.optimizer import _split_lattice, foc_residual
 
@@ -249,6 +253,18 @@ class TestSweepCommand:
         assert caps == {"1500", "1800"}
 
 
+    def test_infeasible_density_aborts_the_sweep(self, tmp_path, capsys):
+        # the equilibrium split has no optimum at the second sample; the
+        # sweep stops there and keeps no partial run directory
+        code = main(
+            ["sweep", "--set", "solver.split_rule=equilibrium", "--set", "solver.f_cap=2",
+             "--set", "solver.r_step=0.5", "--q0-lo", "1", "--q0-hi", "2500", "--n", "5",
+             "--out-dir", str(tmp_path)]
+        )
+        assert code == 3
+        assert "q0=625.75" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_repeated_capacities_exit_2_and_write_nothing(self, tmp_path, capsys):
         code = main(
             ["sweep", "--q0-lo", "400", "--q0-hi", "600", "--n", "2",
@@ -362,28 +378,25 @@ class TestScheduleCommand:
         assert a["entries"] == b["entries"]
         assert a["combined_cumulative"] == pytest.approx(b["combined_cumulative"], rel=1e-9)
 
-    def test_trajectory_file_excludes_generator_flags(self, tmp_path):
-        traj = tmp_path / "t.csv"
-        traj.write_text(
-            "clock_time,t_hours,q0\n07:00,0.0,500.0\n07:30,0.5,505.0\n08:00,1.0,495.0\n"
-        )
-        code = main(
-            ["schedule", "--trajectory", str(traj), "--seed", "4",
-             "--out-dir", str(tmp_path)]
-        )
-        assert code == 2
-
-    def test_trajectory_file_excludes_clock_start(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--mean-reversion", "2.0"), ("--long-run-level", "600"), ("--volatility", "0.2"),
+            ("--q0-init", "500"), ("--horizon", "1"), ("--dt", "0.5"), ("--clock-start", "9"),
+            ("--seed", "4"),
+        ],
+    )
+    def test_trajectory_file_excludes_generator_flags(self, tmp_path, capsys, flag, value):
         traj = tmp_path / "t.csv"
         traj.write_text(
             "clock_time,t_hours,q0\n07:00,0.0,500.0\n07:30,0.5,505.0\n08:00,1.0,495.0\n"
         )
         out = tmp_path / "runs"
         code = main(
-            ["schedule", "--trajectory", str(traj), "--clock-start", "9",
-             "--out-dir", str(out)]
+            ["schedule", "--trajectory", str(traj), flag, value, "--out-dir", str(out)]
         )
         assert code == 2
+        assert "either --trajectory or generator parameters" in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
 
     def test_clock_start_defaults_to_seven(self, tmp_path):
@@ -412,6 +425,37 @@ class TestScheduleCommand:
 
 _GENERATOR = ["--horizon", "1", "--dt", "0.5"]
 _HUGE_INT = "1" + "0" * 400  # parses as an int that no float can hold
+_TRAJECTORY_KEYS = ("units", "seed", "dt_hr", "t0_clock", "note")
+
+
+@pytest.mark.parametrize(
+    "argv,headers",
+    [
+        (["cost", "--policy", "mtp", "--q0", "400", "--R", "0.8", "--F", "12"],
+         {"breakdown.csv": ("units", "policy", "q0")}),
+        (["sweep", "--q0-lo", "400", "--q0-hi", "600", "--n", "2", "--capacities", "1500,1800"],
+         {"thresholds.csv": ("units",)}
+         | {f"{table}_C{c}.csv": ("units", "lane_capacity_vph")
+            for table in ("cost_curves", "regions") for c in (1500, 1800)}),
+        (["simulate", "--n", "2", *_GENERATOR],
+         {f"trajectories/trajectory_seed{seed}.csv": _TRAJECTORY_KEYS for seed in (0, 1)}),
+        (["schedule", *_GENERATOR],
+         {"trajectory.csv": _TRAJECTORY_KEYS, "schedule.csv": ("units", "allowed")}),
+    ],
+    ids=["cost", "sweep", "simulate", "schedule"],
+)
+def test_csv_headers_lead_with_the_manifest_path(tmp_path, argv, headers):
+    assert main([*argv, "--out-dir", str(tmp_path), "--run-name", "run"]) == 0
+    run = tmp_path / "run"
+    assert sorted(p.relative_to(run).as_posix() for p in run.rglob("*.csv")) == sorted(headers)
+    assert set(headers) <= set(read_manifest(run)["outputs"])
+    for name, keys in headers.items():
+        path = run / name
+        with open(path) as handle:
+            meta = [line[2:].rstrip("\n").partition("=")
+                    for line in itertools.takewhile(lambda line: line.startswith("# "), handle)]
+        assert [key for key, _, _ in meta] == ["manifest", *keys], name
+        assert (path.parent / meta[0][2]).resolve() == (run / "manifest.json").resolve(), name
 
 
 @pytest.mark.parametrize(
@@ -447,3 +491,23 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv):
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
     assert list(out.iterdir()) == []
+
+
+def test_module_entry_point(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def run(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", "lanepolicy", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    version = run("--version")
+    assert version.returncode == 0
+    assert version.stdout == f"lanepolicy {__version__}\n"
+    cost = run("cost", "--policy", "eblp", "--q0", "400", "--R", "0.8", "--F", "12",
+               "--out-dir", "runs", "--run-name", "cost")
+    assert cost.returncode == 0, cost.stderr
+    assert cost.stdout.endswith(f"run written to {Path('runs') / 'cost'}\n")
+    assert read_manifest(tmp_path / "runs" / "cost")["results"]["policy"] == "eblp"

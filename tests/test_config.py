@@ -151,6 +151,22 @@ class TestPresets:
         assert sr99.bpr.t0_auto == pytest.approx(1.0 / 35.0)
         assert sr99.bpr.t0_bus == pytest.approx(1.0 / 70.0)
 
+    def test_overrides_merge_over_the_preset_in_order(self):
+        scen = preset(
+            "seattle_i5",
+            {"bpr": {"t0_bus": 0.01}, "econ": {"vot_auto": 25.0}},
+            {"econ": {"vot_auto": 30.0}},
+        )
+        assert scen.geometry.length_mi == pytest.approx(27.7)  # preset key kept
+        assert scen.bpr.t0_auto == pytest.approx(1.0 / 60.0)  # sibling of an override kept
+        assert scen.bpr.t0_bus == 0.01
+        assert scen.econ.vot_auto == 30.0  # the later document wins
+        assert preset("seattle_i5").bpr.t0_bus == pytest.approx(1.0 / 120.0)  # table untouched
+
+    def test_override_section_must_be_an_object(self):
+        with pytest.raises(ValidationError, match=r"^geometry: expected an object$"):
+            preset("baseline", {"geometry": 5})
+
     def test_demand_reference_levels(self):
         assert preset_demand_reference("seattle_i5") == pytest.approx(1476.0)
         assert preset_demand_reference("seattle_sr99") == pytest.approx(1245.0)
