@@ -59,7 +59,7 @@ import numpy as np
 
 from .config import Scenario
 from .costmodel import LANE_TABLE, Policy, intersection_delay, signal_auto_pax
-from .demand import DemandField
+from .demand import DemandField, cumulative_demand, density
 from .errors import ValidationError
 from .numeric import cumulative_kernel, cumulative_values
 
@@ -149,9 +149,9 @@ def _moment_table(scenario: Scenario, policy: Policy) -> _MomentTable:
     )
     grid = scenario.grid()
     nodes = grid.nodes
-    length = geom.length_mi
-    upstream = (length - nodes) ** 2 / (2.0 * length)  # demand upstream of x per unit scale
-    weights = grid.simpson_weights * (1.0 - nodes / length)  # demand density quadrature
+    unit = DemandField(q0=1.0, length_mi=geom.length_mi, auto_share=1.0)
+    upstream = cumulative_demand(unit, "total", nodes)  # demand upstream of x per unit scale
+    weights = grid.simpson_weights * density(unit, nodes)  # demand density quadrature
     pce = bpr.bus_pce
     lanes = LANE_TABLE[policy](scenario)
     streams = lanes.streams
@@ -203,8 +203,8 @@ def _moment_table(scenario: Scenario, policy: Policy) -> _MomentTable:
     )
 
     # intersections: arriving volume per lane group, passengers still upstream
-    pax = (length - np.asarray(geom.intersection_positions)) ** 2 / (2.0 * length)
-    entering = signal_auto_pax(scenario, DemandField(q0=1.0, length_mi=length, auto_share=1.0))
+    pax = cumulative_demand(unit, "total", geom.intersection_positions)
+    entering = signal_auto_pax(scenario, unit)
     slope = pce / (geom.n_intersections + 1)
     pax_auto, pax_bus = econ.vot_auto * pax / 3600.0, econ.vot_bus * pax / 3600.0
     signals = np.hstack([

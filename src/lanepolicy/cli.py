@@ -24,10 +24,11 @@ import shutil
 import sys
 import tempfile
 import time
-from typing import IO, Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _files
 from ._fsweep import FrequencySweep
 from ._version import __version__
 from .config import (
@@ -57,7 +58,6 @@ from .scheduler import (
     format_timetable,
     schedule_summary,
     write_schedule_csv,
-    write_schedule_json,
 )
 from .stochastic import (
     DEFAULT_CLOCK_START_HR,
@@ -108,13 +108,7 @@ def build_scenario(
     """Assemble the working scenario: preset, then file, then --set overrides."""
     overrides = []
     if scenario_file is not None:
-        with open(scenario_file) as handle:
-            try:
-                file_doc = json.load(handle)
-            except json.JSONDecodeError as err:
-                raise ValidationError(
-                    f"{scenario_file}: not valid JSON: {err.msg} (line {err.lineno})"
-                ) from None
+        file_doc = _files.read_json(scenario_file)
         if not isinstance(file_doc, dict):
             raise ValidationError(f"{scenario_file}: scenario document must be a JSON object")
         overrides.append(file_doc)
@@ -127,21 +121,11 @@ def build_scenario(
 
 
 def _unique_path(base: str) -> str:
-    if not os.path.exists(base):
-        return base
-    for k in itertools.count(2):
-        candidate = f"{base}-{k}"
-        if not os.path.exists(candidate):
-            return candidate
-    raise AssertionError("unreachable")
+    candidates = itertools.chain([base], (f"{base}-{k}" for k in itertools.count(2)))
+    return next(path for path in candidates if not os.path.exists(path))
 
 
 _MANIFEST = "manifest.json"
-
-
-def _table(header: str, lines: Iterable[str]) -> Callable[[IO[str]], None]:
-    """A CSV body writer: the column line, then one line per row."""
-    return lambda handle: handle.writelines(f"{line}\n" for line in (header, *lines))
 
 
 class _Run:
@@ -156,27 +140,21 @@ class _Run:
 
     def path(self, relative: str) -> str:
         full = os.path.join(self.tmp, relative)
-        if os.path.dirname(relative):
-            os.makedirs(os.path.dirname(full), exist_ok=True)
+        os.makedirs(os.path.dirname(full), exist_ok=True)
         self.outputs.append(relative)
         return full
 
-    def csv(self, relative: str, meta: dict, write_rows: Callable[[IO[str]], None]) -> None:
-        """Write one CSV under ``# key=value`` comment lines, the first naming
-        the manifest's path from the file's directory."""
+    def csv(self, relative: str, meta: dict, write: Callable, *data) -> None:
+        """Write one CSV: ``# key=value`` comment lines, the first naming the
+        manifest's path from the file's directory, then ``write(*data, file)``."""
         manifest = os.path.relpath(_MANIFEST, os.path.dirname(relative) or os.curdir)
-        with open(self.path(relative), "w", newline="") as handle:
-            for key, value in {"manifest": manifest, **meta}.items():
-                handle.write(f"# {key}={value}\n")
-            write_rows(handle)
+        with _files.opened(self.path(relative), "w") as handle:
+            _files.write_comments(handle, {"manifest": manifest, **meta})
+            write(*data, handle)
 
     def finalize(self, manifest: dict) -> str:
-        manifest = dict(manifest)
-        manifest["outputs"] = sorted(set(self.outputs))
-        manifest["completed_utc"] = _utc_stamp()
-        with open(os.path.join(self.tmp, _MANIFEST), "w") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        manifest = {**manifest, "outputs": sorted(set(self.outputs)), "completed_utc": _utc_stamp()}
+        _files.write_json(manifest, os.path.join(self.tmp, _MANIFEST))
         final = _unique_path(os.path.join(self.out_root, self.name))
         os.replace(self.tmp, final)
         return final
@@ -278,7 +256,9 @@ def _cmd_cost(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:
     run.csv(
         "breakdown.csv",
         {"units": "cost=$/hr", "policy": policy.value, "q0": q0},
-        _table("component,cost", ("%s,%.6f" % item for item in costs.items())),
+        _files.write_csv,
+        ("component", "cost"),
+        ((name, "%.6f" % cost) for name, cost in costs.items()),
     )
     return {
         "policy": policy.value,
@@ -309,9 +289,11 @@ def _cmd_sweep(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:
     if not 0.0 < lo < hi:
         raise ValidationError(f"demand range must satisfy 0 < lo < hi, got [{lo}, {hi}]")
     capacities = args.capacities if args.capacities else [None]
-    repeated = sorted({c for c in capacities if capacities.count(c) > 1})
+    # capacities name their files and manifest keys at %g, so they must differ there
+    tags = ["%g" % c for c in sorted(args.capacities or ())]
+    repeated = [tag for tag in dict.fromkeys(tags) if tags.count(tag) > 1]
     if repeated:
-        raise ValidationError("repeated capacities: %s" % ", ".join("%g" % c for c in repeated))
+        raise ValidationError("repeated capacities: %s" % ", ".join(repeated))
 
     regions_by_capacity: dict[str, list[dict]] = {}
     thresholds: list[dict] = []
@@ -327,7 +309,8 @@ def _cmd_sweep(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:
                 "units": "q0=pax/hr/mi cost=$/hr R_star=fraction F_star=buses/hr",
                 "lane_capacity_vph": cap_value,
             },
-            lambda handle: write_curves_csv(curves, handle),
+            write_curves_csv,
+            curves,
         )
 
         regions = [
@@ -337,10 +320,9 @@ def _cmd_sweep(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:
         run.csv(
             f"regions{tag}.csv",
             {"units": "q0=pax/hr/mi", "lane_capacity_vph": cap_value},
-            _table(
-                "q0_lo,q0_hi,policy",
-                ("%.6f,%.6f,%s" % (r["q0_lo"], r["q0_hi"], r["policy"]) for r in regions),
-            ),
+            _files.write_csv,
+            ("q0_lo", "q0_hi", "policy"),
+            (("%.6f" % r["q0_lo"], "%.6f" % r["q0_hi"], r["policy"]) for r in regions),
         )
         regions_by_capacity["%g" % cap_value] = regions
 
@@ -359,18 +341,13 @@ def _cmd_sweep(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:
     run.csv(
         "thresholds.csv",
         {"units": "lane_capacity_vph=veh/hr q0_star=pax/hr/mi"},
-        _table(
-            "lane_capacity_vph,pair,q0_star,cheaper_below,cheaper_above",
-            (
-                "%g,%s,%s,%s,%s" % (
-                    t["lane_capacity_vph"],
-                    t["pair"],
-                    "" if t["q0_star"] is None else "%.6f" % t["q0_star"],
-                    t["cheaper_below"],
-                    t["cheaper_above"],
-                )
-                for t in thresholds
-            ),
+        _files.write_csv,
+        ("lane_capacity_vph", "pair", "q0_star", "cheaper_below", "cheaper_above"),
+        (
+            ("%g" % t["lane_capacity_vph"], t["pair"],
+             "" if t["q0_star"] is None else "%.6f" % t["q0_star"],
+             t["cheaper_below"], t["cheaper_above"])
+            for t in thresholds
         ),
     )
 
@@ -389,7 +366,7 @@ def _cmd_sweep(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:
     return {
         "q0_range": [lo, hi],
         "n_samples": args.n,
-        "capacities": ["%g" % (c if c is not None else scenario.geometry.lane_capacity_vph) for c in capacities],
+        "capacities": list(regions_by_capacity),
         "regions": regions_by_capacity,
         "thresholds": thresholds,
         # policy_regions raises on the first density without an optimum,
@@ -437,7 +414,7 @@ def _cmd_simulate(args: argparse.Namespace, scenario: Scenario, run: _Run) -> di
     entries = []
     for traj in trajectories:
         name = f"trajectories/trajectory_seed{traj.seed}.csv"
-        run.csv(name, _trajectory_meta(traj), lambda handle: write_trajectory_csv(traj, handle))
+        run.csv(name, _trajectory_meta(traj), write_trajectory_csv, traj)
         entry = {
             "file": name,
             "seed": traj.seed,
@@ -494,7 +471,7 @@ def _cmd_schedule(args: argparse.Namespace, scenario: Scenario, run: _Run) -> di
             "note": _SYNTHETIC_PARAMS_NOTE,
         }
 
-    run.csv("trajectory.csv", _trajectory_meta(traj), lambda handle: write_trajectory_csv(traj, handle))
+    run.csv("trajectory.csv", _trajectory_meta(traj), write_trajectory_csv, traj)
 
     table = evaluate_trajectory(scenario, traj, allowed)
     schedule = build_schedule(table, min_dwell=args.min_dwell)
@@ -509,14 +486,13 @@ def _cmd_schedule(args: argparse.Namespace, scenario: Scenario, run: _Run) -> di
             "units": "entry_t_hr=clock-hours exit_t_hr=clock-hours duration_min=minutes",
             "allowed": ",".join(p.value for p in allowed),
         },
-        lambda handle: write_schedule_csv(schedule, handle),
+        write_schedule_csv,
+        schedule,
     )
-    write_schedule_json(schedule, run.path("schedule.json"))
     summary = schedule_summary(schedule)
-    summary["allowed"] = [p.value for p in allowed]
-    summary["min_dwell_minutes"] = args.min_dwell
-    summary["trajectory_source"] = source
-    summary["seeds"] = seeds
+    _files.write_json(summary, run.path("schedule.json"))
+    summary.update(allowed=[p.value for p in allowed], min_dwell_minutes=args.min_dwell,
+                   trajectory_source=source, seeds=seeds)
     return summary
 
 
@@ -666,11 +642,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"run written to {final}")
         return 0
     except (LanePolicyError, OSError) as err:
-        if run is not None:
-            run.discard()
         code, label = next(v for cls, v in _EXIT_CODES.items() if isinstance(err, cls))
         print(f"{label}: {err}", file=sys.stderr)
         return code
+    finally:
+        if run is not None:  # after a finalized run the staging directory is gone already
+            run.discard()
 
 
 if __name__ == "__main__":

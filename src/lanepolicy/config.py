@@ -21,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from . import _files
 from .errors import ValidationError
 from .numeric import CorridorGrid
 
@@ -374,7 +375,7 @@ def load_scenario(source: str | bytes | dict) -> Scenario:
 
 def serialize(scenario: Scenario) -> str:
     """Canonical JSON text for ``scenario``; re-loading it round-trips exactly."""
-    return json.dumps(dataclasses.asdict(scenario), indent=2, sort_keys=True)
+    return _files.json_text(dataclasses.asdict(scenario))
 
 
 def scenario_fingerprint(scenario: Scenario) -> str:

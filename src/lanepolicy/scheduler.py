@@ -16,14 +16,13 @@ slope of the sampled cost curves and reported on the step table.
 
 from __future__ import annotations
 
-import csv
-import json
 import os
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import _files
 from .config import Scenario
 from .costmodel import POLICY_ORDER, Policy
 from .errors import NumericDomainError, ValidationError
@@ -294,36 +293,14 @@ def schedule_summary(schedule: Schedule) -> dict:
 
 def write_schedule_csv(schedule: Schedule, file: str | os.PathLike | IO[str]) -> None:
     """Write timetable rows as CSV (clock times, policy, duration)."""
-    if hasattr(file, "write"):
-        _write_schedule_rows(schedule, file)
-        return
-    with open(file, "w", newline="") as handle:
-        _write_schedule_rows(schedule, handle)
-
-
-def _write_schedule_rows(schedule: Schedule, handle: IO[str]) -> None:
-    writer = csv.writer(handle)
-    writer.writerow(SCHEDULE_CSV_COLUMNS)
-    for e in schedule.entries:
-        writer.writerow(
-            [
-                clock_label(e.t_entry),
-                clock_label(e.t_exit),
-                e.policy.value,
-                "%.6f" % e.t_entry,
-                "%.6f" % e.t_exit,
-                "%.1f" % (e.duration_hr * 60.0),
-            ]
-        )
+    rows = (
+        (clock_label(e.t_entry), clock_label(e.t_exit), e.policy.value,
+         "%.6f" % e.t_entry, "%.6f" % e.t_exit, "%.1f" % (e.duration_hr * 60.0))
+        for e in schedule.entries
+    )
+    _files.write_csv(SCHEDULE_CSV_COLUMNS, rows, file)
 
 
 def write_schedule_json(schedule: Schedule, file: str | os.PathLike | IO[str]) -> None:
     """Write the schedule summary as JSON."""
-    payload = schedule_summary(schedule)
-    if hasattr(file, "write"):
-        json.dump(payload, file, indent=2, sort_keys=True)
-        file.write("\n")
-        return
-    with open(file, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _files.write_json(schedule_summary(schedule), file)

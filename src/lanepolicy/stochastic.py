@@ -28,7 +28,6 @@ synthetic placeholders, not calibrated values; outputs label them as such.
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
 import os
@@ -38,6 +37,7 @@ from typing import IO
 
 import numpy as np
 
+from . import _files
 from .errors import ValidationError
 
 DEFAULT_HORIZON_HR = 12.0
@@ -208,19 +208,9 @@ def simulate_ensemble(
 
 def write_trajectory_csv(traj: Trajectory, file: str | os.PathLike | IO[str]) -> None:
     """Write one trajectory as CSV with columns clock_time, t_hours, q0."""
-    if hasattr(file, "write"):
-        _write_trajectory_rows(traj, file)
-        return
-    with open(file, "w", newline="") as handle:
-        _write_trajectory_rows(traj, handle)
-
-
-def _write_trajectory_rows(traj: Trajectory, handle: IO[str]) -> None:
-    writer = csv.writer(handle)
-    writer.writerow(TRAJECTORY_CSV_COLUMNS)
-    labels = traj.clock_labels()
-    for label, t, q in zip(labels, traj.t_hours, traj.values):
-        writer.writerow([label, "%.6f" % t, "%.6f" % q])
+    samples = zip(traj.clock_labels(), traj.t_hours, traj.values)
+    rows = ((label, "%.6f" % t, "%.6f" % q) for label, t, q in samples)
+    _files.write_csv(TRAJECTORY_CSV_COLUMNS, rows, file)
 
 
 def read_trajectory_csv(file: str | os.PathLike | IO[str]) -> Trajectory:
@@ -233,14 +223,7 @@ def read_trajectory_csv(file: str | os.PathLike | IO[str]) -> Trajectory:
     elapsed t_hours.  The returned trajectory carries seed -1 to mark an
     external source.
     """
-    if hasattr(file, "read"):
-        return _read_trajectory_rows(file)
-    with open(file, newline="") as handle:
-        return _read_trajectory_rows(handle)
-
-
-def _read_trajectory_rows(handle: IO[str]) -> Trajectory:
-    rows = [row for row in csv.reader(handle) if row and not row[0].startswith("#")]
+    rows = _files.read_csv(file)
     if not rows or tuple(rows[0]) != TRAJECTORY_CSV_COLUMNS:
         raise ValidationError(
             "trajectory file must start with columns %s" % ",".join(TRAJECTORY_CSV_COLUMNS)

@@ -19,11 +19,11 @@ same, so neither search sees them.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _files
 from .config import Scenario
 from .costmodel import POLICY_ORDER, Policy
 from .errors import InfeasibleError, NumericDomainError, ValidationError
@@ -239,25 +239,10 @@ def write_curves_csv(curves, file) -> None:
     ``file`` is a path or a text file object; rows are ordered by policy
     then density.
     """
-    if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
-        with open(file, "w", newline="") as handle:
-            write_curves_csv(curves, handle)
-            return
-    writer = csv.writer(file)
-    writer.writerow(CURVE_CSV_COLUMNS)
+    rows = []
     for curve in curves:
         for q0, opt in curve.samples:
             b = opt.breakdown
-            writer.writerow(
-                [
-                    f"{q0:.6g}",
-                    curve.policy.value,
-                    f"{b.total:.6f}",
-                    f"{b.bus_user:.6f}",
-                    f"{b.bus_operator:.6f}",
-                    f"{b.auto_user:.6f}",
-                    f"{b.signal:.6f}",
-                    f"{opt.r_star:.6f}",
-                    f"{opt.f_star:.6f}",
-                ]
-            )
+            values = (b.total, b.bus_user, b.bus_operator, b.auto_user, b.signal, opt.r_star, opt.f_star)
+            rows.append([f"{q0:.6g}", curve.policy.value, *(f"{v:.6f}" for v in values)])
+    _files.write_csv(CURVE_CSV_COLUMNS, rows, file)

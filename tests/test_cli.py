@@ -274,6 +274,28 @@ class TestSweepCommand:
         assert "repeated capacities: 1500" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_capacities_that_print_alike_exit_2(self, tmp_path, capsys):
+        # both would be named C1500 in file names and manifest keys
+        code = main(
+            ["sweep", "--q0-lo", "400", "--q0-hi", "600", "--n", "2",
+             "--capacities", "1500.0000001,1500.0000002", "--out-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: repeated capacities: 1500\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("error", [RuntimeError("boom"), KeyboardInterrupt()])
+    def test_unexpected_error_discards_the_staged_run(self, tmp_path, monkeypatch, error):
+        # the failure comes after cost_curves.csv has been staged
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("lanepolicy.cli.policy_regions", fail)
+        with pytest.raises(type(error)):
+            main(["sweep", "--q0-lo", "400", "--q0-hi", "600", "--n", "2",
+                  "--out-dir", str(tmp_path)])
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSimulateCommand:
     def test_deterministic_outputs(self, tmp_path):
@@ -428,7 +450,8 @@ _HUGE_INT = "1" + "0" * 400  # parses as an int that no float can hold
 _TRAJECTORY_KEYS = ("units", "seed", "dt_hr", "t0_clock", "note")
 
 
-@pytest.mark.parametrize(
+# each command's CSV files and the comment keys after the manifest line
+_RUN_CSVS = pytest.mark.parametrize(
     "argv,headers",
     [
         (["cost", "--policy", "mtp", "--q0", "400", "--R", "0.8", "--F", "12"],
@@ -444,6 +467,9 @@ _TRAJECTORY_KEYS = ("units", "seed", "dt_hr", "t0_clock", "note")
     ],
     ids=["cost", "sweep", "simulate", "schedule"],
 )
+
+
+@_RUN_CSVS
 def test_csv_headers_lead_with_the_manifest_path(tmp_path, argv, headers):
     assert main([*argv, "--out-dir", str(tmp_path), "--run-name", "run"]) == 0
     run = tmp_path / "run"
@@ -456,6 +482,21 @@ def test_csv_headers_lead_with_the_manifest_path(tmp_path, argv, headers):
                     for line in itertools.takewhile(lambda line: line.startswith("# "), handle)]
         assert [key for key, _, _ in meta] == ["manifest", *keys], name
         assert (path.parent / meta[0][2]).resolve() == (run / "manifest.json").resolve(), name
+
+
+@_RUN_CSVS
+def test_run_files_share_one_format(tmp_path, argv, headers):
+    # every line ends with LF alone; JSON files have sorted keys, a 2-space
+    # indent and a final newline
+    assert main([*argv, "--out-dir", str(tmp_path), "--run-name", "run"]) == 0
+    files = [p for p in (tmp_path / "run").rglob("*") if p.is_file()]
+    assert len(files) > len(headers)
+    for path in files:
+        data = path.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n"), path.name
+        if path.suffix == ".json":
+            text = data.decode()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(

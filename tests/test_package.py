@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,17 @@ def test_exports_resolve(module_name: str):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+def test_only_the_files_module_reads_or_writes_files():
+    # json.loads of text already in memory (--set values, scenario text) is allowed
+    file_access = re.compile(r"\bopen\(|^\s*(import|from) csv\b|\bjson\.dumps?\(", re.MULTILINE)
+    offenders = sorted(
+        path.name
+        for path in Path(lanepolicy.__path__[0]).glob("*.py")
+        if path.name != "_files.py" and file_access.search(path.read_text())
+    )
+    assert offenders == []
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)

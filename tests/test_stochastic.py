@@ -240,6 +240,22 @@ class TestTrajectoryCsv:
         assert back.n_steps == 2
         assert back.values[1] == pytest.approx(910.0)
 
+    def test_reader_takes_crlf_lines_as_lf(self, tmp_path):
+        # earlier releases ended data lines with CRLF after LF comment lines
+        traj = simulate(OUParams(), horizon=1.0, seed=4)
+        buf = io.StringIO()
+        write_trajectory_csv(traj, buf)
+        body = buf.getvalue()
+        assert "\r" not in body
+        head = "# manifest=../manifest.json\n# units=t_hours=hours q0=pax/hr/mi\n"
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        lf.write_bytes((head + body).encode())
+        crlf.write_bytes((head + body.replace("\n", "\r\n")).encode())
+        a, b = read_trajectory_csv(lf), read_trajectory_csv(crlf)
+        assert (a.t0_clock, a.dt, a.seed, a.floor_events) == (b.t0_clock, b.dt, b.seed, b.floor_events)
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.n_steps == traj.n_steps
+
     @pytest.mark.parametrize("label", ["07:75", "25:00", "-1:30"])
     def test_reader_rejects_out_of_range_clock_labels(self, tmp_path, label: str):
         bad = tmp_path / "bad.csv"
