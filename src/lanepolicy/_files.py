@@ -20,7 +20,7 @@ def opened(file: str | os.PathLike | IO[str], mode: str = "r"):
     """A context giving ``file`` opened without newline translation if it is
     a path, else ``file`` itself, left open."""
     if isinstance(file, (str, bytes, os.PathLike)):
-        return open(file, mode, newline="")
+        return open(file, mode, encoding="utf-8", newline="")
     return contextlib.nullcontext(file)
 
 
@@ -35,9 +35,21 @@ def write_csv(columns: Sequence[str], rows: Iterable[Sequence], file) -> None:
         writer.writerows(rows)
 
 
+@contextlib.contextmanager
+def _reading(file):
+    """``opened(file)``, with text that is not UTF-8 a ValidationError naming
+    the file."""
+    try:
+        with opened(file) as handle:
+            yield handle
+    except UnicodeDecodeError as err:
+        name = getattr(file, "name", file)
+        raise ValidationError(f"{name}: not UTF-8 text ({err.reason})") from None
+
+
 def read_csv(file) -> list[list[str]]:
     """Every non-empty row, comment lines skipped; CRLF lines read as LF."""
-    with opened(file) as handle:
+    with _reading(file) as handle:
         lines = (line for line in handle if not line.startswith("#"))
         return [row for row in csv.reader(lines) if row]
 
@@ -54,7 +66,7 @@ def write_json(document, file) -> None:
 
 def read_json(path: str):
     try:
-        with opened(path) as handle:
+        with _reading(path) as handle:
             return json.load(handle)
     except json.JSONDecodeError as err:
         raise ValidationError(f"{path}: not valid JSON: {err.msg} (line {err.lineno})") from None

@@ -59,7 +59,7 @@ import numpy as np
 
 from .config import Scenario
 from .costmodel import LANE_TABLE, Policy, intersection_delay, signal_auto_pax
-from .demand import DemandField, cumulative_demand, density
+from .demand import DemandField, _operating_point, cumulative_demand, density
 from .errors import ValidationError
 from .numeric import cumulative_kernel, cumulative_values
 
@@ -221,10 +221,10 @@ def _moment_table(scenario: Scenario, policy: Policy) -> _MomentTable:
 class FrequencySweep:
     """Total cost as a cheap function of frequency at fixed (q0, R) rows.
 
-    ``auto_share`` is one share or a 1-D array of shares; ``q0`` is one
-    density for every share or an array of the same shape, one per share.
-    Building a sweep looks up the (scenario, policy) moment table;
-    :meth:`totals` then prices any number of candidate-frequency rows.
+    Each of ``q0`` and ``auto_share`` is one value or a 1-D array aligned
+    with the other; each (q0, R) point is one row.  Building a sweep looks
+    up the (scenario, policy) moment table; :meth:`totals` then prices any
+    number of candidate-frequency rows.
     """
 
     def __init__(self, scenario: Scenario, policy: Policy, q0, auto_share):
@@ -232,15 +232,8 @@ class FrequencySweep:
         self.policy = policy
         self.q0 = q0
         self.auto_share = auto_share
-        self._shares = np.atleast_1d(np.asarray(auto_share, dtype=float))
-        densities = np.asarray(q0, dtype=float)
-        if densities.ndim and densities.shape != np.shape(auto_share):
-            raise ValidationError(
-                f"q0 has shape {densities.shape}, auto_share {np.shape(auto_share)}"
-            )
-        if not (np.isfinite(densities) & (densities >= 0)).all():
-            raise ValidationError(f"q0 must be finite and >= 0, got {q0}")
-        self._q0s = np.full(self._shares.shape, densities)
+        q0s, shares = np.broadcast_arrays(*_operating_point(q0, auto_share))
+        self._q0s, self._shares = np.atleast_1d(q0s), np.atleast_1d(shares)
         self._table = _moment_table(scenario, policy)
         self._varying = [group for group in self._table.kernels if group.slope]  # with buses
         self.priced = 0  # candidates row_minima has priced in full
@@ -258,7 +251,8 @@ class FrequencySweep:
             raise ValidationError("frequency candidates must be positive")
         rows = np.broadcast_to(f_arr, (self._shares.size, f_arr.shape[-1]))
         out = self._add_signals(*self._base(rows), rows) if rows.size else np.empty(rows.shape)
-        return out[0] if np.ndim(self.auto_share) == 0 and f_arr.ndim == 1 else out
+        one_row = np.ndim(self.q0) == np.ndim(self.auto_share) == 0 and f_arr.ndim == 1
+        return out[0] if one_row else out
 
     # bench/spans.py wraps this name; every candidate is now priced from the table
     _fallback_totals = totals

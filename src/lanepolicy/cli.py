@@ -29,7 +29,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _files
-from ._fsweep import FrequencySweep
 from ._version import __version__
 from .config import (
     Scenario,
@@ -46,7 +45,7 @@ from .errors import (
     ValidationError,
 )
 from .optimizer import (
-    _split_lattice,
+    _best_split_at_fixed_f,
     foc_residual,
     min_frequency,
     optimize_frequency,
@@ -190,27 +189,10 @@ def _base_manifest(command: str, argv: Sequence[str], scenario: Scenario) -> dic
 # cost command
 
 
-def _best_split_at_fixed_f(
-    scenario: Scenario, policy: Policy, q0: float, frequency: float
-) -> float:
-    """Cheapest auto share on the optimizer's split lattice when the frequency
-    is pinned by the caller.
-
-    Only shares whose bus demand fits the pinned frequency are admissible;
-    R = 1 always is.  Ties prefer the larger auto share.
-    """
-    shares = 1.0 - _split_lattice(scenario.solver)  # descending from R = 1
-    shares = shares[min_frequency(scenario, q0, shares) <= frequency + 1e-9]
-    totals = FrequencySweep(scenario, policy, q0, shares).totals([frequency])[:, 0]
-    return float(shares[np.argmin(totals)])
-
-
 def _cmd_cost(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:
     policy = Policy.parse(args.policy)
     q0 = args.q0
     diagnostics = {}
-    if args.R is not None and not 0.0 <= args.R <= 1.0:
-        raise ValidationError(f"R must lie in [0, 1], got {args.R}")
     if args.F is not None and not np.isfinite(args.F):
         raise ValidationError(f"F must be finite, got {args.F}")
     if args.F is not None and args.F <= 0.0:

@@ -238,15 +238,21 @@ class SolverSettings:
         _require(self.n_cells >= 2, f"n_cells must be >= 2, got {self.n_cells}")
         _require(self.n_cells <= 100_000, f"n_cells must be <= 100000, got {self.n_cells}")
         _require(self.n_cells % 2 == 0, f"n_cells must be even, got {self.n_cells}")
-        _require(0 < self.r_step <= 0.5, f"r_step must lie in (0, 0.5], got {self.r_step}")
+        # the lower bounds on the steps and the upper bounds on f_cap and the
+        # refine factor bound the split and frequency lattices a search builds
         _require(
-            self.r_refine_factor >= 2,
-            f"r_refine_factor must be >= 2, got {self.r_refine_factor}",
+            0.001 <= self.r_step <= 0.5, f"r_step must lie in [0.001, 0.5], got {self.r_step}"
         )
-        _require(self.f_cap >= 1, f"f_cap must be >= 1 bus/hr, got {self.f_cap}")
         _require(
-            0 < self.f_refine_step <= 1,
-            f"f_refine_step must lie in (0, 1], got {self.f_refine_step}",
+            2 <= self.r_refine_factor <= 1000,
+            f"r_refine_factor must lie in [2, 1000], got {self.r_refine_factor}",
+        )
+        _require(
+            1 <= self.f_cap <= 12_000, f"f_cap must lie in [1, 12000] buses/hr, got {self.f_cap}"
+        )
+        _require(
+            0.001 <= self.f_refine_step <= 1,
+            f"f_refine_step must lie in [0.001, 1], got {self.f_refine_step}",
         )
         _require(self.threshold_tol > 0, f"threshold_tol must be > 0, got {self.threshold_tol}")
         _require(

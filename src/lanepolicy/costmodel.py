@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import Scenario, SignalParams
-from .demand import DemandField, cumulative_demand, occupancy_split
+from .demand import DemandField, _per_point, cumulative_demand, density, occupancy_split
 from .errors import UndefinedServiceError, ValidationError
 from .numeric import CorridorGrid, cumulative_values, dot_rows, integrate_values
 
@@ -207,12 +207,6 @@ class CostBreakdown:
         )
 
 
-def _col(value):
-    """A scalar itself, or a per-point 1-D array as an (n_points, 1) column
-    that broadcasts against node profiles."""
-    return value if np.ndim(value) == 0 else value[:, None]
-
-
 @dataclass(frozen=True)
 class EvaluationContext:
     """One (scenario, q0, R, F) operating point with tabulated node profiles.
@@ -243,7 +237,7 @@ class EvaluationContext:
     def f_col(self):
         """Frequency shaped to broadcast against node profiles: the scalar
         itself, or an (n_points, 1) column."""
-        return _col(self.frequency)
+        return _per_point(self.frequency, self.grid.nodes)
 
     def points(self, keep: np.ndarray) -> EvaluationContext:
         """A fresh context over the stacked points where ``keep`` is true."""
@@ -274,15 +268,15 @@ def build_context(
 def _context(scenario: Scenario, q0, auto_share, frequency) -> EvaluationContext:
     """One operating point, or a stack of them: each of q0, auto share and
     frequency is a scalar or a 1-D array aligned with the others."""
-    shapes = {np.shape(v) for v in (q0, auto_share, frequency) if np.ndim(v)}
-    if len(shapes) > 1 or any(len(shape) > 1 for shape in shapes):
+    demand_field = DemandField(q0=q0, length_mi=scenario.geometry.length_mi, auto_share=auto_share)
+    shapes = {np.shape(v) for v in (q0, auto_share) if np.ndim(v)}
+    if np.ndim(frequency) and (np.ndim(frequency) > 1 or shapes - {np.shape(frequency)}):
         raise ValidationError(
-            f"q0, auto_share and frequency must be scalars or aligned 1-D arrays, "
-            f"got shapes {sorted(shapes)}"
+            f"frequency must be a scalar or a 1-D array aligned with q0 and auto_share, "
+            f"got shape {np.shape(frequency)}"
         )
     if np.any(np.asarray(frequency) < 0):
         raise ValidationError(f"frequency must be >= 0, got {frequency}")
-    demand_field = DemandField(q0=q0, length_mi=scenario.geometry.length_mi, auto_share=auto_share)
     return EvaluationContext(
         scenario=scenario,
         q0=q0,
@@ -525,8 +519,9 @@ def _user_cost(ctx: EvaluationContext, policy: Policy, mode: str):
     travelers of the mode."""
     share = ctx.auto_share if mode == "auto" else 1.0 - ctx.auto_share
     nodes = ctx.grid.nodes
-    density = _col(share * ctx.q0) * (1.0 - nodes / ctx.demand_field.length_mi)
-    present = density.any(axis=-1)
+    unit = replace(ctx.demand_field, q0=1.0, auto_share=1.0)
+    weight = _per_point(share * ctx.q0, nodes) * density(unit, nodes)
+    present = weight.any(axis=-1)
     if not present.any():
         return 0.0
     if not present.all():  # price the points with travelers of this mode alone
@@ -537,7 +532,7 @@ def _user_cost(ctx: EvaluationContext, policy: Policy, mode: str):
         unit_cost, vot = bus_disutility(ctx, policy, nodes), ctx.scenario.econ.vot_bus
     else:
         unit_cost, vot = mean_auto_disutility(ctx, policy, nodes), ctx.scenario.econ.vot_auto
-    in_corridor = integrate_values(unit_cost * density, ctx.grid)
+    in_corridor = integrate_values(unit_cost * weight, ctx.grid)
     return in_corridor + vot * total_intersection_delay(ctx, policy, mode)
 
 

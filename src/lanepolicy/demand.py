@@ -36,7 +36,9 @@ class DemandField:
     """Demand profile: boundary density q0, length, and auto share R.
 
     ``q0`` and ``auto_share`` are each a scalar or a 1-D array with one entry
-    per operating point; arrays must have the same length.
+    per operating point; arrays must have the same length.  That rule, with
+    q0 finite and >= 0 and R in [0, 1], is the one check of a (q0, R) point
+    that every layer runs.
     """
 
     q0: float | np.ndarray  # pax/hr/mi at x = 0
@@ -44,20 +46,32 @@ class DemandField:
     auto_share: float | np.ndarray  # R
 
     def __post_init__(self) -> None:
-        q0, share = np.asarray(self.q0, dtype=float), np.asarray(self.auto_share, dtype=float)
-        if q0.ndim > 1 or share.ndim > 1 or (q0.ndim and share.ndim and q0.shape != share.shape):
-            raise ValidationError(
-                f"q0 and auto_share must be scalars or aligned 1-D arrays, "
-                f"got shapes {q0.shape} and {share.shape}"
-            )
-        if not np.isfinite(q0).all():
-            raise ValidationError(f"q0 must be finite, got {self.q0}")
-        if (q0 < 0).any():
-            raise ValidationError(f"q0 must be >= 0, got {self.q0}")
+        _operating_point(self.q0, self.auto_share)
         if self.length_mi <= 0:
             raise ValidationError(f"length_mi must be > 0, got {self.length_mi}")
-        if not ((0 <= share) & (share <= 1)).all():  # also rejects NaN
-            raise ValidationError(f"auto_share must lie in [0, 1], got {self.auto_share}")
+
+
+def _operating_point(q0, auto_share) -> tuple[np.ndarray, np.ndarray]:
+    """``q0`` and ``auto_share`` as float arrays, once each is checked: a
+    scalar or a 1-D array, arrays aligned, q0 finite and >= 0, auto_share in
+    [0, 1].  Every layer that takes operating points checks them here."""
+    try:
+        q0, share = np.asarray(q0, dtype=float), np.asarray(auto_share, dtype=float)
+        got = f"shapes {q0.shape} and {share.shape}"
+    except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
+        got, q0 = f"{q0!r} and {auto_share!r}", None
+    if (
+        q0 is None or q0.ndim > 1 or share.ndim > 1
+        or (q0.ndim and share.ndim and q0.shape != share.shape)
+    ):
+        raise ValidationError(f"q0 and auto_share must be scalars or aligned 1-D arrays, got {got}")
+    bad = ~(np.isfinite(q0) & (q0 >= 0))
+    if bad.any():
+        raise ValidationError(f"q0 must be finite and >= 0, got {q0[bad][0]}")
+    bad = ~((0 <= share) & (share <= 1))  # also NaN
+    if bad.any():
+        raise ValidationError(f"auto_share must lie in [0, 1], got {share[bad][0]}")
+    return q0, share
 
 
 def _per_point(value, x_arr: np.ndarray):

@@ -24,7 +24,8 @@ coarse first minimum nor the refined one can change.  Rows are priced
 elementwise and no bound crosses densities, so an optimum does not depend
 on the block it was solved in.
 :func:`optimize_frequency` is the one-share case and :func:`optimize_policy`
-the one-density case of :func:`optimize_policies`.  The winning operating
+the one-density case of :func:`optimize_policies`; ``_best_split_at_fixed_f``
+is the split scan at a frequency the caller pins (``lanepolicy cost --F``).  The winning operating
 points of a call are then priced together, one point or a stacked array of
 points per :func:`~lanepolicy.costmodel.cost_breakdowns` pass, which gives
 every float of the one-point :func:`~lanepolicy.costmodel.cost_breakdown`.
@@ -41,7 +42,7 @@ each bisection call prices its up to three shares the same way.
 from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,6 +59,7 @@ from .costmodel import (
     cost_breakdowns,
     mean_auto_disutility,
 )
+from .demand import _operating_point, density
 from .errors import InfeasibleError, NumericDomainError, ValidationError
 from .numeric import find_root, integrate_values
 
@@ -90,17 +92,10 @@ def min_frequency(scenario: Scenario, q0, auto_share):
 
     The onboard load peaks at the inner end of the corridor where it equals
     all bus demand, (1-R)*q0*A/2; dividing by bus capacity gives the floor.
-    ``auto_share`` may be an array of shares, and ``q0`` an array of the
-    same shape with one density per share.
+    Each of ``q0`` and ``auto_share`` is one value or a 1-D array aligned
+    with the other, one entry per operating point.
     """
-    densities = np.asarray(q0, dtype=float)
-    if not np.isfinite(densities).all():
-        raise ValidationError(f"q0 must be finite, got {q0}")
-    shares = np.asarray(auto_share, dtype=float)
-    if densities.ndim and densities.shape != shares.shape:
-        raise ValidationError(f"q0 has shape {densities.shape}, auto_share {shares.shape}")
-    if not np.all((0 <= shares) & (shares <= 1)):
-        raise ValidationError(f"auto_share must lie in [0, 1], got {auto_share}")
+    densities, shares = _operating_point(q0, auto_share)
     peak_load = (1.0 - shares) * densities * scenario.geometry.length_mi / 2.0
     out = peak_load / scenario.bus.capacity_pax
     return float(out) if out.ndim == 0 else out
@@ -234,6 +229,21 @@ def optimize_frequency(
     return float(f[0]), float(cost[0])
 
 
+def _best_split_at_fixed_f(
+    scenario: Scenario, policy: Policy, q0: float, frequency: float
+) -> float:
+    """Cheapest auto share on the split lattice at a frequency the caller
+    pins.
+
+    Only shares whose bus demand fits the pinned frequency are admissible;
+    R = 1 always is.  Ties prefer the larger auto share.
+    """
+    shares = 1.0 - _split_lattice(scenario.solver)  # descending from R = 1
+    shares = shares[min_frequency(scenario, q0, shares) <= frequency + 1e-9]
+    totals = FrequencySweep(scenario, policy, q0, shares).totals([frequency])[:, 0]
+    return float(shares[np.argmin(totals)])
+
+
 def foc_residual(
     scenario: Scenario, policy: Policy, q0: float, auto_share: float, frequency: float,
     step: float = 0.01,
@@ -267,7 +277,7 @@ def _disutility_gap(ctx: EvaluationContext, policy: Policy, signed: bool):
     of its stacked points."""
     nodes = ctx.grid.nodes
     diff = mean_auto_disutility(ctx, policy, nodes) - bus_disutility(ctx, policy, nodes)
-    weight = 1.0 - nodes / ctx.grid.length  # linear demand density, q0 cancels
+    weight = density(replace(ctx.demand_field, q0=1.0, auto_share=1.0), nodes)  # q0 cancels
     if not signed:
         diff = np.abs(diff)
     return integrate_values(diff * weight, ctx.grid) / integrate_values(weight, ctx.grid)
@@ -511,16 +521,10 @@ _optimize_policy_cached = _BatchMemo(_solve_policies, maxsize=65536)
 def _lookup(scenario: Scenario, policy, q0s) -> list:
     """Each density's optimum from the memo, solving the missing ones in one
     batch; an :class:`InfeasibleError` stands for a density without one."""
-    try:
-        densities = np.asarray(q0s, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
-        densities = None
-    if densities is None or densities.ndim != 1:
+    densities, _ = _operating_point(q0s, 1.0)  # any share: the densities alone
+    if densities.ndim != 1:
         raise ValidationError(f"q0s must be a 1-D sequence of densities, got {q0s!r}")
-    densities = densities.tolist()
-    if not all(0.0 <= q0 < np.inf for q0 in densities):  # also rejects NaN
-        raise ValidationError(f"q0 must be finite and >= 0, got {q0s}")
-    return _optimize_policy_cached(scenario, Policy.parse(policy), densities)
+    return _optimize_policy_cached(scenario, Policy.parse(policy), densities.tolist())
 
 
 def optimize_policies(scenario: Scenario, policy: Policy, q0s) -> list[PolicyOptimum]:

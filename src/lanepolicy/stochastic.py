@@ -51,6 +51,10 @@ DEMAND_FLOOR = 1.0
 
 TRAJECTORY_CSV_COLUMNS = ("clock_time", "t_hours", "q0")
 
+# Steps per trajectory: about 694 days of one-minute steps.  A schedule
+# optimizes every step's density, so this also bounds its work.
+_MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class OUParams:
@@ -127,7 +131,13 @@ def _step_count(horizon: float, dt: float) -> int:
     if dt > horizon * (1.0 + 1e-12):
         raise ValidationError("dt must not exceed the horizon")
     # Tolerate horizons that are integer multiples of dt up to roundoff.
-    return int(math.floor(horizon / dt + 1e-9))
+    steps = horizon / dt + 1e-9
+    if not steps < _MAX_STEPS + 1:
+        raise ValidationError(
+            f"horizon / dt must give at most {_MAX_STEPS} steps, got {steps:.6g} "
+            f"(horizon {horizon:g}, dt {dt:g})"
+        )
+    return math.floor(steps)
 
 
 def _check_seed(seed) -> int:

@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 _SCAN_POINTS = 33
+# densities per lattice (cost_curve's n_samples, policy_regions' range over
+# resolution): every one is an optimum per policy, and the memo keeps 65,536
+_MAX_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -93,9 +96,15 @@ def _lattice(lo: float, hi: float, resolution: float) -> list[float]:
     """lo + resolution*k for each k with that density below hi, then hi.
 
     With resolution = (hi - lo)/(n - 1) these are np.linspace(lo, hi, n)'s
-    densities, bit for bit.
+    densities, bit for bit.  At most :data:`_MAX_SAMPLES` densities.
     """
-    n_below = int(np.ceil((hi - lo) / resolution - 1e-9))
+    n_below = np.ceil((hi - lo) / resolution - 1e-9)
+    if not n_below < _MAX_SAMPLES:
+        raise ValidationError(
+            f"a density lattice holds at most {_MAX_SAMPLES} samples (n_samples, or range / "
+            f"resolution); [{lo:g}, {hi:g}] at resolution {resolution:g} gives {n_below + 1:g}"
+        )
+    n_below = int(n_below)
     return [float(q0) for q0 in np.arange(n_below) * resolution + lo] + [hi]
 
 

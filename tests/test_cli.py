@@ -552,3 +552,47 @@ def test_module_entry_point(tmp_path):
     assert cost.returncode == 0, cost.stderr
     assert cost.stdout.endswith(f"run written to {Path('runs') / 'cost'}\n")
     assert read_manifest(tmp_path / "runs" / "cost")["results"]["policy"] == "eblp"
+
+
+# Each size comes from outside input and would be allocated whole; each is
+# refused, naming its field or flag, before anything is built.
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["cost", "--policy", "mtp", "--q0", "1000", "--set", "solver.f_cap=1e300"], "f_cap"),
+        (["cost", "--policy", "mtp", "--q0", "1000", "--set", "solver.r_step=1e-300"], "r_step"),
+        (["cost", "--policy", "mtp", "--q0", "1000", "--set", "solver.f_refine_step=1e-300"],
+         "f_refine_step"),
+        (["cost", "--policy", "mtp", "--q0", "1000",
+          "--set", "solver.r_refine_factor=1000000000000000"], "r_refine_factor"),
+        (["sweep", "--n", "1000000000000000"], "n_samples"),
+        (["schedule", "--horizon", "1e12"], "horizon"),
+        (["simulate", "--n", "1", "--horizon", "1e12"], "horizon"),
+    ],
+)
+def test_oversized_input_exits_2(tmp_path, capsys, argv, name):
+    out = tmp_path / "runs"
+    out.mkdir()
+    code = main(argv + ["--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flag,data",
+    [
+        ("--scenario", b"\xff\xfe{}"),
+        ("--trajectory", b"clock_time,t_hours,q0\n07:00,0.0,500.0\n07:30,0.5,5\xff0\n"),
+    ],
+)
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys, flag, data):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    out = tmp_path / "runs"
+    out.mkdir()
+    command = ["cost", "--policy", "mtp", "--q0", "1000"] if flag == "--scenario" else ["schedule"]
+    assert main([*command, flag, str(path), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+    assert list(out.iterdir()) == []

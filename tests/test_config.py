@@ -114,6 +114,21 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match="n_cells"):
             load_scenario({"solver": {"n_cells": 100_002}})
 
+    @pytest.mark.parametrize(
+        "name,legal,too_far",
+        [
+            ("f_cap", [120.0, 400.0, 12_000.0], 12_000.5),
+            ("r_step", [0.001, 0.01, 0.5], 0.000999),
+            ("f_refine_step", [0.001, 0.1, 1.0], 0.000999),
+            ("r_refine_factor", [2, 10, 1000], 1001),
+        ],
+    )
+    def test_lattice_sizes_bounded(self, name, legal, too_far):
+        for value in legal:
+            assert getattr(load_scenario({"solver": {name: value}}).solver, name) == value
+        with pytest.raises(ValidationError, match=name):
+            load_scenario({"solver": {name: too_far}})
+
     def test_fingerprint_changes_with_content(self, baseline: Scenario):
         other = load_scenario({"econ": {"vot_auto": 18.5}})
         assert scenario_fingerprint(other) != scenario_fingerprint(baseline)

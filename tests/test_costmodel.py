@@ -493,6 +493,14 @@ class TestFrequencySweep:
         singles = np.array([float(sweep.totals([f])[0]) for f in fs])
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
 
+    def test_one_share_against_many_densities(self, baseline: Scenario):
+        # one row per point, whichever of q0 and R is the array
+        q0s, fs = np.array([300.0, 800.0, 1500.0]), np.array([12.0, 40.0])
+        got = FrequencySweep(baseline, Policy.EBLP, q0s, 0.7).totals(fs)
+        aligned = FrequencySweep(baseline, Policy.EBLP, q0s, np.full(3, 0.7)).totals(fs)
+        assert got.shape == (3, 2)
+        np.testing.assert_array_equal(got, aligned)
+
     def test_rejects_nonpositive_frequencies(self, baseline: Scenario):
         sweep = FrequencySweep(baseline, Policy.MTP, 800.0, 0.7)
         with pytest.raises(ValidationError):

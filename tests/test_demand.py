@@ -144,3 +144,39 @@ class TestOccupancySplit:
         assert split.low_fraction / occ.low_occupancy == pytest.approx(
             mu / split.average_occupancy, abs=1e-12
         )
+
+
+def _reject_message(call) -> str:
+    with pytest.raises(ValidationError) as err:
+        call()
+    return str(err.value)
+
+
+# (q0, R) faults; None marks the cases without an auto share to pass, which
+# optimize_policies, taking densities alone, is checked on as well.
+_BAD_POINTS = [
+    (-5.0, None), (float("nan"), None), (float("inf"), None), (np.full((2, 2), 500.0), None),
+    (500.0, -0.1), (500.0, 1.5), (500.0, float("nan")),
+    (np.array([500.0, 600.0]), np.array([0.5, 0.6, 0.7])),
+]
+
+
+@pytest.mark.parametrize(
+    "q0,share",
+    _BAD_POINTS,
+    ids=["q0=-5", "q0=nan", "q0=inf", "q0-2d", "R=-0.1", "R=1.5", "R=nan", "lengths-2-3"],
+)
+def test_every_layer_rejects_a_bad_operating_point_alike(q0, share):
+    from lanepolicy import Policy, Scenario, cost_breakdowns, min_frequency, optimize_policies
+    from lanepolicy._fsweep import FrequencySweep
+
+    scen, r = Scenario(), 0.5 if share is None else share
+    expected = _reject_message(lambda: DemandField(q0=q0, length_mi=30.0, auto_share=r))
+    calls = [
+        lambda: min_frequency(scen, q0, r),
+        lambda: FrequencySweep(scen, Policy.MTP, q0, r),
+        lambda: cost_breakdowns(scen, Policy.MTP, q0, r, 10.0),
+    ]
+    if share is None:
+        calls.append(lambda: optimize_policies(scen, Policy.MTP, q0))
+    assert [_reject_message(call) for call in calls] == [expected] * len(calls)

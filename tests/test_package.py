@@ -36,6 +36,17 @@ def test_only_the_files_module_reads_or_writes_files():
     assert offenders == []
 
 
+def test_only_the_demand_module_states_the_operating_point():
+    # the linear profile q0*(1 - x/A), and the q0 and auto_share rule
+    restated = re.compile(r"1\.0 - (nodes|x_arr) /|\b(q0|auto_share) must\b")
+    offenders = sorted(
+        path.name
+        for path in Path(lanepolicy.__path__[0]).glob("*.py")
+        if path.name != "demand.py" and restated.search(path.read_text())
+    )
+    assert offenders == []
+
+
 @pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(path: Path, capsys):
     spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)

@@ -102,6 +102,14 @@ class TestSimulate:
         with pytest.raises(ValidationError):
             simulate(OUParams(), seed=-1)
 
+    def test_step_count_bounded(self):
+        # 1,000,000 steps is the most; neither call below builds a path
+        with pytest.raises(ValidationError, match="seed"):
+            simulate(OUParams(), horizon=1_000_000.0, dt=1.0, seed=-1)
+        for horizon, dt in ((1_000_001.0, 1.0), (1e12, 1.0 / 60.0), (1.0, 1e-320)):
+            with pytest.raises(ValidationError, match="horizon / dt"):
+                simulate(OUParams(), horizon=horizon, dt=dt)
+
     @pytest.mark.parametrize("seed", [3.7, True, "3"])
     def test_non_integer_seed_rejected(self, seed):
         with pytest.raises(ValidationError):

@@ -228,6 +228,14 @@ class TestBoundaryBisection:
 
 
 class TestPolicyRegions:
+    def test_lattice_size_bounded(self, baseline: Scenario):
+        # each call is refused before a density is optimized or listed
+        for resolution in (2300.0 / 100_000, 1e-300):
+            with pytest.raises(ValidationError, match="resolution"):
+                policy_regions(baseline, (200.0, 2500.0), resolution)
+        with pytest.raises(ValidationError, match="n_samples"):
+            cost_curve(baseline, Policy.MTP, (200.0, 2500.0), 100_001)
+
     def test_contrast_scenario_switches_once(self, contrast: Scenario):
         regions = policy_regions(contrast, (200.0, 1200.0), 200.0)
         assert [r.policy for r in regions] == [Policy.MTP, Policy.HOVLP]
