@@ -61,7 +61,7 @@ from .config import Scenario
 from .costmodel import LANE_TABLE, Policy, intersection_delay, signal_auto_pax
 from .demand import DemandField, _operating_point, cumulative_demand, density
 from .errors import ValidationError
-from .numeric import cumulative_kernel, cumulative_values
+from .numeric import _overflow_unwarned, cumulative_kernel, cumulative_values
 
 __all__ = ["FrequencySweep"]
 
@@ -69,6 +69,17 @@ _MAX_POLY_DEGREE = 12
 _KERNEL_BLOCK = 1 << 14  # node values per power profile block on the kernel path
 _DELAY_BLOCK = 1 << 18  # delay terms per intersection_delay call, to bound temporaries
 _BOUND_BLOCKS = 8  # frequency blocks per row in FrequencySweep.lower_bounds
+
+
+def _candidates(f_values) -> np.ndarray:
+    """``f_values`` as a float array once each entry is checked: NaN padding
+    or a finite frequency > 0.  Padding alone, with nothing to pad, fails."""
+    f = np.asarray(f_values, dtype=float)
+    pad = np.isnan(f)
+    bad = (f <= 0) | np.isinf(f) | (pad & pad.all())
+    if bad.any():
+        raise ValidationError(f"frequency candidates must be finite and > 0, got {f[bad][0]}")
+    return f
 
 
 def _scan_rows(candidates: np.ndarray, values: np.ndarray):
@@ -238,6 +249,7 @@ class FrequencySweep:
         self._varying = [group for group in self._table.kernels if group.slope]  # with buses
         self.priced = 0  # candidates row_minima has priced in full
 
+    @_overflow_unwarned
     def totals(self, f_values) -> np.ndarray:
         """Total system cost ($/hr) at each candidate frequency.
 
@@ -246,9 +258,7 @@ class FrequencySweep:
         evaluated and come back NaN.  Returns (n_shares, n_F), or one row
         for a scalar share and a 1-D ``f_values``.
         """
-        f_arr = np.atleast_1d(np.asarray(f_values, dtype=float))
-        if np.any(f_arr <= 0):
-            raise ValidationError("frequency candidates must be positive")
+        f_arr = np.atleast_1d(_candidates(f_values))
         rows = np.broadcast_to(f_arr, (self._shares.size, f_arr.shape[-1]))
         out = self._add_signals(*self._base(rows), rows) if rows.size else np.empty(rows.shape)
         one_row = np.ndim(self.q0) == np.ndim(self.auto_share) == 0 and f_arr.ndim == 1
@@ -257,12 +267,11 @@ class FrequencySweep:
     # bench/spans.py wraps this name; every candidate is now priced from the table
     _fallback_totals = totals
 
+    @_overflow_unwarned
     def row_minima(self, rows: np.ndarray):
         """Each row's first minimum of :meth:`totals` over NaN-padded (n_shares,
         n_F) rows as (frequencies, costs); cost inf where nothing is finite."""
-        rows = np.asarray(rows, dtype=float)
-        if np.any(rows <= 0):
-            raise ValidationError("frequency candidates must be positive")
+        rows = _candidates(rows)
         # Whole-lattice arrays are updated in place: fresh temporaries of this
         # size cost more in page faults than their arithmetic.
         a, b, base = self._base(rows)
@@ -284,6 +293,7 @@ class FrequencySweep:
         self.priced += np.count_nonzero(~np.isnan(rows[r, k])) + ri.size
         return _scan_rows(rows, values)
 
+    @_overflow_unwarned
     def lower_bounds(self, lo, hi):
         """Each row's lower bound on :meth:`totals` at every F in [lo, hi],
         the least over equal blocks [x0, x1] of the monomials' smaller end

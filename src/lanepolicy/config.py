@@ -355,6 +355,8 @@ def load_scenario(source: str | bytes | dict) -> Scenario:
                 f"scenario document is not valid JSON: {err.msg} "
                 f"(line {err.lineno}, column {err.colno})"
             ) from None
+        except UnicodeDecodeError as err:
+            raise ValidationError(f"scenario document is not UTF-8 text ({err.reason})") from None
     elif isinstance(source, dict):
         document = source
     else:

@@ -45,7 +45,13 @@ import numpy as np
 from .config import Scenario, SignalParams
 from .demand import DemandField, _per_point, cumulative_demand, density, occupancy_split
 from .errors import UndefinedServiceError, ValidationError
-from .numeric import CorridorGrid, cumulative_values, dot_rows, integrate_values
+from .numeric import (
+    CorridorGrid,
+    _overflow_unwarned,
+    cumulative_values,
+    dot_rows,
+    integrate_values,
+)
 
 __all__ = [
     "Policy",
@@ -179,14 +185,12 @@ def _group_of(ctx: EvaluationContext, policy: Policy, traveler_class: str) -> in
 _COMPONENTS = ("bus_user", "bus_operator", "auto_user", "signal")
 
 
-def _checked(name: str, value):
+def _checked(name: str, value) -> float:
     """A cost component with roundoff-scale negatives clipped to 0."""
-    v = np.asarray(value, dtype=float)
-    bad = ~np.isfinite(v) | (v < -1e-9)
-    if bad.any():
-        raise ValidationError(f"cost component {name} must be >= 0, got {v[bad][0]}")
-    v = np.where(v < 0, 0.0, v)
-    return float(v) if v.ndim == 0 else v
+    v = float(value)
+    if not -1e-9 <= v < np.inf:
+        raise ValidationError(f"cost component {name} must be >= 0, got {v}")
+    return 0.0 if v < 0 else v
 
 
 @dataclass(frozen=True)
@@ -269,14 +273,16 @@ def _context(scenario: Scenario, q0, auto_share, frequency) -> EvaluationContext
     """One operating point, or a stack of them: each of q0, auto share and
     frequency is a scalar or a 1-D array aligned with the others."""
     demand_field = DemandField(q0=q0, length_mi=scenario.geometry.length_mi, auto_share=auto_share)
+    f = np.asarray(frequency, dtype=float)
     shapes = {np.shape(v) for v in (q0, auto_share) if np.ndim(v)}
-    if np.ndim(frequency) and (np.ndim(frequency) > 1 or shapes - {np.shape(frequency)}):
+    if f.ndim > 1 or (f.ndim and shapes - {f.shape}):
         raise ValidationError(
             f"frequency must be a scalar or a 1-D array aligned with q0 and auto_share, "
-            f"got shape {np.shape(frequency)}"
+            f"got shape {f.shape}"
         )
-    if np.any(np.asarray(frequency) < 0):
-        raise ValidationError(f"frequency must be >= 0, got {frequency}")
+    bad = ~(np.isfinite(f) & (f >= 0))
+    if bad.any():
+        raise ValidationError(f"frequency must be finite and >= 0, got {f[bad][0]}")
     return EvaluationContext(
         scenario=scenario,
         q0=q0,
@@ -542,6 +548,7 @@ def _bus_operator_cost(ctx: EvaluationContext, policy: Policy):
     return bus.fixed_operating_cost + bus.variable_operating_cost * round_trip * ctx.frequency
 
 
+@_overflow_unwarned
 def _components(ctx: EvaluationContext, policy: Policy):
     """The four cost components in :data:`_COMPONENTS` order, unchecked."""
     if np.any((np.asarray(ctx.frequency) == 0) & ((1.0 - ctx.auto_share) * ctx.q0 > 0)):
@@ -583,9 +590,6 @@ def cost_breakdowns(
     shape = np.broadcast_shapes(*(v.shape for v in points))
     if len(shape) != 1:
         raise ValidationError(f"operating points must form a 1-D array, got shape {shape}")
-    parts = zip(_COMPONENTS, _components(ctx, policy))
-    return [
-        CostBreakdown(*row)
-        for row in zip(*(np.broadcast_to(_checked(name, part), shape) for name, part in parts))
-    ]
+    parts = (np.broadcast_to(part, shape) for part in _components(ctx, policy))
+    return [CostBreakdown(*row) for row in zip(*parts)]
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,8 +76,22 @@ def _check_finite(values: np.ndarray, nodes: np.ndarray) -> None:
     if bad.any():
         i = tuple(np.argwhere(bad)[0])
         raise NumericDomainError(
-            f"integrand is not finite at node x={nodes[i[-1]]:.6g} (value {values[i]!r})"
+            f"integrand is not finite at node x={nodes[i[-1]]:.6g} (value {float(values[i])})"
         )
+
+
+def _overflow_unwarned(fn):
+    """``fn`` with NumPy's overflow and invalid-value warnings off.  A value
+    that overflows reaches its check as inf or NaN and is reported there
+    once: :func:`_check_finite` raises, a cost component is rejected, a
+    frequency sweep prices the candidate at inf."""
+
+    @wraps(fn)
+    def unwarned(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*args, **kwargs)
+
+    return unwarned
 
 
 def cumulative_values(values: Sequence[float] | np.ndarray, grid: CorridorGrid) -> np.ndarray:

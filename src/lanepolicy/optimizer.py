@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._fsweep import FrequencySweep, _scan_rows
+from ._fsweep import FrequencySweep, _candidates, _scan_rows
 from .config import Scenario
 from .costmodel import (
     CostBreakdown,
@@ -61,7 +61,7 @@ from .costmodel import (
 )
 from .demand import _operating_point, density
 from .errors import InfeasibleError, NumericDomainError, ValidationError
-from .numeric import find_root, integrate_values
+from .numeric import _overflow_unwarned, find_root, integrate_values
 
 __all__ = [
     "PolicyOptimum",
@@ -72,6 +72,8 @@ __all__ = [
     "foc_residual",
     "equilibrium_gap",
 ]
+
+_FLOOR_SLACK = 1e-9  # rounding allowance on the service-capacity floor, buses/hr
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ def _frequency_optima(
     best_f, best_cost = np.full(f_min.shape, np.nan), np.full(f_min.shape, np.inf)
     if not ok.any():
         return best_f, best_cost
-    first = np.maximum(1.0, np.ceil(f_min - 1e-9))  # each share's first integer candidate
+    first = np.maximum(1.0, np.ceil(f_min - _FLOOR_SLACK))  # each share's first integer candidate
     if search is None:
         sweep = FrequencySweep(scenario, policy, np.full(ok.shape, q0)[ok], auto_shares[ok])
         if groups is not None:
@@ -172,8 +174,8 @@ def _winnable(sweep: FrequencySweep, groups, f_min, first, cap) -> np.ndarray:
     """Which rows of ``sweep`` can hold their group's cheapest optimum.
 
     A row's bound is :meth:`FrequencySweep.lower_bounds` over [max(1, f_min -
-    1e-9), cap], which holds every coarse candidate (the first, ``first`` =
-    max(1, ceil(f_min - 1e-9)), may sit 1e-9 below the floor), the cap-only
+    s), cap] for the floor slack s, which holds every coarse candidate (the
+    first, ``first`` = max(1, ceil(f_min - s)), may sit s below it), the cap-only
     column and every refinement candidate.  Per group, the row with the lowest
     bound is priced exactly at its first coarse candidate, min(``first``,
     cap); call that total U.  Every candidate of a row whose bound exceeds U
@@ -184,7 +186,7 @@ def _winnable(sweep: FrequencySweep, groups, f_min, first, cap) -> np.ndarray:
     rates each sum is within a few ulps of exact.  A NaN bound or U keeps the
     row.
     """
-    bounds = sweep.lower_bounds(np.maximum(1.0, f_min - 1e-9), cap)
+    bounds = sweep.lower_bounds(np.maximum(1.0, f_min - _FLOOR_SLACK), cap)
     order = np.lexsort((bounds, groups))
     lowest = order[np.r_[True, np.diff(groups[order]) != 0]]
     upper = sweep.subset(lowest).totals(np.minimum(first[lowest], cap)[:, None])[:, 0]
@@ -238,8 +240,9 @@ def _best_split_at_fixed_f(
     Only shares whose bus demand fits the pinned frequency are admissible;
     R = 1 always is.  Ties prefer the larger auto share.
     """
+    _candidates(frequency)  # before the floor filter, which a NaN would empty
     shares = 1.0 - _split_lattice(scenario.solver)  # descending from R = 1
-    shares = shares[min_frequency(scenario, q0, shares) <= frequency + 1e-9]
+    shares = shares[min_frequency(scenario, q0, shares) <= frequency + _FLOOR_SLACK]
     totals = FrequencySweep(scenario, policy, q0, shares).totals([frequency])[:, 0]
     return float(shares[np.argmin(totals)])
 
@@ -272,6 +275,7 @@ def equilibrium_gap(
     return float(_disutility_gap(ctx, policy, signed))
 
 
+@_overflow_unwarned
 def _disutility_gap(ctx: EvaluationContext, policy: Policy, signed: bool):
     """:func:`equilibrium_gap` at the operating point of ``ctx``, or at each
     of its stacked points."""
@@ -322,8 +326,7 @@ def _best_split_cost_min(scenario: Scenario, policy: Policy, q0s: np.ndarray) ->
     coarse = _split_minima(scenario, policy, q0s, np.tile(lattice, (q0s.size, 1)))
     out = [
         best if best is not None else InfeasibleError(
-            f"no feasible mode split at q0={q0:g}: the service-capacity floor exceeds "
-            f"the frequency cap {solver.f_cap:g} for every split"
+            f"no feasible mode split at q0={q0:g}: no split priced to a finite cost"
         )
         for q0, best in zip(q0s, coarse)
     ]
@@ -386,7 +389,7 @@ def _best_split_equilibrium(scenario: Scenario, policy: Policy, q0: float):
                 raise
             break
     if root is None:
-        # no interior equilibrium: report the corner-most sampled split
+        # no interior equilibrium: take the sampled split with the smallest |gap|
         k = int(np.argmin(np.abs(values)))
         root = samples[k]
     f_star, cost = optimize_frequency(scenario, policy, q0, root)
@@ -493,12 +496,12 @@ def _optima(scenario: Scenario, policy: Policy, q0s: np.ndarray, splits: list) -
     auto_shares = 1.0 - bus_shares
     f_mins = min_frequency(scenario, q0s, auto_shares)
     for f_star, f_min in zip(f_stars, f_mins):
-        if f_star < f_min - 1e-9:
+        if f_star < f_min - _FLOOR_SLACK:
             raise InfeasibleError(
                 f"internal error: optimized frequency {f_star} violates the capacity floor {f_min}"
             )
     breakdowns = cost_breakdowns(scenario, policy, q0s, auto_shares, f_stars)
-    binding = np.abs(f_stars - f_mins) <= scenario.solver.f_refine_step / 2.0 + 1e-9
+    binding = np.abs(f_stars - f_mins) <= scenario.solver.f_refine_step / 2.0 + _FLOOR_SLACK
     return [
         PolicyOptimum(
             policy=policy,

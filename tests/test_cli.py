@@ -14,9 +14,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lanepolicy import Policy, Scenario, __version__, cost_breakdown, min_frequency
+from lanepolicy import (
+    LanePolicyError,
+    Policy,
+    Scenario,
+    Trajectory,
+    __version__,
+    cost_breakdown,
+    cost_curve,
+    evaluate_trajectory,
+    min_frequency,
+)
 from lanepolicy.cli import build_parser, build_scenario, main
-from lanepolicy.optimizer import _split_lattice, foc_residual
+from lanepolicy.optimizer import _best_split_at_fixed_f, _split_lattice, foc_residual
 
 
 def run_dirs(out_dir: Path) -> list[Path]:
@@ -534,21 +544,96 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv):
     assert list(out.iterdir()) == []
 
 
-def test_module_entry_point(tmp_path):
+def _library_error(call, *args) -> LanePolicyError:
+    with pytest.raises(LanePolicyError) as info:
+        call(Scenario(), *args)
+    return info.value
+
+
+# Each flag below is checked only by the library function that the command
+# calls with it, and the command reports that function's own error.
+_TWO_STEPS = Trajectory(t0_clock=7.0, dt=0.5, values=np.array([500.0, 600.0]), seed=0)
+_LIBRARY_CHECKS = [
+    *(
+        (["cost", "--policy", "mtp", "--q0", "1000", "--F", f],
+         (_best_split_at_fixed_f, Policy.MTP, 1000.0, float(f)))
+        for f in ("nan", "inf", "0", "-1")
+    ),
+    *(
+        (["cost", "--policy", "mtp", "--q0", "1000", "--R", "0.5", "--F", f],
+         (cost_breakdown, Policy.MTP, 1000.0, 0.5, float(f)))
+        for f in ("nan", "inf", "0", "-1")
+    ),
+    *(
+        (["sweep", "--q0-lo", lo, "--q0-hi", hi, "--n", n],
+         (cost_curve, Policy.MTP, (float(lo), float(hi)), int(n)))
+        for lo, hi, n in (
+            ("400", "800", "1"), ("400", "800", "-3"), ("800", "400", "3"),
+            ("400", "400", "3"), ("-1", "800", "3"), ("nan", "800", "3"),
+        )
+    ),
+    (["schedule", "--allowed", ",", *_GENERATOR], (evaluate_trajectory, _TWO_STEPS, [])),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,call", _LIBRARY_CHECKS, ids=[" ".join(argv) for argv, _ in _LIBRARY_CHECKS]
+)
+def test_flags_get_the_library_check(tmp_path, capsys, argv, call):
+    out = tmp_path / "runs"
+    out.mkdir()
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {_library_error(*call)}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_demand_range_may_start_at_zero(tmp_path):
+    argv = ["sweep", "--q0-lo", "0", "--q0-hi", "300", "--n", "3", "--out-dir", str(tmp_path)]
+    assert main(argv + ["--run-name", "zero"]) == 0
+    assert read_manifest(tmp_path / "zero")["results"]["q0_range"] == [0.0, 300.0]
+
+
+def test_zero_frequency_prices_a_point_without_bus_riders(tmp_path):
+    argv = ["cost", "--policy", "mtp", "--q0", "1000", "--R", "1", "--F", "0"]
+    assert main(argv + ["--out-dir", str(tmp_path), "--run-name", "all_auto"]) == 0
+    results = read_manifest(tmp_path / "all_auto")["results"]
+    expected = cost_breakdown(Scenario(), Policy.MTP, 1000.0, 1.0, 0.0)
+    assert (results["F"], results["breakdown"]["total"]) == (0.0, expected.total)
+
+
+def _run_module(cwd: Path, *argv: str) -> subprocess.CompletedProcess:
+    """``python -m lanepolicy`` with NumPy's warnings as a user sees them."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, "-m", "lanepolicy", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
 
-    def run(*argv: str) -> subprocess.CompletedProcess:
-        return subprocess.run(
-            [sys.executable, "-m", "lanepolicy", *argv],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
-        )
 
-    version = run("--version")
+@pytest.mark.parametrize(
+    "pinned,message",
+    [
+        ([], "infeasible: no feasible mode split at q0=1e+300: no split priced to a finite cost"),
+        (["--R", "1"], "infeasible: every candidate evaluated non-finite"),
+        (["--F", "1"], "error: integrand is not finite at node x=0 (value inf)"),
+        (["--R", "1", "--F", "1"], "error: integrand is not finite at node x=0 (value inf)"),
+    ],
+)
+def test_overflowing_density_prints_one_line(tmp_path, pinned, message):
+    # q0 = 1e300 is a valid operating point whose costs overflow
+    proc = _run_module(tmp_path, "cost", "--policy", "mtp", "--q0", "1e300", *pinned)
+    assert (proc.returncode, proc.stderr) == (3, message + "\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "runs"]
+    assert list((tmp_path / "runs").iterdir()) == []
+
+
+def test_module_entry_point(tmp_path):
+    version = _run_module(tmp_path, "--version")
     assert version.returncode == 0
     assert version.stdout == f"lanepolicy {__version__}\n"
-    cost = run("cost", "--policy", "eblp", "--q0", "400", "--R", "0.8", "--F", "12",
-               "--out-dir", "runs", "--run-name", "cost")
+    cost = _run_module(tmp_path, "cost", "--policy", "eblp", "--q0", "400", "--R", "0.8",
+                       "--F", "12", "--out-dir", "runs", "--run-name", "cost")
     assert cost.returncode == 0, cost.stderr
     assert cost.stdout.endswith(f"run written to {Path('runs') / 'cost'}\n")
     assert read_manifest(tmp_path / "runs" / "cost")["results"]["policy"] == "eblp"

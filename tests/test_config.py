@@ -65,6 +65,12 @@ class TestLoadScenario:
         assert load_scenario(doc).econ.vot_auto == pytest.approx(21.0)
         assert load_scenario(doc.encode()).econ.vot_auto == pytest.approx(21.0)
 
+    def test_bytes_that_are_not_utf8(self):
+        with pytest.raises(
+            ValidationError, match=r"^scenario document is not UTF-8 text \(invalid start byte\)$"
+        ):
+            load_scenario(b"\xff{}")
+
     def test_unknown_key_reported_with_dotted_path(self):
         with pytest.raises(ValidationError, match=r"geometry\.lenght_mi"):
             load_scenario({"geometry": {"lenght_mi": 10.0}})

@@ -36,7 +36,13 @@ from lanepolicy.costmodel import (
 )
 from lanepolicy import _fsweep
 from lanepolicy._fsweep import FrequencySweep, _scan_rows
-from lanepolicy.optimizer import _refine_candidates, min_frequency
+from lanepolicy.optimizer import (
+    _best_split_at_fixed_f,
+    _refine_candidates,
+    equilibrium_gap,
+    foc_residual,
+    min_frequency,
+)
 
 from _oracle import oracle_breakdown
 
@@ -399,6 +405,28 @@ class TestCostBreakdown:
         # charging only the entering segment
         seg = cost_breakdown(Scenario(), Policy.MTP, 1000.0, 0.75, 16.0)
         assert got.total > seg.total
+
+
+# Every layer that prices a frequency: a NaN or infinite F fails there with
+# ValidationError, before any pricing.  A lone NaN candidate pads nothing.
+_PRICED_AT_F = {
+    "cost_breakdown": lambda scen, f: cost_breakdown(scen, Policy.MTP, 1000.0, 0.5, f),
+    "cost_breakdowns": lambda scen, f: cost_breakdowns(
+        scen, Policy.MTP, 1000.0, 0.5, np.array([20.0, f])
+    ),
+    "totals": lambda scen, f: FrequencySweep(scen, Policy.MTP, 1000.0, 0.5).totals([f]),
+    "row_minima": lambda scen, f: FrequencySweep(scen, Policy.MTP, 1000.0, 0.5).row_minima([[f]]),
+    "_best_split_at_fixed_f": lambda scen, f: _best_split_at_fixed_f(scen, Policy.MTP, 1000.0, f),
+    "foc_residual": lambda scen, f: foc_residual(scen, Policy.MTP, 1000.0, 0.5, f),
+    "equilibrium_gap": lambda scen, f: equilibrium_gap(scen, Policy.MTP, 1000.0, 0.5, f),
+}
+
+
+@pytest.mark.parametrize("f", [np.nan, np.inf])
+@pytest.mark.parametrize("layer", list(_PRICED_AT_F))
+def test_every_layer_rejects_a_non_finite_frequency(baseline: Scenario, layer, f):
+    with pytest.raises(ValidationError, match=f"finite and .* got {f}$"):
+        _PRICED_AT_F[layer](baseline, f)
 
 
 # Stacked operating points (q0, R, F): rows with R = 0, R = 1 and q0 = 0

@@ -47,6 +47,14 @@ def test_only_the_demand_module_states_the_operating_point():
     assert offenders == []
 
 
+def test_the_cli_restates_no_library_check():
+    # the library functions check --F, --n and the demand range; the
+    # capacity floor's slack is optimizer._FLOOR_SLACK
+    restated = re.compile(r"\d(\.\d+)?e-\d|\bargs\.(F|n|q0_lo|q0_hi)\b[^\n]*[<>]|isfinite")
+    source = (Path(lanepolicy.__path__[0]) / "cli.py").read_text()
+    assert restated.findall(source) == []
+
+
 @pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(path: Path, capsys):
     spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
