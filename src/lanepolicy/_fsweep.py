@@ -10,10 +10,10 @@ constant times a monomial in (a, b, F): ride, round-trip and crowding terms,
 boardings and fares (with b), auto money (with a), and the waiting load
 moment (b^(gamma3 + 1)).  These constants form
 one :class:`_MomentTable` per (scenario, policy), built on first use and
-kept in a bounded LRU cache.  The lane streams and the signage cost come
-from :data:`~lanepolicy.costmodel.LANE_TABLE`.  Only signalized-intersection
-delay is evaluated directly, in one ``intersection_delay`` call over one
-column of constants per (lane stream, intersection).
+kept in a bounded LRU cache.  The auto classes and signage cost come from
+:data:`~lanepolicy.costmodel.LANE_TABLE`, the stream loads from ``_loads``
+there.  Only signal delay is evaluated directly, in one ``intersection_delay``
+call over one column of constants per (lane stream, intersection).
 
 Any other exponent keeps only its free-flow time in the monomials.  Each
 corridor integral is linear in the node profile t, ``cumulative_values(t,
@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import Scenario
-from .costmodel import LANE_TABLE, Policy, intersection_delay, signal_auto_pax
+from .costmodel import LANE_TABLE, Policy, _loads, intersection_delay
 from .demand import DemandField, _operating_point, cumulative_demand, density
 from .errors import ValidationError
 from .numeric import _overflow_unwarned, cumulative_kernel, cumulative_values
@@ -163,11 +163,9 @@ def _moment_table(scenario: Scenario, policy: Policy) -> _MomentTable:
     unit = DemandField(q0=1.0, length_mi=geom.length_mi, auto_share=1.0)
     upstream = cumulative_demand(unit, "total", nodes)  # demand upstream of x per unit scale
     weights = grid.simpson_weights * density(unit, nodes)  # demand density quadrature
-    pce = bpr.bus_pce
+    groups, signal_loads = _loads(scenario, policy)  # groups: a*phi(x) + slope*F on capacity
     lanes = LANE_TABLE[policy](scenario)
     streams = lanes.streams
-    # corridor lane groups: a*phi(x) + slope*F veh/hr on capacity
-    groups = [(s.vehicles(upstream), pce if s.buses else 0.0, s.capacity) for s in streams]
     bus_group = next(g for g, s in zip(groups, streams) if s.buses)
     per_pax = sum(share / occupancy for s in streams for _, share, occupancy in s.autos)
 
@@ -213,18 +211,10 @@ def _moment_table(scenario: Scenario, policy: Policy) -> _MomentTable:
         for (i, beta), cols in terms.items()
     )
 
-    # intersections: arriving volume per lane group, passengers still upstream
-    pax = cumulative_demand(unit, "total", geom.intersection_positions)
-    entering = signal_auto_pax(scenario, unit)
-    slope = pce / (geom.n_intersections + 1)
-    pax_auto, pax_bus = econ.vot_auto * pax / 3600.0, econ.vot_bus * pax / 3600.0
-    signals = np.hstack([
-        np.vstack(np.broadcast_arrays(
-            s.vehicles(entering), slope if s.buses else 0.0, s.capacity,
-            sum(share for _, share, _ in s.autos) * pax_auto, pax_bus if s.buses else 0.0,
-        ))
-        for s in streams
-    ])
+    # intersections: the value of a second of delay to the riders who pay it
+    autos, buses, capacity, auto_share, bus_share, riders = signal_loads
+    pax_auto, pax_bus = econ.vot_auto * riders / 3600.0, econ.vot_bus * riders / 3600.0
+    signals = np.vstack([autos, buses, capacity, auto_share * pax_auto, bus_share * pax_bus])
     load_moment = float(upstream**bus.wait_gamma3 @ weights)
     return _MomentTable(poly, boardings, load_moment, signals, kernels)
 

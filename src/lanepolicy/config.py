@@ -423,13 +423,7 @@ def preset(name: str, *overrides: dict) -> Scenario:
     Each override document's sections are merged key by key over the
     preset's, in order, so later documents win.
     """
-    try:
-        base = _PRESET_OVERRIDES[name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown preset {name!r}; known presets: {', '.join(_PRESET_OVERRIDES)}"
-        ) from None
-    document = {section: dict(body) for section, body in base.items()}
+    document = {section: dict(body) for section, body in _preset_overrides(name).items()}
     for override in overrides:
         for section, body in override.items():
             if not isinstance(body, dict):
@@ -440,8 +434,15 @@ def preset(name: str, *overrides: dict) -> Scenario:
 
 def preset_demand_reference(name: str) -> float | None:
     """Reference total demand (pax/hr) for a preset, when one is documented."""
-    if name not in _PRESET_OVERRIDES:
+    _preset_overrides(name)  # an unknown name fails here
+    return _DEMAND_REFERENCE.get(name)
+
+
+def _preset_overrides(name: str) -> dict:
+    """The named preset's override document; every preset lookup goes here."""
+    try:
+        return _PRESET_OVERRIDES[name]
+    except KeyError:
         raise ValidationError(
             f"unknown preset {name!r}; known presets: {', '.join(_PRESET_OVERRIDES)}"
-        )
-    return _DEMAND_REFERENCE.get(name)
+        ) from None

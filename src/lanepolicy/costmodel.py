@@ -20,8 +20,8 @@ of auto travelers and its occupancy:
 * HOVLP - one lane for buses plus high-occupancy autos, the rest carry
   low-occupancy autos.
 
-Corridor travel times, per-intersection volumes, per-class money costs, the
-signage cost and the moment tables of :mod:`lanepolicy._fsweep` all read it.
+Each stream's loads on the corridor and at the signals (:func:`_loads`),
+per-class money costs, the signage cost and :mod:`lanepolicy._fsweep` read it.
 
 Each of q0, R and F may be one value or a 1-D array aligned with the
 others.  With any array every node profile is (n_points, nodes) and every
@@ -38,6 +38,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -107,10 +108,9 @@ POLICY_ORDER: tuple[Policy, ...] = (Policy.MTP, Policy.EBLP, Policy.HOVLP)
 class Stream(NamedTuple):
     """Lanes that form one traffic stream on one scenario.
 
-    Buses, where they run, add PCE*F veh/hr on the corridor and PCE*F/(n+1)
-    at each signal.  Each auto class is (name, share of auto travelers,
-    occupancy); the occupancy divides both the class's vehicle volume and
-    its money cost per traveler.
+    Buses, where they run, add their PCEs (see :func:`_loads`).  Each auto
+    class is (name, share of auto travelers, occupancy); the occupancy
+    divides both the class's vehicle volume and its money cost per traveler.
     """
 
     capacity: float  # veh/hr
@@ -293,6 +293,7 @@ def _context(scenario: Scenario, q0, auto_share, frequency) -> EvaluationContext
     )
 
 
+@_overflow_unwarned
 def bpr_time(t0: float, alpha: float, beta: float, volume, capacity: float):
     """Congested per-mile travel time t0*(1 + alpha*(volume/capacity)^beta), hr/mi."""
     if capacity <= 0:
@@ -304,21 +305,21 @@ def bpr_time(t0: float, alpha: float, beta: float, volume, capacity: float):
     return float(out) if np.isscalar(volume) else out
 
 
+@_overflow_unwarned
 def unit_time_profile(ctx: EvaluationContext, policy: Policy, traveler_class: str) -> np.ndarray:
     """Per-mile travel time at every grid node for one policy and traveler class."""
-    stream = ctx.streams(policy)[_group_of(ctx, policy, traveler_class)]
+    k = _group_of(ctx, policy, traveler_class)
     key = ("unit", policy, traveler_class)
 
     def build() -> np.ndarray:
         bpr = ctx.scenario.bpr
-        volume = stream.vehicles(ctx.q_auto_cum())
-        if stream.buses:
-            volume = volume + bpr.bus_pce * ctx.f_col
+        phi, slope, capacity = _loads(ctx.scenario, policy).corridor[k]
+        volume = _per_point(ctx.q0 * ctx.auto_share, phi) * phi + slope * ctx.f_col
         if traveler_class == "bus":
             t0, alpha, beta = bpr.t0_bus, bpr.alpha_bus, bpr.beta_bus
         else:
             t0, alpha, beta = bpr.t0_auto, bpr.alpha_auto, bpr.beta_auto
-        return _frozen(bpr_time(t0, alpha, beta, volume, stream.capacity))
+        return _frozen(bpr_time(t0, alpha, beta, volume, capacity))
 
     return ctx._cached(key, build)
 
@@ -345,11 +346,13 @@ def _cumulative_time(ctx: EvaluationContext, policy: Policy, traveler_class: str
     )
 
 
+@_overflow_unwarned
 def line_haul_time(ctx: EvaluationContext, policy: Policy, traveler_class: str, x):
     """In-vehicle time from the boundary to x (hours); linear between grid nodes."""
     return _at(ctx, _cumulative_time(ctx, policy, traveler_class), x)
 
 
+@_overflow_unwarned
 def waiting_time(ctx: EvaluationContext, x):
     """Expected stop waiting time at x (hours): headway term plus crowding term.
 
@@ -360,11 +363,12 @@ def waiting_time(ctx: EvaluationContext, x):
     bus = ctx.scenario.bus
     freq = ctx.f_col
     q_bus = cumulative_demand(ctx.demand_field, "bus", x)
-    load_ratio = q_bus / (bus.capacity_pax * freq)
+    load_ratio = np.divide(q_bus, bus.capacity_pax * freq)  # NumPy: its power overflows to inf
     out = bus.wait_gamma1 / freq + bus.wait_gamma2 / freq * load_ratio**bus.wait_gamma3
     return float(out) if np.isscalar(x) else out
 
 
+@_overflow_unwarned
 def discomfort_cost(ctx: EvaluationContext, policy: Policy, x):
     """Crowding discomfort accumulated over the ride to x, $ per passenger."""
     key = ("discomfort", policy)
@@ -379,6 +383,7 @@ def discomfort_cost(ctx: EvaluationContext, policy: Policy, x):
     return _at(ctx, ctx._cached(key, build), x)
 
 
+@_overflow_unwarned
 def intersection_delay(signal: SignalParams, arriving_vph, capacity_vph):
     """Average signal delay in seconds per vehicle (uniform plus overflow term).
 
@@ -421,63 +426,73 @@ def signal_auto_pax(scenario: Scenario, demand_field: DemandField) -> np.ndarray
     return upstream[..., :-1]
 
 
-def _arriving(ctx: EvaluationContext, policy: Policy) -> tuple[np.ndarray, ...]:
-    """Arriving veh/hr at every intersection, one array per lane stream; bus
-    through-volume is spread uniformly across the intersections."""
-
-    def build():
-        entering = signal_auto_pax(ctx.scenario, ctx.demand_field)
-        n = ctx.scenario.geometry.n_intersections
-        bus_slice = ctx.scenario.bpr.bus_pce / (n + 1) * ctx.f_col
-        return tuple(
-            s.vehicles(entering) + bus_slice if s.buses else s.vehicles(entering)
-            for s in ctx.streams(policy)
-        )
-
-    return ctx._cached(("arriving", policy), build)
+class _Loads(NamedTuple):
+    corridor: tuple  # per stream (phi, slope, capacity): a*phi(x) + slope*F veh/hr
+    signals: np.ndarray  # rows autos, buses, capacity, auto_share, bus_share, riders
 
 
+@lru_cache(maxsize=64)
+def _loads(scenario: Scenario, policy: Policy) -> _Loads:
+    """Each lane stream's loads under ``policy``, per unit auto demand a = q0*R
+    and per bus/hr: buses add PCE*F veh/hr on the corridor and PCE*F/(n+1) at
+    each signal.  A signal column's delay is paid by the riders upstream per unit
+    of a mode's demand, times the stream's share of them (bus_share: 1 or 0)."""
+    geom, pce = scenario.geometry, scenario.bpr.bus_pce
+    unit = DemandField(q0=1.0, length_mi=geom.length_mi, auto_share=1.0)
+    upstream = cumulative_demand(unit, "total", scenario.grid().nodes)
+    streams = LANE_TABLE[policy](scenario).streams
+    corridor = tuple((_frozen(s.vehicles(upstream)), pce * s.buses, s.capacity) for s in streams)
+    entering, slope = signal_auto_pax(scenario, unit), pce / (geom.n_intersections + 1)
+    riders = cumulative_demand(unit, "total", geom.intersection_positions)
+    signals = np.hstack([np.vstack(np.broadcast_arrays(
+        s.vehicles(entering), slope * s.buses, s.capacity,
+        sum(share for _, share, _ in s.autos), float(s.buses), riders,
+    )) for s in streams])
+    return _Loads(corridor, _frozen(signals))
+
+
+def _arriving(ctx: EvaluationContext, policy: Policy) -> np.ndarray:
+    """Arriving veh/hr in every signal column of :func:`_loads`."""
+    autos, buses = _loads(ctx.scenario, policy).signals[:2]
+    return _per_point(ctx.q0 * ctx.auto_share, autos) * autos + buses * ctx.f_col
+
+
+@_overflow_unwarned
 def delay_args(ctx: EvaluationContext, policy: Policy, traveler_class: str, i: int):
     """(arriving veh/hr, capacity veh/hr) for one intersection and class."""
     k = _group_of(ctx, policy, traveler_class)
     n = ctx.scenario.geometry.n_intersections
     if not 1 <= i <= n:
         raise ValidationError(f"intersection index must lie in [1, {n}], got {i}")
-    return _arriving(ctx, policy)[k][..., i - 1], ctx.streams(policy)[k].capacity
+    return _arriving(ctx, policy)[..., k * n + i - 1], ctx.streams(policy)[k].capacity
 
 
+@_overflow_unwarned
 def total_intersection_delay(ctx: EvaluationContext, policy: Policy, mode: str):
     """Passenger-hours of signal delay per hour for one mode under a policy.
 
     Each intersection's per-vehicle delay is charged to every passenger still
-    upstream of it (the cumulative mode demand at the intersection).  Each
-    lane stream is priced once, however many classes share it.
+    upstream of it (the cumulative mode demand at the intersection).  Every
+    signal column is priced in one call, shared by both modes.
     """
     if mode not in ("auto", "bus"):
         raise ValidationError(f"mode must be 'auto' or 'bus', got {mode!r}")
-    geom = ctx.scenario.geometry
-    if geom.n_intersections == 0:
+    if ctx.scenario.geometry.n_intersections == 0:
         return 0.0
+    _, _, capacity, auto_share, bus_share, riders = _loads(ctx.scenario, policy).signals
     seconds = ctx._cached(
         ("delay", policy),
-        lambda: tuple(
-            intersection_delay(ctx.scenario.signal, arriving, stream.capacity)
-            for stream, arriving in zip(ctx.streams(policy), _arriving(ctx, policy))
-        ),
+        lambda: intersection_delay(ctx.scenario.signal, _arriving(ctx, policy), capacity),
     )
-    if mode == "bus":
-        per_vehicle = seconds[_group_of(ctx, policy, "bus")]
-    else:
-        per_vehicle = sum(
-            share * seconds[k]
-            for k, stream in enumerate(ctx.streams(policy))
-            for _, share, _ in stream.autos
-        )
-    passengers = cumulative_demand(ctx.demand_field, mode, np.asarray(geom.intersection_positions))
-    out = dot_rows(per_vehicle, passengers) / 3600.0
+    share = auto_share if mode == "auto" else bus_share
+    scale = ctx.q0 * ctx.auto_share if mode == "auto" else ctx.q0 * (1.0 - ctx.auto_share)
+    paying = _per_point(scale, riders) * (share * riders)
+    # a column no one pays for adds nothing, even where its delay overflows
+    out = dot_rows(np.where(share > 0, seconds, 0.0), paying) / 3600.0
     return float(out) if np.ndim(out) == 0 else out
 
 
+@_overflow_unwarned
 def bus_disutility(ctx: EvaluationContext, policy: Policy, x):
     """Generalized cost of one bus trip boarding at x, $ per passenger."""
     econ = ctx.scenario.econ
@@ -492,6 +507,7 @@ def bus_disutility(ctx: EvaluationContext, policy: Policy, x):
     return float(out) if np.isscalar(x) else out
 
 
+@_overflow_unwarned
 def auto_disutility(ctx: EvaluationContext, policy: Policy, traveler_class: str, x):
     """Generalized cost of one auto trip from x, $ per passenger.
 
@@ -509,6 +525,7 @@ def auto_disutility(ctx: EvaluationContext, policy: Policy, traveler_class: str,
     return float(out) if np.isscalar(x) else out
 
 
+@_overflow_unwarned
 def mean_auto_disutility(ctx: EvaluationContext, policy: Policy, x):
     """Auto disutility at x averaged over the policy's auto classes by their
     shares of auto travelers, $ per passenger."""

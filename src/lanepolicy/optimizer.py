@@ -239,12 +239,21 @@ def _best_split_at_fixed_f(
 
     Only shares whose bus demand fits the pinned frequency are admissible;
     R = 1 always is.  Ties prefer the larger auto share.
+
+    :raises InfeasibleError: when no admissible share prices to a finite cost.
     """
     _candidates(frequency)  # before the floor filter, which a NaN would empty
     shares = 1.0 - _split_lattice(scenario.solver)  # descending from R = 1
     shares = shares[min_frequency(scenario, q0, shares) <= frequency + _FLOOR_SLACK]
     totals = FrequencySweep(scenario, policy, q0, shares).totals([frequency])[:, 0]
-    return float(shares[np.argmin(totals)])
+    share, cost = _scan_rows(shares[None, :], totals[None, :])
+    if np.isinf(cost[0]):
+        raise _no_finite_split(q0)
+    return float(share[0])
+
+
+def _no_finite_split(q0: float) -> InfeasibleError:
+    return InfeasibleError(f"no feasible mode split at q0={q0:g}: no split priced to a finite cost")
 
 
 def foc_residual(
@@ -325,9 +334,7 @@ def _best_split_cost_min(scenario: Scenario, policy: Policy, q0s: np.ndarray) ->
     lattice = _split_lattice(solver)
     coarse = _split_minima(scenario, policy, q0s, np.tile(lattice, (q0s.size, 1)))
     out = [
-        best if best is not None else InfeasibleError(
-            f"no feasible mode split at q0={q0:g}: no split priced to a finite cost"
-        )
+        best if best is not None else _no_finite_split(q0)
         for q0, best in zip(q0s, coarse)
     ]
     solved = [i for i, best in enumerate(coarse) if best is not None]

@@ -616,7 +616,8 @@ def _run_module(cwd: Path, *argv: str) -> subprocess.CompletedProcess:
     [
         ([], "infeasible: no feasible mode split at q0=1e+300: no split priced to a finite cost"),
         (["--R", "1"], "infeasible: every candidate evaluated non-finite"),
-        (["--F", "1"], "error: integrand is not finite at node x=0 (value inf)"),
+        (["--F", "1"],
+         "infeasible: no feasible mode split at q0=1e+300: no split priced to a finite cost"),
         (["--R", "1", "--F", "1"], "error: integrand is not finite at node x=0 (value inf)"),
     ],
 )

@@ -194,5 +194,7 @@ class TestPresets:
         assert preset_demand_reference("baseline") is None
 
     def test_unknown_preset(self):
-        with pytest.raises(ValidationError):
-            preset("nope")
+        known = "baseline, seattle_i5, seattle_sr99"
+        for lookup in (preset, preset_demand_reference):
+            with pytest.raises(ValidationError, match=f"^unknown preset 'nope'; known presets: {known}$"):
+                lookup("nope")

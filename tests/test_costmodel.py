@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from lanepolicy import (
     POLICY_ORDER,
+    LanePolicyError,
     Policy,
     Scenario,
     UndefinedServiceError,
@@ -32,6 +34,7 @@ from lanepolicy.costmodel import (
     build_context,
     cost_breakdowns,
     delay_args,
+    mean_auto_disutility,
     signal_auto_pax,
 )
 from lanepolicy import _fsweep
@@ -312,6 +315,46 @@ class TestDisutilities:
         ctx = build_context(baseline, 1000.0, 0.75, 16.0)
         with pytest.raises(ValidationError):
             auto_disutility(ctx, Policy.MTP, "bus", 0.0)
+
+
+# Every public function that takes a context or a volume, at a valid operating
+# point (q0 = 1e300) or volume whose costs overflow.
+_OVERFLOWING = {
+    "bpr_time": lambda ctx: bpr_time(1 / 60, 0.15, 4.0, 1e300, 1500.0),
+    "bpr_time on an array": lambda ctx: bpr_time(1 / 60, 0.15, 4.0, np.array([1e300]), 1500.0),
+    "intersection_delay": lambda ctx: intersection_delay(ctx.scenario.signal, 1e300, 1500.0),
+    "delay_args": lambda ctx: intersection_delay(
+        ctx.scenario.signal, *delay_args(ctx, Policy.MTP, "auto", 1)
+    ),
+    "total_intersection_delay": lambda ctx: total_intersection_delay(ctx, Policy.MTP, "auto"),
+    "unit_time_profile": lambda ctx: unit_time_profile(ctx, Policy.MTP, "bus"),
+    "line_haul_time": lambda ctx: line_haul_time(ctx, Policy.MTP, "bus", 1.0),
+    "waiting_time": lambda ctx: waiting_time(ctx, 0.0),
+    "waiting_time at the nodes": lambda ctx: waiting_time(ctx, ctx.grid.nodes),
+    "discomfort_cost": lambda ctx: discomfort_cost(ctx, Policy.MTP, 1.0),
+    "bus_disutility": lambda ctx: bus_disutility(ctx, Policy.MTP, 1.0),
+    "auto_disutility": lambda ctx: auto_disutility(ctx, Policy.HOVLP, "low_occ_auto", 1.0),
+    "mean_auto_disutility": lambda ctx: mean_auto_disutility(ctx, Policy.EBLP, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_OVERFLOWING))
+def test_overflow_gives_a_non_finite_value_or_a_package_error(name):
+    ctx = build_context(Scenario(), 1e300, 0.5, 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = _OVERFLOWING[name](ctx)
+        except LanePolicyError:
+            return
+    assert not np.all(np.isfinite(value))
+
+
+def test_delay_on_the_bus_lane_stays_finite_when_the_auto_lanes_overflow():
+    # EBLP's general lanes overflow at q0 = 1e300; bus riders pay only the bus lane's delay
+    ctx = build_context(Scenario(), 1e300, 0.5, 10.0)
+    assert np.isfinite(total_intersection_delay(ctx, Policy.EBLP, "bus"))
+    assert total_intersection_delay(ctx, Policy.EBLP, "auto") == np.inf
 
 
 class TestCostBreakdown:

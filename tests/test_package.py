@@ -47,6 +47,18 @@ def test_only_the_demand_module_states_the_operating_point():
     assert offenders == []
 
 
+def test_only_the_cost_model_states_lane_stream_loads():
+    # bus PCE, the auto vehicles of a stream and the auto travelers at a
+    # signal; config.py declares bus_pce
+    restated = re.compile(r"\bbus_pce\b|\.vehicles\(|\bsignal_auto_pax\(")
+    offenders = sorted(
+        path.name
+        for path in Path(lanepolicy.__path__[0]).glob("*.py")
+        if path.name not in ("config.py", "costmodel.py") and restated.search(path.read_text())
+    )
+    assert offenders == []
+
+
 def test_the_cli_restates_no_library_check():
     # the library functions check --F, --n and the demand range; the
     # capacity floor's slack is optimizer._FLOOR_SLACK
