@@ -3,24 +3,32 @@
 Write a = q0*R and b = q0*(1-R) for the auto and bus demand scales.  The
 demand weights along the corridor are a*(1-x/A) and b*(1-x/A), every traffic
 volume is affine in (a, F) and the onboard bus load is b times a fixed
-profile.  With integer congestion exponents up to :data:`_MAX_POLY_DEGREE`
-the per-mile times expand binomially into monomials a^j F^k with
-scenario-only node profiles, so each corridor integral is a scenario
-constant times a monomial in (a, b, F): ride, round-trip and crowding terms,
-boardings and fares (with b), auto money (with a), and the waiting load
-moment (b^(gamma3 + 1)).  These constants form
-one :class:`_MomentTable` per (scenario, policy), built on first use and
-kept in a bounded LRU cache.  The auto classes and signage cost come from
-:data:`~lanepolicy.costmodel.LANE_TABLE`, the stream loads from ``_loads``
-there.  Only signal delay is evaluated directly, in one ``intersection_delay``
-call over one column of constants per (lane stream, intersection).
-
-Any other exponent keeps only its free-flow time in the monomials.  Each
-corridor integral is linear in the node profile t, ``cumulative_values(t,
-grid) @ weights == t @ cumulative_kernel(weights, grid)``, so its congestion
-terms are the BPR power profile at (a, F) contracted with scenario kernels
-(:class:`_KernelGroup`): once per share for a lane group without buses,
+profile.  Each cost priced by a lane group's per-mile time t (bus ride, the
+operator's round trip, the two crowding terms, auto ride) is one scenario node
+column with a monomial a^j b^m F^k, and is worth that monomial times
+t @ column.  A ride's column is its rate times ``cumulative_kernel(weights,
+grid)``, the adjoint of ``cumulative_values(t, grid) @ weights``; the round
+trip's is 2*variable_operating_cost*simpson_weights.  t is
+t0*(1 + alpha*(volume/capacity)^beta) with the law that
+``costmodel._time_law`` gives the class.  With an integer exponent up to
+:data:`_MAX_POLY_DEGREE` the bracket expands binomially into node rows on
+a^j F^k (:func:`_time_rows`, free flow in row (0, 0)), and each column
+contracts them into polynomial coefficients.  Any other exponent puts only
+free flow in the polynomial; the same columns times t0*alpha contract the
+power profile ((a*phi + slope*F)/capacity)^beta in one :class:`_KernelGroup`
+per (lane group, exponent): once per share for a lane group without buses,
 once per candidate for one with them.
+
+Boardings and fares (with b), auto money (with a) and the fixed costs are
+polynomial coefficients too.  Waiting is ``costmodel._wait`` at b times the
+table's wait load, the gamma3-power mean of the onboard load each boarding
+meets; times vot_wait, the boardings and b, that is the corridor's waiting
+integral.  These constants form one :class:`_MomentTable` per (scenario,
+policy), built on first use and kept in a bounded LRU cache.  The auto
+classes and signage cost come from :data:`~lanepolicy.costmodel.LANE_TABLE`,
+the stream loads from ``_loads`` there.  Only signal delay is evaluated
+directly, in one ``intersection_delay`` call over one column of constants per
+(lane stream, intersection).
 
 :class:`FrequencySweep` is a cheap view of the table at one or many auto
 shares, each at one q0 or at its own.  It reproduces
@@ -38,13 +46,14 @@ min(1, X), and for every s = 8*k*I/(c*T) > 0 the overflow term's slope
 a frequency range cut into :data:`_BOUND_BLOCKS` blocks, so a caller can drop
 shares that cannot win before pricing any of their candidates.  On a block
 [x0, x1] each monomial c*F^k is monotone for F > 0, so min(c*x0^k, c*x1^k)
-bounds it whatever the sign of c; both waiting terms fall as F rises (config
-keeps gamma1, gamma2, gamma3 > 0 and vot_wait >= 0, and b >= 0), so their
-value at x1 bounds them; delay is bounded by its F = 0 column as above.  A
-kernel term a^j b^m F^k * (p(F) @ K) has k <= 1 and a power profile p that
-rises with F at every node (slope >= 0, beta >= 1), so with K split into
-K+ >= 0 and K- <= 0 (the half-pair weight leaves K one negative entry) it is
-bounded by its K+ part at x0 plus its K- part at x1.
+bounds it whatever the sign of c; waiting, (g1 + g2*(load/(capacity*F))^g3)/F
+at a load b*L >= 0 times vot_wait*boardings*b >= 0, falls as F rises (config
+keeps g1, g2, g3 > 0 and vot_wait >= 0), so its value at x1 bounds it; delay
+is bounded by its F = 0 column as above.  A kernel term a^j b^m F^k *
+(p(F) @ K) has k <= 1 and a power profile p that rises with F at every node
+(slope >= 0, beta >= 1), so with K split into K+ >= 0 and K- <= 0 (the
+half-pair weight leaves K one negative entry) it is bounded by its K+ part
+at x0 plus its K- part at x1.
 :meth:`FrequencySweep.subset` is a view of some rows that reuses the share
 terms, so it prices every candidate to the same float as the whole sweep.
 """
@@ -58,10 +67,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import Scenario
-from .costmodel import LANE_TABLE, Policy, _loads, intersection_delay
+from .costmodel import LANE_TABLE, Policy, _loads, _time_law, _wait, _wait_load, intersection_delay
 from .demand import DemandField, _operating_point, cumulative_demand, density
 from .errors import ValidationError
-from .numeric import _overflow_unwarned, cumulative_kernel, cumulative_values
+from .numeric import _overflow_unwarned, cumulative_kernel
 
 __all__ = ["FrequencySweep"]
 
@@ -92,16 +101,16 @@ def _scan_rows(candidates: np.ndarray, values: np.ndarray):
     return candidates[rows, k], values[rows, k]
 
 
-def _time_rows(phi, slope, capacity, t0, alpha, beta) -> np.ndarray:
-    """Node rows T[j, k] with per-mile time sum_jk T[j, k] a^j F^k.
+def _time_rows(phi, slope, capacity, alpha, beta) -> np.ndarray:
+    """Node rows T[j, k] with per-mile time t0 * sum_jk T[j, k] a^j F^k; free flow is T[0, 0].
 
     The lane group carries volume a*phi(x) + slope*F on ``capacity``.
     """
     rows = np.zeros((beta + 1, beta + 1, phi.shape[0]))
-    scale = t0 * alpha / capacity**beta
-    for k in range(beta + 1 if slope else 1):
+    scale = alpha / capacity**beta
+    for k in range(beta + 1):
         rows[beta - k, k] = scale * math.comb(beta, k) * phi ** (beta - k) * slope**k
-    rows[0, 0] += t0
+    rows[0, 0] += 1.0
     return rows
 
 
@@ -142,22 +151,17 @@ def _kernel_cost(groups, a, b, f):
 class _MomentTable(NamedTuple):
     poly: np.ndarray  # C[j, m, k] on a^j b^m F^k
     boardings: float  # per unit b
-    load_moment: float  # per unit b^(gamma3 + 1)
+    wait_load: float  # per unit b: the gamma3-power mean of the onboard load at boarding
     # rows base, slope, capacity, pax_a, pax_b; one column per (stream, intersection):
     # a*base + slope*F veh/hr arrive on capacity and pay a*pax_a + b*pax_b $/s of delay
     signals: np.ndarray
-    kernels: tuple[_KernelGroup, ...]  # the BPR terms without a binomial degree
+    kernels: tuple[_KernelGroup, ...]  # congestion of the exponents without a binomial degree
 
 
 @lru_cache(maxsize=64)
 def _moment_table(scenario: Scenario, policy: Policy) -> _MomentTable:
     """The (scenario, policy) constants."""
-    geom, bpr, bus, econ = scenario.geometry, scenario.bpr, scenario.bus, scenario.econ
-    # binomial degrees; 0 for an exponent priced through kernels
-    beta_a, beta_b = (
-        int(beta) if float(beta).is_integer() and beta <= _MAX_POLY_DEGREE else 0
-        for beta in (bpr.beta_auto, bpr.beta_bus)
-    )
+    geom, bus, econ = scenario.geometry, scenario.bus, scenario.econ
     grid = scenario.grid()
     nodes = grid.nodes
     unit = DemandField(q0=1.0, length_mi=geom.length_mi, auto_share=1.0)
@@ -165,58 +169,54 @@ def _moment_table(scenario: Scenario, policy: Policy) -> _MomentTable:
     weights = grid.simpson_weights * density(unit, nodes)  # demand density quadrature
     groups, signal_loads = _loads(scenario, policy)  # groups: a*phi(x) + slope*F on capacity
     lanes = LANE_TABLE[policy](scenario)
-    streams = lanes.streams
-    bus_group = next(g for g, s in zip(groups, streams) if s.buses)
-    per_pax = sum(share / occupancy for s in streams for _, share, occupancy in s.autos)
 
-    # degree 0 with alpha 0 is the free-flow row alone: kernels price the rest
-    poly = np.zeros((max(beta_a + 1, beta_b) + 1, 4, max(beta_a, beta_b) + 2))
-    nb = beta_b + 1
-    t_bus = _time_rows(*bus_group, bpr.t0_bus, bpr.alpha_bus * bool(beta_b), beta_b)
-    cum_bus = cumulative_values(t_bus, grid)
-    poly[:nb, 1, :nb] += econ.vot_bus * (cum_bus @ weights)
-    poly[:nb, 0, 1 : nb + 1] += bus.variable_operating_cost * 2.0 * cum_bus[..., -1]
-    # crowding rate quad*Q_bus^2 + lin*Q_bus with Q_bus = b*upstream
-    for m, rate, load in ((3, bus.discomfort_quad, upstream**2), (2, bus.discomfort_lin, upstream)):
-        poly[:nb, m, :nb] += rate * (cumulative_values(load * t_bus, grid) @ weights)
-    for group, s in zip(groups, streams):
-        for _, share, _ in s.autos:
-            t_auto = _time_rows(*group, bpr.t0_auto, bpr.alpha_auto * bool(beta_a), beta_a)
-            ride = cumulative_values(t_auto, grid) @ weights
-            poly[1 : beta_a + 2, 0, : beta_a + 1] += econ.vot_auto * share * ride
+    # per (lane group, class): (node column, powers of a, b and F) pairs, each cost
+    # a^j b^m F^k * (t @ column) at the class's per-mile time t
+    ride = cumulative_kernel(weights, grid)  # cumulative_values(t) @ weights == t @ ride
+    costs = []
+    for i, s in enumerate(lanes.streams):
+        if s.buses:
+            costs.append((i, "bus", [
+                (econ.vot_bus * ride, (0, 1, 0)),
+                (2.0 * bus.variable_operating_cost * grid.simpson_weights, (0, 0, 1)),  # round trip
+                # crowding rate quad*Q_bus^2 + lin*Q_bus with Q_bus = b*upstream
+                (bus.discomfort_quad * upstream**2 * ride, (0, 3, 0)),
+                (bus.discomfort_lin * upstream * ride, (0, 2, 0)),
+            ]))
+        for name, share, _ in s.autos:
+            costs.append((i, name, [(econ.vot_auto * share * ride, (1, 0, 0))]))
+
+    # an integer exponent up to the degree cap expands binomially; any other keeps
+    # free flow in poly and its congestion in one kernel group per (lane group, exponent)
+    blocks, terms = [], {}  # blocks: (coefficients on a^j F^k, their offset in poly)
+    for i, name, columns in costs:
+        t0, alpha, beta = _time_law(scenario, name)
+        if float(beta).is_integer() and beta <= _MAX_POLY_DEGREE:
+            rows = _time_rows(*groups[i], alpha, int(beta))
+        else:
+            rows = np.ones((1, 1, nodes.size))
+            terms.setdefault((i, beta), []).extend((t0 * alpha * c, p) for c, p in columns)
+        blocks += [(t0 * (rows @ column), powers) for column, powers in columns]
+    poly = np.zeros(np.max([np.add(p, (len(c), 1, len(c))) for c, p in blocks], axis=0))
+    for c, (j, m, k) in blocks:
+        poly[j : j + len(c), m, k : k + len(c)] += c
+    kernels = tuple(
+        _KernelGroup(groups[i][0] / groups[i][2], groups[i][1] / groups[i][2], beta,
+                     np.column_stack([c for c, _ in cols]), np.array([p for _, p in cols]))
+        for (i, beta), cols in terms.items()
+    )
+    per_pax = sum(share / occupancy for s in lanes.streams for _, share, occupancy in s.autos)
     money = econ.auto_fixed_cost + econ.auto_cost_per_mi * nodes
     poly[1, 0, 0] += float(money @ weights) * per_pax
     boardings = float(np.sum(weights))
     poly[0, 1, 0] += bus.fare * boardings
     poly[0, 0, 0] += bus.fixed_operating_cost + lanes.signage
 
-    # congestion without a binomial degree: (kernel column, powers of a, b and F)
-    # per (lane group, exponent)
-    kernel, bus_scale = cumulative_kernel(weights, grid), bpr.t0_bus * bpr.alpha_bus
-    terms: dict = {}
-    for i, s in enumerate(streams):
-        if s.buses and not beta_b:
-            terms.setdefault((i, bpr.beta_bus), []).extend([
-                (bus_scale * econ.vot_bus * kernel, (0, 1, 0)),
-                (bus_scale * 2.0 * bus.variable_operating_cost * grid.simpson_weights, (0, 0, 1)),
-                (bus_scale * bus.discomfort_quad * upstream**2 * kernel, (0, 3, 0)),
-                (bus_scale * bus.discomfort_lin * upstream * kernel, (0, 2, 0)),
-            ])
-        if s.autos and not beta_a:
-            rate = bpr.t0_auto * bpr.alpha_auto * econ.vot_auto * sum(x for _, x, _ in s.autos)
-            terms.setdefault((i, bpr.beta_auto), []).append((rate * kernel, (1, 0, 0)))
-    kernels = tuple(
-        _KernelGroup(groups[i][0] / groups[i][2], groups[i][1] / groups[i][2], beta,
-                     np.column_stack([c for c, _ in cols]), np.array([p for _, p in cols]))
-        for (i, beta), cols in terms.items()
-    )
-
     # intersections: the value of a second of delay to the riders who pay it
     autos, buses, capacity, auto_share, bus_share, riders = signal_loads
     pax_auto, pax_bus = econ.vot_auto * riders / 3600.0, econ.vot_bus * riders / 3600.0
     signals = np.vstack([autos, buses, capacity, auto_share * pax_auto, bus_share * pax_bus])
-    load_moment = float(upstream**bus.wait_gamma3 @ weights)
-    return _MomentTable(poly, boardings, load_moment, signals, kernels)
+    return _MomentTable(poly, boardings, _wait_load(bus, upstream, weights), signals, kernels)
 
 
 class FrequencySweep:
@@ -328,20 +328,10 @@ class FrequencySweep:
         return a, b, coeffs, self._add_signals(a, b, np.zeros(a.shape), 0.0)
 
     def _waiting(self, b, f: np.ndarray) -> np.ndarray:
-        """Waiting cost vot_wait * (g1*boardings*b/f + g2*load*b^(g3+1) /
-        (capacity*f)^g3 / f) at bus demand column b on rows f; at most two
-        arrays of f's size at a time."""
-        table = self._table
-        bus = self.scenario.bus
-        waiting = bus.wait_gamma1 * table.boardings * b / f
-        crowded = bus.capacity_pax * f
-        crowded **= bus.wait_gamma3
-        load = bus.wait_gamma2 * table.load_moment * b ** (bus.wait_gamma3 + 1.0)
-        np.divide(load, crowded, out=crowded)
-        crowded /= f
-        waiting += crowded
-        del crowded
-        waiting *= self.scenario.econ.vot_wait
+        """Waiting cost vot_wait * boardings * b * wait at bus demand column b
+        on rows f, the wait taken at b times the table's wait load."""
+        waiting = _wait(self.scenario.bus, f, b * self._table.wait_load)
+        waiting *= self.scenario.econ.vot_wait * self._table.boardings * b
         return waiting
 
     def _base(self, f: np.ndarray):

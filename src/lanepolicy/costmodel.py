@@ -22,6 +22,8 @@ of auto travelers and its occupancy:
 
 Each stream's loads on the corridor and at the signals (:func:`_loads`),
 per-class money costs, the signage cost and :mod:`lanepolicy._fsweep` read it.
+The BPR law a traveler class rides on (:func:`_time_law`) and the stop-wait
+law (:func:`_wait`) are stated here once too; ``_fsweep`` expands them.
 
 Each of q0, R and F may be one value or a 1-D array aligned with the
 others.  With any array every node profile is (n_points, nodes) and every
@@ -43,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import Scenario, SignalParams
+from .config import BusServiceParams, Scenario, SignalParams
 from .demand import DemandField, _per_point, cumulative_demand, density, occupancy_split
 from .errors import UndefinedServiceError, ValidationError
 from .numeric import (
@@ -253,11 +255,6 @@ class EvaluationContext:
     def streams(self, policy: Policy) -> tuple[Stream, ...]:
         return self._cached(("streams", policy), lambda: LANE_TABLE[policy](self.scenario).streams)
 
-    def q_auto_cum(self) -> np.ndarray:
-        return self._cached(
-            "Qa", lambda: cumulative_demand(self.demand_field, "auto", self.grid.nodes)
-        )
-
 
 def build_context(
     scenario: Scenario, q0: float, auto_share: float, frequency: float
@@ -305,6 +302,14 @@ def bpr_time(t0: float, alpha: float, beta: float, volume, capacity: float):
     return float(out) if np.isscalar(volume) else out
 
 
+def _time_law(scenario: Scenario, traveler_class: str) -> tuple[float, float, float]:
+    """The (t0, alpha, beta) of :func:`bpr_time` for ``"bus"`` or an auto class."""
+    bpr = scenario.bpr
+    if traveler_class == "bus":
+        return bpr.t0_bus, bpr.alpha_bus, bpr.beta_bus
+    return bpr.t0_auto, bpr.alpha_auto, bpr.beta_auto
+
+
 @_overflow_unwarned
 def unit_time_profile(ctx: EvaluationContext, policy: Policy, traveler_class: str) -> np.ndarray:
     """Per-mile travel time at every grid node for one policy and traveler class."""
@@ -312,14 +317,9 @@ def unit_time_profile(ctx: EvaluationContext, policy: Policy, traveler_class: st
     key = ("unit", policy, traveler_class)
 
     def build() -> np.ndarray:
-        bpr = ctx.scenario.bpr
         phi, slope, capacity = _loads(ctx.scenario, policy).corridor[k]
         volume = _per_point(ctx.q0 * ctx.auto_share, phi) * phi + slope * ctx.f_col
-        if traveler_class == "bus":
-            t0, alpha, beta = bpr.t0_bus, bpr.alpha_bus, bpr.beta_bus
-        else:
-            t0, alpha, beta = bpr.t0_auto, bpr.alpha_auto, bpr.beta_auto
-        return _frozen(bpr_time(t0, alpha, beta, volume, capacity))
+        return _frozen(bpr_time(*_time_law(ctx.scenario, traveler_class), volume, capacity))
 
     return ctx._cached(key, build)
 
@@ -352,6 +352,24 @@ def line_haul_time(ctx: EvaluationContext, policy: Policy, traveler_class: str, 
     return _at(ctx, _cumulative_time(ctx, policy, traveler_class), x)
 
 
+def _wait(bus: BusServiceParams, f, load):
+    """Stop wait (hours) at frequency f with ``load`` riders aboard,
+    (g1 + g2*(load/(capacity*f))^g3)/f; besides capacity*f it makes one array
+    of the broadcast shape, and a power too large for a float gives inf."""
+    out = np.divide(load, bus.capacity_pax * f)  # NumPy, so its power overflows to inf
+    out **= bus.wait_gamma3
+    out *= bus.wait_gamma2
+    out += bus.wait_gamma1
+    out /= f
+    return out
+
+
+def _wait_load(bus: BusServiceParams, load: np.ndarray, weights: np.ndarray) -> float:
+    """The g3-power mean of ``load`` under boarding ``weights``: the one load
+    at which :func:`_wait` gives the boardings' mean wait."""
+    return float((load**bus.wait_gamma3 @ weights / np.sum(weights)) ** (1.0 / bus.wait_gamma3))
+
+
 @_overflow_unwarned
 def waiting_time(ctx: EvaluationContext, x):
     """Expected stop waiting time at x (hours): headway term plus crowding term.
@@ -360,11 +378,7 @@ def waiting_time(ctx: EvaluationContext, x):
     """
     if np.any(np.asarray(ctx.frequency) <= 0):
         raise UndefinedServiceError("waiting time is undefined at zero bus frequency")
-    bus = ctx.scenario.bus
-    freq = ctx.f_col
-    q_bus = cumulative_demand(ctx.demand_field, "bus", x)
-    load_ratio = np.divide(q_bus, bus.capacity_pax * freq)  # NumPy: its power overflows to inf
-    out = bus.wait_gamma1 / freq + bus.wait_gamma2 / freq * load_ratio**bus.wait_gamma3
+    out = _wait(ctx.scenario.bus, ctx.f_col, cumulative_demand(ctx.demand_field, "bus", x))
     return float(out) if np.isscalar(x) else out
 
 
@@ -464,7 +478,9 @@ def delay_args(ctx: EvaluationContext, policy: Policy, traveler_class: str, i: i
     n = ctx.scenario.geometry.n_intersections
     if not 1 <= i <= n:
         raise ValidationError(f"intersection index must lie in [1, {n}], got {i}")
-    return _arriving(ctx, policy)[..., k * n + i - 1], ctx.streams(policy)[k].capacity
+    arriving = _arriving(ctx, policy)[..., k * n + i - 1]
+    capacity = ctx.streams(policy)[k].capacity
+    return (float(arriving) if np.ndim(arriving) == 0 else arriving), capacity
 
 
 @_overflow_unwarned

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lanepolicy import (
     POLICY_ORDER,
@@ -255,6 +255,7 @@ class TestDelayArgs:
         q0, a, r = 1000.0, 30.0, 0.75
         q = lambda x: r * q0 * (a - x) ** 2 / (2.0 * a)
         seg = (q(a * 1 / 11) - q(a * 2 / 11)) / 1.8
+        assert type(arriving) is float  # one point gives a float, as every node-level function
         assert arriving == pytest.approx(seg + 48.0 / 11.0, rel=1e-12)
         assert cap == pytest.approx(3 * 1500.0)
 
@@ -556,6 +557,43 @@ class TestFrequencySweep:
         direct = cost_breakdown(baseline, policy, q0, r, f).total
         fast = float(sweep.totals([f])[0])
         assert fast == pytest.approx(direct, rel=5e-12, abs=1e-8)
+
+    _BETAS = st.sampled_from([1.0, 2.0, 4.0, 4.5, 13.0])  # 4.5 and 13 have no binomial degree
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gammas=st.tuples(st.floats(0.05, 2.0), st.floats(0.005, 0.5), st.floats(0.3, 3.0)),
+        discomfort=st.tuples(st.floats(0.0, 1e-4), st.floats(0.0, 0.05)),
+        fare=st.floats(0.0, 5.0),
+        vots=st.tuples(st.floats(1.0, 60.0), st.floats(1.0, 60.0), st.floats(1.0, 60.0)),
+        alphas=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        pce=st.floats(1.0, 15.0),
+        betas=st.tuples(_BETAS, _BETAS, st.booleans()),
+        policy=st.sampled_from(POLICY_ORDER),
+        q0=st.floats(50.0, 2500.0),
+        r=st.floats(0.0, 1.0),
+    )
+    @example(  # equal exponents without a degree share MTP's one kernel group
+        gammas=(0.5, 0.05, 0.7), discomfort=(1e-6, 0.005), fare=1.0, vots=(20.0, 15.0, 15.0),
+        alphas=(0.15, 0.4), pce=3.0, betas=(4.5, 4.5, True), policy=Policy.MTP, q0=1500.0, r=0.6,
+    )
+    def test_matches_direct_evaluation_at_any_rates(
+        self, gammas, discomfort, fare, vots, alphas, pce, betas, policy, q0, r
+    ):
+        beta_auto, beta_bus, same = betas
+        scen = load_scenario({
+            "bus": {"wait_gamma1": gammas[0], "wait_gamma2": gammas[1], "wait_gamma3": gammas[2],
+                    "discomfort_quad": discomfort[0], "discomfort_lin": discomfort[1],
+                    "fare": fare},
+            "econ": {"vot_auto": vots[0], "vot_bus": vots[1], "vot_wait": vots[2]},
+            "bpr": {"alpha_auto": alphas[0], "alpha_bus": alphas[1], "bus_pce": pce,
+                    "beta_auto": beta_auto, "beta_bus": beta_auto if same else beta_bus},
+            "solver": {"n_cells": 60},
+        })
+        fs = np.array([1.0, 7.5, 40.0, 120.0])
+        direct = [b.total for b in cost_breakdowns(scen, policy, q0, r, fs)]
+        fast = FrequencySweep(scen, policy, q0, r).totals(fs)
+        np.testing.assert_allclose(fast, direct, rtol=5e-12)
 
     def test_vector_evaluation_matches_scalar_loop(self, baseline: Scenario):
         sweep = FrequencySweep(baseline, Policy.MTP, 800.0, 0.7)

@@ -59,6 +59,18 @@ def test_only_the_cost_model_states_lane_stream_loads():
     assert offenders == []
 
 
+def test_only_the_cost_model_states_time_and_waiting_laws():
+    # which (t0, alpha, beta) a traveler class rides on and the waiting
+    # coefficients; config.py declares them
+    restated = re.compile(r"\b(t0|alpha|beta)_(auto|bus)\b|\bwait_gamma\d\b")
+    offenders = sorted(
+        path.name
+        for path in Path(lanepolicy.__path__[0]).glob("*.py")
+        if path.name not in ("config.py", "costmodel.py") and restated.search(path.read_text())
+    )
+    assert offenders == []
+
+
 def test_the_cli_restates_no_library_check():
     # the library functions check --F, --n and the demand range; the
     # capacity floor's slack is optimizer._FLOOR_SLACK
