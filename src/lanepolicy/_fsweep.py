@@ -3,32 +3,36 @@
 Write a = q0*R and b = q0*(1-R) for the auto and bus demand scales.  The
 demand weights along the corridor are a*(1-x/A) and b*(1-x/A), every traffic
 volume is affine in (a, F) and the onboard bus load is b times a fixed
-profile.  Each cost priced by a lane group's per-mile time t (bus ride, the
-operator's round trip, the two crowding terms, auto ride) is one scenario node
-column with a monomial a^j b^m F^k, and is worth that monomial times
-t @ column.  A ride's column is its rate times ``cumulative_kernel(weights,
-grid)``, the adjoint of ``cumulative_values(t, grid) @ weights``; the round
-trip's is 2*variable_operating_cost*simpson_weights.  t is
-t0*(1 + alpha*(volume/capacity)^beta) with the law that
-``costmodel._time_law`` gives the class.  With an integer exponent up to
-:data:`_MAX_POLY_DEGREE` the bracket expands binomially into node rows on
-a^j F^k (:func:`_time_rows`, free flow in row (0, 0)), and each column
-contracts them into polynomial coefficients.  Any other exponent puts only
-free flow in the polynomial; the same columns times t0*alpha contract the
-power profile ((a*phi + slope*F)/capacity)^beta in one :class:`_KernelGroup`
-per (lane group, exponent): once per share for a lane group without buses,
-once per candidate for one with them.
+profile U.  Every money rate comes from ``costmodel._rates``; this module
+states none.  Each cost priced by a lane group's per-mile time t is one
+scenario node column with a monomial a^j b^m F^k, and is worth that monomial
+times t @ column.  A traveler class pays sum_p rate_p*Q^p per hour aboard at
+bus load Q = b*U: term p's column is rate_p times the class's share times U^p
+times ``cumulative_kernel(weights, grid)``, the adjoint of
+``cumulative_values(t, grid) @ weights``.  The operator's round trip is its
+rate times simpson_weights, on F.  t is t0*(1 + alpha*(volume/capacity)^beta)
+with the law that ``costmodel._time_law`` gives the class.  With an integer
+exponent up to :data:`_MAX_POLY_DEGREE` the bracket expands binomially into
+node rows on a^j F^k (:func:`_time_rows`, free flow in row (0, 0)), and each
+column contracts them into polynomial coefficients.  Any other exponent puts
+only free flow in the polynomial; the same columns times t0*alpha contract
+the power profile ((a*phi + slope*F)/capacity)^beta in one
+:class:`_KernelGroup` per (lane group, exponent): once per share for a lane
+group without buses, once per candidate for one with them.
 
-Boardings and fares (with b), auto money (with a) and the fixed costs are
-polynomial coefficients too.  Waiting is ``costmodel._wait`` at b times the
-table's wait load, the gamma3-power mean of the onboard load each boarding
-meets; times vot_wait, the boardings and b, that is the corridor's waiting
-integral.  These constants form one :class:`_MomentTable` per (scenario,
-policy), built on first use and kept in a bounded LRU cache.  The auto
-classes and signage cost come from :data:`~lanepolicy.costmodel.LANE_TABLE`,
-the stream loads from ``_loads`` there.  Only signal delay is evaluated
-directly, in one ``intersection_delay`` call over one column of constants per
-(lane stream, intersection).
+Fares (with b), auto money (with a) and the fixed costs are polynomial
+coefficients too.  Waiting is ``costmodel._wait`` at b times the table's
+wait load, the gamma3-power mean of the onboard load each boarding meets;
+times b and the table's wait pay (the boardings times the $/hr at a stop),
+that is the corridor's waiting integral.  These constants form one
+:class:`_MomentTable` per (scenario, policy), built on first use and kept in
+a bounded LRU cache.  The auto classes come from
+:data:`~lanepolicy.costmodel.LANE_TABLE`, the stream loads from ``_loads``
+there.  Only signal delay is evaluated directly, in one
+``intersection_delay`` call over one column of constants per (lane stream,
+intersection).  A cost term whose demand scale is 0 adds 0, even where its
+rate overflowed to inf or NaN, so the all-auto and all-bus shares stay priced
+whatever the other mode's rates.
 
 :class:`FrequencySweep` is a cheap view of the table at one or many auto
 shares, each at one q0 or at its own.  It reproduces
@@ -47,8 +51,8 @@ a frequency range cut into :data:`_BOUND_BLOCKS` blocks, so a caller can drop
 shares that cannot win before pricing any of their candidates.  On a block
 [x0, x1] each monomial c*F^k is monotone for F > 0, so min(c*x0^k, c*x1^k)
 bounds it whatever the sign of c; waiting, (g1 + g2*(load/(capacity*F))^g3)/F
-at a load b*L >= 0 times vot_wait*boardings*b >= 0, falls as F rises (config
-keeps g1, g2, g3 > 0 and vot_wait >= 0), so its value at x1 bounds it; delay
+at a load b*L >= 0 times the wait pay times b >= 0, falls as F rises (config
+keeps g1, g2, g3 > 0 and every rate >= 0), so its value at x1 bounds it; delay
 is bounded by its F = 0 column as above.  A kernel term a^j b^m F^k *
 (p(F) @ K) has k <= 1 and a power profile p that rises with F at every node
 (slope >= 0, beta >= 1), so with K split into K+ >= 0 and K- <= 0 (the
@@ -61,13 +65,16 @@ terms, so it prices every candidate to the same float as the whole sweep.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import Scenario
-from .costmodel import LANE_TABLE, Policy, _loads, _time_law, _wait, _wait_load, intersection_delay
+from .costmodel import (
+    LANE_TABLE, Policy, _loads, _rates, _time_law, _wait, _wait_load, intersection_delay,
+)
 from .demand import DemandField, _operating_point, cumulative_demand, density
 from .errors import ValidationError
 from .numeric import _overflow_unwarned, cumulative_kernel
@@ -140,7 +147,13 @@ def _kernel_terms(group: _KernelGroup, a, b, f, kernels) -> np.ndarray:
         power **= group.beta
         out[cells] = (power[:, None, :] @ kernels)[:, 0]
     j, m, k = np.tile(group.powers, (kernels.shape[1] // len(group.powers), 1)).T
-    return out * (a[:, None] ** j * b[:, None] ** m * f[:, None] ** k)
+    return _paid(out, a[:, None] ** j * b[:, None] ** m * f[:, None] ** k)
+
+
+def _paid(rate, scale):
+    """rate * scale, 0 where the demand scale is 0: a cost no one pays adds 0,
+    even where its rate overflowed to inf or NaN."""
+    return np.where(scale == 0, 0.0, rate * scale)
 
 
 def _kernel_cost(groups, a, b, f):
@@ -150,18 +163,20 @@ def _kernel_cost(groups, a, b, f):
 
 class _MomentTable(NamedTuple):
     poly: np.ndarray  # C[j, m, k] on a^j b^m F^k
-    boardings: float  # per unit b
+    wait_pay: float  # per unit b: the boardings times $/hr at a stop
     wait_load: float  # per unit b: the gamma3-power mean of the onboard load at boarding
     # rows base, slope, capacity, pax_a, pax_b; one column per (stream, intersection):
     # a*base + slope*F veh/hr arrive on capacity and pay a*pax_a + b*pax_b $/s of delay
     signals: np.ndarray
     kernels: tuple[_KernelGroup, ...]  # congestion of the exponents without a binomial degree
+    pay: Callable  # wait_pay or a signal row times a demand scale: _paid where one overflowed
 
 
 @lru_cache(maxsize=64)
+@_overflow_unwarned
 def _moment_table(scenario: Scenario, policy: Policy) -> _MomentTable:
-    """The (scenario, policy) constants."""
-    geom, bus, econ = scenario.geometry, scenario.bus, scenario.econ
+    """The (scenario, policy) constants, every money rate from ``_rates``."""
+    geom, rates = scenario.geometry, _rates(scenario, policy)
     grid = scenario.grid()
     nodes = grid.nodes
     unit = DemandField(q0=1.0, length_mi=geom.length_mi, auto_share=1.0)
@@ -171,20 +186,19 @@ def _moment_table(scenario: Scenario, policy: Policy) -> _MomentTable:
     lanes = LANE_TABLE[policy](scenario)
 
     # per (lane group, class): (node column, powers of a, b and F) pairs, each cost
-    # a^j b^m F^k * (t @ column) at the class's per-mile time t
+    # a^j b^m F^k * (t @ column) at the class's per-mile time t: the operator's
+    # round trip per bus, and each term rate*Q^p of the class's rate aboard at bus
+    # load Q = b*upstream, paid by its share of the riders of a (j = 1) or b (m = 1)
     ride = cumulative_kernel(weights, grid)  # cumulative_values(t) @ weights == t @ ride
     costs = []
     for i, s in enumerate(lanes.streams):
+        riders = [(name, share, 1, 0) for name, share, _ in s.autos]
         if s.buses:
-            costs.append((i, "bus", [
-                (econ.vot_bus * ride, (0, 1, 0)),
-                (2.0 * bus.variable_operating_cost * grid.simpson_weights, (0, 0, 1)),  # round trip
-                # crowding rate quad*Q_bus^2 + lin*Q_bus with Q_bus = b*upstream
-                (bus.discomfort_quad * upstream**2 * ride, (0, 3, 0)),
-                (bus.discomfort_lin * upstream * ride, (0, 2, 0)),
-            ]))
-        for name, share, _ in s.autos:
-            costs.append((i, name, [(econ.vot_auto * share * ride, (1, 0, 0))]))
+            costs.append((i, "bus", [(rates.round_trip * grid.simpson_weights, (0, 0, 1))]))
+            riders.insert(0, ("bus", 1.0, 0, 1))
+        for name, share, j, m in riders:
+            costs.append((i, name, [(rate * share * upstream**p * ride, (j, m + p, 0))
+                                    for p, rate in enumerate(rates.aboard[name])]))
 
     # an integer exponent up to the degree cap expands binomially; any other keeps
     # free flow in poly and its congestion in one kernel group per (lane group, exponent)
@@ -206,17 +220,20 @@ def _moment_table(scenario: Scenario, policy: Policy) -> _MomentTable:
         for (i, beta), cols in terms.items()
     )
     per_pax = sum(share / occupancy for s in lanes.streams for _, share, occupancy in s.autos)
-    money = econ.auto_fixed_cost + econ.auto_cost_per_mi * nodes
-    poly[1, 0, 0] += float(money @ weights) * per_pax
+    fixed, per_mi = rates.auto_trip
+    poly[1, 0, 0] += float((fixed + per_mi * nodes) @ weights) * per_pax
     boardings = float(np.sum(weights))
-    poly[0, 1, 0] += bus.fare * boardings
-    poly[0, 0, 0] += bus.fixed_operating_cost + lanes.signage
+    poly[0, 1, 0] += rates.bus_trip * boardings
+    poly[0, 0, 0] += sum(rates.fixed.values())
 
-    # intersections: the value of a second of delay to the riders who pay it
+    # intersections: the value of a second of delay to each mode's riders who pay it
     autos, buses, capacity, auto_share, bus_share, riders = signal_loads
-    pax_auto, pax_bus = econ.vot_auto * riders / 3600.0, econ.vot_bus * riders / 3600.0
-    signals = np.vstack([autos, buses, capacity, auto_share * pax_auto, bus_share * pax_bus])
-    return _MomentTable(poly, boardings, _wait_load(bus, upstream, weights), signals, kernels)
+    pay_rows = (share * (rates.delay[mode] * riders / 3600.0)
+                for mode, share in (("auto", auto_share), ("bus", bus_share)))
+    signals = np.vstack([autos, buses, capacity, *pay_rows])
+    wait_pay, wait_load = rates.stop * boardings, _wait_load(scenario.bus, upstream, weights)
+    pay = np.multiply if np.isfinite(signals).all() and np.isfinite(wait_pay) else _paid
+    return _MomentTable(poly, wait_pay, wait_load, signals, kernels, pay)
 
 
 class FrequencySweep:
@@ -315,23 +332,28 @@ class FrequencySweep:
         return view
 
     @cached_property
+    @_overflow_unwarned
     def _share_terms(self):
         """Share columns a, b, their coefficients in F (kernel groups without
         buses in the constant one) and their delay cost at F = 0."""
         q0, shares = self._q0s[:, None], self._shares[:, None]
         a, b = q0 * shares, q0 * (1.0 - shares)
-        j, m, _ = self._table.poly.shape
-        coeffs = np.einsum("rj,rm,jmk->rk", a ** np.arange(j), b ** np.arange(m), self._table.poly)
+        poly = self._table.poly
+        scales = a ** np.arange(poly.shape[0]), b ** np.arange(poly.shape[1])
+        finite = np.isfinite(poly)
+        coeffs = np.einsum("rj,rm,jmk->rk", *scales, np.where(finite, poly, 0.0))
+        for j, m, k in zip(*np.nonzero(~finite)):  # an overflowed rate, where someone pays it
+            coeffs[:, k] += _paid(poly[j, m, k], scales[0][:, j] * scales[1][:, m])
         fixed = [group for group in self._table.kernels if not group.slope]
         if fixed:
             coeffs[:, 0] += _kernel_cost(fixed, a[:, 0], b[:, 0], 0.0 * a[:, 0])
         return a, b, coeffs, self._add_signals(a, b, np.zeros(a.shape), 0.0)
 
     def _waiting(self, b, f: np.ndarray) -> np.ndarray:
-        """Waiting cost vot_wait * boardings * b * wait at bus demand column b
-        on rows f, the wait taken at b times the table's wait load."""
+        """Waiting cost wait_pay * b * wait at bus demand column b on rows f,
+        the wait taken at b times the table's wait load."""
         waiting = _wait(self.scenario.bus, f, b * self._table.wait_load)
-        waiting *= self.scenario.econ.vot_wait * self._table.boardings * b
+        waiting *= self._table.pay(self._table.wait_pay, b)
         return waiting
 
     def _base(self, f: np.ndarray):
@@ -352,10 +374,10 @@ class FrequencySweep:
     def _add_signals(self, a, b, out: np.ndarray, f) -> np.ndarray:
         """``out`` plus each signal column's delay cost, added in table order."""
         signals = self._table.signals[(...,) + (None,) * out.ndim]
-        step = max(1, _DELAY_BLOCK // max(1, out.size))
+        step, pay = max(1, _DELAY_BLOCK // max(1, out.size)), self._table.pay
         for start in range(0, signals.shape[1], step):
             base, slope, capacity, pax_a, pax_b = signals[:, start : start + step]
             seconds = intersection_delay(self.scenario.signal, base * a + slope * f, capacity)
-            for term in (pax_a * a + pax_b * b) * seconds:
+            for term in (pay(pax_a, a) + pay(pax_b, b)) * seconds:
                 out += term
         return out

@@ -21,9 +21,12 @@ of auto travelers and its occupancy:
   low-occupancy autos.
 
 Each stream's loads on the corridor and at the signals (:func:`_loads`),
-per-class money costs, the signage cost and :mod:`lanepolicy._fsweep` read it.
-The BPR law a traveler class rides on (:func:`_time_law`) and the stop-wait
-law (:func:`_wait`) are stated here once too; ``_fsweep`` expands them.
+the money rates (:func:`_rates`) and :mod:`lanepolicy._fsweep` read it.
+The BPR law a traveler class rides on (:func:`_time_law`), the stop-wait
+law (:func:`_wait`) and every money rate are stated here once too:
+:func:`_rates` reads each value of time, the crowding rates, the fare, the
+auto money costs, the operating costs and the signage cost, and both the
+node-level functions below and ``_fsweep``'s moment tables price from it.
 
 Each of q0, R and F may be one value or a 1-D array aligned with the
 others.  With any array every node profile is (n_points, nodes) and every
@@ -255,6 +258,9 @@ class EvaluationContext:
     def streams(self, policy: Policy) -> tuple[Stream, ...]:
         return self._cached(("streams", policy), lambda: LANE_TABLE[policy](self.scenario).streams)
 
+    def rates(self, policy: Policy) -> _Rates:
+        return self._cached(("rates", policy), lambda: _rates(self.scenario, policy))
+
 
 def build_context(
     scenario: Scenario, q0: float, auto_share: float, frequency: float
@@ -308,6 +314,30 @@ def _time_law(scenario: Scenario, traveler_class: str) -> tuple[float, float, fl
     if traveler_class == "bus":
         return bpr.t0_bus, bpr.alpha_bus, bpr.beta_bus
     return bpr.t0_auto, bpr.alpha_auto, bpr.beta_auto
+
+
+class _Rates(NamedTuple):
+    aboard: dict  # class -> $/hr aboard per power p of the bus's onboard load Q: rate*Q^p
+    stop: float  # $/hr at a stop
+    bus_trip: float  # $ per bus trip: the fare
+    auto_trip: tuple  # $ per auto trip, fixed and per mile, split among its occupants
+    round_trip: float  # operator $ per bus/hr per hour of one-way line haul: both ways
+    fixed: dict  # cost component -> fixed $/hr
+    delay: dict  # mode -> $ per passenger-hour of signal delay: its in-vehicle value of time
+
+
+@lru_cache(maxsize=64)
+def _rates(scenario: Scenario, policy: Policy) -> _Rates:
+    """Every money rate of ``policy`` on ``scenario``, each field read here once;
+    a bus rider pays vot + lin*Q + quad*Q^2 per hour aboard at onboard load Q."""
+    bus, econ, (streams, signage) = scenario.bus, scenario.econ, LANE_TABLE[policy](scenario)
+    delay = {"auto": econ.vot_auto, "bus": econ.vot_bus}
+    aboard = {name: (delay["auto"],) for s in streams for name, _, _ in s.autos}
+    aboard["bus"] = (delay["bus"], bus.discomfort_lin, bus.discomfort_quad)
+    auto_trip = econ.auto_fixed_cost, econ.auto_cost_per_mi
+    fixed = {"bus_operator": bus.fixed_operating_cost, "signal": signage}
+    round_trip = 2.0 * bus.variable_operating_cost
+    return _Rates(aboard, econ.vot_wait, bus.fare, auto_trip, round_trip, fixed, delay)
 
 
 @_overflow_unwarned
@@ -388,10 +418,10 @@ def discomfort_cost(ctx: EvaluationContext, policy: Policy, x):
     key = ("discomfort", policy)
 
     def build() -> np.ndarray:
-        # discomfort per onboard hour, $/hr: quad*Q_bus^2 + lin*Q_bus
-        bus = ctx.scenario.bus
+        # discomfort per onboard hour, $/hr: the aboard rate's terms in Q_bus^p, p >= 1
         q_bus = cumulative_demand(ctx.demand_field, "bus", ctx.grid.nodes)
-        crowding = bus.discomfort_quad * q_bus**2 + bus.discomfort_lin * q_bus
+        aboard = ctx.rates(policy).aboard["bus"]
+        crowding = sum(rate * q_bus**p for p, rate in enumerate(aboard) if p)
         return _frozen(cumulative_values(crowding * unit_time_profile(ctx, policy, "bus"), ctx.grid))
 
     return _at(ctx, ctx._cached(key, build), x)
@@ -511,14 +541,14 @@ def total_intersection_delay(ctx: EvaluationContext, policy: Policy, mode: str):
 @_overflow_unwarned
 def bus_disutility(ctx: EvaluationContext, policy: Policy, x):
     """Generalized cost of one bus trip boarding at x, $ per passenger."""
-    econ = ctx.scenario.econ
+    rates = ctx.rates(policy)
     wait = waiting_time(ctx, x)
     ride = line_haul_time(ctx, policy, "bus", x)
     out = (
-        econ.vot_wait * wait
-        + econ.vot_bus * ride
+        rates.stop * wait
+        + rates.aboard["bus"][0] * ride
         + discomfort_cost(ctx, policy, x)
-        + ctx.scenario.bus.fare
+        + rates.bus_trip
     )
     return float(out) if np.isscalar(x) else out
 
@@ -534,10 +564,11 @@ def auto_disutility(ctx: EvaluationContext, policy: Policy, traveler_class: str,
     if traveler_class == "bus":
         raise ValidationError("auto_disutility does not apply to the bus class")
     divisor = next(o for name, _, o in ctx.streams(policy)[k].autos if name == traveler_class)
-    econ = ctx.scenario.econ
+    rates = ctx.rates(policy)
+    fixed, per_mi = rates.auto_trip
     ride = line_haul_time(ctx, policy, traveler_class, x)
     x_arr = np.asarray(x, dtype=float)
-    out = econ.vot_auto * ride + (econ.auto_fixed_cost + econ.auto_cost_per_mi * x_arr) / divisor
+    out = rates.aboard[traveler_class][0] * ride + (fixed + per_mi * x_arr) / divisor
     return float(out) if np.isscalar(x) else out
 
 
@@ -567,18 +598,16 @@ def _user_cost(ctx: EvaluationContext, policy: Policy, mode: str):
         out = np.zeros(present.shape)
         out[present] = _user_cost(ctx.points(present), policy, mode)
         return out
-    if mode == "bus":
-        unit_cost, vot = bus_disutility(ctx, policy, nodes), ctx.scenario.econ.vot_bus
-    else:
-        unit_cost, vot = mean_auto_disutility(ctx, policy, nodes), ctx.scenario.econ.vot_auto
-    in_corridor = integrate_values(unit_cost * weight, ctx.grid)
-    return in_corridor + vot * total_intersection_delay(ctx, policy, mode)
+    disutility = bus_disutility if mode == "bus" else mean_auto_disutility
+    in_corridor = integrate_values(disutility(ctx, policy, nodes) * weight, ctx.grid)
+    delay = ctx.rates(policy).delay[mode] * total_intersection_delay(ctx, policy, mode)
+    return in_corridor + delay
 
 
 def _bus_operator_cost(ctx: EvaluationContext, policy: Policy):
-    bus = ctx.scenario.bus
-    round_trip = 2.0 * _cumulative_time(ctx, policy, "bus")[..., -1]
-    return bus.fixed_operating_cost + bus.variable_operating_cost * round_trip * ctx.frequency
+    rates = ctx.rates(policy)
+    line_haul = _cumulative_time(ctx, policy, "bus")[..., -1]
+    return rates.fixed["bus_operator"] + rates.round_trip * line_haul * ctx.frequency
 
 
 @_overflow_unwarned
@@ -592,7 +621,7 @@ def _components(ctx: EvaluationContext, policy: Policy):
         _user_cost(ctx, policy, "bus"),
         _bus_operator_cost(ctx, policy),
         _user_cost(ctx, policy, "auto"),
-        LANE_TABLE[policy](ctx.scenario).signage,
+        ctx.rates(policy).fixed["signal"],
     )
 
 

@@ -629,6 +629,31 @@ def test_overflowing_density_prints_one_line(tmp_path, pinned, message):
     assert list((tmp_path / "runs").iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "rate,r_star",
+    [
+        ("bus.fare", 1.0),
+        ("bus.discomfort_quad", 1.0),
+        ("econ.auto_fixed_cost", 0.0),
+        ("econ.vot_auto", 0.0),
+        ("econ.auto_cost_per_mi", 0.0),
+    ],
+)
+def test_a_mode_without_travelers_is_priced_whatever_its_rate(tmp_path, rate, r_star):
+    # a rate of 1e308 overflows its mode's costs; the split without that mode's
+    # travelers is still finite (at q0 = 400 even all-bus demand fits under f_cap)
+    point = ["cost", "--policy", "mtp", "--q0", "400", "--set", f"{rate}=1e308",
+             "--out-dir", str(tmp_path)]
+    proc = _run_module(tmp_path, *point, "--run-name", "optimized")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    results = read_manifest(tmp_path / "optimized")["results"]
+    assert results["R"] == r_star
+    pinned_point = ["--R", repr(r_star), "--F", repr(results["F"]), "--run-name", "pinned"]
+    assert main([*point, *pinned_point]) == 0
+    pinned = read_manifest(tmp_path / "pinned")["results"]
+    assert pinned["breakdown"]["total"] == results["breakdown"]["total"]
+
+
 def test_module_entry_point(tmp_path):
     version = _run_module(tmp_path, "--version")
     assert version.returncode == 0

@@ -566,6 +566,10 @@ class TestFrequencySweep:
         discomfort=st.tuples(st.floats(0.0, 1e-4), st.floats(0.0, 0.05)),
         fare=st.floats(0.0, 5.0),
         vots=st.tuples(st.floats(1.0, 60.0), st.floats(1.0, 60.0), st.floats(1.0, 60.0)),
+        auto_money=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 2.0)),
+        operating=st.tuples(st.floats(0.0, 1000.0), st.floats(0.0, 100.0)),
+        occupancy=st.tuples(st.floats(0.0, 1.0), st.floats(1.0, 2.0), st.floats(0.0, 3.0)),
+        lane_costs=st.tuples(*(st.floats(0.0, top) for top in (1000.0, 50.0, 1000.0, 50.0))),
         alphas=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
         pce=st.floats(1.0, 15.0),
         betas=st.tuples(_BETAS, _BETAS, st.booleans()),
@@ -575,17 +579,31 @@ class TestFrequencySweep:
     )
     @example(  # equal exponents without a degree share MTP's one kernel group
         gammas=(0.5, 0.05, 0.7), discomfort=(1e-6, 0.005), fare=1.0, vots=(20.0, 15.0, 15.0),
-        alphas=(0.15, 0.4), pce=3.0, betas=(4.5, 4.5, True), policy=Policy.MTP, q0=1500.0, r=0.6,
+        auto_money=(2.0, 0.3), operating=(300.0, 20.0), occupancy=(0.6, 1.0, 2.0),
+        lane_costs=(100.0, 5.0, 500.0, 10.0), alphas=(0.15, 0.4), pce=3.0,
+        betas=(4.5, 4.5, True), policy=Policy.MTP, q0=1500.0, r=0.6,
     )
     def test_matches_direct_evaluation_at_any_rates(
-        self, gammas, discomfort, fare, vots, alphas, pce, betas, policy, q0, r
+        self, gammas, discomfort, fare, vots, auto_money, operating, occupancy, lane_costs,
+        alphas, pce, betas, policy, q0, r,
     ):
+        # every rate of costmodel._rates is drawn, and the occupancy mix
+        # that divides auto money and auto volumes
         beta_auto, beta_bus, same = betas
+        low_share, low_occupancy, extra_occupancy = occupancy
         scen = load_scenario({
             "bus": {"wait_gamma1": gammas[0], "wait_gamma2": gammas[1], "wait_gamma3": gammas[2],
                     "discomfort_quad": discomfort[0], "discomfort_lin": discomfort[1],
-                    "fare": fare},
-            "econ": {"vot_auto": vots[0], "vot_bus": vots[1], "vot_wait": vots[2]},
+                    "fare": fare, "fixed_operating_cost": operating[0],
+                    "variable_operating_cost": operating[1]},
+            "econ": {"vot_auto": vots[0], "vot_bus": vots[1], "vot_wait": vots[2],
+                     "auto_fixed_cost": auto_money[0], "auto_cost_per_mi": auto_money[1]},
+            "occupancy": {"low_share": low_share, "low_occupancy": low_occupancy,
+                          "high_occupancy": low_occupancy + extra_occupancy},
+            "lane_costs": dict(zip(
+                ("ebl_fixed", "ebl_variable_per_mi", "hovl_fixed", "hovl_variable_per_mi"),
+                lane_costs,
+            )),
             "bpr": {"alpha_auto": alphas[0], "alpha_bus": alphas[1], "bus_pce": pce,
                     "beta_auto": beta_auto, "beta_bus": beta_auto if same else beta_bus},
             "solver": {"n_cells": 60},

@@ -71,6 +71,24 @@ def test_only_the_cost_model_states_time_and_waiting_laws():
     assert offenders == []
 
 
+def test_only_the_cost_model_states_cost_rates():
+    # values of time, crowding, the fare, auto money and operating costs are
+    # priced from costmodel._rates; config.py declares them, and the CLI
+    # manifest echoes vot_wait among its highlighted defaults without pricing it
+    read = re.compile(
+        r"\.(discomfort_(quad|lin)|(fixed|variable)_operating_cost|fare"
+        r"|auto_fixed_cost|auto_cost_per_mi|vot_(auto|bus|wait))\b"
+    )
+    echo = '"econ.vot_wait": scenario.econ.vot_wait,'
+    offenders = sorted(
+        path.name
+        for path in Path(lanepolicy.__path__[0]).glob("*.py")
+        if path.name not in ("config.py", "costmodel.py")
+        and read.search(path.read_text().replace(echo, ""))
+    )
+    assert offenders == []
+
+
 def test_the_cli_restates_no_library_check():
     # the library functions check --F, --n and the demand range; the
     # capacity floor's slack is optimizer._FLOOR_SLACK
