@@ -30,9 +30,9 @@ a bounded LRU cache.  The auto classes come from
 :data:`~lanepolicy.costmodel.LANE_TABLE`, the stream loads from ``_loads``
 there.  Only signal delay is evaluated directly, in one
 ``intersection_delay`` call over one column of constants per (lane stream,
-intersection).  A cost term whose demand scale is 0 adds 0, even where its
-rate overflowed to inf or NaN, so the all-auto and all-bus shares stay priced
-whatever the other mode's rates.
+intersection).  A cost term whose demand scale (or binomial row entry) is 0
+adds 0, even where its rate overflowed to inf or NaN, so the all-auto and
+all-bus shares stay priced whatever the other mode's rates.
 
 :class:`FrequencySweep` is a cheap view of the table at one or many auto
 shares, each at one q0 or at its own.  It reproduces
@@ -156,6 +156,11 @@ def _paid(rate, scale):
     return np.where(scale == 0, 0.0, rate * scale)
 
 
+def _contract(rows: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """rows @ column, a zero row entry adding 0 against an overflowed column."""
+    return rows @ column if np.isfinite(column).all() else np.sum(_paid(column, rows), axis=-1)
+
+
 def _kernel_cost(groups, a, b, f):
     """The kernel groups' cost at each cell (a, b, f), 1-D arrays."""
     return sum(_kernel_terms(group, a, b, f, group.kernels).sum(axis=1) for group in groups)
@@ -210,7 +215,7 @@ def _moment_table(scenario: Scenario, policy: Policy) -> _MomentTable:
         else:
             rows = np.ones((1, 1, nodes.size))
             terms.setdefault((i, beta), []).extend((t0 * alpha * c, p) for c, p in columns)
-        blocks += [(t0 * (rows @ column), powers) for column, powers in columns]
+        blocks += [(t0 * _contract(rows, column), powers) for column, powers in columns]
     poly = np.zeros(np.max([np.add(p, (len(c), 1, len(c))) for c, p in blocks], axis=0))
     for c, (j, m, k) in blocks:
         poly[j : j + len(c), m, k : k + len(c)] += c

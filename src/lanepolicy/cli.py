@@ -56,6 +56,7 @@ from .scheduler import (
     format_timetable,
     schedule_summary,
     write_schedule_csv,
+    write_schedule_json,
 )
 from .stochastic import (
     DEFAULT_CLOCK_START_HR,
@@ -458,8 +459,8 @@ def _cmd_schedule(args: argparse.Namespace, scenario: Scenario, run: _Run) -> di
         write_schedule_csv,
         schedule,
     )
+    write_schedule_json(schedule, run.path("schedule.json"))
     summary = schedule_summary(schedule)
-    _files.write_json(summary, run.path("schedule.json"))
     summary.update(allowed=[p.value for p in allowed], min_dwell_minutes=args.min_dwell,
                    trajectory_source=source, seeds=seeds)
     return summary

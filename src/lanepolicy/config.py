@@ -224,7 +224,7 @@ VALID_SPLIT_RULES = ("cost_min", "equilibrium")
 class SolverSettings:
     """Numerical resolutions and rule variants used by the optimizer layers."""
 
-    # at most 100,000: a stacked cost pass holds 16-point node profiles, 13 MB each there
+    # at most 100,000: a costmodel._PRICE_BLOCK-point cost pass's node profiles are 13 MB there
     n_cells: int = 600
     r_step: float = 0.01  # coarse mode-split lattice
     r_refine_factor: int = 10  # one refinement round shrinks the step by this

@@ -32,7 +32,9 @@ Each of q0, R and F may be one value or a 1-D array aligned with the
 others.  With any array every node profile is (n_points, nodes) and every
 cost component an (n_points,) array, each row priced by exactly the
 arithmetic of its one-point case: :func:`cost_breakdowns` is that batched
-form and :func:`cost_breakdown` its one-point case.
+form and :func:`cost_breakdown` its one-point case.  Every batch, of
+breakdowns or of equilibrium gaps, is priced in bounded passes
+(:func:`_in_passes`).
 
 Positions are miles from the outer boundary; all travelers move toward the
 inner end, so flows at x accumulate demand from [x, length].
@@ -75,7 +77,6 @@ __all__ = [
     "discomfort_cost",
     "intersection_delay",
     "signal_auto_pax",
-    "delay_args",
     "total_intersection_delay",
     "bus_disutility",
     "auto_disutility",
@@ -502,18 +503,6 @@ def _arriving(ctx: EvaluationContext, policy: Policy) -> np.ndarray:
 
 
 @_overflow_unwarned
-def delay_args(ctx: EvaluationContext, policy: Policy, traveler_class: str, i: int):
-    """(arriving veh/hr, capacity veh/hr) for one intersection and class."""
-    k = _group_of(ctx, policy, traveler_class)
-    n = ctx.scenario.geometry.n_intersections
-    if not 1 <= i <= n:
-        raise ValidationError(f"intersection index must lie in [1, {n}], got {i}")
-    arriving = _arriving(ctx, policy)[..., k * n + i - 1]
-    capacity = ctx.streams(policy)[k].capacity
-    return (float(arriving) if np.ndim(arriving) == 0 else arriving), capacity
-
-
-@_overflow_unwarned
 def total_intersection_delay(ctx: EvaluationContext, policy: Policy, mode: str):
     """Passenger-hours of signal delay per hour for one mode under a policy.
 
@@ -583,14 +572,18 @@ def mean_auto_disutility(ctx: EvaluationContext, policy: Policy, x):
     )
 
 
+def _unit_density(ctx: EvaluationContext) -> np.ndarray:
+    """Trip origins per mile at each node per unit demand scale."""
+    return density(replace(ctx.demand_field, q0=1.0, auto_share=1.0), ctx.grid.nodes)
+
+
 def _user_cost(ctx: EvaluationContext, policy: Policy, mode: str):
     """Hourly cost to one mode's travelers: generalized trip costs over the
     corridor plus the value of their signal delay; 0 at a point without
     travelers of the mode."""
     share = ctx.auto_share if mode == "auto" else 1.0 - ctx.auto_share
     nodes = ctx.grid.nodes
-    unit = replace(ctx.demand_field, q0=1.0, auto_share=1.0)
-    weight = _per_point(share * ctx.q0, nodes) * density(unit, nodes)
+    weight = _per_point(share * ctx.q0, nodes) * _unit_density(ctx)
     present = weight.any(axis=-1)
     if not present.any():
         return 0.0
@@ -602,6 +595,16 @@ def _user_cost(ctx: EvaluationContext, policy: Policy, mode: str):
     in_corridor = integrate_values(disutility(ctx, policy, nodes) * weight, ctx.grid)
     delay = ctx.rates(policy).delay[mode] * total_intersection_delay(ctx, policy, mode)
     return in_corridor + delay
+
+
+@_overflow_unwarned
+def _disutility_gap(ctx: EvaluationContext, policy: Policy, signed: bool):
+    """Demand-weighted mean auto-minus-bus disutility difference, $ per trip,
+    at the operating point of ``ctx`` or at each of its stacked points."""
+    nodes, weight = ctx.grid.nodes, _unit_density(ctx)  # q0 cancels
+    diff = mean_auto_disutility(ctx, policy, nodes) - bus_disutility(ctx, policy, nodes)
+    diff = diff if signed else np.abs(diff)
+    return integrate_values(diff * weight, ctx.grid) / integrate_values(weight, ctx.grid)
 
 
 def _bus_operator_cost(ctx: EvaluationContext, policy: Policy):
@@ -644,14 +647,38 @@ def cost_breakdowns(
     """:func:`cost_breakdown` at each of a 1-D array of operating points.
 
     Each of ``q0``, ``auto_share`` and ``frequency`` is a scalar or a 1-D
-    array aligned with the others.  The points are priced in one stacked
-    pass, every float as :func:`cost_breakdown` gives it for that point.
+    array aligned with the others.  Passes of :data:`_PRICE_BLOCK` points
+    give every float as :func:`cost_breakdown` gives it for that point.
     """
+    rows = _in_passes(scenario, q0, auto_share, frequency, lambda ctx: _components(ctx, policy))
+    return [CostBreakdown(*row) for row in rows]
+
+
+def _equilibrium_gaps(scenario: Scenario, policy: Policy, q0, auto_share, frequency, signed):
+    """:func:`_disutility_gap` at each of a 1-D array of operating points."""
+    return np.ravel(_in_passes(scenario, q0, auto_share, frequency,
+                               lambda ctx: (_disutility_gap(ctx, policy, signed),)))
+
+
+# Operating points per stacked pricing pass, to bound its (points x nodes)
+# profiles: on the default 600-cell grid a pass of 16 peaks near 0.9 MiB
+# (tracemalloc), where one pass of 2,048 points peaked at 104 MiB.
+_PRICE_BLOCK = 16
+
+
+def _in_passes(scenario: Scenario, q0, auto_share, frequency, price) -> list[tuple]:
+    """The row of ``price``'s per-point values at each point of a 1-D array of
+    operating points: one context checks the whole array, then each pass
+    prices a stacked context of its next :data:`_PRICE_BLOCK` points."""
     points = [np.asarray(v, dtype=float) for v in (q0, auto_share, frequency)]
     ctx = _context(scenario, *points)
     shape = np.broadcast_shapes(*(v.shape for v in points))
     if len(shape) != 1:
         raise ValidationError(f"operating points must form a 1-D array, got shape {shape}")
-    parts = (np.broadcast_to(part, shape) for part in _components(ctx, policy))
-    return [CostBreakdown(*row) for row in zip(*parts)]
+    rows = []
+    for start in range(0, shape[0], _PRICE_BLOCK):
+        size = min(_PRICE_BLOCK, shape[0] - start)
+        values = price(ctx.points(slice(start, start + size)))
+        rows += zip(*(np.broadcast_to(value, size) for value in values))
+    return rows
 

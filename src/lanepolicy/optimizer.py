@@ -1,4 +1,5 @@
-"""Nested optimization of bus frequency and mode split for one policy.
+"""Nested optimization of bus frequency and mode split for one policy: it
+searches, and :mod:`lanepolicy._fsweep` and :mod:`lanepolicy.costmodel` price.
 
 The inner search over frequency F scans the integer lattice subject to the
 service-capacity floor F >= Q_bus(0)/capacity, then one 0.1-wide refinement
@@ -26,42 +27,32 @@ on the block it was solved in.
 :func:`optimize_frequency` is the one-share case and :func:`optimize_policy`
 the one-density case of :func:`optimize_policies`; ``_best_split_at_fixed_f``
 is the split scan at a frequency the caller pins (``lanepolicy cost --F``).  The winning operating
-points of a call are then priced together, one point or a stacked array of
-points per :func:`~lanepolicy.costmodel.cost_breakdowns` pass, which gives
-every float of the one-point :func:`~lanepolicy.costmodel.cost_breakdown`.
+points of a call are then priced by one
+:func:`~lanepolicy.costmodel.cost_breakdowns` call, which gives every float
+of the one-point :func:`~lanepolicy.costmodel.cost_breakdown`.
 
 Two diagnostics are functions that callers evaluate at an optimum: a
 central finite difference of total cost in F (:func:`foc_residual`) and the
 demand-weighted disutility gap between the modes (:func:`equilibrium_gap`).
 The ``equilibrium`` split rule replaces the outer cost scan with a root solve
 on the signed gap, bracketed on one batched scan of the interior shares whose
-gaps, each at its share's optimal frequency, are priced in stacked passes;
-each bisection call prices its up to three shares the same way.
+gaps, each at its share's optimal frequency, the cost model prices in one
+call; each bisection call prices its up to three shares the same way.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._fsweep import FrequencySweep, _candidates, _scan_rows
 from .config import Scenario
-from .costmodel import (
-    CostBreakdown,
-    EvaluationContext,
-    Policy,
-    _context,
-    build_context,
-    bus_disutility,
-    cost_breakdown,
-    cost_breakdowns,
-    mean_auto_disutility,
-)
-from .demand import _operating_point, density
+from .costmodel import CostBreakdown, Policy, _equilibrium_gaps, cost_breakdown, cost_breakdowns
+from .demand import _operating_point
 from .errors import InfeasibleError, NumericDomainError, ValidationError
-from .numeric import _overflow_unwarned, find_root, integrate_values
+from .numeric import find_root
 
 __all__ = [
     "PolicyOptimum",
@@ -280,20 +271,7 @@ def equilibrium_gap(
     """
     if q0 <= 0 or not 0 < auto_share < 1:
         return None
-    ctx = build_context(scenario, q0, auto_share, frequency)
-    return float(_disutility_gap(ctx, policy, signed))
-
-
-@_overflow_unwarned
-def _disutility_gap(ctx: EvaluationContext, policy: Policy, signed: bool):
-    """:func:`equilibrium_gap` at the operating point of ``ctx``, or at each
-    of its stacked points."""
-    nodes = ctx.grid.nodes
-    diff = mean_auto_disutility(ctx, policy, nodes) - bus_disutility(ctx, policy, nodes)
-    weight = density(replace(ctx.demand_field, q0=1.0, auto_share=1.0), nodes)  # q0 cancels
-    if not signed:
-        diff = np.abs(diff)
-    return integrate_values(diff * weight, ctx.grid) / integrate_values(weight, ctx.grid)
+    return float(_equilibrium_gaps(scenario, policy, [q0], [auto_share], [frequency], signed)[0])
 
 
 def _split_lattice(solver, centers=None) -> np.ndarray:
@@ -349,16 +327,10 @@ def _best_split_cost_min(scenario: Scenario, policy: Policy, q0s: np.ndarray) ->
 def _signed_gaps(scenario: Scenario, policy: Policy, q0: float, auto_shares: np.ndarray):
     """Signed :func:`equilibrium_gap` at each interior share's optimal
     frequency, NaN where the share is infeasible: one
-    :func:`_frequency_optima` call, then the gaps in stacked passes of
-    :data:`_PRICE_BLOCK` points."""
+    :func:`_frequency_optima` call, then one stacked pricing of the gaps."""
     f_star, cost = _frequency_optima(scenario, policy, q0, auto_shares)
-    gaps = np.full(auto_shares.shape, np.nan)
-    feasible = np.flatnonzero(np.isfinite(cost))
-    for k in range(0, feasible.size, _PRICE_BLOCK):
-        b = feasible[k : k + _PRICE_BLOCK]
-        gaps[b] = _disutility_gap(
-            _context(scenario, q0, auto_shares[b], f_star[b]), policy, signed=True
-        )
+    gaps, ok = np.full(auto_shares.shape, np.nan), np.isfinite(cost)
+    gaps[ok] = _equilibrium_gaps(scenario, policy, q0, auto_shares[ok], f_star[ok], signed=True)
     return gaps
 
 
@@ -411,10 +383,6 @@ def _best_split_equilibrium(scenario: Scenario, policy: Policy, q0: float):
 # this size keeps peak RSS at the unpruned 3-density search's; each further
 # 40,000 cells added about 0.6 MiB.
 _CELL_BLOCK = 120_000
-
-# Operating points per stacked pricing pass (the winners' breakdowns, the
-# equilibrium rule's gaps), to bound its (points x nodes) profiles.
-_PRICE_BLOCK = 16
 
 _CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
 
@@ -469,8 +437,8 @@ def _solve_policies(scenario: Scenario, policy: Policy, q0s: np.ndarray) -> list
     """Each density's :class:`PolicyOptimum`, or the :class:`InfeasibleError`
     that stopped its search.  Cost-min splits are searched in blocks of
     :data:`_CELL_BLOCK` lattice cells; the ``equilibrium`` rule solves each
-    positive density on its own.  The winners are priced :data:`_PRICE_BLOCK`
-    points at a time."""
+    positive density on its own.  The winners are priced in one
+    :func:`~lanepolicy.costmodel.cost_breakdowns` call."""
     solver = scenario.solver
     splits: list = [None] * q0s.size
     cost_min = []
@@ -488,17 +456,15 @@ def _solve_policies(scenario: Scenario, policy: Policy, q0s: np.ndarray) -> list
         for i, split in zip(block, _best_split_cost_min(scenario, policy, q0s[block])):
             splits[i] = split
     solved = [i for i, split in enumerate(splits) if not isinstance(split, Exception)]
-    for start in range(0, len(solved), _PRICE_BLOCK):
-        block = solved[start : start + _PRICE_BLOCK]
-        optima = _optima(scenario, policy, q0s[block], [splits[i] for i in block])
-        for i, optimum in zip(block, optima):
-            splits[i] = optimum
+    optima = _optima(scenario, policy, q0s[solved], [splits[i] for i in solved]) if solved else []
+    for i, optimum in zip(solved, optima):
+        splits[i] = optimum
     return splits
 
 
 def _optima(scenario: Scenario, policy: Policy, q0s: np.ndarray, splits: list) -> list:
     """The optima at densities ``q0s`` from their (cost, bus share, frequency)
-    splits, every winner priced in one stacked pass."""
+    splits, the winners priced together."""
     _, bus_shares, f_stars = (np.array(column) for column in zip(*splits))
     auto_shares = 1.0 - bus_shares
     f_mins = min_frequency(scenario, q0s, auto_shares)

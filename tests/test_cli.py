@@ -386,6 +386,16 @@ class TestScheduleCommand:
         assert rows[0][:3] == ["entry_clock", "exit_clock", "policy"]
         assert len(rows) == 1 + len(summary["entries"])
 
+    def test_schedule_json_holds_the_summary_alone(self, tmp_path):
+        # the schedule writer's canonical JSON of the summary, without the run's own keys
+        assert main(self.schedule_args(tmp_path, "sched")) == 0
+        run = tmp_path / "sched"
+        results = read_manifest(run)["results"]
+        for key in ("allowed", "min_dwell_minutes", "trajectory_source", "seeds"):
+            del results[key]
+        expected = json.dumps(results, indent=2, sort_keys=True) + "\n"
+        assert (run / "schedule.json").read_bytes() == expected.encode()
+
     def test_schedules_a_default_step_simulate_output(self, tmp_path):
         # README's pair: simulate at the default 1-minute step, then schedule one file
         sim = ["simulate", "--n", "1", "--horizon", "1", "--run-name", "sim"]

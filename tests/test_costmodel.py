@@ -31,9 +31,10 @@ from lanepolicy import (
     waiting_time,
 )
 from lanepolicy.costmodel import (
+    _arriving,
+    _loads,
     build_context,
     cost_breakdowns,
-    delay_args,
     mean_auto_disutility,
     signal_auto_pax,
 )
@@ -240,31 +241,24 @@ class TestIntersectionDelay:
             intersection_delay(baseline.signal, np.array([100.0, 200.0]), np.array(capacity))
 
 
-class TestDelayArgs:
+class TestSignalColumns:
+    # one column per (lane stream, intersection), streams in LANE_TABLE order
     def test_reserved_bus_lane_sees_only_buses(self, baseline: Scenario):
         ctx = build_context(baseline, 1000.0, 0.75, 16.0)
-        arriving, cap = delay_args(ctx, Policy.EBLP, "bus", 1)
+        arriving, cap = _arriving(ctx, Policy.EBLP), _loads(baseline, Policy.EBLP).signals[2]
         # bus flow spread uniformly across the 10 intersections (11 spacings)
-        assert arriving == pytest.approx(3.0 * 16.0 / 11.0, rel=1e-12)
-        assert cap == pytest.approx(1500.0)
+        assert arriving[:10] == pytest.approx(np.full(10, 3.0 * 16.0 / 11.0), rel=1e-12)
+        assert list(cap) == [1500.0] * 10 + [3000.0] * 10
 
     def test_mixed_lane_counts_autos_and_buses(self, baseline: Scenario):
         ctx = build_context(baseline, 1000.0, 0.75, 16.0)
-        arriving, cap = delay_args(ctx, Policy.MTP, "auto", 1)
-        # segment volume between the first two intersections plus the bus slice
+        arriving, cap = _arriving(ctx, Policy.MTP), _loads(baseline, Policy.MTP).signals[2]
+        # segment volume between consecutive intersections plus the bus slice
         q0, a, r = 1000.0, 30.0, 0.75
         q = lambda x: r * q0 * (a - x) ** 2 / (2.0 * a)
-        seg = (q(a * 1 / 11) - q(a * 2 / 11)) / 1.8
-        assert type(arriving) is float  # one point gives a float, as every node-level function
-        assert arriving == pytest.approx(seg + 48.0 / 11.0, rel=1e-12)
-        assert cap == pytest.approx(3 * 1500.0)
-
-    def test_intersection_index_bounds(self, baseline: Scenario):
-        ctx = build_context(baseline, 1000.0, 0.75, 16.0)
-        with pytest.raises(ValidationError):
-            delay_args(ctx, Policy.MTP, "auto", 0)
-        with pytest.raises(ValidationError):
-            delay_args(ctx, Policy.MTP, "auto", 11)
+        seg = [(q(a * i / 11) - q(a * (i + 1) / 11)) / 1.8 for i in range(1, 11)]
+        assert arriving == pytest.approx(np.add(seg, 48.0 / 11.0), rel=1e-12)
+        assert list(cap) == [3 * 1500.0] * 10
 
 
 class TestTotalIntersectionDelay:
@@ -280,10 +274,10 @@ class TestTotalIntersectionDelay:
 
         ctx = build_context(baseline, 1000.0, 0.75, 16.0)
         expect = 0.0
+        arriving = _arriving(ctx, Policy.MTP)  # the one shared stream's 10 intersections
         for i in range(1, 11):
             pos = 30.0 * i / 11.0
-            arriving, cap = delay_args(ctx, Policy.MTP, "bus", i)
-            d = intersection_delay(baseline.signal, arriving, cap)
+            d = intersection_delay(baseline.signal, float(arriving[i - 1]), 3 * 1500.0)
             expect += d * cumulative_demand(ctx.demand_field, "bus", pos) / 3600.0
         got = total_intersection_delay(ctx, Policy.MTP, "bus")
         assert got == pytest.approx(expect, rel=1e-12)
@@ -324,8 +318,8 @@ _OVERFLOWING = {
     "bpr_time": lambda ctx: bpr_time(1 / 60, 0.15, 4.0, 1e300, 1500.0),
     "bpr_time on an array": lambda ctx: bpr_time(1 / 60, 0.15, 4.0, np.array([1e300]), 1500.0),
     "intersection_delay": lambda ctx: intersection_delay(ctx.scenario.signal, 1e300, 1500.0),
-    "delay_args": lambda ctx: intersection_delay(
-        ctx.scenario.signal, *delay_args(ctx, Policy.MTP, "auto", 1)
+    "intersection_delay at the signal columns": lambda ctx: intersection_delay(
+        ctx.scenario.signal, _arriving(ctx, Policy.MTP), _loads(ctx.scenario, Policy.MTP).signals[2]
     ),
     "total_intersection_delay": lambda ctx: total_intersection_delay(ctx, Policy.MTP, "auto"),
     "unit_time_profile": lambda ctx: unit_time_profile(ctx, Policy.MTP, "bus"),
@@ -521,6 +515,18 @@ class TestStackedPoints:
         for name, point in (("q0", (two, 0.5, 8.0)), ("auto_share", (500.0, [0.5], 8.0))):
             with pytest.raises(ValidationError, match=f"{name} must be a scalar"):
                 build_context(baseline, *point)
+
+    def test_many_points_are_priced_in_bounded_passes(self, baseline: Scenario):
+        shares = np.linspace(0.0, 1.0, 2048)
+        cost_breakdowns(baseline, Policy.HOVLP, 800.0, shares[:2], 60.0)  # cached tables
+        tracemalloc.start()
+        try:
+            got = cost_breakdowns(baseline, Policy.HOVLP, 800.0, shares, 60.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20, peak
+        assert got == [cost_breakdown(baseline, Policy.HOVLP, 800.0, r, 60.0) for r in shares]
 
     def test_stacked_points_keep_the_checks(self, baseline: Scenario):
         q0s, shares = np.array([500.0, 500.0]), np.array([1.0, 0.5])
@@ -813,6 +819,16 @@ class TestFrequencySweep:
             self._check_row_minima(sweep, rows)
             assert sweep.priced < np.count_nonzero(~np.isnan(rows))
         assert np.isfinite(sweep.lower_bounds(1.0, 120.0)).all()
+
+    @pytest.mark.parametrize("beta", [4.0, 4.5])
+    def test_an_overflowed_rate_prices_to_inf_not_padding(self, beta):
+        # a binomial row of zeros adds 0 against an overflowed column, as a kernel does
+        scen = load_scenario(
+            {"bus": {"discomfort_quad": 1e308}, "bpr": {"beta_auto": beta, "beta_bus": beta}}
+        )
+        sweep = FrequencySweep(scen, Policy.MTP, 300.0, 0.5)
+        assert list(sweep.totals([5.0, 80.0])) == [np.inf, np.inf]
+        assert list(sweep.lower_bounds(1.0, 120.0)) == [np.inf]
 
     def test_kernel_row_minima_memory_is_set_by_the_block(self):
         # One row_minima call at 2,001 nodes over 41 shares x the 120-point

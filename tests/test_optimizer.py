@@ -474,19 +474,26 @@ class TestOptimizePolicies:
         def refuse(*args, **kwargs):
             raise AssertionError("scalar cost_breakdown called")
 
-        passes = []
+        calls, passes = [], []
+        breakdowns, components = costmodel.cost_breakdowns, costmodel._components
 
-        def counted(scenario, policy, q0, auto_share, frequency):
-            passes.append(np.size(q0))
-            return costmodel.cost_breakdowns(scenario, policy, q0, auto_share, frequency)
+        def called(scenario, policy, q0, auto_share, frequency):
+            calls.append(np.size(q0))
+            return breakdowns(scenario, policy, q0, auto_share, frequency)
+
+        def priced(ctx, policy):
+            passes.append(np.size(ctx.q0))
+            return components(ctx, policy)
 
         monkeypatch.setattr(costmodel, "cost_breakdown", refuse)
         monkeypatch.setattr(optimizer, "cost_breakdown", refuse)
-        monkeypatch.setattr(optimizer, "cost_breakdowns", counted)
+        monkeypatch.setattr(optimizer, "cost_breakdowns", called)
+        monkeypatch.setattr(costmodel, "_components", priced)
         optimizer._optimize_policy_cached.cache_clear()
         q0s = list(np.linspace(100.0, 2000.0, n_densities) + 0.123)  # cold densities
         optima = optimize_policies(baseline, Policy.EBLP, q0s)
-        block = optimizer._PRICE_BLOCK
+        block = costmodel._PRICE_BLOCK
+        assert calls == [n_densities]  # one call for the memo's batch
         assert passes == [min(block, n_densities - k) for k in range(0, n_densities, block)]
         optimizer._optimize_policy_cached.cache_clear()
         monkeypatch.undo()

@@ -89,6 +89,18 @@ def test_only_the_cost_model_states_cost_rates():
     assert offenders == []
 
 
+def test_only_the_cost_model_prices_at_the_grid_nodes():
+    # evaluation contexts and the size of a stacked pricing pass; the optimizer
+    # searches and calls the cost model's batched functions
+    restated = re.compile(r"\b(build)?_context\(|^_PRICE_BLOCK\b", re.MULTILINE)
+    offenders = sorted(
+        path.name
+        for path in Path(lanepolicy.__path__[0]).glob("*.py")
+        if path.name != "costmodel.py" and restated.search(path.read_text())
+    )
+    assert offenders == []
+
+
 def test_the_cli_restates_no_library_check():
     # the library functions check --F, --n and the demand range; the
     # capacity floor's slack is optimizer._FLOOR_SLACK
