@@ -276,7 +276,7 @@ class FrequencySweep:
         one_row = np.ndim(self.q0) == np.ndim(self.auto_share) == 0 and f_arr.ndim == 1
         return out[0] if one_row else out
 
-    # bench/spans.py wraps this name; every candidate is now priced from the table
+    # an alias because bench/spans.py wraps this name
     _fallback_totals = totals
 
     @_overflow_unwarned

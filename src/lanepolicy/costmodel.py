@@ -28,12 +28,15 @@ law (:func:`_wait`) and every money rate are stated here once too:
 auto money costs, the operating costs and the signage cost, and both the
 node-level functions below and ``_fsweep``'s moment tables price from it.
 
-Each of q0, R and F may be one value or a 1-D array aligned with the
-others.  With any array every node profile is (n_points, nodes) and every
-cost component an (n_points,) array, each row priced by exactly the
-arithmetic of its one-point case: :func:`cost_breakdowns` is that batched
-form and :func:`cost_breakdown` its one-point case.  Every batch, of
-breakdowns or of equilibrium gaps, is priced in bounded passes
+The cost model prices at the grid nodes only: each node-level function
+(travel times, waiting, crowding, the disutilities) returns its profile at
+the nodes of ``scenario.grid()``, and the corridor integrals contract those
+profiles.  Each of q0, R and F may be one value or a 1-D array aligned with
+the others.  With any array every node profile is (n_points, nodes), one row
+per point, and every cost component an (n_points,) array, each row priced
+by exactly the arithmetic of its one-point case: :func:`cost_breakdowns` is
+that batched form and :func:`cost_breakdown` its one-point case.  Every
+batch, of breakdowns or of equilibrium gaps, is priced in bounded passes
 (:func:`_in_passes`).
 
 Positions are miles from the outer boundary; all travelers move toward the
@@ -222,9 +225,9 @@ class EvaluationContext:
     """One (scenario, q0, R, F) operating point with tabulated node profiles.
 
     :func:`cost_breakdowns` also builds one over a stack of points: each of
-    q0, R and F is then a scalar or a 1-D array aligned with the others, and
-    every node profile is (n_points, nodes).
-    A stacked context is priced at the grid nodes only.
+    q0, R and F is then a scalar or a 1-D array aligned with the others.
+    Every node profile is (nodes,) for one point and (n_points, nodes), one
+    row per point, for a stack.
 
     Profiles are computed lazily per (policy, class) and memoized, so nested
     integrals reuse a single tabulation pass.
@@ -360,27 +363,14 @@ def _frozen(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _at(ctx: EvaluationContext, profile: np.ndarray, x):
-    """Node ``profile`` at positions x, linear between nodes; at the grid
-    nodes themselves it is the profile (one row per frequency)."""
-    if x is ctx.grid.nodes:
-        return profile
-    out = np.interp(np.asarray(x, dtype=float), ctx.grid.nodes, profile)
-    return float(out) if np.isscalar(x) else out
-
-
-def _cumulative_time(ctx: EvaluationContext, policy: Policy, traveler_class: str) -> np.ndarray:
+@_overflow_unwarned
+def line_haul_time(ctx: EvaluationContext, policy: Policy, traveler_class: str) -> np.ndarray:
+    """In-vehicle time from the boundary to every grid node (hours)."""
     key = ("cum", policy, traveler_class)
     return ctx._cached(
         key,
         lambda: _frozen(cumulative_values(unit_time_profile(ctx, policy, traveler_class), ctx.grid)),
     )
-
-
-@_overflow_unwarned
-def line_haul_time(ctx: EvaluationContext, policy: Policy, traveler_class: str, x):
-    """In-vehicle time from the boundary to x (hours); linear between grid nodes."""
-    return _at(ctx, _cumulative_time(ctx, policy, traveler_class), x)
 
 
 def _wait(bus: BusServiceParams, f, load):
@@ -402,20 +392,22 @@ def _wait_load(bus: BusServiceParams, load: np.ndarray, weights: np.ndarray) -> 
 
 
 @_overflow_unwarned
-def waiting_time(ctx: EvaluationContext, x):
-    """Expected stop waiting time at x (hours): headway term plus crowding term.
+def waiting_time(ctx: EvaluationContext) -> np.ndarray:
+    """Expected stop waiting time at every grid node (hours): headway term
+    plus crowding term.
 
     w(x) = g1/F + (g2/F) * (Q_bus(x) / (capacity*F))^g3.  Decreasing in F.
     """
     if np.any(np.asarray(ctx.frequency) <= 0):
         raise UndefinedServiceError("waiting time is undefined at zero bus frequency")
-    out = _wait(ctx.scenario.bus, ctx.f_col, cumulative_demand(ctx.demand_field, "bus", x))
-    return float(out) if np.isscalar(x) else out
+    riders = cumulative_demand(ctx.demand_field, "bus", ctx.grid.nodes)
+    return _wait(ctx.scenario.bus, ctx.f_col, riders)
 
 
 @_overflow_unwarned
-def discomfort_cost(ctx: EvaluationContext, policy: Policy, x):
-    """Crowding discomfort accumulated over the ride to x, $ per passenger."""
+def discomfort_cost(ctx: EvaluationContext, policy: Policy) -> np.ndarray:
+    """Crowding discomfort accumulated over the ride to every grid node, $ per
+    passenger."""
     key = ("discomfort", policy)
 
     def build() -> np.ndarray:
@@ -425,7 +417,7 @@ def discomfort_cost(ctx: EvaluationContext, policy: Policy, x):
         crowding = sum(rate * q_bus**p for p, rate in enumerate(aboard) if p)
         return _frozen(cumulative_values(crowding * unit_time_profile(ctx, policy, "bus"), ctx.grid))
 
-    return _at(ctx, ctx._cached(key, build), x)
+    return ctx._cached(key, build)
 
 
 @_overflow_unwarned
@@ -528,23 +520,21 @@ def total_intersection_delay(ctx: EvaluationContext, policy: Policy, mode: str):
 
 
 @_overflow_unwarned
-def bus_disutility(ctx: EvaluationContext, policy: Policy, x):
-    """Generalized cost of one bus trip boarding at x, $ per passenger."""
+def bus_disutility(ctx: EvaluationContext, policy: Policy) -> np.ndarray:
+    """Generalized cost of one bus trip boarding at every grid node, $ per
+    passenger."""
     rates = ctx.rates(policy)
-    wait = waiting_time(ctx, x)
-    ride = line_haul_time(ctx, policy, "bus", x)
-    out = (
-        rates.stop * wait
-        + rates.aboard["bus"][0] * ride
-        + discomfort_cost(ctx, policy, x)
+    return (
+        rates.stop * waiting_time(ctx)
+        + rates.aboard["bus"][0] * line_haul_time(ctx, policy, "bus")
+        + discomfort_cost(ctx, policy)
         + rates.bus_trip
     )
-    return float(out) if np.isscalar(x) else out
 
 
 @_overflow_unwarned
-def auto_disutility(ctx: EvaluationContext, policy: Policy, traveler_class: str, x):
-    """Generalized cost of one auto trip from x, $ per passenger.
+def auto_disutility(ctx: EvaluationContext, policy: Policy, traveler_class: str) -> np.ndarray:
+    """Generalized cost of one auto trip from every grid node, $ per passenger.
 
     Monetary costs are shared by the vehicle's occupants, so the divisor is
     the class occupancy (fleet average under shared-lane policies).
@@ -555,18 +545,16 @@ def auto_disutility(ctx: EvaluationContext, policy: Policy, traveler_class: str,
     divisor = next(o for name, _, o in ctx.streams(policy)[k].autos if name == traveler_class)
     rates = ctx.rates(policy)
     fixed, per_mi = rates.auto_trip
-    ride = line_haul_time(ctx, policy, traveler_class, x)
-    x_arr = np.asarray(x, dtype=float)
-    out = rates.aboard[traveler_class][0] * ride + (fixed + per_mi * x_arr) / divisor
-    return float(out) if np.isscalar(x) else out
+    ride = line_haul_time(ctx, policy, traveler_class)
+    return rates.aboard[traveler_class][0] * ride + (fixed + per_mi * ctx.grid.nodes) / divisor
 
 
 @_overflow_unwarned
-def mean_auto_disutility(ctx: EvaluationContext, policy: Policy, x):
-    """Auto disutility at x averaged over the policy's auto classes by their
-    shares of auto travelers, $ per passenger."""
+def mean_auto_disutility(ctx: EvaluationContext, policy: Policy) -> np.ndarray:
+    """Auto disutility at every grid node averaged over the policy's auto
+    classes by their shares of auto travelers, $ per passenger."""
     return sum(
-        share * auto_disutility(ctx, policy, name, x)
+        share * auto_disutility(ctx, policy, name)
         for stream in ctx.streams(policy)
         for name, share, _ in stream.autos
     )
@@ -582,8 +570,7 @@ def _user_cost(ctx: EvaluationContext, policy: Policy, mode: str):
     corridor plus the value of their signal delay; 0 at a point without
     travelers of the mode."""
     share = ctx.auto_share if mode == "auto" else 1.0 - ctx.auto_share
-    nodes = ctx.grid.nodes
-    weight = _per_point(share * ctx.q0, nodes) * _unit_density(ctx)
+    weight = _per_point(share * ctx.q0, ctx.grid.nodes) * _unit_density(ctx)
     present = weight.any(axis=-1)
     if not present.any():
         return 0.0
@@ -592,7 +579,7 @@ def _user_cost(ctx: EvaluationContext, policy: Policy, mode: str):
         out[present] = _user_cost(ctx.points(present), policy, mode)
         return out
     disutility = bus_disutility if mode == "bus" else mean_auto_disutility
-    in_corridor = integrate_values(disutility(ctx, policy, nodes) * weight, ctx.grid)
+    in_corridor = integrate_values(disutility(ctx, policy) * weight, ctx.grid)
     delay = ctx.rates(policy).delay[mode] * total_intersection_delay(ctx, policy, mode)
     return in_corridor + delay
 
@@ -601,15 +588,15 @@ def _user_cost(ctx: EvaluationContext, policy: Policy, mode: str):
 def _disutility_gap(ctx: EvaluationContext, policy: Policy, signed: bool):
     """Demand-weighted mean auto-minus-bus disutility difference, $ per trip,
     at the operating point of ``ctx`` or at each of its stacked points."""
-    nodes, weight = ctx.grid.nodes, _unit_density(ctx)  # q0 cancels
-    diff = mean_auto_disutility(ctx, policy, nodes) - bus_disutility(ctx, policy, nodes)
+    weight = _unit_density(ctx)  # q0 cancels
+    diff = mean_auto_disutility(ctx, policy) - bus_disutility(ctx, policy)
     diff = diff if signed else np.abs(diff)
     return integrate_values(diff * weight, ctx.grid) / integrate_values(weight, ctx.grid)
 
 
 def _bus_operator_cost(ctx: EvaluationContext, policy: Policy):
     rates = ctx.rates(policy)
-    line_haul = _cumulative_time(ctx, policy, "bus")[..., -1]
+    line_haul = line_haul_time(ctx, policy, "bus")[..., -1]
     return rates.fixed["bus_operator"] + rates.round_trip * line_haul * ctx.frequency
 
 

@@ -13,6 +13,7 @@ decisions, so it returns the one-point result bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Callable, Sequence
@@ -69,6 +70,15 @@ class CorridorGrid:
         w *= self.h / 3.0
         w.setflags(write=False)
         return w
+
+
+def _as_index(value) -> int | None:
+    """``value`` as a Python int when it is a Python or NumPy integer other
+    than a bool; None for anything else."""
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None
 
 
 def _check_finite(values: np.ndarray, nodes: np.ndarray) -> None:

@@ -49,7 +49,7 @@ import numpy as np
 
 from ._fsweep import FrequencySweep, _candidates, _scan_rows
 from .config import Scenario
-from .costmodel import CostBreakdown, Policy, _equilibrium_gaps, cost_breakdown, cost_breakdowns
+from .costmodel import CostBreakdown, Policy, _equilibrium_gaps, cost_breakdowns
 from .demand import _operating_point
 from .errors import InfeasibleError, NumericDomainError, ValidationError
 from .numeric import find_root
@@ -254,9 +254,9 @@ def foc_residual(
     """Central finite difference of total cost in frequency, $/(bus/hr)."""
     if frequency - step <= 0:
         raise ValidationError(f"frequency must exceed the step {step}, got {frequency}")
-    up = cost_breakdown(scenario, policy, q0, auto_share, frequency + step).total
-    down = cost_breakdown(scenario, policy, q0, auto_share, frequency - step).total
-    return (up - down) / (2.0 * step)
+    points = [q0] * 2, [auto_share] * 2, [frequency + step, frequency - step]
+    up, down = cost_breakdowns(scenario, policy, *points)
+    return (up.total - down.total) / (2.0 * step)
 
 
 def equilibrium_gap(

@@ -29,7 +29,6 @@ synthetic placeholders, not calibrated values; outputs label them as such.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import re
 from dataclasses import asdict, dataclass
@@ -39,6 +38,7 @@ import numpy as np
 
 from . import _files
 from .errors import ValidationError
+from .numeric import _as_index
 
 DEFAULT_HORIZON_HR = 12.0
 DEFAULT_DT_HR = 1.0 / 60.0
@@ -142,10 +142,7 @@ def _step_count(horizon: float, dt: float) -> int:
 
 def _check_seed(seed) -> int:
     """``seed`` as a Python int: a non-negative Python or NumPy integer, not a bool."""
-    try:
-        value = None if isinstance(seed, bool) else operator.index(seed)
-    except TypeError:
-        value = None
+    value = _as_index(seed)
     if value is None or value < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     return value

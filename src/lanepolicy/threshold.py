@@ -27,7 +27,7 @@ from . import _files
 from .config import Scenario
 from .costmodel import POLICY_ORDER, Policy
 from .errors import InfeasibleError, NumericDomainError, ValidationError
-from .numeric import find_root
+from .numeric import _as_index, find_root
 from .optimizer import PolicyOptimum, _lookup, optimize_policies
 
 __all__ = [
@@ -118,11 +118,12 @@ def cost_curve(
     """
     policy = Policy.parse(policy)
     lo, hi = _validate_range(*q0_range)
-    if n_samples < 2:
-        raise ValidationError(f"n_samples must be >= 2, got {n_samples}")
+    n = _as_index(n_samples)
+    if n is None or n < 2:
+        raise ValidationError(f"n_samples must be an integer >= 2, got {n_samples!r}")
     samples: list[tuple[float, PolicyOptimum]] = []
     failures: list[tuple[float, str]] = []
-    densities = _lattice(lo, hi, (hi - lo) / (int(n_samples) - 1))
+    densities = _lattice(lo, hi, (hi - lo) / (n - 1))
     for q0, optimum in zip(densities, _lookup(scenario, policy, densities)):
         if isinstance(optimum, InfeasibleError):
             failures.append((q0, str(optimum)))

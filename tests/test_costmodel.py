@@ -31,7 +31,9 @@ from lanepolicy import (
     waiting_time,
 )
 from lanepolicy.costmodel import (
+    LANE_TABLE,
     _arriving,
+    _context,
     _loads,
     build_context,
     cost_breakdowns,
@@ -150,7 +152,7 @@ class TestTimeProfiles:
 class TestLineHaul:
     def test_reserved_lane_bus_round_trip(self, baseline: Scenario):
         ctx = build_context(baseline, 1000.0, 0.75, 16.0)
-        t_end = line_haul_time(ctx, Policy.EBLP, "bus", 30.0)
+        t_end = line_haul_time(ctx, Policy.EBLP, "bus")[-1]
         flat = bpr_time(
             baseline.bpr.t0_bus, baseline.bpr.alpha_bus, baseline.bpr.beta_bus,
             48.0, 1500.0,
@@ -159,8 +161,7 @@ class TestLineHaul:
 
     def test_zero_at_origin_and_monotone(self, baseline: Scenario):
         ctx = build_context(baseline, 1200.0, 0.7, 12.0)
-        xs = np.linspace(0.0, 30.0, 31)
-        times = line_haul_time(ctx, Policy.MTP, "bus", xs)
+        times = line_haul_time(ctx, Policy.MTP, "bus")
         assert times[0] == 0.0
         assert np.all(np.diff(times) > 0)
 
@@ -168,17 +169,17 @@ class TestLineHaul:
 class TestWaiting:
     def test_headway_term_only_when_no_riders_left(self, baseline: Scenario):
         ctx = build_context(baseline, 1000.0, 0.75, 16.0)
-        assert waiting_time(ctx, 30.0) == pytest.approx(0.5 / 16.0)
+        assert waiting_time(ctx)[-1] == pytest.approx(0.5 / 16.0)
 
     def test_crowding_term_at_boundary(self, baseline: Scenario):
         ctx = build_context(baseline, 1000.0, 0.75, 16.0)
         q_bus = 0.25 * 1000.0 * 30.0 / 2.0
         expect = 0.5 / 16.0 + (0.05 / 16.0) * (q_bus / (70.0 * 16.0)) ** 2.0
-        assert waiting_time(ctx, 0.0) == pytest.approx(expect, rel=1e-12)
+        assert waiting_time(ctx)[0] == pytest.approx(expect, rel=1e-12)
 
     def test_decreasing_in_frequency(self, baseline: Scenario):
         waits = [
-            waiting_time(build_context(baseline, 1000.0, 0.75, f), 0.0)
+            waiting_time(build_context(baseline, 1000.0, 0.75, f))[0]
             for f in (4.0, 8.0, 16.0, 32.0)
         ]
         assert all(a > b for a, b in zip(waits, waits[1:]))
@@ -186,20 +187,19 @@ class TestWaiting:
     def test_zero_frequency_service_undefined(self, baseline: Scenario):
         ctx = build_context(baseline, 1000.0, 0.75, 0.0)
         with pytest.raises(UndefinedServiceError):
-            waiting_time(ctx, 0.0)
+            waiting_time(ctx)
 
 
 class TestDiscomfort:
     def test_zero_at_origin_and_increasing(self, baseline: Scenario):
         ctx = build_context(baseline, 1000.0, 0.5, 16.0)
-        xs = np.linspace(0.0, 30.0, 16)
-        costs = discomfort_cost(ctx, Policy.MTP, xs)
+        costs = discomfort_cost(ctx, Policy.MTP)
         assert costs[0] == 0.0
         assert np.all(np.diff(costs) >= 0)
 
     def test_no_riders_no_discomfort(self, baseline: Scenario):
         ctx = build_context(baseline, 1000.0, 1.0, 16.0)
-        assert discomfort_cost(ctx, Policy.MTP, 30.0) == pytest.approx(0.0, abs=1e-12)
+        assert discomfort_cost(ctx, Policy.MTP)[-1] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestIntersectionDelay:
@@ -292,24 +292,24 @@ class TestDisutilities:
     def test_bus_disutility_at_origin(self, baseline: Scenario):
         # no ride, no crowding yet: value of waiting plus the fare
         ctx = build_context(baseline, 1000.0, 0.75, 16.0)
-        expect = 15.0 * waiting_time(ctx, 0.0) + 1.0
-        assert bus_disutility(ctx, Policy.MTP, 0.0) == pytest.approx(expect, rel=1e-12)
+        expect = 15.0 * waiting_time(ctx)[0] + 1.0
+        assert bus_disutility(ctx, Policy.MTP)[0] == pytest.approx(expect, rel=1e-12)
 
     def test_auto_disutility_at_origin_shares_fixed_cost(self, baseline: Scenario):
         ctx = build_context(baseline, 1000.0, 0.75, 16.0)
-        assert auto_disutility(ctx, Policy.MTP, "auto", 0.0) == pytest.approx(2.0 / 1.8)
+        assert auto_disutility(ctx, Policy.MTP, "auto")[0] == pytest.approx(2.0 / 1.8)
 
     def test_occupancy_class_divisors(self, baseline: Scenario):
         ctx = build_context(baseline, 1000.0, 0.75, 16.0)
-        low = auto_disutility(ctx, Policy.HOVLP, "low_occ_auto", 0.0)
-        high = auto_disutility(ctx, Policy.HOVLP, "high_occ_auto", 0.0)
+        low = auto_disutility(ctx, Policy.HOVLP, "low_occ_auto")[0]
+        high = auto_disutility(ctx, Policy.HOVLP, "high_occ_auto")[0]
         assert low == pytest.approx(2.0 / 1.0)
         assert high == pytest.approx(2.0 / 3.0)
 
     def test_bus_class_rejected(self, baseline: Scenario):
         ctx = build_context(baseline, 1000.0, 0.75, 16.0)
         with pytest.raises(ValidationError):
-            auto_disutility(ctx, Policy.MTP, "bus", 0.0)
+            auto_disutility(ctx, Policy.MTP, "bus")
 
 
 # Every public function that takes a context or a volume, at a valid operating
@@ -323,13 +323,12 @@ _OVERFLOWING = {
     ),
     "total_intersection_delay": lambda ctx: total_intersection_delay(ctx, Policy.MTP, "auto"),
     "unit_time_profile": lambda ctx: unit_time_profile(ctx, Policy.MTP, "bus"),
-    "line_haul_time": lambda ctx: line_haul_time(ctx, Policy.MTP, "bus", 1.0),
-    "waiting_time": lambda ctx: waiting_time(ctx, 0.0),
-    "waiting_time at the nodes": lambda ctx: waiting_time(ctx, ctx.grid.nodes),
-    "discomfort_cost": lambda ctx: discomfort_cost(ctx, Policy.MTP, 1.0),
-    "bus_disutility": lambda ctx: bus_disutility(ctx, Policy.MTP, 1.0),
-    "auto_disutility": lambda ctx: auto_disutility(ctx, Policy.HOVLP, "low_occ_auto", 1.0),
-    "mean_auto_disutility": lambda ctx: mean_auto_disutility(ctx, Policy.EBLP, 1.0),
+    "line_haul_time": lambda ctx: line_haul_time(ctx, Policy.MTP, "bus"),
+    "waiting_time": waiting_time,
+    "discomfort_cost": lambda ctx: discomfort_cost(ctx, Policy.MTP),
+    "bus_disutility": lambda ctx: bus_disutility(ctx, Policy.MTP),
+    "auto_disutility": lambda ctx: auto_disutility(ctx, Policy.HOVLP, "low_occ_auto"),
+    "mean_auto_disutility": lambda ctx: mean_auto_disutility(ctx, Policy.EBLP),
 }
 
 
@@ -375,7 +374,7 @@ class TestCostBreakdown:
     def test_operator_cost_round_trip(self, baseline: Scenario):
         ctx = build_context(baseline, 1000.0, 0.75, 16.0)
         bd = cost_breakdown(baseline, Policy.EBLP, 1000.0, 0.75, 16.0)
-        round_trip = 2.0 * line_haul_time(ctx, Policy.EBLP, "bus", 30.0)
+        round_trip = 2.0 * line_haul_time(ctx, Policy.EBLP, "bus")[-1]
         assert bd.bus_operator == pytest.approx(300.0 + 20.0 * round_trip * 16.0, rel=1e-9)
 
     def test_no_bus_riders_no_bus_user_cost(self, baseline: Scenario):
@@ -406,7 +405,7 @@ class TestCostBreakdown:
         assert no_bus[0].total == pytest.approx(expected, rel=5e-12)
 
     def test_public_context_takes_one_frequency(self, baseline: Scenario):
-        # the node-level functions interpolate one profile per context
+        # a public context is one operating point; cost_breakdowns prices stacks
         for frequencies in (np.array([8.0, 16.0]), [16.0]):
             with pytest.raises(ValidationError, match="scalar"):
                 build_context(baseline, 1000.0, 0.75, frequencies)
@@ -537,6 +536,35 @@ class TestStackedPoints:
         # F = 0 is defined at the points without bus riders
         zero = cost_breakdowns(baseline, Policy.EBLP, np.array([500.0, 0.0]), 1.0, 0.0)
         assert zero == [cost_breakdown(baseline, Policy.EBLP, q0, 1.0, 0.0) for q0 in (500.0, 0.0)]
+
+    @pytest.mark.parametrize("policy", POLICY_ORDER)
+    def test_every_node_profile_row_is_its_one_point_profile(self, baseline: Scenario, policy):
+        q0s = np.array([300.0, 1000.0, 1800.0])
+        shares, fs = np.array([0.4, 0.75, 0.9]), np.array([6.0, 16.0, 45.5])
+        autos = [name for s in LANE_TABLE[policy](baseline).streams for name, _, _ in s.autos]
+        profiles = {
+            "unit_time_profile": lambda ctx: [
+                unit_time_profile(ctx, policy, name) for name in ("bus", *autos)
+            ],
+            "line_haul_time": lambda ctx: [
+                line_haul_time(ctx, policy, name) for name in ("bus", *autos)
+            ],
+            "waiting_time": lambda ctx: [waiting_time(ctx)],
+            "discomfort_cost": lambda ctx: [discomfort_cost(ctx, policy)],
+            "bus_disutility": lambda ctx: [bus_disutility(ctx, policy)],
+            "auto_disutility": lambda ctx: [auto_disutility(ctx, policy, name) for name in autos],
+            "mean_auto_disutility": lambda ctx: [mean_auto_disutility(ctx, policy)],
+            "total_intersection_delay": lambda ctx: [
+                total_intersection_delay(ctx, policy, mode) for mode in ("auto", "bus")
+            ],
+        }
+        stacked = _context(baseline, q0s, shares, fs)
+        for k, point in enumerate(zip(q0s, shares, fs)):
+            one = build_context(baseline, *map(float, point))
+            for name, profile in profiles.items():
+                for got, want in zip(profile(stacked), profile(one), strict=True):
+                    assert np.shape(got) == (3, *np.shape(want)), name
+                    np.testing.assert_array_equal(got[k], want, err_msg=name)
 
     @pytest.mark.parametrize("mode", ["segment", "cumulative"])
     def test_signal_auto_pax_takes_rows_of_a_stacked_field(self, mode):

@@ -101,11 +101,29 @@ class TestFocResidual:
         with pytest.raises(ValidationError):
             foc_residual(baseline, Policy.MTP, 1000.0, 0.75, 0.005)
 
+    def test_one_operating_point(self, baseline: Scenario):
+        for point in ((np.array([500.0, 600.0]), 0.75), (1000.0, np.array([0.5, 0.75]))):
+            with pytest.raises(ValidationError):
+                foc_residual(baseline, Policy.MTP, *point, 16.0)
+
     def test_sign_tracks_slope(self, baseline: Scenario):
         # at a very high frequency operator cost dominates: slope positive
         assert foc_residual(baseline, Policy.MTP, 1000.0, 0.75, 110.0) > 0
         # at a very low frequency waiting dominates: slope negative
         assert foc_residual(baseline, Policy.MTP, 1000.0, 0.3, 2.0) < 0
+
+    @pytest.mark.parametrize("beta_auto", [4.0, 4.5])
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_one_pass_prices_like_two_breakdowns(self, policy, beta_auto):
+        # both frequencies are priced in one stacked pass, each to the float
+        # of its own cost_breakdown
+        scen = load_scenario({"bpr": {"beta_auto": beta_auto}})
+        for q0 in (300.0, 1500.0):
+            opt = optimize_policy(scen, policy, q0)
+            r, f, step = opt.r_star, opt.f_star, 0.01
+            up = cost_breakdown(scen, policy, q0, r, f + step).total
+            down = cost_breakdown(scen, policy, q0, r, f - step).total
+            assert foc_residual(scen, policy, q0, r, f) == (up - down) / (2.0 * step)
 
 
 class TestEquilibriumGap:
@@ -485,8 +503,8 @@ class TestOptimizePolicies:
             passes.append(np.size(ctx.q0))
             return components(ctx, policy)
 
+        assert not hasattr(optimizer, "cost_breakdown")  # the optimizer cannot call it
         monkeypatch.setattr(costmodel, "cost_breakdown", refuse)
-        monkeypatch.setattr(optimizer, "cost_breakdown", refuse)
         monkeypatch.setattr(optimizer, "cost_breakdowns", called)
         monkeypatch.setattr(costmodel, "_components", priced)
         optimizer._optimize_policy_cached.cache_clear()

@@ -101,6 +101,18 @@ def test_only_the_cost_model_prices_at_the_grid_nodes():
     assert offenders == []
 
 
+def test_no_module_interpolates_a_node_profile():
+    # the cost model prices at the grid nodes only, so no profile is read
+    # between them
+    interpolates = re.compile(r"\binterp\(")
+    offenders = sorted(
+        path.name
+        for path in Path(lanepolicy.__path__[0]).glob("*.py")
+        if interpolates.search(path.read_text())
+    )
+    assert offenders == []
+
+
 def test_the_cli_restates_no_library_check():
     # the library functions check --F, --n and the demand range; the
     # capacity floor's slack is optimizer._FLOOR_SLACK

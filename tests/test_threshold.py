@@ -93,6 +93,11 @@ class TestCostCurve:
         with pytest.raises(ValidationError):
             cost_curve(baseline, Policy.MTP, (400.0, 800.0), 1)
 
+    @pytest.mark.parametrize("n_samples", [2.9, float("nan"), float("inf"), "5", True])
+    def test_n_samples_must_be_an_integer(self, baseline: Scenario, n_samples):
+        with pytest.raises(ValidationError, match="n_samples must be an integer >= 2"):
+            cost_curve(baseline, Policy.MTP, (400.0, 800.0), n_samples)
+
     def test_csv_round_trip(self, baseline: Scenario):
         curve = cost_curve(baseline, Policy.MTP, (400.0, 800.0), 3)
         buf = io.StringIO()
