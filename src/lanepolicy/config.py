@@ -7,6 +7,14 @@ back to the baseline preset, so a two-line document is a valid override file.
 Unknown keys are rejected with their dotted paths.  All values must already
 be in the declared units; nothing is converted.
 
+Each field declares its one rule beside its default (:func:`_param`): an int
+field takes an integer, a float field a finite number, neither a bool, inside
+the declared range; a string field takes one of its declared choices.  Every
+section, and the demand process of :mod:`lanepolicy.stochastic`, checks its
+fields by these rules when it is built, whether from JSON or in Python, so a
+section that exists is valid.  Only two rules span fields: low occupancy <=
+high occupancy, and an even cell count.
+
 Two parameters the cost model needs are not part of the published baseline
 table (``n_intersections`` and ``vot_wait``).  Their defaults (10 and 15 $/hr)
 are therefore deliberately loud: they are echoed into every output header
@@ -16,14 +24,17 @@ written by the CLI so a run can always be traced back to them.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import _files
 from .errors import ValidationError
-from .numeric import CorridorGrid
+from .numeric import CorridorGrid, _as_index
 
 __all__ = [
     "Geometry",
@@ -44,32 +55,92 @@ __all__ = [
 ]
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValidationError(message)
+# what a numeric field takes: a bool is an int, but never a number here
+_NUMBERS = (int, float, np.integer, np.floating)
 
 
 @dataclass(frozen=True)
-class Geometry:
-    """Corridor layout: length, lane count, per-lane capacity, intersections."""
+class _Rule:
+    """What one field admits: a value of ``kind`` in [lo, hi] (strictly
+    inside with ``strict``; no upper bound when ``hi`` is None), or, for a
+    string field, one of ``choices``."""
 
-    length_mi: float = 30.0
-    n_lanes: int = 3
-    lane_capacity_vph: float = 1500.0
-    n_intersections: int = 10
+    kind: type
+    lo: float | None
+    hi: float | None
+    strict: bool
+    choices: tuple[str, ...]
+
+    def check(self, name: str, value):
+        """``value`` as a ``kind``, once it passes; the error names ``name``."""
+        if self.choices:
+            if isinstance(value, str) and value in self.choices:
+                return value
+            raise ValidationError(f"{name} must be one of {self.choices}, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, _NUMBERS):
+            noun = "an integer" if self.kind is int else "a number"
+            raise ValidationError(f"{name} must be {noun}, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:
+            raise ValidationError(
+                f"{name} must be finite, got an integer too large for a float"
+            ) from None
+        if not math.isfinite(number):
+            raise ValidationError(f"{name} must be finite, got {value}")
+        if self.kind is int:
+            number = _as_index(value)
+            if number is None:
+                raise ValidationError(f"{name} must be an integer, got {value}")
+        lo, hi = self.lo, self.hi
+        if self.strict:
+            inside = lo < number and (hi is None or number < hi)
+        else:
+            inside = lo <= number and (hi is None or number <= hi)
+        if not inside:
+            if hi is None:
+                bounds = f"be {'>' if self.strict else '>='} {lo}"
+            elif self.strict:
+                bounds = f"lie strictly between {lo} and {hi}"
+            else:
+                bounds = f"lie in [{lo}, {hi}]"
+            raise ValidationError(f"{name} must {bounds}, got {value}")
+        return number
+
+
+def _param(default, lo=None, hi=None, strict=False, choices=()):
+    """A dataclass field with ``default`` and the one rule that checks it;
+    the field's type is the default's."""
+    return field(default=default, metadata={"rule": _Rule(type(default), lo, hi, strict, choices)})
+
+
+@functools.cache
+def _rules(cls: type) -> tuple[tuple[str, _Rule], ...]:
+    """Each field of the parameter dataclass ``cls`` with its declared rule."""
+    return tuple((f_.name, f_.metadata["rule"]) for f_ in dataclasses.fields(cls))
+
+
+class _Params:
+    """Base of the parameter dataclasses: building one checks each field by
+    its declared rule and stores it as its field's type."""
 
     def __post_init__(self) -> None:
-        _require(self.length_mi > 0, f"length_mi must be > 0, got {self.length_mi}")
-        # exclusive-lane policies reserve one lane, so at least two must exist
-        _require(self.n_lanes >= 2, f"n_lanes must be >= 2, got {self.n_lanes}")
-        _require(
-            self.lane_capacity_vph > 0,
-            f"lane_capacity_vph must be > 0, got {self.lane_capacity_vph}",
-        )
-        _require(
-            self.n_intersections >= 0,
-            f"n_intersections must be >= 0, got {self.n_intersections}",
-        )
+        for name, rule in _rules(type(self)):
+            value = getattr(self, name)
+            checked = rule.check(name, value)
+            if checked is not value:
+                object.__setattr__(self, name, checked)
+
+
+@dataclass(frozen=True)
+class Geometry(_Params):
+    """Corridor layout: length, lane count, per-lane capacity, intersections."""
+
+    length_mi: float = _param(30.0, lo=0, strict=True)
+    # exclusive-lane policies reserve one lane, so at least two must exist
+    n_lanes: int = _param(3, lo=2)
+    lane_capacity_vph: float = _param(1500.0, lo=0, strict=True)
+    n_intersections: int = _param(10, lo=0)
 
     @property
     def intersection_positions(self) -> tuple[float, ...]:
@@ -79,191 +150,106 @@ class Geometry:
 
 
 @dataclass(frozen=True)
-class SignalParams:
+class SignalParams(_Params):
     """Pre-timed signal description feeding the intersection-delay formula."""
 
-    cycle_s: float = 130.0
-    green_ratio: float = 0.7
-    incremental_delay_factor: float = 0.5
-    upstream_filter: float = 1.0
-    analysis_period_hr: float = 1.0
-
-    def __post_init__(self) -> None:
-        _require(self.cycle_s > 0, f"cycle_s must be > 0, got {self.cycle_s}")
-        _require(
-            0 < self.green_ratio < 1,
-            f"green_ratio must lie strictly between 0 and 1, got {self.green_ratio}",
-        )
-        _require(
-            self.incremental_delay_factor > 0,
-            f"incremental_delay_factor must be > 0, got {self.incremental_delay_factor}",
-        )
-        _require(
-            self.upstream_filter > 0,
-            f"upstream_filter must be > 0, got {self.upstream_filter}",
-        )
-        _require(
-            self.analysis_period_hr > 0,
-            f"analysis_period_hr must be > 0, got {self.analysis_period_hr}",
-        )
+    cycle_s: float = _param(130.0, lo=0, strict=True)
+    green_ratio: float = _param(0.7, lo=0, hi=1, strict=True)
+    incremental_delay_factor: float = _param(0.5, lo=0, strict=True)
+    upstream_filter: float = _param(1.0, lo=0, strict=True)
+    analysis_period_hr: float = _param(1.0, lo=0, strict=True)
 
 
 @dataclass(frozen=True)
-class BprParams:
+class BprParams(_Params):
     """Volume-delay curve coefficients per mode, plus the bus PCE factor."""
 
-    t0_auto: float = 0.05  # free-flow hr/mi
-    t0_bus: float = 0.025
-    alpha_auto: float = 0.15
-    beta_auto: float = 4.0
-    alpha_bus: float = 0.15
-    beta_bus: float = 4.0
-    bus_pce: float = 3.0  # one bus counts as this many autos in a shared lane
-
-    def __post_init__(self) -> None:
-        _require(self.t0_auto > 0, f"t0_auto must be > 0, got {self.t0_auto}")
-        _require(self.t0_bus > 0, f"t0_bus must be > 0, got {self.t0_bus}")
-        for name in ("alpha_auto", "alpha_bus"):
-            _require(getattr(self, name) >= 0, f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("beta_auto", "beta_bus"):
-            _require(getattr(self, name) >= 1, f"{name} must be >= 1, got {getattr(self, name)}")
-        _require(self.bus_pce >= 1, f"bus_pce must be >= 1, got {self.bus_pce}")
+    t0_auto: float = _param(0.05, lo=0, strict=True)  # free-flow hr/mi
+    t0_bus: float = _param(0.025, lo=0, strict=True)
+    alpha_auto: float = _param(0.15, lo=0)
+    beta_auto: float = _param(4.0, lo=1)
+    alpha_bus: float = _param(0.15, lo=0)
+    beta_bus: float = _param(4.0, lo=1)
+    bus_pce: float = _param(3.0, lo=1)  # one bus counts as this many autos in a shared lane
 
 
 @dataclass(frozen=True)
-class BusServiceParams:
+class BusServiceParams(_Params):
     """Bus fleet, fare, waiting-time calibration, crowding, operating costs."""
 
-    capacity_pax: float = 70.0
-    fare: float = 1.0
-    wait_gamma1: float = 0.5
-    wait_gamma2: float = 0.05
-    wait_gamma3: float = 2.0
-    discomfort_quad: float = 1e-6  # $/hr weight on squared onboard load
-    discomfort_lin: float = 0.005  # $/hr weight on onboard load
-    fixed_operating_cost: float = 300.0  # $ per analysis hour
-    variable_operating_cost: float = 20.0  # $ per bus-hour of round-trip fleet time
-
-    def __post_init__(self) -> None:
-        _require(self.capacity_pax > 0, f"capacity_pax must be > 0, got {self.capacity_pax}")
-        _require(self.fare >= 0, f"fare must be >= 0, got {self.fare}")
-        for name in ("wait_gamma1", "wait_gamma2", "wait_gamma3"):
-            _require(getattr(self, name) > 0, f"{name} must be > 0, got {getattr(self, name)}")
-        for name in ("discomfort_quad", "discomfort_lin"):
-            _require(getattr(self, name) >= 0, f"{name} must be >= 0, got {getattr(self, name)}")
-        _require(
-            self.fixed_operating_cost >= 0,
-            f"fixed_operating_cost must be >= 0, got {self.fixed_operating_cost}",
-        )
-        _require(
-            self.variable_operating_cost >= 0,
-            f"variable_operating_cost must be >= 0, got {self.variable_operating_cost}",
-        )
+    capacity_pax: float = _param(70.0, lo=0, strict=True)
+    fare: float = _param(1.0, lo=0)
+    wait_gamma1: float = _param(0.5, lo=0, strict=True)
+    wait_gamma2: float = _param(0.05, lo=0, strict=True)
+    wait_gamma3: float = _param(2.0, lo=0, strict=True)
+    discomfort_quad: float = _param(1e-6, lo=0)  # $/hr weight on squared onboard load
+    discomfort_lin: float = _param(0.005, lo=0)  # $/hr weight on onboard load
+    fixed_operating_cost: float = _param(300.0, lo=0)  # $ per analysis hour
+    variable_operating_cost: float = _param(20.0, lo=0)  # $ per bus-hour of round-trip fleet time
 
 
 @dataclass(frozen=True)
-class EconParams:
+class EconParams(_Params):
     """Values of time and out-of-pocket auto costs."""
 
-    vot_auto: float = 20.0  # $/hr in an auto
-    vot_bus: float = 15.0  # $/hr in a bus
-    vot_wait: float = 15.0  # $/hr at a stop; no published baseline, default = vot_bus
-    auto_fixed_cost: float = 2.0  # $ per auto trip
-    auto_cost_per_mi: float = 0.3
-
-    def __post_init__(self) -> None:
-        for f_ in dataclasses.fields(self):
-            _require(
-                getattr(self, f_.name) >= 0,
-                f"{f_.name} must be >= 0, got {getattr(self, f_.name)}",
-            )
+    vot_auto: float = _param(20.0, lo=0)  # $/hr in an auto
+    vot_bus: float = _param(15.0, lo=0)  # $/hr in a bus
+    vot_wait: float = _param(15.0, lo=0)  # $/hr at a stop; no published baseline, default = vot_bus
+    auto_fixed_cost: float = _param(2.0, lo=0)  # $ per auto trip
+    auto_cost_per_mi: float = _param(0.3, lo=0)
 
 
 @dataclass(frozen=True)
-class OccupancyParams:
+class OccupancyParams(_Params):
     """Low/high auto-occupancy mix among auto travelers."""
 
-    low_share: float = 0.6  # fraction of low-occupancy vehicles among autos
-    low_occupancy: float = 1.0  # pax/veh
-    high_occupancy: float = 3.0  # pax/veh
+    low_share: float = _param(0.6, lo=0, hi=1)  # fraction of low-occupancy vehicles among autos
+    low_occupancy: float = _param(1.0, lo=0, strict=True)  # pax/veh
+    high_occupancy: float = _param(3.0, lo=0, strict=True)  # pax/veh
 
     def __post_init__(self) -> None:
-        _require(
-            0 <= self.low_share <= 1,
-            f"low_share must lie in [0, 1], got {self.low_share}",
-        )
-        _require(
-            0 < self.low_occupancy <= self.high_occupancy,
-            "occupancies must satisfy 0 < low_occupancy <= high_occupancy, got "
-            f"low={self.low_occupancy}, high={self.high_occupancy}",
-        )
-
-
-@dataclass(frozen=True)
-class LanePolicyCosts:
-    """Signal/segregation implementation costs for the exclusive-lane policies."""
-
-    ebl_fixed: float = 100.0  # $ per analysis hour
-    ebl_variable_per_mi: float = 5.0  # $ per analysis hour per corridor mile
-    hovl_fixed: float = 500.0
-    hovl_variable_per_mi: float = 10.0
-
-    def __post_init__(self) -> None:
-        for f_ in dataclasses.fields(self):
-            _require(
-                getattr(self, f_.name) >= 0,
-                f"{f_.name} must be >= 0, got {getattr(self, f_.name)}",
+        super().__post_init__()
+        if self.low_occupancy > self.high_occupancy:
+            raise ValidationError(
+                "occupancies must satisfy low_occupancy <= high_occupancy, got "
+                f"low={self.low_occupancy}, high={self.high_occupancy}"
             )
 
 
-VALID_DELAY_VOLUME_MODES = ("segment", "cumulative")
-VALID_SPLIT_RULES = ("cost_min", "equilibrium")
+@dataclass(frozen=True)
+class LanePolicyCosts(_Params):
+    """Signal/segregation implementation costs for the exclusive-lane policies."""
+
+    ebl_fixed: float = _param(100.0, lo=0)  # $ per analysis hour
+    ebl_variable_per_mi: float = _param(5.0, lo=0)  # $ per analysis hour per corridor mile
+    hovl_fixed: float = _param(500.0, lo=0)
+    hovl_variable_per_mi: float = _param(10.0, lo=0)
 
 
 @dataclass(frozen=True)
-class SolverSettings:
+class SolverSettings(_Params):
     """Numerical resolutions and rule variants used by the optimizer layers."""
 
     # at most 100,000: a costmodel._PRICE_BLOCK-point cost pass's node profiles are 13 MB there
-    n_cells: int = 600
-    r_step: float = 0.01  # coarse mode-split lattice
-    r_refine_factor: int = 10  # one refinement round shrinks the step by this
-    f_cap: float = 120.0  # buses/hr search ceiling
-    f_refine_step: float = 0.1  # frequency refinement resolution
-    threshold_tol: float = 1.0  # pax/hr/mi bisection width for switching points
-    delay_volume_mode: str = "segment"  # intersection volume accounting variant
-    split_rule: str = "cost_min"  # mode split chosen by cost or by equal disutility
+    n_cells: int = _param(600, lo=2, hi=100_000)
+    # the lower bounds on the steps and the upper bounds on f_cap and the
+    # refine factor bound the split and frequency lattices a search builds
+    r_step: float = _param(0.01, lo=0.001, hi=0.5)  # coarse mode-split lattice
+    # one refinement round shrinks the step by this
+    r_refine_factor: int = _param(10, lo=2, hi=1000)
+    f_cap: float = _param(120.0, lo=1, hi=12_000)  # buses/hr search ceiling
+    f_refine_step: float = _param(0.1, lo=0.001, hi=1)  # frequency refinement resolution
+    # pax/hr/mi bisection width for switching points
+    threshold_tol: float = _param(1.0, lo=0, strict=True)
+    # intersection volume accounting variant
+    delay_volume_mode: str = _param("segment", choices=("segment", "cumulative"))
+    # mode split chosen by cost or by equal disutility
+    split_rule: str = _param("cost_min", choices=("cost_min", "equilibrium"))
 
     def __post_init__(self) -> None:
-        _require(self.n_cells >= 2, f"n_cells must be >= 2, got {self.n_cells}")
-        _require(self.n_cells <= 100_000, f"n_cells must be <= 100000, got {self.n_cells}")
-        _require(self.n_cells % 2 == 0, f"n_cells must be even, got {self.n_cells}")
-        # the lower bounds on the steps and the upper bounds on f_cap and the
-        # refine factor bound the split and frequency lattices a search builds
-        _require(
-            0.001 <= self.r_step <= 0.5, f"r_step must lie in [0.001, 0.5], got {self.r_step}"
-        )
-        _require(
-            2 <= self.r_refine_factor <= 1000,
-            f"r_refine_factor must lie in [2, 1000], got {self.r_refine_factor}",
-        )
-        _require(
-            1 <= self.f_cap <= 12_000, f"f_cap must lie in [1, 12000] buses/hr, got {self.f_cap}"
-        )
-        _require(
-            0.001 <= self.f_refine_step <= 1,
-            f"f_refine_step must lie in [0.001, 1], got {self.f_refine_step}",
-        )
-        _require(self.threshold_tol > 0, f"threshold_tol must be > 0, got {self.threshold_tol}")
-        _require(
-            self.delay_volume_mode in VALID_DELAY_VOLUME_MODES,
-            f"delay_volume_mode must be one of {VALID_DELAY_VOLUME_MODES}, "
-            f"got {self.delay_volume_mode!r}",
-        )
-        _require(
-            self.split_rule in VALID_SPLIT_RULES,
-            f"split_rule must be one of {VALID_SPLIT_RULES}, got {self.split_rule!r}",
-        )
+        super().__post_init__()
+        if self.n_cells % 2:
+            raise ValidationError(f"n_cells must be even, got {self.n_cells}")
 
 
 @dataclass(frozen=True)
@@ -295,45 +281,22 @@ _SECTIONS: dict[str, type] = {
 }
 
 
-def _coerce(path: str, value: object, target: type) -> object:
-    # bool is an int subclass; never silently accept it as a number
-    if isinstance(value, bool):
-        raise ValidationError(f"{path}: expected {target.__name__}, got boolean {value}")
-    if isinstance(value, int):
-        try:
-            float(value)
-        except OverflowError:
-            raise ValidationError(f"{path}: integer too large for a float") from None
-    if target is float:
-        if not isinstance(value, (int, float)):
-            raise ValidationError(f"{path}: expected a number, got {type(value).__name__}")
-        if not math.isfinite(value):
-            raise ValidationError(f"{path}: expected a finite number, got {value}")
-        return float(value)
-    if target is int:
-        if isinstance(value, int):
-            return value
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        raise ValidationError(f"{path}: expected an integer, got {value!r}")
-    if target is str:
-        if isinstance(value, str):
-            return value
-        raise ValidationError(f"{path}: expected a string, got {type(value).__name__}")
-    raise ValidationError(f"{path}: unsupported field type {target.__name__}")
+def _coerce(value: object, kind: type) -> object:
+    """A JSON value for a field of type ``kind``: JSON does not tell 4.0
+    from 4, so an integral float counts as an int.  The section checks the
+    result."""
+    if kind is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
 
 
 def _build_section(name: str, cls: type, doc: dict) -> object:
-    defaults = cls()
-    known = {f_.name for f_ in dataclasses.fields(cls)}
-    unknown = sorted(set(doc) - known)
+    rules = dict(_rules(cls))
+    unknown = sorted(set(doc) - set(rules))
     if unknown:
         paths = ", ".join(f"{name}.{key}" for key in unknown)
         raise ValidationError(f"unknown key(s): {paths}")
-    kwargs = {}
-    for key, value in doc.items():
-        target = type(getattr(defaults, key))
-        kwargs[key] = _coerce(f"{name}.{key}", value, target)
+    kwargs = {key: _coerce(value, rules[key].kind) for key, value in doc.items()}
     try:
         return cls(**kwargs)
     except ValidationError as err:

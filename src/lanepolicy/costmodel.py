@@ -270,10 +270,15 @@ def build_context(
     scenario: Scenario, q0: float, auto_share: float, frequency: float
 ) -> EvaluationContext:
     """One operating point: q0, auto share and bus frequency are scalars."""
-    for name, value in (("q0", q0), ("auto_share", auto_share), ("frequency", frequency)):
+    _require_scalars(q0=q0, auto_share=auto_share, frequency=frequency)
+    return _context(scenario, q0, auto_share, frequency)
+
+
+def _require_scalars(**values) -> None:
+    """Each of ``values`` is one value, not an array; the error names it."""
+    for name, value in values.items():
         if np.ndim(value) != 0:
             raise ValidationError(f"{name} must be a scalar, got shape {np.shape(value)}")
-    return _context(scenario, q0, auto_share, frequency)
 
 
 def _context(scenario: Scenario, q0, auto_share, frequency) -> EvaluationContext:

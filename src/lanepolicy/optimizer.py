@@ -49,7 +49,7 @@ import numpy as np
 
 from ._fsweep import FrequencySweep, _candidates, _scan_rows
 from .config import Scenario
-from .costmodel import CostBreakdown, Policy, _equilibrium_gaps, cost_breakdowns
+from .costmodel import CostBreakdown, Policy, _equilibrium_gaps, _require_scalars, cost_breakdowns
 from .demand import _operating_point
 from .errors import InfeasibleError, NumericDomainError, ValidationError
 from .numeric import find_root
@@ -202,6 +202,7 @@ def optimize_frequency(
 
     :raises InfeasibleError: when the capacity floor exceeds the search cap.
     """
+    _require_scalars(q0=q0, auto_share=auto_share)
     f_min = min_frequency(scenario, q0, auto_share)
     cap = scenario.solver.f_cap
     if f_min > cap:
@@ -252,6 +253,8 @@ def foc_residual(
     step: float = 0.01,
 ) -> float:
     """Central finite difference of total cost in frequency, $/(bus/hr)."""
+    if not 0 < step < np.inf:
+        raise ValidationError(f"step must be finite and > 0, got {step}")
     if frequency - step <= 0:
         raise ValidationError(f"frequency must exceed the step {step}, got {frequency}")
     points = [q0] * 2, [auto_share] * 2, [frequency + step, frequency - step]
@@ -267,8 +270,11 @@ def equilibrium_gap(
 
     A diagnostic of how far a scalar split is from user equilibrium: zero
     means travelers at every location are indifferent on average.  Returns
-    None when either mode carries no demand (the comparison is vacuous).
+    None when either mode carries no demand (the comparison is vacuous);
+    the point is checked first, so a bad one raises instead.
     """
+    _require_scalars(q0=q0, auto_share=auto_share)
+    _operating_point(q0, auto_share)
     if q0 <= 0 or not 0 < auto_share < 1:
         return None
     return float(_equilibrium_gaps(scenario, policy, [q0], [auto_share], [frequency], signed)[0])

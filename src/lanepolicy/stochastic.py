@@ -31,12 +31,13 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
 from . import _files
+from .config import _param, _Params
 from .errors import ValidationError
 from .numeric import _as_index
 
@@ -51,13 +52,14 @@ DEMAND_FLOOR = 1.0
 
 TRAJECTORY_CSV_COLUMNS = ("clock_time", "t_hours", "q0")
 
-# Steps per trajectory: about 694 days of one-minute steps.  A schedule
-# optimizes every step's density, so this also bounds its work.
+# Steps per trajectory, and per ensemble in total: about 694 days of
+# one-minute steps.  A schedule optimizes every step's density, so this also
+# bounds its work.
 _MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
-class OUParams:
+class OUParams(_Params):
     """Mean-reverting demand process parameters.
 
     mean_reversion: pull rate toward the long-run level (1/hr).
@@ -66,23 +68,10 @@ class OUParams:
     q0_init: demand density at the start of the horizon (pax/hr/mi).
     """
 
-    mean_reversion: float = 1.5
-    long_run_level: float = 1500.0
-    volatility: float = 0.3
-    q0_init: float = 1000.0
-
-    def __post_init__(self) -> None:
-        for name, value in asdict(self).items():
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
-        if self.mean_reversion < 0.0:
-            raise ValidationError("mean_reversion must be >= 0")
-        if self.volatility < 0.0:
-            raise ValidationError("volatility must be >= 0")
-        if self.long_run_level <= 0.0:
-            raise ValidationError("long_run_level must be > 0")
-        if self.q0_init <= 0.0:
-            raise ValidationError("q0_init must be > 0")
+    mean_reversion: float = _param(1.5, lo=0)
+    long_run_level: float = _param(1500.0, lo=0, strict=True)
+    volatility: float = _param(0.3, lo=0)
+    q0_init: float = _param(1000.0, lo=0, strict=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,13 +192,24 @@ def simulate_ensemble(
     base_seed: int = 0,
     t0_clock: float = DEFAULT_CLOCK_START_HR,
 ) -> list[Trajectory]:
-    """Simulate n independent trajectories with seeds base_seed, base_seed+1, ..."""
-    if n < 1:
-        raise ValidationError(f"ensemble size must be >= 1, got {n}")
+    """Simulate n independent trajectories with seeds base_seed, base_seed+1, ...
+
+    The whole ensemble is bounded before its first trajectory: at most
+    ``_MAX_STEPS`` steps in total.
+    """
+    count = _as_index(n)
+    if count is None or count < 1:
+        raise ValidationError(f"ensemble size must be an integer >= 1, got {n!r}")
+    n_steps = _step_count(horizon, dt)
+    if count * n_steps > _MAX_STEPS:
+        raise ValidationError(
+            f"an ensemble must take at most {_MAX_STEPS} steps in total, got {count} "
+            f"trajectories of {n_steps} steps"
+        )
     base_seed = _check_seed(base_seed)
     return [
         simulate(params, horizon=horizon, dt=dt, seed=base_seed + i, t0_clock=t0_clock)
-        for i in range(n)
+        for i in range(count)
     ]
 
 

@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 
+import numpy as np
 import pytest
 
 from lanepolicy import (
+    BprParams,
+    BusServiceParams,
+    EconParams,
+    Geometry,
+    LanePolicyCosts,
+    OccupancyParams,
+    OUParams,
     Scenario,
+    SignalParams,
+    SolverSettings,
     ValidationError,
     load_scenario,
     preset,
@@ -198,3 +210,150 @@ class TestPresets:
         for lookup in (preset, preset_demand_reference):
             with pytest.raises(ValidationError, match=f"^unknown preset 'nope'; known presets: {known}$"):
                 lookup("nope")
+
+
+# Every field of every parameter dataclass with what it admits: (lowest,
+# highest or None, whether both bounds are excluded), or a string field's
+# choices.
+_POSITIVE, _NON_NEGATIVE = (0, None, True), (0, None, False)
+_RULES = {
+    Geometry: {
+        "length_mi": _POSITIVE,
+        "n_lanes": (2, None, False),
+        "lane_capacity_vph": _POSITIVE,
+        "n_intersections": _NON_NEGATIVE,
+    },
+    SignalParams: {
+        "cycle_s": _POSITIVE,
+        "green_ratio": (0, 1, True),
+        "incremental_delay_factor": _POSITIVE,
+        "upstream_filter": _POSITIVE,
+        "analysis_period_hr": _POSITIVE,
+    },
+    BprParams: {
+        "t0_auto": _POSITIVE,
+        "t0_bus": _POSITIVE,
+        "alpha_auto": _NON_NEGATIVE,
+        "beta_auto": (1, None, False),
+        "alpha_bus": _NON_NEGATIVE,
+        "beta_bus": (1, None, False),
+        "bus_pce": (1, None, False),
+    },
+    BusServiceParams: {
+        "capacity_pax": _POSITIVE,
+        "fare": _NON_NEGATIVE,
+        "wait_gamma1": _POSITIVE,
+        "wait_gamma2": _POSITIVE,
+        "wait_gamma3": _POSITIVE,
+        "discomfort_quad": _NON_NEGATIVE,
+        "discomfort_lin": _NON_NEGATIVE,
+        "fixed_operating_cost": _NON_NEGATIVE,
+        "variable_operating_cost": _NON_NEGATIVE,
+    },
+    EconParams: dict.fromkeys(
+        ("vot_auto", "vot_bus", "vot_wait", "auto_fixed_cost", "auto_cost_per_mi"), _NON_NEGATIVE
+    ),
+    OccupancyParams: {
+        "low_share": (0, 1, False),
+        "low_occupancy": _POSITIVE,
+        "high_occupancy": _POSITIVE,
+    },
+    LanePolicyCosts: dict.fromkeys(
+        ("ebl_fixed", "ebl_variable_per_mi", "hovl_fixed", "hovl_variable_per_mi"), _NON_NEGATIVE
+    ),
+    SolverSettings: {
+        "n_cells": (2, 100_000, False),
+        "r_step": (0.001, 0.5, False),
+        "r_refine_factor": (2, 1000, False),
+        "f_cap": (1, 12_000, False),
+        "f_refine_step": (0.001, 1, False),
+        "threshold_tol": _POSITIVE,
+        "delay_volume_mode": ("segment", "cumulative"),
+        "split_rule": ("cost_min", "equilibrium"),
+    },
+    OUParams: {
+        "mean_reversion": _NON_NEGATIVE,
+        "long_run_level": _POSITIVE,
+        "volatility": _NON_NEGATIVE,
+        "q0_init": _POSITIVE,
+    },
+}
+_SECTION_NAMES = {type(getattr(Scenario(), f.name)): f.name for f in dataclasses.fields(Scenario)}
+_FIELDS = [(cls, name) for cls, fields in _RULES.items() for name in fields]
+
+
+def _rejected(cls: type, name: str) -> list:
+    """Values the field must reject: a bool, a string, NaN, inf, a value
+    just past each bound and, for an int field, a non-integral float."""
+    values = [True, "1", math.nan, math.inf]
+    rule = _RULES[cls][name]
+    if isinstance(rule[0], str):
+        return values
+    lo, hi, strict = rule
+    if isinstance(getattr(cls(), name), int):
+        values += [lo - 1, lo + 0.5] + ([] if hi is None else [hi + 1])
+    else:
+        values.append(lo if strict else math.nextafter(lo, -math.inf))
+        if hi is not None:
+            values.append(hi if strict else math.nextafter(hi, math.inf))
+    return values
+
+
+@pytest.mark.parametrize("cls,name", _FIELDS, ids=[f"{c.__name__}.{n}" for c, n in _FIELDS])
+def test_every_field_checks_its_rule(cls, name):
+    section = _SECTION_NAMES.get(cls)  # the demand process is built in Python only
+    for value in _rejected(cls, name):
+        with pytest.raises(ValidationError, match=f"^{name} "):
+            cls(**{name: value})
+        if section is not None:
+            with pytest.raises(ValidationError, match=f"^{section}: {name} "):
+                load_scenario({section: {name: value}})
+    rule = _RULES[cls][name]  # and it takes each choice, and each bound it includes
+    if isinstance(rule[0], str):
+        included = rule
+    else:
+        lo, hi, strict = rule
+        included = [] if strict else [lo] + ([] if hi is None else [hi])
+    for value in included:
+        assert getattr(cls(**{name: value}), name) == value
+
+
+@pytest.mark.parametrize("cls", list(_RULES), ids=lambda cls: cls.__name__)
+def test_every_field_declares_its_rule(cls):
+    # a field added without a range or choices would go unchecked
+    assert [f.name for f in dataclasses.fields(cls)] == list(_RULES[cls])
+    for f in dataclasses.fields(cls):
+        rule = f.metadata["rule"]
+        assert rule.choices or rule.lo is not None, f.name
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Geometry(n_intersections=1.5),
+        lambda: Geometry(n_lanes=2.5),
+        lambda: Geometry(lane_capacity_vph=math.inf),
+        lambda: BprParams(beta_auto=math.inf),
+        lambda: OccupancyParams(low_share=True),
+        lambda: Geometry(length_mi="30"),
+    ],
+    ids=["fractional_intersections", "fractional_lanes", "inf_capacity", "inf_beta",
+         "bool_share", "string_length"],
+)
+def test_section_built_in_python_is_checked(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
+def test_section_built_in_python_reloads_from_its_text():
+    # every field is stored as its own type, so the text reloads to itself
+    scenario = Scenario(
+        geometry=Geometry(length_mi=30, n_lanes=np.int64(4)),
+        solver=SolverSettings(n_cells=np.int64(400), f_cap=np.float32(100.0)),
+    )
+    text = serialize(scenario)
+    assert load_scenario(text) == scenario
+    assert serialize(load_scenario(text)) == text
+    assert scenario_fingerprint(Scenario(geometry=Geometry(length_mi=30))) == scenario_fingerprint(
+        Scenario()
+    )

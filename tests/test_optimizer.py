@@ -95,6 +95,13 @@ class TestOptimizeFrequency:
             cost_breakdown(baseline, Policy.EBLP, 800.0, 0.8, f).total, rel=1e-9
         )
 
+    @pytest.mark.parametrize(
+        "name,point", [("q0", ([500.0, 600.0], 0.5)), ("auto_share", (1000.0, [0.5, 0.75]))]
+    )
+    def test_one_operating_point(self, baseline: Scenario, name, point):
+        with pytest.raises(ValidationError, match=rf"^{name} must be a scalar, got shape \(2,\)$"):
+            optimize_frequency(baseline, Policy.MTP, *point)
+
 
 class TestFocResidual:
     def test_step_guard(self, baseline: Scenario):
@@ -105,6 +112,11 @@ class TestFocResidual:
         for point in ((np.array([500.0, 600.0]), 0.75), (1000.0, np.array([0.5, 0.75]))):
             with pytest.raises(ValidationError):
                 foc_residual(baseline, Policy.MTP, *point, 16.0)
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, float("nan"), float("inf")])
+    def test_step_must_be_finite_and_positive(self, baseline: Scenario, step):
+        with pytest.raises(ValidationError, match=f"^step must be finite and > 0, got {step}$"):
+            foc_residual(baseline, Policy.MTP, 1000.0, 0.75, 16.0, step=step)
 
     def test_sign_tracks_slope(self, baseline: Scenario):
         # at a very high frequency operator cost dominates: slope positive
@@ -131,6 +143,19 @@ class TestEquilibriumGap:
         assert equilibrium_gap(baseline, Policy.MTP, 1000.0, 1.0, 16.0) is None
         assert equilibrium_gap(baseline, Policy.MTP, 1000.0, 0.0, 16.0) is None
         assert equilibrium_gap(baseline, Policy.MTP, 0.0, 0.5, 16.0) is None
+
+    @pytest.mark.parametrize(
+        "q0,share,message",
+        [
+            (-5.0, 0.5, "q0 must be finite and >= 0, got -5.0"),
+            (1000.0, 1.5, r"auto_share must lie in \[0, 1\], got 1.5"),
+            (1000.0, -0.2, r"auto_share must lie in \[0, 1\], got -0.2"),
+            (np.array([500.0, 600.0]), 0.5, r"q0 must be a scalar, got shape \(2,\)"),
+        ],
+    )
+    def test_point_is_checked_before_the_corners(self, baseline: Scenario, q0, share, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            equilibrium_gap(baseline, Policy.MTP, q0, share, 16.0)
 
     def test_unsigned_dominates_signed(self, baseline: Scenario):
         signed = equilibrium_gap(baseline, Policy.MTP, 1000.0, 0.6, 20.0, signed=True)

@@ -17,6 +17,7 @@ from lanepolicy import (
     simulate_ensemble,
     write_trajectory_csv,
 )
+from lanepolicy import stochastic
 from lanepolicy.stochastic import DEMAND_FLOOR, TRAJECTORY_CSV_COLUMNS, clock_label
 
 
@@ -171,9 +172,23 @@ class TestEnsemble:
         solo = simulate(OUParams(), horizon=1.0, dt=0.25, seed=2)
         assert np.array_equal(ens[2].values, solo.values)
 
-    def test_n_validated(self):
-        with pytest.raises(ValidationError):
-            simulate_ensemble(OUParams(), n=0)
+    @pytest.mark.parametrize("n", [0, 2.5, float("nan"), "3", True])
+    def test_n_validated(self, n):
+        with pytest.raises(ValidationError, match="^ensemble size must be an integer >= 1"):
+            simulate_ensemble(OUParams(), horizon=1.0, dt=0.5, n=n)
+
+    def test_numpy_integer_n(self):
+        assert len(simulate_ensemble(OUParams(), horizon=1.0, dt=0.5, n=np.int64(2))) == 2
+
+    def test_total_steps_bounded(self, monkeypatch):
+        # 1,000,000 steps in all is the most; no trajectory is simulated
+        def no_path(*args, **kwargs):
+            raise AssertionError("a trajectory was simulated")
+
+        monkeypatch.setattr(stochastic, "simulate", no_path)
+        for horizon, n in ((1000.0, 1001), (1.0, 1_000_001), (1.0, 10**30)):
+            with pytest.raises(ValidationError, match="at most 1000000 steps in total"):
+                simulate_ensemble(OUParams(), horizon=horizon, dt=1.0, n=n)
 
     def test_non_integer_base_seed_rejected(self):
         with pytest.raises(ValidationError):
