@@ -64,9 +64,21 @@ def write_json(document, file) -> None:
         handle.write(json_text(document) + "\n")
 
 
+def parse_json(text: str | bytes, name: str):
+    """``json.loads(text)``, with an integer past Python's digit limit for
+    string conversion a ValidationError naming ``name``."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        raise
+    except ValueError as err:  # int() refuses a string of too many digits
+        reason = str(err).partition(";")[0]
+        raise ValidationError(f"{name}: an integer is too long to read ({reason})") from None
+
+
 def read_json(path: str):
     try:
         with _reading(path) as handle:
-            return json.load(handle)
+            return parse_json(handle.read(), path)
     except json.JSONDecodeError as err:
         raise ValidationError(f"{path}: not valid JSON: {err.msg} (line {err.lineno})") from None

@@ -65,7 +65,6 @@ terms, so it prices every candidate to the same float as the whole sweep.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -150,10 +149,13 @@ def _kernel_terms(group: _KernelGroup, a, b, f, kernels) -> np.ndarray:
     return _paid(out, a[:, None] ** j * b[:, None] ** m * f[:, None] ** k)
 
 
-def _paid(rate, scale):
+def _paid(rate, scale: np.ndarray) -> np.ndarray:
     """rate * scale, 0 where the demand scale is 0: a cost no one pays adds 0,
-    even where its rate overflowed to inf or NaN."""
-    return np.where(scale == 0, 0.0, rate * scale)
+    even where its rate overflowed to inf or NaN.  The mask is built only when
+    some scale is 0, which spares the signal rows two whole-lattice
+    temporaries per call."""
+    out = rate * scale
+    return out if np.count_nonzero(scale) == scale.size else np.where(scale == 0, 0.0, out)
 
 
 def _contract(rows: np.ndarray, column: np.ndarray) -> np.ndarray:
@@ -168,13 +170,13 @@ def _kernel_cost(groups, a, b, f):
 
 class _MomentTable(NamedTuple):
     poly: np.ndarray  # C[j, m, k] on a^j b^m F^k
-    wait_pay: float  # per unit b: the boardings times $/hr at a stop
+    wait_pay: float  # per unit b, paid as _paid(wait_pay, b): the boardings times $/hr at a stop
     wait_load: float  # per unit b: the gamma3-power mean of the onboard load at boarding
     # rows base, slope, capacity, pax_a, pax_b; one column per (stream, intersection):
-    # a*base + slope*F veh/hr arrive on capacity and pay a*pax_a + b*pax_b $/s of delay
+    # a*base + slope*F veh/hr arrive on capacity and pay _paid(pax_a, a) + _paid(pax_b, b)
+    # $/s of delay
     signals: np.ndarray
     kernels: tuple[_KernelGroup, ...]  # congestion of the exponents without a binomial degree
-    pay: Callable  # wait_pay or a signal row times a demand scale: _paid where one overflowed
 
 
 @lru_cache(maxsize=64)
@@ -237,8 +239,7 @@ def _moment_table(scenario: Scenario, policy: Policy) -> _MomentTable:
                 for mode, share in (("auto", auto_share), ("bus", bus_share)))
     signals = np.vstack([autos, buses, capacity, *pay_rows])
     wait_pay, wait_load = rates.stop * boardings, _wait_load(scenario.bus, upstream, weights)
-    pay = np.multiply if np.isfinite(signals).all() and np.isfinite(wait_pay) else _paid
-    return _MomentTable(poly, wait_pay, wait_load, signals, kernels, pay)
+    return _MomentTable(poly, wait_pay, wait_load, signals, kernels)
 
 
 class FrequencySweep:
@@ -358,7 +359,7 @@ class FrequencySweep:
         """Waiting cost wait_pay * b * wait at bus demand column b on rows f,
         the wait taken at b times the table's wait load."""
         waiting = _wait(self.scenario.bus, f, b * self._table.wait_load)
-        waiting *= self._table.pay(self._table.wait_pay, b)
+        waiting *= _paid(self._table.wait_pay, b)
         return waiting
 
     def _base(self, f: np.ndarray):
@@ -379,10 +380,10 @@ class FrequencySweep:
     def _add_signals(self, a, b, out: np.ndarray, f) -> np.ndarray:
         """``out`` plus each signal column's delay cost, added in table order."""
         signals = self._table.signals[(...,) + (None,) * out.ndim]
-        step, pay = max(1, _DELAY_BLOCK // max(1, out.size)), self._table.pay
+        step = max(1, _DELAY_BLOCK // max(1, out.size))
         for start in range(0, signals.shape[1], step):
             base, slope, capacity, pax_a, pax_b = signals[:, start : start + step]
             seconds = intersection_delay(self.scenario.signal, base * a + slope * f, capacity)
-            for term in (pay(pax_a, a) + pay(pax_b, b)) * seconds:
+            for term in (_paid(pax_a, a) + _paid(pax_b, b)) * seconds:
                 out += term
         return out

@@ -93,7 +93,7 @@ def _parse_set_item(item: str) -> dict:
     if not sep or not field:
         raise ValidationError(f"--set key must be dotted section.key, got {key!r}")
     try:
-        value = json.loads(raw)
+        value = _files.parse_json(raw, f"--set {key}")
     except json.JSONDecodeError:
         value = raw
     return {section.strip(): {field.strip(): value}}

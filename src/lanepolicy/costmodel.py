@@ -180,7 +180,7 @@ LANE_TABLE: dict[Policy, Callable[[Scenario], Lanes]] = {
 
 def _group_of(ctx: EvaluationContext, policy: Policy, traveler_class: str) -> int:
     """Index of the stream a traveler class uses under ``policy``."""
-    streams = ctx.streams(policy)
+    streams = LANE_TABLE[policy](ctx.scenario).streams
     groups = {name: k for k, s in enumerate(streams) for name, _, _ in s.autos}
     groups["bus"] = next(k for k, s in enumerate(streams) if s.buses)
     if traveler_class not in groups:
@@ -258,12 +258,6 @@ class EvaluationContext:
             return value if np.ndim(value) == 0 else value[keep]
 
         return _context(self.scenario, pick(self.q0), pick(self.auto_share), pick(self.frequency))
-
-    def streams(self, policy: Policy) -> tuple[Stream, ...]:
-        return self._cached(("streams", policy), lambda: LANE_TABLE[policy](self.scenario).streams)
-
-    def rates(self, policy: Policy) -> _Rates:
-        return self._cached(("rates", policy), lambda: _rates(self.scenario, policy))
 
 
 def build_context(
@@ -418,7 +412,7 @@ def discomfort_cost(ctx: EvaluationContext, policy: Policy) -> np.ndarray:
     def build() -> np.ndarray:
         # discomfort per onboard hour, $/hr: the aboard rate's terms in Q_bus^p, p >= 1
         q_bus = cumulative_demand(ctx.demand_field, "bus", ctx.grid.nodes)
-        aboard = ctx.rates(policy).aboard["bus"]
+        aboard = _rates(ctx.scenario, policy).aboard["bus"]
         crowding = sum(rate * q_bus**p for p, rate in enumerate(aboard) if p)
         return _frozen(cumulative_values(crowding * unit_time_profile(ctx, policy, "bus"), ctx.grid))
 
@@ -528,7 +522,7 @@ def total_intersection_delay(ctx: EvaluationContext, policy: Policy, mode: str):
 def bus_disutility(ctx: EvaluationContext, policy: Policy) -> np.ndarray:
     """Generalized cost of one bus trip boarding at every grid node, $ per
     passenger."""
-    rates = ctx.rates(policy)
+    rates = _rates(ctx.scenario, policy)
     return (
         rates.stop * waiting_time(ctx)
         + rates.aboard["bus"][0] * line_haul_time(ctx, policy, "bus")
@@ -547,8 +541,9 @@ def auto_disutility(ctx: EvaluationContext, policy: Policy, traveler_class: str)
     k = _group_of(ctx, policy, traveler_class)
     if traveler_class == "bus":
         raise ValidationError("auto_disutility does not apply to the bus class")
-    divisor = next(o for name, _, o in ctx.streams(policy)[k].autos if name == traveler_class)
-    rates = ctx.rates(policy)
+    streams = LANE_TABLE[policy](ctx.scenario).streams
+    divisor = next(o for name, _, o in streams[k].autos if name == traveler_class)
+    rates = _rates(ctx.scenario, policy)
     fixed, per_mi = rates.auto_trip
     ride = line_haul_time(ctx, policy, traveler_class)
     return rates.aboard[traveler_class][0] * ride + (fixed + per_mi * ctx.grid.nodes) / divisor
@@ -560,7 +555,7 @@ def mean_auto_disutility(ctx: EvaluationContext, policy: Policy) -> np.ndarray:
     classes by their shares of auto travelers, $ per passenger."""
     return sum(
         share * auto_disutility(ctx, policy, name)
-        for stream in ctx.streams(policy)
+        for stream in LANE_TABLE[policy](ctx.scenario).streams
         for name, share, _ in stream.autos
     )
 
@@ -585,7 +580,7 @@ def _user_cost(ctx: EvaluationContext, policy: Policy, mode: str):
         return out
     disutility = bus_disutility if mode == "bus" else mean_auto_disutility
     in_corridor = integrate_values(disutility(ctx, policy) * weight, ctx.grid)
-    delay = ctx.rates(policy).delay[mode] * total_intersection_delay(ctx, policy, mode)
+    delay = _rates(ctx.scenario, policy).delay[mode] * total_intersection_delay(ctx, policy, mode)
     return in_corridor + delay
 
 
@@ -600,7 +595,7 @@ def _disutility_gap(ctx: EvaluationContext, policy: Policy, signed: bool):
 
 
 def _bus_operator_cost(ctx: EvaluationContext, policy: Policy):
-    rates = ctx.rates(policy)
+    rates = _rates(ctx.scenario, policy)
     line_haul = line_haul_time(ctx, policy, "bus")[..., -1]
     return rates.fixed["bus_operator"] + rates.round_trip * line_haul * ctx.frequency
 
@@ -616,7 +611,7 @@ def _components(ctx: EvaluationContext, policy: Policy):
         _user_cost(ctx, policy, "bus"),
         _bus_operator_cost(ctx, policy),
         _user_cost(ctx, policy, "auto"),
-        ctx.rates(policy).fixed["signal"],
+        _rates(ctx.scenario, policy).fixed["signal"],
     )
 
 

@@ -109,17 +109,15 @@ def _refine_candidates(center, lower, upper, step: float, half_width: float) -> 
     return pts
 
 
-def _frequency_optima(
-    scenario: Scenario, policy: Policy, q0, auto_shares, search=None, groups=None
-):
+def _frequency_optima(scenario: Scenario, policy: Policy, q0, auto_shares, groups=None):
     """:func:`optimize_frequency` for an array of shares in two batched passes.
 
-    ``q0`` is one density or an array with one density per share.  ``search``
-    maps NaN-padded (n_shares, n_F) rows to each row's best frequency and
-    cost; it defaults to :meth:`FrequencySweep.row_minima` over the feasible
-    shares.  ``groups`` labels each share with the density whose cheapest
-    share is sought; a share that cannot be it is then not searched (see
-    :func:`_winnable`).  Returns each share's best frequency and cost; the
+    ``q0`` is one density or an array with one density per share.  Each pass
+    prices NaN-padded (n_shares, n_F) candidate rows by
+    :meth:`FrequencySweep.row_minima` over the feasible shares.  ``groups``
+    labels each share with the density whose cheapest share is sought; a
+    share that cannot be it is then not searched (see :func:`_winnable`).
+    Returns each share's best frequency and cost; the
     cost is inf for a share whose floor exceeds the cap, whose candidates all
     evaluated non-finite, or that was not searched.
     """
@@ -131,27 +129,25 @@ def _frequency_optima(
     if not ok.any():
         return best_f, best_cost
     first = np.maximum(1.0, np.ceil(f_min - _FLOOR_SLACK))  # each share's first integer candidate
-    if search is None:
-        sweep = FrequencySweep(scenario, policy, np.full(ok.shape, q0)[ok], auto_shares[ok])
-        if groups is not None:
-            keep = _winnable(sweep, groups[ok], f_min[ok], first[ok], cap)
-            ok[ok] = keep
-            sweep = sweep.subset(keep)
-        search = sweep.row_minima
+    sweep = FrequencySweep(scenario, policy, np.full(ok.shape, q0)[ok], auto_shares[ok])
+    if groups is not None:
+        keep = _winnable(sweep, groups[ok], f_min[ok], first[ok], cap)
+        ok[ok] = keep
+        sweep = sweep.subset(keep)
     f_min, first = f_min[ok], first[ok]
     lattice = np.arange(first.min(), cap + 1e-9, 1.0)
     on = lattice >= first[:, None]
     coarse = np.where(on, lattice, np.nan)
     if not on.any(axis=1).all():  # a floor above the last lattice point: the cap alone
         coarse = np.column_stack([coarse, np.where(on.any(axis=1), np.nan, cap)])
-    f1, c1 = search(coarse)
+    f1, c1 = sweep.row_minima(coarse)
 
     window = _refine_candidates(
         np.where(np.isfinite(c1), f1, np.nan), np.maximum(1.0, f_min), cap,
         solver.f_refine_step, half_width=1.0,
     )
     if window.shape[1]:
-        f2, c2 = search(window)
+        f2, c2 = sweep.row_minima(window)
         searched = ~np.isnan(window).all(axis=1)
         better = searched & ((c2 < c1) | ((c2 == c1) & (f2 < f1)))
         f1 = np.where(better, f2, f1)
@@ -187,20 +183,17 @@ def _winnable(sweep: FrequencySweep, groups, f_min, first, cap) -> np.ndarray:
 
 
 def optimize_frequency(
-    scenario: Scenario,
-    policy: Policy,
-    q0: float,
-    auto_share: float,
-    cost_fn=None,
+    scenario: Scenario, policy: Policy, q0: float, auto_share: float
 ) -> tuple[float, float]:
     """Best frequency and its total cost for a fixed mode split.
 
     Integer-lattice scan over [max(1, ceil(F_min)), cap], then one refinement
     pass at ``solver.f_refine_step`` resolution around the incumbent, clipped
-    to the exact feasibility floor.  ``cost_fn`` (frequency -> cost) replaces
-    the model evaluation when given; tests use it to inject synthetic costs.
+    to the exact feasibility floor; both passes price the scenario's moment
+    table (:meth:`~lanepolicy._fsweep.FrequencySweep.row_minima`).
 
-    :raises InfeasibleError: when the capacity floor exceeds the search cap.
+    :raises InfeasibleError: when the capacity floor exceeds the search cap,
+        or when every candidate evaluates non-finite.
     """
     _require_scalars(q0=q0, auto_share=auto_share)
     f_min = min_frequency(scenario, q0, auto_share)
@@ -211,13 +204,7 @@ def optimize_frequency(
             f"auto share {auto_share:g} needs at least {f_min:.2f} buses/hr, above the "
             f"search cap {cap:g}"
         )
-    search = None
-    if cost_fn is not None:
-        def search(rows: np.ndarray):
-            costs = [[np.nan if np.isnan(f) else cost_fn(float(f)) for f in row] for row in rows]
-            return _scan_rows(rows, np.array(costs, dtype=float))
-
-    f, cost = _frequency_optima(scenario, policy, q0, np.array([auto_share]), search)
+    f, cost = _frequency_optima(scenario, policy, q0, np.array([auto_share]))
     if np.isinf(cost[0]):
         raise InfeasibleError("every candidate evaluated non-finite")
     return float(f[0]), float(cost[0])

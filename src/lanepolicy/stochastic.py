@@ -147,14 +147,24 @@ def simulate(
     """Simulate one demand trajectory over `horizon` hours in steps of `dt`.
 
     Deterministic in (params, horizon, dt, seed): repeated calls return
-    bitwise-identical values.
+    bitwise-identical values.  Parameters whose theta overflows, and a path
+    that leaves the float range, are refused; the latter names its seed and
+    first non-finite step.
     """
     n_steps = _step_count(horizon, dt)
     seed = _check_seed(seed)
     if not math.isfinite(t0_clock):
         raise ValidationError(f"t0_clock must be finite, got {t0_clock}")
 
-    theta = params.mean_reversion + 0.5 * params.volatility**2
+    try:
+        theta = params.mean_reversion + 0.5 * params.volatility**2
+    except OverflowError:  # volatility**2 past the float range
+        theta = math.inf
+    if not math.isfinite(theta):
+        raise ValidationError(
+            f"demand process: mean_reversion + volatility**2 / 2 must be finite, got "
+            f"mean_reversion {params.mean_reversion:g} and volatility {params.volatility:g}"
+        )
     if theta > 0.0:
         drift = params.mean_reversion * params.long_run_level / theta
         drift_term = drift * -math.expm1(-theta * dt)
@@ -178,6 +188,12 @@ def simulate(
             q = DEMAND_FLOOR
             floors += 1
         values[k + 1] = q
+    broken = np.flatnonzero(~np.isfinite(values))
+    if broken.size:
+        raise ValidationError(
+            f"demand process: the path with seed {seed} leaves the float range at step "
+            f"{broken[0]} of {n_steps}: its density is {values[broken[0]]}"
+        )
     values.setflags(write=False)
     return Trajectory(
         t0_clock=t0_clock, dt=dt, values=values, seed=seed, floor_events=floors

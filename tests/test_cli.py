@@ -647,6 +647,9 @@ def test_overflowing_density_prints_one_line(tmp_path, pinned, message):
         ("econ.auto_fixed_cost", 0.0),
         ("econ.vot_auto", 0.0),
         ("econ.auto_cost_per_mi", 0.0),
+        ("econ.vot_wait", 1.0),
+        ("econ.vot_bus", 1.0),
+        ("bus.discomfort_lin", 1.0),
     ],
 )
 def test_a_mode_without_travelers_is_priced_whatever_its_rate(tmp_path, rate, r_star):
@@ -686,6 +689,8 @@ def test_module_entry_point(tmp_path):
          "f_refine_step"),
         (["cost", "--policy", "mtp", "--q0", "1000",
           "--set", "solver.r_refine_factor=1000000000000000"], "r_refine_factor"),
+        (["cost", "--policy", "mtp", "--q0", "1000",
+          "--set", "geometry.n_intersections=1000000000"], "n_intersections"),
         (["sweep", "--n", "1000000000000000"], "n_samples"),
         (["schedule", "--horizon", "1e12"], "horizon"),
         (["simulate", "--n", "1", "--horizon", "1e12"], "horizon"),
@@ -698,6 +703,58 @@ def test_oversized_input_exits_2(tmp_path, capsys, argv, name):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and name in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("source", ["--scenario", "--set"])
+def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys, source):
+    # Python converts at most 4,300 digits of a string to an int
+    digits = "1" + "0" * 5000
+    path = tmp_path / "scenario.json"
+    path.write_text('{"solver": {"n_cells": %s}}' % digits)
+    name = str(path) if source == "--scenario" else "--set solver.n_cells"
+    given = str(path) if source == "--scenario" else f"solver.n_cells={digits}"
+    out = tmp_path / "runs"
+    out.mkdir()
+    assert main(["cost", "--policy", "mtp", "--q0", "1000", source, given,
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {name}: an integer is too long to read (Exceeds the limit (4300 digits) "
+        "for integer string conversion: value has 5001 digits)\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["simulate", "--n", "1", "--volatility", "1e200"],
+         "mean_reversion + volatility**2 / 2 must be finite, got mean_reversion 1.5 and "
+         "volatility 1e+200"),
+        (["simulate", "--n", "2", "--q0-init", "1e308", "--volatility", "3",
+          "--mean-reversion", "0"],
+         "the path with seed 1 leaves the float range at step 5 of 60: its density is inf"),
+        (["schedule", "--long-run-level", "1e308", "--mean-reversion", "2"],
+         "the path with seed 0 leaves the float range at step 1 of 60: its density is inf"),
+    ],
+    ids=["simulate-theta", "simulate-path", "schedule-path"],
+)
+def test_demand_process_past_the_float_range_exits_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "runs"
+    out.mkdir()
+    assert main([*argv, "--horizon", "1", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: demand process: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_malformed_scenario_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text('{"solver": ')
+    out = tmp_path / "runs"
+    out.mkdir()
+    assert main(["cost", "--policy", "mtp", "--q0", "1000", "--scenario", str(path),
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: not valid JSON: Expecting value (line 1)\n"
     assert list(out.iterdir()) == []
 
 

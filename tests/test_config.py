@@ -83,6 +83,24 @@ class TestLoadScenario:
         ):
             load_scenario(b"\xff{}")
 
+    @pytest.mark.parametrize("encode", [False, True])
+    def test_integer_past_the_digit_limit(self, encode):
+        # Python converts at most 4,300 digits of a string to an int
+        doc = '{"solver": {"n_cells": 1' + "0" * 5000 + "}}"
+        with pytest.raises(
+            ValidationError,
+            match=r"^scenario document: an integer is too long to read \(Exceeds the limit "
+                  r"\(4300 digits\) for integer string conversion: value has 5001 digits\)$",
+        ):
+            load_scenario(doc.encode() if encode else doc)
+
+    def test_malformed_text_keeps_its_message(self):
+        with pytest.raises(
+            ValidationError,
+            match=r"^scenario document is not valid JSON: Expecting value \(line 1, column 7\)$",
+        ):
+            load_scenario('{"a": ')
+
     def test_unknown_key_reported_with_dotted_path(self):
         with pytest.raises(ValidationError, match=r"geometry\.lenght_mi"):
             load_scenario({"geometry": {"lenght_mi": 10.0}})
@@ -221,7 +239,7 @@ _RULES = {
         "length_mi": _POSITIVE,
         "n_lanes": (2, None, False),
         "lane_capacity_vph": _POSITIVE,
-        "n_intersections": _NON_NEGATIVE,
+        "n_intersections": (0, 10_000, False),
     },
     SignalParams: {
         "cycle_s": _POSITIVE,

@@ -63,20 +63,23 @@ class TestMinFrequency:
 
 
 class TestOptimizeFrequency:
-    def test_synthetic_parabola(self, baseline: Scenario):
-        f, cost = optimize_frequency(
-            baseline, Policy.MTP, 1000.0, 1.0, cost_fn=lambda f: (f - 42.3) ** 2
-        )
-        assert f == pytest.approx(42.3, abs=1e-9)
-        assert cost == pytest.approx(0.0, abs=1e-12)
+    def test_refined_interior_optimum(self, baseline: Scenario):
+        # the refinement pass moves the optimum off the integer lattice, well
+        # above the floor, and neither 0.1-step neighbour prices lower
+        f, _ = optimize_frequency(baseline, Policy.MTP, 300.0, 0.9)
+        assert f == pytest.approx(10.7, abs=1e-9)
+        assert f > min_frequency(baseline, 300.0, 0.9) + 1.0
+        totals = [cost_breakdown(baseline, Policy.MTP, 300.0, 0.9, g).total
+                  for g in (f - 0.1, f, f + 0.1)]
+        assert totals[1] < min(totals[0], totals[2])
 
     def test_refinement_clips_to_capacity_floor(self, baseline: Scenario):
-        # strictly increasing cost pushes the optimum onto the exact floor,
-        # which sits between integer lattice points
+        # cost rises with frequency from the floor, which sits between integer
+        # lattice points: the clipped window starts at it exactly
         f_min = min_frequency(baseline, 1000.0, 0.75)
         assert f_min == pytest.approx(53.5714285714, rel=1e-9)
-        f, _ = optimize_frequency(baseline, Policy.MTP, 1000.0, 0.75, cost_fn=lambda f: f)
-        assert f == pytest.approx(f_min, abs=1e-12)
+        f, _ = optimize_frequency(baseline, Policy.MTP, 1000.0, 0.75)
+        assert f == f_min
 
     def test_floor_above_cap_is_infeasible(self, baseline: Scenario):
         # all-bus demand at q0=3000 needs ~643 buses/hr, far above the cap
@@ -84,10 +87,11 @@ class TestOptimizeFrequency:
             optimize_frequency(baseline, Policy.MTP, 3000.0, 0.0)
 
     def test_all_non_finite_costs_rejected(self, baseline: Scenario):
-        with pytest.raises(InfeasibleError):
-            optimize_frequency(
-                baseline, Policy.MTP, 1000.0, 1.0, cost_fn=lambda f: float("nan")
-            )
+        # crowding at 1e308 $/hr per rider^2 overflows at every candidate
+        bus = dataclasses.replace(baseline.bus, discomfort_quad=1e308)
+        scenario = dataclasses.replace(baseline, bus=bus)
+        with pytest.raises(InfeasibleError, match="^every candidate evaluated non-finite$"):
+            optimize_frequency(scenario, Policy.MTP, 1000.0, 0.5)
 
     def test_model_evaluation_agrees_with_breakdown(self, baseline: Scenario):
         f, cost = optimize_frequency(baseline, Policy.EBLP, 800.0, 0.8)

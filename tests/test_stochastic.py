@@ -128,6 +128,31 @@ class TestSimulate:
         with pytest.raises(ValidationError):
             simulate(OUParams(), **{arg: value})
 
+    @pytest.mark.parametrize(
+        "params", [OUParams(volatility=1e200), OUParams(mean_reversion=1.7e308, volatility=1e154)]
+    )
+    def test_theta_past_the_float_range(self, params):
+        with pytest.raises(
+            ValidationError,
+            match=r"^demand process: mean_reversion \+ volatility\*\*2 / 2 must be finite",
+        ):
+            simulate(params, horizon=1.0)
+
+    @pytest.mark.parametrize(
+        "params,seed,step",
+        [
+            (OUParams(long_run_level=1e308, mean_reversion=2.0), 0, 1),
+            (OUParams(q0_init=1e308, volatility=3.0, mean_reversion=0.0), 1, 5),
+        ],
+    )
+    def test_path_past_the_float_range(self, params, seed, step):
+        with pytest.raises(
+            ValidationError,
+            match=rf"^demand process: the path with seed {seed} leaves the float range at "
+                  rf"step {step} of 60: its density is inf$",
+        ):
+            simulate(params, horizon=1.0, seed=seed)
+
     def test_monte_carlo_mean_matches_recursion(self):
         # the update is linear in q, so its expectation obeys an exact scalar
         # recursion; check the Monte Carlo mean against that closed form
@@ -189,6 +214,17 @@ class TestEnsemble:
         for horizon, n in ((1000.0, 1001), (1.0, 1_000_001), (1.0, 10**30)):
             with pytest.raises(ValidationError, match="at most 1000000 steps in total"):
                 simulate_ensemble(OUParams(), horizon=horizon, dt=1.0, n=n)
+
+    def test_path_past_the_float_range(self):
+        # seed 0's path stays finite; seed 1's is the first to overflow
+        params = OUParams(q0_init=1e308, volatility=3.0, mean_reversion=0.0)
+        simulate(params, horizon=1.0, seed=0)
+        with pytest.raises(ValidationError, match=r"^demand process: the path with seed 1 "):
+            simulate_ensemble(params, horizon=1.0, n=3, base_seed=0)
+
+    def test_theta_past_the_float_range(self):
+        with pytest.raises(ValidationError, match=r"^demand process: mean_reversion"):
+            simulate_ensemble(OUParams(volatility=1e200), horizon=1.0, n=2)
 
     def test_non_integer_base_seed_rejected(self):
         with pytest.raises(ValidationError):
