@@ -66,11 +66,14 @@ def write_json(document, file) -> None:
 
 def parse_json(text: str | bytes, name: str):
     """``json.loads(text)``, with an integer past Python's digit limit for
-    string conversion a ValidationError naming ``name``."""
+    string conversion, or nesting past the interpreter's recursion limit, a
+    ValidationError naming ``name``."""
     try:
         return json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError):
         raise
+    except RecursionError as err:
+        raise ValidationError(f"{name}: nested too deeply to read ({err})") from None
     except ValueError as err:  # int() refuses a string of too many digits
         reason = str(err).partition(";")[0]
         raise ValidationError(f"{name}: an integer is too long to read ({reason})") from None

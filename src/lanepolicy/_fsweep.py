@@ -74,7 +74,7 @@ from .config import Scenario
 from .costmodel import (
     LANE_TABLE, Policy, _loads, _rates, _time_law, _wait, _wait_load, intersection_delay,
 )
-from .demand import DemandField, _operating_point, cumulative_demand, density
+from .demand import _operating_point
 from .errors import ValidationError
 from .numeric import _overflow_unwarned, cumulative_kernel
 
@@ -182,14 +182,13 @@ class _MomentTable(NamedTuple):
 @lru_cache(maxsize=64)
 @_overflow_unwarned
 def _moment_table(scenario: Scenario, policy: Policy) -> _MomentTable:
-    """The (scenario, policy) constants, every money rate from ``_rates``."""
-    geom, rates = scenario.geometry, _rates(scenario, policy)
-    grid = scenario.grid()
+    """The (scenario, policy) constants, every money rate from ``_rates`` and
+    every load and unit demand profile from ``_loads``."""
+    rates, grid = _rates(scenario, policy), scenario.grid()
     nodes = grid.nodes
-    unit = DemandField(q0=1.0, length_mi=geom.length_mi, auto_share=1.0)
-    upstream = cumulative_demand(unit, "total", nodes)  # demand upstream of x per unit scale
-    weights = grid.simpson_weights * density(unit, nodes)  # demand density quadrature
-    groups, signal_loads = _loads(scenario, policy)  # groups: a*phi(x) + slope*F on capacity
+    # groups: a*phi(x) + slope*F on capacity; upstream: demand upstream of x per unit scale
+    groups, signal_loads, upstream, origins = _loads(scenario, policy)
+    weights = grid.simpson_weights * origins  # demand density quadrature
     lanes = LANE_TABLE[policy](scenario)
 
     # per (lane group, class): (node column, powers of a, b and F) pairs, each cost

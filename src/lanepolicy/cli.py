@@ -195,27 +195,22 @@ def _cmd_cost(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:
     diagnostics = {}
     if args.R is None and args.F is None:
         opt = optimize_policy(scenario, policy, q0)
-        r, f = opt.r_star, opt.f_star
-        breakdown = opt.breakdown
+        r, f, breakdown = opt.r_star, opt.f_star, opt.breakdown
         diagnostics = {
             "foc_residual": foc_residual(scenario, policy, q0, r, f),
             "constraint_binding": opt.constraint_binding,
         }
         mode = "optimized R and F"
-    elif args.F is None:
-        r = args.R
-        f, _ = optimize_frequency(scenario, policy, q0, r)
-        breakdown = cost_breakdown(scenario, policy, q0, r, f)
-        mode = "fixed R, optimized F"
-    elif args.R is None:
-        f = args.F
-        r = _best_split_at_fixed_f(scenario, policy, q0, f)
-        breakdown = cost_breakdown(scenario, policy, q0, r, f)
-        mode = "optimized R, fixed F"
     else:
-        r, f = args.R, args.F
+        if args.F is None:
+            r, mode = args.R, "fixed R, optimized F"
+            f, _ = optimize_frequency(scenario, policy, q0, r)
+        elif args.R is None:
+            f, mode = args.F, "optimized R, fixed F"
+            r = _best_split_at_fixed_f(scenario, policy, q0, f)
+        else:
+            r, f, mode = args.R, args.F, "fixed R and F"
         breakdown = cost_breakdown(scenario, policy, q0, r, f)
-        mode = "fixed R and F"
 
     f_min = min_frequency(scenario, q0, r)
     lines = [

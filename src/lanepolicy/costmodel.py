@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -463,8 +463,11 @@ def signal_auto_pax(scenario: Scenario, demand_field: DemandField) -> np.ndarray
 
 
 class _Loads(NamedTuple):
+    """Each stream's loads and the demand profiles at the nodes, per unit demand."""
     corridor: tuple  # per stream (phi, slope, capacity): a*phi(x) + slope*F veh/hr
     signals: np.ndarray  # rows autos, buses, capacity, auto_share, bus_share, riders
+    upstream: np.ndarray  # travelers upstream of each node per unit demand scale
+    origins: np.ndarray  # trip origins per mile at each node per unit demand scale
 
 
 @lru_cache(maxsize=64)
@@ -473,9 +476,9 @@ def _loads(scenario: Scenario, policy: Policy) -> _Loads:
     and per bus/hr: buses add PCE*F veh/hr on the corridor and PCE*F/(n+1) at
     each signal.  A signal column's delay is paid by the riders upstream per unit
     of a mode's demand, times the stream's share of them (bus_share: 1 or 0)."""
-    geom, pce = scenario.geometry, scenario.bpr.bus_pce
+    geom, pce, nodes = scenario.geometry, scenario.bpr.bus_pce, scenario.grid().nodes
     unit = DemandField(q0=1.0, length_mi=geom.length_mi, auto_share=1.0)
-    upstream = cumulative_demand(unit, "total", scenario.grid().nodes)
+    upstream = cumulative_demand(unit, "total", nodes)
     streams = LANE_TABLE[policy](scenario).streams
     corridor = tuple((_frozen(s.vehicles(upstream)), pce * s.buses, s.capacity) for s in streams)
     entering, slope = signal_auto_pax(scenario, unit), pce / (geom.n_intersections + 1)
@@ -484,7 +487,7 @@ def _loads(scenario: Scenario, policy: Policy) -> _Loads:
         s.vehicles(entering), slope * s.buses, s.capacity,
         sum(share for _, share, _ in s.autos), float(s.buses), riders,
     )) for s in streams])
-    return _Loads(corridor, _frozen(signals))
+    return _Loads(corridor, _frozen(signals), _frozen(upstream), _frozen(density(unit, nodes)))
 
 
 def _arriving(ctx: EvaluationContext, policy: Policy) -> np.ndarray:
@@ -560,17 +563,12 @@ def mean_auto_disutility(ctx: EvaluationContext, policy: Policy) -> np.ndarray:
     )
 
 
-def _unit_density(ctx: EvaluationContext) -> np.ndarray:
-    """Trip origins per mile at each node per unit demand scale."""
-    return density(replace(ctx.demand_field, q0=1.0, auto_share=1.0), ctx.grid.nodes)
-
-
 def _user_cost(ctx: EvaluationContext, policy: Policy, mode: str):
     """Hourly cost to one mode's travelers: generalized trip costs over the
     corridor plus the value of their signal delay; 0 at a point without
     travelers of the mode."""
     share = ctx.auto_share if mode == "auto" else 1.0 - ctx.auto_share
-    weight = _per_point(share * ctx.q0, ctx.grid.nodes) * _unit_density(ctx)
+    weight = _per_point(share * ctx.q0, ctx.grid.nodes) * _loads(ctx.scenario, policy).origins
     present = weight.any(axis=-1)
     if not present.any():
         return 0.0
@@ -588,7 +586,7 @@ def _user_cost(ctx: EvaluationContext, policy: Policy, mode: str):
 def _disutility_gap(ctx: EvaluationContext, policy: Policy, signed: bool):
     """Demand-weighted mean auto-minus-bus disutility difference, $ per trip,
     at the operating point of ``ctx`` or at each of its stacked points."""
-    weight = _unit_density(ctx)  # q0 cancels
+    weight = _loads(ctx.scenario, policy).origins  # q0 cancels
     diff = mean_auto_disutility(ctx, policy) - bus_disutility(ctx, policy)
     diff = diff if signed else np.abs(diff)
     return integrate_values(diff * weight, ctx.grid) / integrate_values(weight, ctx.grid)

@@ -52,7 +52,7 @@ from .config import Scenario
 from .costmodel import CostBreakdown, Policy, _equilibrium_gaps, _require_scalars, cost_breakdowns
 from .demand import _operating_point
 from .errors import InfeasibleError, NumericDomainError, ValidationError
-from .numeric import find_root
+from .numeric import _overflow_unwarned, find_root
 
 __all__ = [
     "PolicyOptimum",
@@ -278,9 +278,9 @@ def _split_lattice(solver, centers=None) -> np.ndarray:
 
 
 def _split_minima(scenario: Scenario, policy: Policy, q0s: np.ndarray, bus_shares: np.ndarray):
-    """Per density, (cost, bus share, frequency) of the cheapest share in its
-    NaN-padded row of ``bus_shares``, the first on ties; None when no share is
-    feasible.  Every real (density, share) pair is one row of one search."""
+    """Per density, the (cost, bus share, frequency) row of the cheapest share in
+    its NaN-padded row of ``bus_shares``, the first on ties, cost inf where none
+    is feasible: an (n, 3) array.  Every real (density, share) is one search row."""
     real = ~np.isnan(bus_shares)
     f_star, cost = np.full(real.shape, np.nan), np.full(real.shape, np.inf)
     groups = np.repeat(np.arange(q0s.size), real.sum(axis=1))
@@ -288,33 +288,28 @@ def _split_minima(scenario: Scenario, policy: Policy, q0s: np.ndarray, bus_share
         scenario, policy, q0s[groups], 1.0 - bus_shares[real], groups=groups
     )
     best = np.arange(real.shape[0]), np.argmin(cost, axis=1)
-    return [
-        None if np.isinf(c) else (float(c), float(share), float(f))
-        for c, share, f in zip(cost[best], bus_shares[best], f_star[best])
-    ]
+    return np.column_stack([cost[best], bus_shares[best], f_star[best]])
 
 
-def _best_split_cost_min(scenario: Scenario, policy: Policy, q0s: np.ndarray) -> list:
-    """Cost-minimizing (cost, bus share, frequency) at each density of a block,
-    or the :class:`InfeasibleError` of a density with no feasible split.
+def _best_split_cost_min(scenario: Scenario, policy: Policy, q0s: np.ndarray) -> np.ndarray:
+    """Cost-minimizing (cost, bus share, frequency) row at each density of a
+    block, as in :func:`_split_minima`: cost inf where no split is feasible.
 
     One search over every density's coarse split lattice, then one over every
-    feasible density's refined window; ties go to the smallest bus share.
+    feasible density's refined window; a refined row wins when it costs less,
+    or as much at a smaller bus share.
     """
     solver = scenario.solver
-    lattice = _split_lattice(solver)
-    coarse = _split_minima(scenario, policy, q0s, np.tile(lattice, (q0s.size, 1)))
-    out = [
-        best if best is not None else _no_finite_split(q0)
-        for q0, best in zip(q0s, coarse)
-    ]
-    solved = [i for i, best in enumerate(coarse) if best is not None]
-    if solved:
-        windows = _split_lattice(solver, centers=np.array([coarse[i][1] for i in solved]))
-        for i, refined in zip(solved, _split_minima(scenario, policy, q0s[solved], windows)):
-            if refined is not None and refined[:2] < coarse[i][:2]:
-                out[i] = refined
-    return out
+    best = _split_minima(scenario, policy, q0s, np.tile(_split_lattice(solver), (q0s.size, 1)))
+    solved = np.isfinite(best[:, 0])
+    if solved.any():
+        coarse = best[solved]
+        windows = _split_lattice(solver, centers=coarse[:, 1])
+        refined = _split_minima(scenario, policy, q0s[solved], windows)
+        (cost, share), (coarse_cost, coarse_share) = refined[:, :2].T, coarse[:, :2].T
+        better = (cost < coarse_cost) | ((cost == coarse_cost) & (share < coarse_share))
+        best[solved] = np.where(better[:, None], refined, coarse)
+    return best
 
 
 def _signed_gaps(scenario: Scenario, policy: Policy, q0: float, auto_shares: np.ndarray):
@@ -327,6 +322,7 @@ def _signed_gaps(scenario: Scenario, policy: Policy, q0: float, auto_shares: np.
     return gaps
 
 
+@_overflow_unwarned  # a product of two gaps overflows to inf, as Python floats do
 def _best_split_equilibrium(scenario: Scenario, policy: Policy, q0: float):
     """Mode split where auto and bus disutilities balance, frequency re-optimized."""
     solver = scenario.solver
@@ -340,30 +336,24 @@ def _best_split_equilibrium(scenario: Scenario, policy: Policy, q0: float):
         raise InfeasibleError(
             f"no feasible interior mode split at q0={q0:g} for the equilibrium rule"
         )
-    samples = [float(r) for r in lattice[feasible]]
-    values = [float(gap) for gap in gaps[feasible]]
-    root = None
-    for i in range(len(samples) - 1):
-        if values[i] == 0.0:
-            root = samples[i]
-            break
-        if values[i] * values[i + 1] < 0:
-            try:
-                root = find_root(
-                    lambda shares: _signed_gaps(scenario, policy, q0, shares),
-                    samples[i],
-                    samples[i + 1],
-                    tol=solver.r_step / solver.r_refine_factor,
-                )
-            except NumericDomainError as exc:
-                # a visited share without an optimal frequency: raise its error
-                optimize_frequency(scenario, policy, q0, exc.x)
-                raise
-            break
-    if root is None:
-        # no interior equilibrium: take the sampled split with the smallest |gap|
-        k = int(np.argmin(np.abs(values)))
-        root = samples[k]
+    samples, values = lattice[feasible], gaps[feasible]
+    # the first sample that is a root or opens a sign change to the next; with
+    # none there is no interior equilibrium: take the sample with the smallest |gap|
+    found = np.flatnonzero((values[:-1] == 0) | (values[:-1] * values[1:] < 0))
+    i = found[0] if found.size else np.argmin(np.abs(values))
+    root = float(samples[i])
+    if found.size and values[i] != 0:
+        try:
+            root = find_root(
+                lambda shares: _signed_gaps(scenario, policy, q0, shares),
+                float(samples[i]),
+                float(samples[i + 1]),
+                tol=solver.r_step / solver.r_refine_factor,
+            )
+        except NumericDomainError as exc:
+            # a visited share without an optimal frequency: raise its error
+            optimize_frequency(scenario, policy, q0, exc.x)
+            raise
     f_star, cost = optimize_frequency(scenario, policy, q0, root)
     return cost, 1.0 - root, f_star
 
@@ -428,38 +418,36 @@ class _BatchMemo:
 
 def _solve_policies(scenario: Scenario, policy: Policy, q0s: np.ndarray) -> list:
     """Each density's :class:`PolicyOptimum`, or the :class:`InfeasibleError`
-    that stopped its search.  Cost-min splits are searched in blocks of
-    :data:`_CELL_BLOCK` lattice cells; the ``equilibrium`` rule solves each
+    that stopped its search.  One (n, 3) array holds every (cost, bus share,
+    frequency), cost inf without a split.  Cost-min splits are searched in blocks
+    of :data:`_CELL_BLOCK` lattice cells; the ``equilibrium`` rule solves each
     positive density on its own.  The winners are priced in one
     :func:`~lanepolicy.costmodel.cost_breakdowns` call."""
     solver = scenario.solver
-    splits: list = [None] * q0s.size
-    cost_min = []
-    for i, q0 in enumerate(q0s):
-        if solver.split_rule == "equilibrium" and q0 > 0:
-            try:
-                splits[i] = _best_split_equilibrium(scenario, policy, float(q0))
-            except InfeasibleError as exc:
-                splits[i] = exc
-        else:
-            cost_min.append(i)
+    splits, errors = np.full((q0s.size, 3), np.inf), {}
+    equilibrium = (q0s > 0) & (solver.split_rule == "equilibrium")
+    for i in np.flatnonzero(equilibrium):
+        try:
+            splits[i] = _best_split_equilibrium(scenario, policy, float(q0s[i]))
+        except InfeasibleError as exc:
+            errors[i] = exc
+    cost_min = np.flatnonzero(~equilibrium)
     step = max(1, _CELL_BLOCK // (_split_lattice(solver).size * (int(solver.f_cap) + 1)))
-    for start in range(0, len(cost_min), step):
+    for start in range(0, cost_min.size, step):
         block = cost_min[start : start + step]
-        for i, split in zip(block, _best_split_cost_min(scenario, policy, q0s[block])):
-            splits[i] = split
-    solved = [i for i, split in enumerate(splits) if not isinstance(split, Exception)]
-    optima = _optima(scenario, policy, q0s[solved], [splits[i] for i in solved]) if solved else []
-    for i, optimum in zip(solved, optima):
-        splits[i] = optimum
-    return splits
+        splits[block] = _best_split_cost_min(scenario, policy, q0s[block])
+    solved = np.isfinite(splits[:, 0])
+    optima = iter(_optima(scenario, policy, q0s[solved], splits[solved]) if solved.any() else ())
+    return [
+        next(optima) if ok else errors[i] if i in errors else _no_finite_split(q0)
+        for i, (q0, ok) in enumerate(zip(q0s, solved))
+    ]
 
 
-def _optima(scenario: Scenario, policy: Policy, q0s: np.ndarray, splits: list) -> list:
-    """The optima at densities ``q0s`` from their (cost, bus share, frequency)
-    splits, the winners priced together."""
-    _, bus_shares, f_stars = (np.array(column) for column in zip(*splits))
-    auto_shares = 1.0 - bus_shares
+def _optima(scenario: Scenario, policy: Policy, q0s: np.ndarray, splits: np.ndarray) -> list:
+    """The optima at densities ``q0s`` from the bus-share and frequency columns
+    of their (cost, bus share, frequency) rows, the winners priced together."""
+    auto_shares, f_stars = 1.0 - splits[:, 1], splits[:, 2]
     f_mins = min_frequency(scenario, q0s, auto_shares)
     for f_star, f_min in zip(f_stars, f_mins):
         if f_star < f_min - _FLOOR_SLACK:

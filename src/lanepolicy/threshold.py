@@ -10,9 +10,10 @@ lattice cell.  The bisection (:func:`~lanepolicy.numeric.find_root`) prices
 every density that its next two steps could visit in one memo lookup per
 policy, so a 62.5-wide cell at the default 1.0 tolerance takes 3 solver
 calls per policy instead of 6.  It makes the one-point bisection's
-decisions, so each boundary is that search's bit for bit.  policy_regions
-returns every region; find_threshold is the first boundary of its pair's
-regions on 33 densities, the winner change nearest the low end.  Two
+decisions, so each boundary is that search's bit for bit.  Both walk the
+winner changes from the low end as crossings (density, policy below, policy
+above): policy_regions builds every region from them; find_threshold stops
+at its pair's first one on 33 densities, and bisects no later one.  Two
 crossings inside one lattice cell leave the winner at both its ends the
 same, so neither search sees them.
 """
@@ -161,23 +162,24 @@ def _boundary(
         raise
 
 
-def _regions(scenario: Scenario, lattice: list[float], policies: tuple[Policy, ...]):
-    """Yield the best-policy regions over ``lattice`` from its low end.
-
-    Lazy: a caller that stops early bisects no later boundary.
-    """
+def _winners(scenario: Scenario, lattice: list[float], policies: tuple[Policy, ...]) -> list:
+    """The cheapest policy at each density of ``lattice``, ties going to the
+    policy listed first."""
     totals = [_totals(scenario, p, lattice) for p in policies]
-    winners = [policies[min((t, k) for k, t in enumerate(column))[1]] for column in zip(*totals)]
-    run_start = lattice[0]
+    return [policies[min((t, k) for k, t in enumerate(column))[1]] for column in zip(*totals)]
+
+
+def _crossings(scenario: Scenario, lattice: list[float], winners: list):
+    """Yield each winner change over ``lattice`` from its low end as (density,
+    policy below, policy above), the density bisected within its cell.
+
+    Lazy: a caller that stops early bisects no later crossing.
+    """
     for i in range(1, len(lattice)):
         below, above = winners[i - 1], winners[i]
-        if below == above:
-            continue
-        # below is no dearer at lattice[i - 1], above at lattice[i]: a bracket.
-        boundary = _boundary(scenario, below, above, lattice[i - 1], lattice[i])
-        yield PolicyRegion(q0_lo=run_start, q0_hi=boundary, policy=below)
-        run_start = boundary
-    yield PolicyRegion(q0_lo=run_start, q0_hi=lattice[-1], policy=winners[-1])
+        if below != above:
+            # below is no dearer at lattice[i - 1], above at lattice[i]: a bracket.
+            yield _boundary(scenario, below, above, lattice[i - 1], lattice[i]), below, above
 
 
 def find_threshold(
@@ -185,7 +187,7 @@ def find_threshold(
 ) -> ThresholdResult:
     """Density where the optimized totals of two policies cross.
 
-    The first boundary of the pair's regions on 33 evenly spaced densities,
+    The first crossing of the pair's winners on 33 evenly spaced densities,
     ties going to ``p1``, bisected to the solver's threshold tolerance with
     two bisection levels priced per solver call and policy.
     Without one the uniformly cheaper policy fills both sides and q0_star
@@ -198,11 +200,11 @@ def find_threshold(
     lo, hi = _validate_range(q0_lo, q0_hi)
     if p1 == p2:
         return ThresholdResult(pair=(p1, p2), q0_star=None, cheaper_below=p1, cheaper_above=p1)
-    regions = _regions(scenario, _lattice(lo, hi, (hi - lo) / (_SCAN_POINTS - 1)), (p1, p2))
-    first, second = next(regions), next(regions, None)
-    if second is None:
-        return ThresholdResult(pair=(p1, p2), q0_star=None, cheaper_below=first.policy, cheaper_above=first.policy)
-    return ThresholdResult(pair=(p1, p2), q0_star=first.q0_hi, cheaper_below=first.policy, cheaper_above=second.policy)
+    lattice = _lattice(lo, hi, (hi - lo) / (_SCAN_POINTS - 1))
+    winners = _winners(scenario, lattice, (p1, p2))
+    uniform = None, winners[0], winners[0]  # no crossing: one policy is cheaper throughout
+    q0_star, below, above = next(_crossings(scenario, lattice, winners), uniform)
+    return ThresholdResult(pair=(p1, p2), q0_star=q0_star, cheaper_below=below, cheaper_above=above)
 
 
 def policy_regions(
@@ -227,7 +229,12 @@ def policy_regions(
         raise ValidationError(f"resolution must be positive, got {resolution}")
     if not policies:
         raise ValidationError("policies must be non-empty")
-    return list(_regions(scenario, _lattice(lo, hi, resolution), tuple(Policy.parse(p) for p in policies)))
+    lattice = _lattice(lo, hi, resolution)
+    winners = _winners(scenario, lattice, tuple(Policy.parse(p) for p in policies))
+    crossings = list(_crossings(scenario, lattice, winners))
+    bounds = [lattice[0], *(q0 for q0, _, _ in crossings), lattice[-1]]
+    owners = [winners[0], *(above for _, _, above in crossings)]
+    return [PolicyRegion(*region) for region in zip(bounds, bounds[1:], owners)]
 
 
 CURVE_CSV_COLUMNS = (

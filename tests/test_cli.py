@@ -725,6 +725,23 @@ def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys, source):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("source", ["--scenario", "--set"])
+def test_nesting_past_the_recursion_limit_exits_2(tmp_path, capsys, source):
+    nested = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "scenario.json"
+    path.write_text(nested)
+    name = str(path) if source == "--scenario" else "--set solver.n_cells"
+    given = str(path) if source == "--scenario" else f"solver.n_cells={nested}"
+    out = tmp_path / "runs"
+    out.mkdir()
+    assert main(["cost", "--policy", "mtp", "--q0", "1000", source, given,
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}: nested too deeply to read (maximum recursion depth ")
+    assert err.count("\n") == 1 and err.endswith(")\n")
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

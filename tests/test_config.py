@@ -94,6 +94,14 @@ class TestLoadScenario:
         ):
             load_scenario(doc.encode() if encode else doc)
 
+    def test_nesting_past_the_recursion_limit(self):
+        doc = "[" * 100_000 + "]" * 100_000
+        with pytest.raises(
+            ValidationError,
+            match=r"^scenario document: nested too deeply to read \(maximum recursion depth ",
+        ):
+            load_scenario(doc)
+
     def test_malformed_text_keeps_its_message(self):
         with pytest.raises(
             ValidationError,

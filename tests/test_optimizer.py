@@ -254,6 +254,13 @@ class TestOptimizePolicy:
         # the root solve stops at the split-lattice refinement tolerance
         assert abs(signed) < 0.5
 
+    def test_equilibrium_rule_with_gaps_whose_products_overflow(self):
+        # a fare of 1e200 makes every sampled gap about -1e200: no sign change,
+        # so the split with the smallest |gap| wins, and no warning escapes
+        scen = load_scenario({"solver": {"split_rule": "equilibrium"}, "bus": {"fare": 1e200}})
+        opt = optimize_policy(scen, Policy.MTP, 900.0)
+        assert (opt.r_star, opt.f_star) == (0.38, pytest.approx(119.5714285714))
+
 # (scenario, policy, q0) -> (R*, F*, total) recorded from the per-share
 # optimizer that preceded the batched split scan.  Covers the R* = 0
 # low-demand corner (q0 = 150) and optima pinned near f_cap (q0 >= 1600).
@@ -500,6 +507,25 @@ class TestOptimizePolicies:
                 assert [_record(opt) for opt in optimize_policies(scen, policy, q0s)] == batch
         if name == "f_cap_37.5_equilibrium":
             assert failures  # the scenario covers infeasible densities
+
+    @pytest.mark.parametrize("q0s", [[658.0, 1e300, 1476.0, 0.0], [1e300, 2e300]],
+                             ids=["mixed", "all_infeasible"])
+    def test_infeasible_density_in_a_cost_min_block(self, baseline: Scenario, q0s):
+        # every split's cost overflows at q0 >= 1e300; the other densities of
+        # the block keep the optimum that each gets alone
+        memo = optimizer._optimize_policy_cached
+        for policy in Policy:
+            memo.cache_clear()
+            batch = [_record(opt) for opt in optimizer._lookup(baseline, policy, q0s)]
+            memo.cache_clear()
+            assert batch == [_one_at_a_time(baseline, policy, q0) for q0 in q0s], policy
+            for q0, record in zip(q0s, batch):
+                if q0 >= 1e300:
+                    assert record == (
+                        f"no feasible mode split at q0={q0:g}: no split priced to a finite cost"
+                    )
+                else:
+                    assert not isinstance(record, str)
 
     def test_second_call_is_all_memo_hits(self, baseline: Scenario, monkeypatch):
         first = optimize_policies(baseline, Policy.HOVLP, _BATCH_Q0)

@@ -59,6 +59,17 @@ def test_only_the_cost_model_states_lane_stream_loads():
     assert offenders == []
 
 
+def test_only_the_cost_model_builds_the_unit_demand_field():
+    # the unit demand profiles at the grid nodes are costmodel._loads' table
+    restated = re.compile(r"\bDemandField\(q0=1\.0\b")
+    offenders = sorted(
+        path.name
+        for path in Path(lanepolicy.__path__[0]).glob("*.py")
+        if path.name != "costmodel.py" and restated.search(path.read_text())
+    )
+    assert offenders == []
+
+
 def test_only_the_cost_model_states_time_and_waiting_laws():
     # which (t0, alpha, beta) a traveler class rides on and the waiting
     # coefficients; config.py declares them

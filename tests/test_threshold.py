@@ -199,6 +199,31 @@ class TestBoundaryBisection:
             (Policy.MTP, 3), (Policy.HOVLP, 3)
         ] * 3
 
+    def test_find_threshold_bisects_only_the_first_crossing(self, monkeypatch):
+        # MTP, EBLP, MTP, EBLP on [200, 2500] without lane costs; the first
+        # crossing lies in the lattice cell [200, 271.875]
+        s = load_scenario({
+            "solver": {"f_cap": 400.0},
+            "lane_costs": {key: 0.0 for key in (
+                "ebl_fixed", "ebl_variable_per_mi", "hovl_fixed", "hovl_variable_per_mi"
+            )},
+        })
+        boundary, cells = threshold._boundary, []
+
+        def counted(scenario, below, above, q0_lo, q0_hi):
+            cells.append((q0_lo, q0_hi))
+            return boundary(scenario, below, above, q0_lo, q0_hi)
+
+        monkeypatch.setattr(threshold, "_boundary", counted)
+        res = find_threshold(s, Policy.MTP, Policy.EBLP, 200.0, 2500.0)
+        assert res.q0_star == pytest.approx(238.46, abs=0.01)
+        assert (res.cheaper_below, res.cheaper_above) == (Policy.MTP, Policy.EBLP)
+        assert cells == [(200.0, 271.875)]
+        cells.clear()
+        regions = policy_regions(s, (200.0, 2500.0), 72.0)
+        assert [r.policy for r in regions] == [Policy.MTP, Policy.EBLP] * 2
+        assert len(cells) == 3
+
     @staticmethod
     def _infeasible_at(monkeypatch, bad) -> list[float]:
         """Make HOVLP infeasible at every density that ``bad`` accepts."""
