@@ -34,11 +34,23 @@ intersection).  A cost term whose demand scale (or binomial row entry) is 0
 adds 0, even where its rate overflowed to inf or NaN, so the all-auto and
 all-bus shares stay priced whatever the other mode's rates.
 
+The table also keeps every term under the rate it prices, tagged by a field
+of ``costmodel._Rates`` and whose entry it is: ``aboard[class]``, ``stop``,
+``bus_trip``, ``auto_trip``, ``round_trip``, ``fixed[component]`` and
+``delay[mode]``.  ``part_cells`` and ``part_values`` split ``poly``'s
+coefficients by tag, each kernel-group column carries its tag, and
+``pay_tags`` tags the wait pay and the signal pay rows.
+``costmodel._payer``, which the reference evaluator's components read too,
+maps a tag's class, mode or component to the
+:class:`~lanepolicy.costmodel.CostBreakdown` component that pays it.
+
 :class:`FrequencySweep` is a cheap view of the table at one or many auto
-shares, each at one q0 or at its own.  It reproduces
-`costmodel.cost_breakdown` totals to floating-point reordering error (the
-expansion and the kernels are algebraically exact); property tests pin the
-two paths together.
+shares, each at one q0 or at its own.  Its :meth:`~FrequencySweep.totals`
+reproduce `costmodel.cost_breakdown` totals to floating-point reordering
+error (the expansion and the kernels are algebraically exact), and its
+:meth:`~FrequencySweep.breakdowns` the four components, each summed over its
+tags.  The totals the search compares never read the tags, so the tags move
+none of them; property tests pin the two paths together.
 
 :meth:`FrequencySweep.row_minima` prices signal delay only where its value
 at F = 0, a lower bound, does not exceed the row's best priced total.  Delay
@@ -72,7 +84,8 @@ import numpy as np
 
 from .config import Scenario
 from .costmodel import (
-    LANE_TABLE, Policy, _loads, _rates, _time_law, _wait, _wait_load, intersection_delay,
+    _COMPONENTS, LANE_TABLE, Policy, _loads, _payer, _rates, _time_law, _wait, _wait_load,
+    intersection_delay,
 )
 from .demand import _operating_point
 from .errors import ValidationError
@@ -129,6 +142,7 @@ class _KernelGroup(NamedTuple):
     beta: float
     kernels: np.ndarray  # (nodes, terms)
     powers: np.ndarray  # (terms, 3) exponents of a, b and F; F's is 0 or 1
+    tags: np.ndarray  # (terms,) each term's index in the table's tags
 
 
 def _kernel_terms(group: _KernelGroup, a, b, f, kernels) -> np.ndarray:
@@ -177,6 +191,14 @@ class _MomentTable(NamedTuple):
     # $/s of delay
     signals: np.ndarray
     kernels: tuple[_KernelGroup, ...]  # congestion of the exponents without a binomial degree
+    # The same terms kept apart by the rate each prices: a tag is a field of
+    # costmodel._Rates and whose entry it is, a traveler class, a mode or a
+    # component, which costmodel._payer maps to the component that pays it.
+    tags: tuple[tuple[str, str], ...]
+    # poly's coefficients apart by tag: each nonzero one's (tag, j, m, k) and value
+    part_cells: np.ndarray
+    part_values: np.ndarray
+    pay_tags: tuple[int, int, int]  # the tags of wait_pay and of signal rows pax_a and pax_b
 
 
 @lru_cache(maxsize=64)
@@ -191,46 +213,63 @@ def _moment_table(scenario: Scenario, policy: Policy) -> _MomentTable:
     weights = grid.simpson_weights * origins  # demand density quadrature
     lanes = LANE_TABLE[policy](scenario)
 
-    # per (lane group, class): (node column, powers of a, b and F) pairs, each cost
-    # a^j b^m F^k * (t @ column) at the class's per-mile time t: the operator's
+    # per (lane group, class): (node column, powers of a, b and F, tag) triples, each
+    # cost a^j b^m F^k * (t @ column) at the class's per-mile time t: the operator's
     # round trip per bus, and each term rate*Q^p of the class's rate aboard at bus
     # load Q = b*upstream, paid by its share of the riders of a (j = 1) or b (m = 1)
     ride = cumulative_kernel(weights, grid)  # cumulative_values(t) @ weights == t @ ride
+    tags = {}  # (_Rates field, whose entry) -> index, in first-use order
+
+    def tag(field: str, who: str) -> int:
+        return tags.setdefault((field, who), len(tags))
+
+    pay_tags = tag("stop", "bus"), tag("delay", "auto"), tag("delay", "bus")
     costs = []
     for i, s in enumerate(lanes.streams):
         riders = [(name, share, 1, 0) for name, share, _ in s.autos]
         if s.buses:
-            costs.append((i, "bus", [(rates.round_trip * grid.simpson_weights, (0, 0, 1))]))
+            round_trip = rates.round_trip * grid.simpson_weights
+            costs.append((i, "bus", [(round_trip, (0, 0, 1), tag("round_trip", "bus_operator"))]))
             riders.insert(0, ("bus", 1.0, 0, 1))
         for name, share, j, m in riders:
-            costs.append((i, name, [(rate * share * upstream**p * ride, (j, m + p, 0))
+            costs.append((i, name, [(rate * share * upstream**p * ride, (j, m + p, 0),
+                                     tag("aboard", name))
                                     for p, rate in enumerate(rates.aboard[name])]))
 
     # an integer exponent up to the degree cap expands binomially; any other keeps
     # free flow in poly and its congestion in one kernel group per (lane group, exponent)
-    blocks, terms = [], {}  # blocks: (coefficients on a^j F^k, their offset in poly)
+    blocks, terms = [], {}  # blocks: (coefficients on a^j F^k, their offset in poly, tag)
     for i, name, columns in costs:
         t0, alpha, beta = _time_law(scenario, name)
         if float(beta).is_integer() and beta <= _MAX_POLY_DEGREE:
             rows = _time_rows(*groups[i], alpha, int(beta))
         else:
             rows = np.ones((1, 1, nodes.size))
-            terms.setdefault((i, beta), []).extend((t0 * alpha * c, p) for c, p in columns)
-        blocks += [(t0 * _contract(rows, column), powers) for column, powers in columns]
-    poly = np.zeros(np.max([np.add(p, (len(c), 1, len(c))) for c, p in blocks], axis=0))
-    for c, (j, m, k) in blocks:
-        poly[j : j + len(c), m, k : k + len(c)] += c
+            terms.setdefault((i, beta), []).extend((t0 * alpha * c, p, t) for c, p, t in columns)
+        blocks += [(t0 * _contract(rows, c), p, t) for c, p, t in columns]
     kernels = tuple(
         _KernelGroup(groups[i][0] / groups[i][2], groups[i][1] / groups[i][2], beta,
-                     np.column_stack([c for c, _ in cols]), np.array([p for _, p in cols]))
+                     np.column_stack([c for c, _, _ in cols]), np.array([p for _, p, _ in cols]),
+                     np.array([t for _, _, t in cols]))
         for (i, beta), cols in terms.items()
     )
     per_pax = sum(share / occupancy for s in lanes.streams for _, share, occupancy in s.autos)
     fixed, per_mi = rates.auto_trip
-    poly[1, 0, 0] += float((fixed + per_mi * nodes) @ weights) * per_pax
     boardings = float(np.sum(weights))
-    poly[0, 1, 0] += rates.bus_trip * boardings
-    poly[0, 0, 0] += sum(rates.fixed.values())
+    # the money terms after the time-priced ones; nothing else lands in poly[0, 0, 0],
+    # so adding the fixed costs one at a time from 0 gives it their sum
+    blocks += [
+        (np.array([[float((fixed + per_mi * nodes) @ weights) * per_pax]]), (1, 0, 0),
+         tag("auto_trip", "auto")),
+        (np.array([[rates.bus_trip * boardings]]), (0, 1, 0), tag("bus_trip", "bus")),
+        *((np.array([[cost]]), (0, 0, 0), tag("fixed", key)) for key, cost in rates.fixed.items()),
+    ]
+    poly = np.zeros(np.max([np.add(p, (len(c), 1, len(c))) for c, p, _ in blocks], axis=0))
+    parts = np.zeros((len(tags), *poly.shape))
+    for c, (j, m, k), t in blocks:
+        cells = np.s_[j : j + len(c), m, k : k + len(c)]
+        poly[cells] += c
+        parts[t][cells] += c
 
     # intersections: the value of a second of delay to each mode's riders who pay it
     autos, buses, capacity, auto_share, bus_share, riders = signal_loads
@@ -238,7 +277,9 @@ def _moment_table(scenario: Scenario, policy: Policy) -> _MomentTable:
                 for mode, share in (("auto", auto_share), ("bus", bus_share)))
     signals = np.vstack([autos, buses, capacity, *pay_rows])
     wait_pay, wait_load = rates.stop * boardings, _wait_load(scenario.bus, upstream, weights)
-    return _MomentTable(poly, wait_pay, wait_load, signals, kernels)
+    cells = np.nonzero(parts)
+    return _MomentTable(poly, wait_pay, wait_load, signals, kernels, tuple(tags),
+                        np.transpose(cells), parts[cells], pay_tags)
 
 
 class FrequencySweep:
@@ -247,7 +288,8 @@ class FrequencySweep:
     Each of ``q0`` and ``auto_share`` is one value or a 1-D array aligned
     with the other; each (q0, R) point is one row.  Building a sweep looks
     up the (scenario, policy) moment table; :meth:`totals` then prices any
-    number of candidate-frequency rows.
+    number of candidate-frequency rows, and :meth:`breakdowns` the cost
+    components at one frequency per row.
     """
 
     def __init__(self, scenario: Scenario, policy: Policy, q0, auto_share):
@@ -278,6 +320,39 @@ class FrequencySweep:
 
     # an alias because bench/spans.py wraps this name
     _fallback_totals = totals
+
+    @_overflow_unwarned
+    def breakdowns(self, f_values) -> np.ndarray:
+        """The four cost components ($/hr, in ``costmodel._COMPONENTS`` order)
+        at one frequency per row (a 1-D array, or one value for every row),
+        an (n, 4) array; a sweep of one row takes any number of frequencies.
+
+        Each term of the table is priced at its cell and added to the
+        component that pays its tag's rate.  Every step is elementwise across
+        cells, so a cell's components do not depend on the other cells.
+        """
+        a, b, f = np.broadcast_arrays(
+            self._q0s * self._shares, self._q0s * (1.0 - self._shares), _candidates(f_values)
+        )
+        table = self._table
+        by_tag = np.zeros((len(table.tags), f.size))
+        scales = [x[:, None] ** np.arange(n) for x, n in zip((a, b, f), table.poly.shape)]
+        for (t, j, m, k), value in zip(table.part_cells, table.part_values):
+            by_tag[t] += _paid(value, scales[0][:, j] * scales[1][:, m] * scales[2][:, k])
+        for group in table.kernels:
+            for t, term in zip(group.tags, _kernel_terms(group, a, b, f, group.kernels).T):
+                by_tag[t] += term
+        wait, delay_a, delay_b = table.pay_tags
+        by_tag[wait] += self._waiting(b, f)
+        base, slope, capacity, pax_a, pax_b = table.signals[..., None]
+        seconds = intersection_delay(self.scenario.signal, base * a + slope * f, capacity)
+        for pay_a, pay_b, column in zip(pax_a, pax_b, seconds):
+            by_tag[delay_a] += _paid(pay_a, a) * column
+            by_tag[delay_b] += _paid(pay_b, b) * column
+        out = np.zeros((f.size, len(_COMPONENTS)))
+        for (_, who), row in zip(table.tags, by_tag):
+            out[:, _COMPONENTS.index(_payer(who))] += row
+        return out
 
     @_overflow_unwarned
     def row_minima(self, rows: np.ndarray):

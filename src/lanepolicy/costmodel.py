@@ -194,6 +194,15 @@ def _group_of(ctx: EvaluationContext, policy: Policy, traveler_class: str) -> in
 _COMPONENTS = ("bus_user", "bus_operator", "auto_user", "signal")
 
 
+def _payer(who: str) -> str:
+    """The cost component that pays ``who``'s costs: a traveler class's or a
+    mode's own (bus riders' in bus_user, every auto class's in auto_user), or
+    the operator's and each fixed cost's, which a component name keys."""
+    if who in _COMPONENTS:
+        return who
+    return "bus_user" if who == "bus" else "auto_user"
+
+
 def _checked(name: str, value) -> float:
     """A cost component with roundoff-scale negatives clipped to 0."""
     v = float(value)
@@ -592,25 +601,24 @@ def _disutility_gap(ctx: EvaluationContext, policy: Policy, signed: bool):
     return integrate_values(diff * weight, ctx.grid) / integrate_values(weight, ctx.grid)
 
 
-def _bus_operator_cost(ctx: EvaluationContext, policy: Policy):
-    rates = _rates(ctx.scenario, policy)
-    line_haul = line_haul_time(ctx, policy, "bus")[..., -1]
-    return rates.fixed["bus_operator"] + rates.round_trip * line_haul * ctx.frequency
-
-
 @_overflow_unwarned
 def _components(ctx: EvaluationContext, policy: Policy):
-    """The four cost components in :data:`_COMPONENTS` order, unchecked."""
+    """The four cost components in :data:`_COMPONENTS` order, unchecked: each
+    mode's user cost, the operator's round trips and each fixed cost, each in
+    the component :func:`_payer` names."""
     if np.any((np.asarray(ctx.frequency) == 0) & ((1.0 - ctx.auto_share) * ctx.q0 > 0)):
         raise UndefinedServiceError(
             "bus demand is positive but frequency is zero; waiting time is undefined"
         )
-    return (
-        _user_cost(ctx, policy, "bus"),
-        _bus_operator_cost(ctx, policy),
-        _user_cost(ctx, policy, "auto"),
-        _rates(ctx.scenario, policy).fixed["signal"],
-    )
+    rates = _rates(ctx.scenario, policy)
+    out = dict.fromkeys(_COMPONENTS, 0.0)
+    for mode in ("bus", "auto"):
+        out[_payer(mode)] = _user_cost(ctx, policy, mode)
+    line_haul = line_haul_time(ctx, policy, "bus")[..., -1]
+    out[_payer("bus_operator")] = rates.round_trip * line_haul * ctx.frequency
+    for key, value in rates.fixed.items():
+        out[_payer(key)] = out[_payer(key)] + value
+    return tuple(out[name] for name in _COMPONENTS)
 
 
 def cost_breakdown(

@@ -27,9 +27,12 @@ on the block it was solved in.
 :func:`optimize_frequency` is the one-share case and :func:`optimize_policy`
 the one-density case of :func:`optimize_policies`; ``_best_split_at_fixed_f``
 is the split scan at a frequency the caller pins (``lanepolicy cost --F``).  The winning operating
-points of a call are then priced by one
-:func:`~lanepolicy.costmodel.cost_breakdowns` call, which gives every float
-of the one-point :func:`~lanepolicy.costmodel.cost_breakdown`.
+points of a call are then priced from the same moment table, by one
+:meth:`~lanepolicy._fsweep.FrequencySweep.breakdowns` call that sums each
+cost component on its own; it works cell by cell, so an optimum's breakdown
+does not depend on the batch either.  The node-level reference evaluator
+prices no winner: here :func:`~lanepolicy.costmodel.cost_breakdowns` serves
+only :func:`foc_residual`, and tests hold the two paths together.
 
 Two diagnostics are functions that callers evaluate at an optimum: a
 central finite difference of total cost in F (:func:`foc_residual`) and the
@@ -239,14 +242,17 @@ def foc_residual(
     scenario: Scenario, policy: Policy, q0: float, auto_share: float, frequency: float,
     step: float = 0.01,
 ) -> float:
-    """Central finite difference of total cost in frequency, $/(bus/hr)."""
+    """Central finite difference of total cost in frequency, $/(bus/hr), over
+    the spread between the two frequencies as rounded."""
     if not 0 < step < np.inf:
         raise ValidationError(f"step must be finite and > 0, got {step}")
     if frequency - step <= 0:
         raise ValidationError(f"frequency must exceed the step {step}, got {frequency}")
-    points = [q0] * 2, [auto_share] * 2, [frequency + step, frequency - step]
-    up, down = cost_breakdowns(scenario, policy, *points)
-    return (up.total - down.total) / (2.0 * step)
+    f_up, f_down = frequency + step, frequency - step
+    up, down = cost_breakdowns(scenario, policy, [q0] * 2, [auto_share] * 2, [f_up, f_down])
+    if f_up == f_down:  # after the pricing has checked the point
+        raise ValidationError(f"step {step} is too small to move frequency {frequency}")
+    return (up.total - down.total) / (f_up - f_down)
 
 
 def equilibrium_gap(
@@ -421,8 +427,9 @@ def _solve_policies(scenario: Scenario, policy: Policy, q0s: np.ndarray) -> list
     that stopped its search.  One (n, 3) array holds every (cost, bus share,
     frequency), cost inf without a split.  Cost-min splits are searched in blocks
     of :data:`_CELL_BLOCK` lattice cells; the ``equilibrium`` rule solves each
-    positive density on its own.  The winners are priced in one
-    :func:`~lanepolicy.costmodel.cost_breakdowns` call."""
+    positive density on its own.  The winners' components are priced from the
+    moment table in one :meth:`~lanepolicy._fsweep.FrequencySweep.breakdowns`
+    call (:func:`_optima`)."""
     solver = scenario.solver
     splits, errors = np.full((q0s.size, 3), np.inf), {}
     equilibrium = (q0s > 0) & (solver.split_rule == "equilibrium")
@@ -446,7 +453,8 @@ def _solve_policies(scenario: Scenario, policy: Policy, q0s: np.ndarray) -> list
 
 def _optima(scenario: Scenario, policy: Policy, q0s: np.ndarray, splits: np.ndarray) -> list:
     """The optima at densities ``q0s`` from the bus-share and frequency columns
-    of their (cost, bus share, frequency) rows, the winners priced together."""
+    of their (cost, bus share, frequency) rows, the winners' components priced
+    together from the moment table."""
     auto_shares, f_stars = 1.0 - splits[:, 1], splits[:, 2]
     f_mins = min_frequency(scenario, q0s, auto_shares)
     for f_star, f_min in zip(f_stars, f_mins):
@@ -454,7 +462,7 @@ def _optima(scenario: Scenario, policy: Policy, q0s: np.ndarray, splits: np.ndar
             raise InfeasibleError(
                 f"internal error: optimized frequency {f_star} violates the capacity floor {f_min}"
             )
-    breakdowns = cost_breakdowns(scenario, policy, q0s, auto_shares, f_stars)
+    components = FrequencySweep(scenario, policy, q0s, auto_shares).breakdowns(f_stars)
     binding = np.abs(f_stars - f_mins) <= scenario.solver.f_refine_step / 2.0 + _FLOOR_SLACK
     return [
         PolicyOptimum(
@@ -462,11 +470,11 @@ def _optima(scenario: Scenario, policy: Policy, q0s: np.ndarray, splits: np.ndar
             q0=float(q0),
             r_star=float(auto_share),
             f_star=float(f_star),
-            breakdown=breakdown,
+            breakdown=CostBreakdown(*row),
             constraint_binding=bool(bound),
         )
-        for q0, auto_share, f_star, breakdown, bound in zip(
-            q0s, auto_shares, f_stars, breakdowns, binding
+        for q0, auto_share, f_star, row, bound in zip(
+            q0s, auto_shares, f_stars, components, binding
         )
     ]
 

@@ -104,6 +104,23 @@ class TestCostCommand:
         )
         assert "constraint_binding" in results
 
+    @pytest.mark.parametrize("policy", ["mtp", "eblp", "hovlp"])
+    @pytest.mark.parametrize("q0", [150.0, 658.0, 1476.0])
+    def test_optimum_prices_like_its_pinned_point(self, tmp_path, capsys, policy, q0):
+        # the optimum's components come from the moment table, the pinned
+        # point's from the node-level evaluator
+        point = ["cost", "--policy", policy, "--q0", str(q0), "--out-dir", str(tmp_path)]
+        assert main([*point, "--run-name", "optimized"]) == 0
+        optimized = read_manifest(tmp_path / "optimized")["results"]
+        pinned_point = ["--R", repr(optimized["R"]), "--F", repr(optimized["F"])]
+        capsys.readouterr()
+        assert main([*point, *pinned_point, "--run-name", "pinned"]) == 0
+        printed = capsys.readouterr().out
+        pinned = read_manifest(tmp_path / "pinned")["results"]
+        assert pinned["breakdown"] == pytest.approx(optimized["breakdown"], rel=1e-12, abs=0.0)
+        for name, cost in optimized["breakdown"].items():
+            assert "%-13s $%.2f/hr" % (name, cost) in printed
+
     @pytest.mark.parametrize(
         "policy,q0,f,r_expected,total_expected",
         [
@@ -664,7 +681,9 @@ def test_a_mode_without_travelers_is_priced_whatever_its_rate(tmp_path, rate, r_
     pinned_point = ["--R", repr(r_star), "--F", repr(results["F"]), "--run-name", "pinned"]
     assert main([*point, *pinned_point]) == 0
     pinned = read_manifest(tmp_path / "pinned")["results"]
-    assert pinned["breakdown"]["total"] == results["breakdown"]["total"]
+    # the optimum is priced from the moment table, the pinned point by the
+    # node-level evaluator
+    assert pinned["breakdown"] == pytest.approx(results["breakdown"], rel=1e-12)
 
 
 def test_module_entry_point(tmp_path):

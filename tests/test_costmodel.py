@@ -643,9 +643,15 @@ class TestFrequencySweep:
             "solver": {"n_cells": 60},
         })
         fs = np.array([1.0, 7.5, 40.0, 120.0])
-        direct = [b.total for b in cost_breakdowns(scen, policy, q0, r, fs)]
-        fast = FrequencySweep(scen, policy, q0, r).totals(fs)
-        np.testing.assert_allclose(fast, direct, rtol=5e-12)
+        priced = cost_breakdowns(scen, policy, q0, r, fs)
+        direct = np.array([dataclasses.astuple(breakdown) for breakdown in priced])
+        sweep = FrequencySweep(scen, policy, q0, r)
+        np.testing.assert_allclose(sweep.totals(fs), direct[:, -1], rtol=5e-12)
+        # each component on its own, as the optimizer builds its breakdowns; a
+        # subnormal component (at r = 5e-324, say) rounds to its absolute spacing
+        np.testing.assert_allclose(
+            sweep.breakdowns(fs), direct[:, :-1], rtol=5e-12, atol=np.finfo(float).tiny
+        )
 
     def test_vector_evaluation_matches_scalar_loop(self, baseline: Scenario):
         sweep = FrequencySweep(baseline, Policy.MTP, 800.0, 0.7)

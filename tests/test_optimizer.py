@@ -139,7 +139,12 @@ class TestFocResidual:
             r, f, step = opt.r_star, opt.f_star, 0.01
             up = cost_breakdown(scen, policy, q0, r, f + step).total
             down = cost_breakdown(scen, policy, q0, r, f - step).total
-            assert foc_residual(scen, policy, q0, r, f) == (up - down) / (2.0 * step)
+            assert foc_residual(scen, policy, q0, r, f) == (up - down) / ((f + step) - (f - step))
+
+    def test_a_step_too_small_to_move_the_frequency_fails(self):
+        # 10 +/- 1e-300 rounds to 10: there is no difference to divide
+        with pytest.raises(ValidationError, match=r"^step 1e-300 is too small to move frequency"):
+            foc_residual(Scenario(), Policy.MTP, 1000.0, 0.5, 10.0, step=1e-300)
 
 
 class TestEquilibriumGap:
@@ -362,6 +367,22 @@ def _golden_scenario(name: str) -> Scenario:
 
 
 @pytest.mark.parametrize("name", ["baseline", "seattle_i5", "seattle_sr99", "contrast"])
+def test_golden_breakdowns_match_the_reference_evaluator(name):
+    # the moment table prices each winner's components; the node-level
+    # evaluator's cumulative line haul rounds the operator's up to 7e-15 apart
+    scen = _golden_scenario(name)
+    for scen_name, policy, q0 in _GOLDEN_OPTIMA:
+        if scen_name != name:
+            continue
+        opt = optimize_policy(scen, Policy(policy), q0)
+        ref = cost_breakdown(scen, Policy(policy), q0, opt.r_star, opt.f_star)
+        np.testing.assert_allclose(
+            dataclasses.astuple(opt.breakdown), dataclasses.astuple(ref), rtol=1e-14, atol=0.0,
+            err_msg=f"{policy} {q0}",
+        )
+
+
+@pytest.mark.parametrize("name", ["baseline", "seattle_i5", "seattle_sr99", "contrast"])
 def test_golden_optima(name):
     scen = _golden_scenario(name)
     for (scen_name, policy, q0), (r_star, f_star, total) in _GOLDEN_OPTIMA.items():
@@ -543,31 +564,14 @@ class TestOptimizePolicies:
         assert after.hits == before.hits + len(_BATCH_Q0)
 
     @pytest.mark.parametrize("n_densities", [1, 5, 40])
-    def test_winners_priced_without_scalar_breakdowns(self, baseline, n_densities, monkeypatch):
+    def test_winners_priced_from_the_moment_table(self, baseline, n_densities, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("scalar cost_breakdown called")
+            raise AssertionError("reference evaluator called")
 
-        calls, passes = [], []
-        breakdowns, components = costmodel.cost_breakdowns, costmodel._components
-
-        def called(scenario, policy, q0, auto_share, frequency):
-            calls.append(np.size(q0))
-            return breakdowns(scenario, policy, q0, auto_share, frequency)
-
-        def priced(ctx, policy):
-            passes.append(np.size(ctx.q0))
-            return components(ctx, policy)
-
-        assert not hasattr(optimizer, "cost_breakdown")  # the optimizer cannot call it
-        monkeypatch.setattr(costmodel, "cost_breakdown", refuse)
-        monkeypatch.setattr(optimizer, "cost_breakdowns", called)
-        monkeypatch.setattr(costmodel, "_components", priced)
+        monkeypatch.setattr(costmodel, "_components", refuse)
         optimizer._optimize_policy_cached.cache_clear()
         q0s = list(np.linspace(100.0, 2000.0, n_densities) + 0.123)  # cold densities
         optima = optimize_policies(baseline, Policy.EBLP, q0s)
-        block = costmodel._PRICE_BLOCK
-        assert calls == [n_densities]  # one call for the memo's batch
-        assert passes == [min(block, n_densities - k) for k in range(0, n_densities, block)]
         optimizer._optimize_policy_cached.cache_clear()
         monkeypatch.undo()
         assert [_record(opt) for opt in optima] == [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -130,6 +131,20 @@ def test_the_cli_restates_no_library_check():
     restated = re.compile(r"\d(\.\d+)?e-\d|\bargs\.(F|n|q0_lo|q0_hi)\b[^\n]*[<>]|isfinite")
     source = (Path(lanepolicy.__path__[0]) / "cli.py").read_text()
     assert restated.findall(source) == []
+
+
+def test_the_optimizer_prices_only_its_finite_difference_at_the_nodes():
+    # the search's winners are priced from the moment table; only foc_residual
+    # calls the node-level evaluator's cost_breakdowns
+    tree = ast.parse((Path(lanepolicy.__path__[0]) / "optimizer.py").read_text())
+    callers = [
+        getattr(scope, "name", "<module>")
+        for scope in tree.body
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Call)
+        and "cost_breakdowns" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert callers == ["foc_residual"]
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)
