@@ -95,7 +95,13 @@ __all__ = ["FrequencySweep"]
 
 _MAX_POLY_DEGREE = 12
 _KERNEL_BLOCK = 1 << 14  # node values per power profile block on the kernel path
-_DELAY_BLOCK = 1 << 18  # delay terms per intersection_delay call, to bound temporaries
+# Delay terms (signal columns x cells) per intersection_delay call, at least
+# one column.  A call holds about ten temporaries of its size, 32 KiB each
+# here: a 19-density search block's F = 0 column (19 x 101 shares) goes two
+# signal columns a call.  All 20 at once (1 << 18) took one cold 19-density
+# HOVLP call's traced peak from 1.13 to 2.46 MiB.  Columns still add in
+# table order, so no float moves.
+_DELAY_BLOCK = 1 << 12
 _BOUND_BLOCKS = 8  # frequency blocks per row in FrequencySweep.lower_bounds
 
 

@@ -1,13 +1,14 @@
 """Deterministic numerical primitives used by every other module.
 
 Quadrature is composite Simpson on a fixed, evenly spaced corridor grid over
-node-sampled values; the cumulative variant integrates pairwise so that its
-final node reproduces the plain composite rule bit for bit.  Both take
-stacked integrands whose last axis runs over the nodes, and give each row
-exactly its one-row result.  Root finding is bisection batched over the
-bisection tree: each call of the function prices every midpoint that the
-next two steps could visit, and the walk makes the one-point bisection's
-decisions, so it returns the one-point result bit for bit.
+node-sampled values; the cumulative variant integrates pairwise, so its final
+node is the plain composite rule summed in another order: equal to rounding,
+not bit for bit.  Both take stacked integrands whose last axis runs over the
+nodes, and give each row exactly its one-row result.  Root finding is
+bisection batched over the bisection tree: each call of the function prices
+every midpoint that the next two steps could visit, and the walk makes the
+one-point bisection's decisions, so it returns the one-point result bit for
+bit.
 """
 
 from __future__ import annotations
@@ -111,8 +112,11 @@ def cumulative_values(values: Sequence[float] | np.ndarray, grid: CorridorGrid) 
 
     Even nodes accumulate the standard Simpson pair rule h/3*(f0 + 4 f1 + f2);
     odd nodes add the half-pair value of the same local quadratic,
-    h/12*(5 f0 + 8 f1 - f2).  The final entry therefore equals composite
-    Simpson over the full grid exactly.  The half-pair weights assume the
+    h/12*(5 f0 + 8 f1 - f2).  The final entry is therefore composite Simpson
+    over the full grid, summed as a sequential running sum of the pair
+    increments where :func:`integrate_values` takes one dot product with the
+    Simpson weights: the two agree to rounding, not bit for bit (7.4e-15
+    relative on a 600-cell bus time profile).  The half-pair weights assume the
     integrand is smooth at cell scale; a sharp spike confined to one cell can
     make an odd-node increment overshoot.
     """

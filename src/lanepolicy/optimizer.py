@@ -365,13 +365,15 @@ def _best_split_equilibrium(scenario: Scenario, policy: Policy, q0: float):
 
 
 # Lattice cells (density x coarse share x integer frequency) per cost-min
-# search block, to bound the search's temporaries: nine densities on the
-# default 101-share, 120-bus/hr lattice.  Only shares that can win build a
-# frequency lattice, so most of a block's temporaries are its refined
-# windows' lattices and its shares' bound terms.  On the `schedule` benchmark
-# this size keeps peak RSS at the unpruned 3-density search's; each further
-# 40,000 cells added about 0.6 MiB.
-_CELL_BLOCK = 120_000
+# search block, to bound the search's temporaries: 19 densities on the
+# default 101-share, 121-frequency lattice.  With signal delay priced
+# _fsweep._DELAY_BLOCK terms at a time, a block's peak is the whole-lattice
+# arrays of the refined pass's row_minima and the shares' (rows x 9) bound
+# terms: one cold 19-density HOVLP call on the contrast scenario peaks at
+# 1.13 MiB traced, 39 densities at 1.99 MiB.  On the `schedule` benchmark
+# this size reads 38.6 MiB peak RSS against the 9-density blocks' 38.8;
+# 300,000 cells read 38.75 and were no faster, 360,000 read 38.9.
+_CELL_BLOCK = 240_000
 
 _CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
 
@@ -426,7 +428,9 @@ def _solve_policies(scenario: Scenario, policy: Policy, q0s: np.ndarray) -> list
     """Each density's :class:`PolicyOptimum`, or the :class:`InfeasibleError`
     that stopped its search.  One (n, 3) array holds every (cost, bus share,
     frequency), cost inf without a split.  Cost-min splits are searched in blocks
-    of :data:`_CELL_BLOCK` lattice cells; the ``equilibrium`` rule solves each
+    of :data:`_CELL_BLOCK` lattice cells (19 densities by default; a block's
+    whole-lattice arrays bound its peak, 1.13 MiB traced at 19, since signal
+    delay is priced in small chunks); the ``equilibrium`` rule solves each
     positive density on its own.  The winners' components are priced from the
     moment table in one :meth:`~lanepolicy._fsweep.FrequencySweep.breakdowns`
     call (:func:`_optima`)."""

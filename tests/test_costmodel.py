@@ -806,13 +806,30 @@ class TestFrequencySweep:
             self._check_row_minima(sweep, rows)
             assert sweep.priced < np.count_nonzero(~np.isnan(rows))
 
-    def test_delay_blocks_keep_every_float(self, baseline: Scenario, monkeypatch):
-        # smaller blocks bound the delay temporaries; the addition order is the same
-        sweep = FrequencySweep(baseline, Policy.HOVLP, 1500.0, self._SHARES)
-        rows = np.tile(np.arange(1.0, 61.0), (self._SHARES.size, 1))
-        whole = sweep.totals(rows)
-        monkeypatch.setattr("lanepolicy._fsweep._DELAY_BLOCK", 500)
-        np.testing.assert_array_equal(sweep.totals(rows), whole)
+    def test_delay_blocks_keep_every_float(self, contrast: Scenario, monkeypatch):
+        # smaller blocks bound the delay temporaries; the addition order is the
+        # same.  Rows as the coarse split pass stacks them: every share of
+        # each density, integer F from the share's floor
+        shares = np.tile(np.linspace(0.0, 1.0, 101), 3)
+        q0s = np.repeat([600.0, 660.0, 720.0], 101)
+        floor, cap = min_frequency(contrast, q0s, shares), contrast.solver.f_cap
+        q0s, shares, floor = (x[floor <= cap] for x in (q0s, shares, floor))
+        lattice = np.arange(1.0, cap + 1.0)
+        rows = np.where(lattice >= np.ceil(floor - 1e-9)[:, None], lattice, np.nan)
+
+        def priced():
+            sweep = FrequencySweep(contrast, Policy.HOVLP, q0s, shares)
+            delay = sweep._share_terms[3]  # the F = 0 column, built under this block size
+            bounds = sweep.lower_bounds(np.maximum(1.0, floor - 1e-9), cap)
+            return (delay, bounds, sweep.totals(rows), *sweep.row_minima(rows))
+
+        default = _fsweep._DELAY_BLOCK
+        monkeypatch.setattr(_fsweep, "_DELAY_BLOCK", 1)  # one signal column per call
+        one_column = priced()
+        for block in (default, 1 << 30):
+            monkeypatch.setattr(_fsweep, "_DELAY_BLOCK", block)
+            for got, want in zip(priced(), one_column):
+                np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("beta_auto,n_cells", [(4.0, 600), (4.5, 20)])
     def test_per_share_densities_match_separate_sweeps(self, beta_auto, n_cells):

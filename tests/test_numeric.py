@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lanepolicy import BracketError, NumericDomainError, ValidationError
+from lanepolicy import BracketError, NumericDomainError, Policy, Scenario, ValidationError
 from lanepolicy import numeric
+from lanepolicy.costmodel import build_context, unit_time_profile
 from lanepolicy.numeric import (
     CorridorGrid,
     cumulative_kernel,
@@ -89,6 +90,15 @@ class TestCumulative:
             integrate_values(vals, grid), rel=1e-12
         )
 
+    def test_last_entry_is_simpson_to_summation_rounding(self):
+        # a running sum of 300 pair increments, not Simpson's dot product: on
+        # this EBLP bus time profile the two differ by 7.4e-15 relative
+        scen = Scenario()
+        ctx = build_context(scen, 150.0, 0.0, 32.142857142857146)
+        profile = unit_time_profile(ctx, Policy.EBLP, "bus")
+        grid = scen.grid()
+        whole = integrate_values(profile, grid)
+        assert abs(cumulative_values(profile, grid)[-1] - whole) <= 1e-14 * whole
 
     @pytest.mark.parametrize("n_cells", [2, 4, 20, 600])
     def test_kernel_is_the_adjoint_of_the_cumulative_rule(self, n_cells):

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -528,6 +529,24 @@ class TestOptimizePolicies:
                 assert [_record(opt) for opt in optimize_policies(scen, policy, q0s)] == batch
         if name == "f_cap_37.5_equilibrium":
             assert failures  # the scenario covers infeasible densities
+
+    def test_a_block_of_densities_stays_small(self, contrast: Scenario):
+        # one default block: 19 densities x 101 shares.  The whole-lattice
+        # arrays of its passes peak at 1.13 MiB traced; pricing every share's
+        # F = 0 delay over all 20 signal columns at once took it to 2.46 MiB
+        q0s = np.linspace(600.0, 720.0, 19)
+        memo = optimizer._optimize_policy_cached
+        optimize_policies(contrast, Policy.HOVLP, [500.0])  # the moment table
+        memo.cache_clear()
+        tracemalloc.start()
+        try:
+            optimize_policies(contrast, Policy.HOVLP, q0s)
+            peak, misses = tracemalloc.get_traced_memory()[1], memo.cache_info().misses
+        finally:
+            tracemalloc.stop()
+            memo.cache_clear()
+        assert misses == q0s.size  # all cold
+        assert peak < 1.25 * 2**20, peak
 
     @pytest.mark.parametrize("q0s", [[658.0, 1e300, 1476.0, 0.0], [1e300, 2e300]],
                              ids=["mixed", "all_infeasible"])
