@@ -74,6 +74,7 @@ from .threshold import (
     cost_curve,
     find_threshold,
     policy_regions,
+    regions_and_thresholds,
     write_curves_csv,
 )
 from .stochastic import (
@@ -157,6 +158,7 @@ __all__ = [
     "cost_curve",
     "find_threshold",
     "policy_regions",
+    "regions_and_thresholds",
     "write_curves_csv",
     # demand simulation
     "OUParams",

@@ -30,10 +30,10 @@ from . import _files
 from ._version import __version__
 from .config import (
     Scenario,
+    _fingerprint,
     load_scenario,
     preset,
     preset_names,
-    scenario_fingerprint,
 )
 from .costmodel import _COMPONENTS, POLICY_ORDER, Policy, cost_breakdown
 from .errors import (
@@ -69,7 +69,7 @@ from .stochastic import (
     simulate_ensemble,
     write_trajectory_csv,
 )
-from .threshold import cost_curve, find_threshold, policy_regions, write_curves_csv
+from .threshold import cost_curve, regions_and_thresholds, write_curves_csv
 
 _HIGHLIGHT_NOTE = (
     "intersection count and waiting value-of-time are assumed defaults; "
@@ -174,7 +174,7 @@ def _base_manifest(command: str, argv: Sequence[str], scenario: Scenario) -> dic
         "argv": list(argv),
         "invocation": "lanepolicy " + shlex.join(argv),
         "started_utc": _utc_stamp(),
-        "scenario_fingerprint": scenario_fingerprint(scenario),
+        "scenario_fingerprint": _fingerprint(document),
         "scenario": document,
         "solver": document["solver"],
         "highlighted_defaults": {
@@ -281,10 +281,8 @@ def _cmd_sweep(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:
             curves,
         )
 
-        regions = [
-            {"q0_lo": r.q0_lo, "q0_hi": r.q0_hi, "policy": r.policy.value}
-            for r in policy_regions(scen, (lo, hi), (hi - lo) / (args.n - 1))
-        ]
+        regions, found = regions_and_thresholds(scen, (lo, hi), (hi - lo) / (args.n - 1))
+        regions = [{"q0_lo": r.q0_lo, "q0_hi": r.q0_hi, "policy": r.policy.value} for r in regions]
         run.csv(
             f"regions{tag}.csv",
             {"units": "q0=pax/hr/mi", "lane_capacity_vph": cap_value},
@@ -293,18 +291,16 @@ def _cmd_sweep(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:
             (("%.6f" % r["q0_lo"], "%.6f" % r["q0_hi"], r["policy"]) for r in regions),
         )
         regions_by_capacity["%g" % cap_value] = regions
-
-        for p1, p2 in itertools.combinations(POLICY_ORDER, 2):
-            found = find_threshold(scen, p1, p2, lo, hi)
-            thresholds.append(
-                {
-                    "lane_capacity_vph": cap_value,
-                    "pair": f"{p1.value}/{p2.value}",
-                    "q0_star": found.q0_star,
-                    "cheaper_below": found.cheaper_below.value,
-                    "cheaper_above": found.cheaper_above.value,
-                }
-            )
+        thresholds += [
+            {
+                "lane_capacity_vph": cap_value,
+                "pair": "/".join(p.value for p in t.pair),
+                "q0_star": t.q0_star,
+                "cheaper_below": t.cheaper_below.value,
+                "cheaper_above": t.cheaper_above.value,
+            }
+            for t in found
+        ]
 
     run.csv(
         "thresholds.csv",
@@ -337,8 +333,9 @@ def _cmd_sweep(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:
         "capacities": list(regions_by_capacity),
         "regions": regions_by_capacity,
         "thresholds": thresholds,
-        # policy_regions raises on the first density without an optimum,
-        # so every sweep that finishes priced all of its samples
+        # regions_and_thresholds raises for a density without an optimum,
+        # on a lattice or on a bisection's walk, so every sweep that
+        # finishes priced all of its samples
         "failed_samples": 0,
     }
 

@@ -353,7 +353,13 @@ def serialize(scenario: Scenario) -> str:
 
 def scenario_fingerprint(scenario: Scenario) -> str:
     """Stable hex digest identifying the full parameter set."""
-    return hashlib.sha256(serialize(scenario).encode("utf-8")).hexdigest()
+    return _fingerprint(dataclasses.asdict(scenario))
+
+
+def _fingerprint(document: dict) -> str:
+    """:func:`scenario_fingerprint` of the scenario whose
+    ``dataclasses.asdict`` document is ``document``."""
+    return hashlib.sha256(_files.json_text(document).encode("utf-8")).hexdigest()
 
 
 # Case-study corridors: geometry and free-flow speeds differ from baseline,

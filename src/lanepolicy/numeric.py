@@ -5,10 +5,10 @@ node-sampled values; the cumulative variant integrates pairwise, so its final
 node is the plain composite rule summed in another order: equal to rounding,
 not bit for bit.  Both take stacked integrands whose last axis runs over the
 nodes, and give each row exactly its one-row result.  Root finding is
-bisection batched over the bisection tree: each call of the function prices
-every midpoint that the next two steps could visit, and the walk makes the
-one-point bisection's decisions, so it returns the one-point result bit for
-bit.
+bisection batched over the bisection tree and over brackets: each call of
+the function prices every midpoint that the next two steps of every open
+bracket could visit, and each walk makes the one-point bisection's
+decisions, so every root is its bracket's one-point result bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "cumulative_kernel",
     "dot_rows",
     "find_root",
+    "find_roots",
 ]
 
 
@@ -176,17 +177,26 @@ def integrate_values(values: Sequence[float] | np.ndarray, grid: CorridorGrid):
     return float(out) if v.ndim == 1 else out
 
 
-# Bisection levels priced per call of ``g`` in :func:`find_root`: each call
-# prices every midpoint the next two steps could visit.  Deeper levels price
-# more points that the walk discards; on the threshold search three levels
-# were no faster than two, and four or more were slower.
+# Bisection levels priced per round of :func:`find_roots`: each round prices
+# every midpoint that each open bracket's next two steps could visit.  Deeper
+# levels price more points that the walks discard.  On the `sweep` benchmark
+# (one region boundary and two threshold crossings in lock-step; 2-vCPU host,
+# 8 alternating pairs, seeds 51-58, `--seconds 4`) three levels read 0.163 s of
+# `norm_wall_s` against two levels' 0.153 s and won 1 of 8 pairs; on the
+# one-bracket threshold search four or more levels were slower still.
 _BISECT_LEVELS = 2
-_NODES = 2**_BISECT_LEVELS - 1  # midpoints in one call's tree
+_NODES = 2**_BISECT_LEVELS - 1  # midpoints in one round's tree
 
 
-def _values(g: Callable[[np.ndarray], np.ndarray], points: list[float]) -> list[float]:
+def _values(
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray], points: list[float], owners: list[int]
+) -> list[float]:
+    """``g`` at ``points``, each named by its bracket in ``owners``; no call
+    of ``g`` for no points."""
+    if not points:
+        return []
     xs = np.array(points, dtype=float)
-    return np.broadcast_to(np.asarray(g(xs), dtype=float), xs.shape).tolist()
+    return np.broadcast_to(np.asarray(g(xs, np.array(owners)), dtype=float), xs.shape).tolist()
 
 
 def _not_finite(message: str, x: float) -> NumericDomainError:
@@ -216,13 +226,113 @@ def _midpoint_tree(a: float, b: float, tol: float) -> dict[int, float]:
     return tree
 
 
+class _Walk:
+    """One bracket's bisection: [a, b] with ``ga`` = g(a), and ``result``,
+    None while a step remains, then the root or the error that ended it."""
+
+    def __init__(self, a: float, b: float, ga: float, gb: float, tol: float) -> None:
+        self.a, self.b, self.ga, self.tol = a, b, ga, tol
+        self.result = None
+        if not (math.isfinite(ga) and math.isfinite(gb)):
+            self.result = _not_finite(
+                f"bracket endpoints evaluate non-finite: g({a})={ga}, g({b})={gb}",
+                a if not math.isfinite(ga) else b,
+            )
+        elif ga == 0.0:
+            self.result = a
+        elif gb == 0.0:
+            self.result = b
+        elif ga * gb > 0:
+            self.result = BracketError(
+                f"no sign change on [{a}, {b}]: g(a)={ga:.6g}, g(b)={gb:.6g}"
+            )
+        else:
+            self._settle()
+
+    def _settle(self) -> None:
+        """End the walk at its midpoint once no step remains: the width is
+        within ``tol``, or float resolution is exhausted."""
+        a, b = self.a, self.b
+        mid = 0.5 * (a + b)
+        if not b - a > self.tol or mid <= a or mid >= b:
+            self.result = mid
+
+    def descend(self, priced: dict[int, float]) -> None:
+        """Take the steps that ``priced``, g over this walk's midpoint tree,
+        decides, as the one-point bisection takes them."""
+        k = 0
+        while self.result is None and k < _NODES:
+            mid, gm = 0.5 * (self.a + self.b), priced[k]
+            if not math.isfinite(gm):
+                self.result = _not_finite(f"g is not finite at x={mid}", mid)
+            elif gm == 0.0:
+                self.result = mid
+            else:
+                if self.ga * gm < 0:
+                    self.b, k = mid, 2 * k + 1
+                else:
+                    self.a, self.ga, k = mid, gm, 2 * k + 2
+                self._settle()
+
+
+def find_roots(
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    brackets: Sequence[tuple[float, float]],
+    tol: float = 1e-9,
+) -> list[float]:
+    """Bisect ``g`` on every bracket (lo, hi) down to interval width ``tol``,
+    the brackets in lock-step.
+
+    ``g`` maps a 1-D array of points and the array of each point's bracket,
+    its index in ``brackets``, to the points' values (anything that
+    broadcasts to the points' shape).  One call prices every bracket's ends;
+    each later call, one per round, prices for every bracket still open
+    every midpoint that its next :data:`_BISECT_LEVELS` steps could visit.
+    Each walk then makes the one-point bisection's decisions in its order,
+    so each root is that bracket's one-point result bit for bit, and a
+    value at a point its walk does not visit is never read.
+
+    The error raised is the first failing bracket's, as if the brackets were
+    bisected one after another; its ``bracket`` attribute is that bracket's
+    index.  A bracket after a failed one is walked no further.
+
+    :raises BracketError: when g(lo) and g(hi) have the same sign.
+    :raises NumericDomainError: when ``g`` is not finite at a visited point;
+        its ``x`` attribute is the bracket's first such point.
+    """
+    if tol <= 0:
+        raise ValidationError(f"tol must be positive, got {tol}")
+    spans = [(lo, hi) if lo <= hi else (hi, lo) for lo, hi in brackets]
+    ends = _values(g, [x for span in spans for x in span], [i // 2 for i in range(2 * len(spans))])
+    walks = [_Walk(a, b, ga, gb, tol) for (a, b), ga, gb in zip(spans, ends[::2], ends[1::2])]
+    while True:
+        failed = next((i for i, w in enumerate(walks) if isinstance(w.result, Exception)), None)
+        trees = {
+            i: _midpoint_tree(walk.a, walk.b, tol)
+            for i, walk in enumerate(walks[:failed])
+            if walk.result is None
+        }
+        if not trees:
+            break
+        points = [x for tree in trees.values() for x in tree.values()]
+        values = iter(_values(g, points, [i for i, tree in trees.items() for _ in tree]))
+        for i, tree in trees.items():
+            walks[i].descend({k: next(values) for k in tree})
+    if failed is not None:
+        error = walks[failed].result
+        error.bracket = failed
+        raise error
+    return [w.result for w in walks]
+
+
 def find_root(
     g: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     tol: float = 1e-9,
 ) -> float:
-    """Bisect ``g`` on [lo, hi] down to interval width ``tol``.
+    """Bisect ``g`` on [lo, hi] down to interval width ``tol``: the
+    one-bracket case of :func:`find_roots`.
 
     ``g`` maps a 1-D array of points to their values (anything that
     broadcasts to the points' shape).  One call prices both bracket ends;
@@ -236,36 +346,4 @@ def find_root(
     :raises NumericDomainError: when ``g`` is not finite at a visited point;
         its ``x`` attribute is the first such point.
     """
-    if tol <= 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
-    a, b = (lo, hi) if lo <= hi else (hi, lo)
-    ga, gb = _values(g, [a, b])
-    if not (math.isfinite(ga) and math.isfinite(gb)):
-        raise _not_finite(
-            f"bracket endpoints evaluate non-finite: g({a})={ga}, g({b})={gb}",
-            a if not math.isfinite(ga) else b,
-        )
-    if ga == 0.0:
-        return a
-    if gb == 0.0:
-        return b
-    if ga * gb > 0:
-        raise BracketError(f"no sign change on [{a}, {b}]: g(a)={ga:.6g}, g(b)={gb:.6g}")
-    k, priced = _NODES, {}
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break  # float resolution exhausted
-        if k >= _NODES:  # past the priced tree: price the next one
-            tree = _midpoint_tree(a, b, tol)
-            k, priced = 0, dict(zip(tree, _values(g, list(tree.values()))))
-        gm = priced[k]
-        if not math.isfinite(gm):
-            raise _not_finite(f"g is not finite at x={mid}", mid)
-        if gm == 0.0:
-            return mid
-        if ga * gm < 0:
-            b, k = mid, 2 * k + 1
-        else:
-            a, ga, k = mid, gm, 2 * k + 2
-    return 0.5 * (a + b)
+    return find_roots(lambda xs, _: g(xs), [(lo, hi)], tol)[0]

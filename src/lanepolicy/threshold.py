@@ -6,21 +6,26 @@ cross), and decomposes a density range into best-policy regions.
 
 Both searches are one: the pointwise winner on a density lattice, ties going
 to the policy listed first, with each winner change bisected within its
-lattice cell.  The bisection (:func:`~lanepolicy.numeric.find_root`) prices
-every density that its next two steps could visit in one memo lookup per
-policy, so a 62.5-wide cell at the default 1.0 tolerance takes 3 solver
-calls per policy instead of 6.  It makes the one-point bisection's
-decisions, so each boundary is that search's bit for bit.  Both walk the
-winner changes from the low end as crossings (density, policy below, policy
-above): policy_regions builds every region from them; find_threshold stops
-at its pair's first one on 33 densities, and bisects no later one.  Two
-crossings inside one lattice cell leave the winner at both its ends the
-same, so neither search sees them.
+lattice cell.  policy_regions bisects every change on its lattice;
+find_threshold only its pair's first on 33 densities; regions_and_thresholds
+does both for every pair of the policies, with the same results.  A search's
+cells are bisected in lock-step (:func:`~lanepolicy.numeric.find_roots`):
+each round prices every density that each open cell's next two steps could
+visit, in one memo lookup per policy over the cells it is a side of.  So a
+62.5-wide cell at the default 1.0 tolerance takes 3 rounds, and a `sweep` of
+the occupancy-skewed scenario on [185, 2181] at 11 samples bisects its one
+region boundary and two threshold crossings in 11 solver calls over 4
+rounds, where bisecting one crossing at a time took 20.  Each walk makes the
+one-point bisection's decisions, so each boundary is that search's bit for
+bit.  Two crossings inside one lattice cell leave the winner at both its
+ends the same, so no search sees them.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +33,7 @@ from . import _files
 from .config import Scenario
 from .costmodel import POLICY_ORDER, Policy
 from .errors import InfeasibleError, NumericDomainError, ValidationError
-from .numeric import _as_index, find_root
+from .numeric import _as_index, find_roots
 from .optimizer import PolicyOptimum, _lookup, optimize_policies
 
 __all__ = [
@@ -38,6 +43,7 @@ __all__ = [
     "cost_curve",
     "find_threshold",
     "policy_regions",
+    "regions_and_thresholds",
     "write_curves_csv",
     "CURVE_CSV_COLUMNS",
 ]
@@ -141,22 +147,28 @@ def _total(optimum) -> float:
     return np.nan if isinstance(optimum, InfeasibleError) else optimum.breakdown.total
 
 
-def _boundary(
-    scenario: Scenario, below: Policy, above: Policy, q0_lo: float, q0_hi: float
-) -> float:
-    """Where ``below``'s total, no dearer at ``q0_lo``, stops being cheaper
-    than ``above``'s, dearer or tied at ``q0_hi``: bisected to the threshold
-    tolerance, each :func:`find_root` call priced by one memo lookup per
-    policy."""
+def _boundaries(scenario: Scenario, cells: list) -> list[float]:
+    """For each cell (below, above, q0_lo, q0_hi), where ``below``'s total, no
+    dearer at q0_lo, stops being cheaper than ``above``'s, dearer or tied at
+    q0_hi: every cell bisected to the threshold tolerance in the same
+    :func:`find_roots` rounds, each round priced by one memo lookup per
+    policy over the midpoints of the open cells it is a side of."""
+    policies = list(dict.fromkeys(p for below, above, _, _ in cells for p in (below, above)))
 
-    def gap(q0s: np.ndarray) -> list[float]:
-        columns = zip(_lookup(scenario, below, q0s), _lookup(scenario, above, q0s))
-        return [_total(b) - _total(a) for b, a in columns]
+    def gaps(q0s: np.ndarray, owners: np.ndarray) -> list[float]:
+        points = list(zip(q0s.tolist(), (cells[k] for k in owners.tolist())))
+        totals = {}
+        for policy in policies:
+            mine = [q0 for q0, cell in points if policy in cell[:2]]
+            if mine:
+                totals[policy] = dict(zip(mine, map(_total, _lookup(scenario, policy, mine))))
+        return [totals[below][q0] - totals[above][q0] for q0, (below, above, _, _) in points]
 
     try:
-        return find_root(gap, q0_lo, q0_hi, tol=scenario.solver.threshold_tol)
+        return find_roots(gaps, [cell[2:] for cell in cells], tol=scenario.solver.threshold_tol)
     except NumericDomainError as exc:
         # a visited density without an optimum: raise its InfeasibleError
+        below, above, _, _ = cells[exc.bracket]
         optimize_policies(scenario, below, [exc.x])
         optimize_policies(scenario, above, [exc.x])
         raise
@@ -169,17 +181,53 @@ def _winners(scenario: Scenario, lattice: list[float], policies: tuple[Policy, .
     return [policies[min((t, k) for k, t in enumerate(column))[1]] for column in zip(*totals)]
 
 
-def _crossings(scenario: Scenario, lattice: list[float], winners: list):
-    """Yield each winner change over ``lattice`` from its low end as (density,
-    policy below, policy above), the density bisected within its cell.
+class _Scan(NamedTuple):
+    """Pointwise winners among ``policies`` on ``lattice``, ties going to
+    the policy listed first; with ``first_only`` only the first winner
+    change is bisected."""
 
-    Lazy: a caller that stops early bisects no later crossing.
+    lattice: list[float]
+    policies: tuple[Policy, ...]
+    first_only: bool
+
+
+def _switches(scenario: Scenario, scans: list[_Scan]) -> list:
+    """For each scan, its winner at the low end and its winner changes from
+    the low end as crossings (density, policy below, policy above), each
+    bisected within its lattice cell.
+
+    Every scan's cells are bisected together (:func:`_boundaries`).  The
+    error raised is the one that the scans made one after another would
+    raise first: a scan's lattice, then its bisections, then the next scan.
     """
-    for i in range(1, len(lattice)):
-        below, above = winners[i - 1], winners[i]
-        if below != above:
-            # below is no dearer at lattice[i - 1], above at lattice[i]: a bracket.
-            yield _boundary(scenario, below, above, lattice[i - 1], lattice[i]), below, above
+    found, pending = [], None
+    for lattice, policies, first_only in scans:
+        try:
+            winners = _winners(scenario, lattice, policies)
+        except InfeasibleError as exc:
+            pending = exc  # raised once the cells of the scans before it are bisected
+            break
+        changes = [i for i in range(1, len(lattice)) if winners[i - 1] != winners[i]]
+        # below is no dearer at lattice[i - 1], above at lattice[i]: a bracket
+        cells = [(winners[i - 1], winners[i], lattice[i - 1], lattice[i]) for i in changes]
+        found.append((winners[0], cells[:1] if first_only else cells))
+    roots = iter(_boundaries(scenario, [cell for _, cells in found for cell in cells]))
+    if pending is not None:
+        raise pending
+    return [
+        (first, [(next(roots), below, above) for below, above, _, _ in cells])
+        for first, cells in found
+    ]
+
+
+def _pair_scan(lo: float, hi: float, pair: tuple[Policy, Policy]) -> _Scan:
+    return _Scan(_lattice(lo, hi, (hi - lo) / (_SCAN_POINTS - 1)), pair, first_only=True)
+
+
+def _threshold(pair: tuple[Policy, Policy], first: Policy, crossings: list) -> ThresholdResult:
+    # no crossing: one policy is cheaper throughout
+    q0_star, below, above = crossings[0] if crossings else (None, first, first)
+    return ThresholdResult(pair=pair, q0_star=q0_star, cheaper_below=below, cheaper_above=above)
 
 
 def find_threshold(
@@ -189,22 +237,36 @@ def find_threshold(
 
     The first crossing of the pair's winners on 33 evenly spaced densities,
     ties going to ``p1``, bisected to the solver's threshold tolerance with
-    two bisection levels priced per solver call and policy.
+    two bisection levels per round and one solver call per policy and
+    round; no later crossing is bisected.
     Without one the uniformly cheaper policy fills both sides and q0_star
     is None.  At an exact tie the pair's order still matters: with zero
     lane costs EBLP and HOVLP tie in the all-bus regime at 200, so
     (EBLP, HOVLP) on [200, 1000] reports the crossing near 569 but
     (HOVLP, EBLP) reports the tie point 200, HOVLP cheaper below.
     """
-    p1, p2 = Policy.parse(p1), Policy.parse(p2)
+    pair = Policy.parse(p1), Policy.parse(p2)
     lo, hi = _validate_range(q0_lo, q0_hi)
-    if p1 == p2:
-        return ThresholdResult(pair=(p1, p2), q0_star=None, cheaper_below=p1, cheaper_above=p1)
-    lattice = _lattice(lo, hi, (hi - lo) / (_SCAN_POINTS - 1))
-    winners = _winners(scenario, lattice, (p1, p2))
-    uniform = None, winners[0], winners[0]  # no crossing: one policy is cheaper throughout
-    q0_star, below, above = next(_crossings(scenario, lattice, winners), uniform)
-    return ThresholdResult(pair=(p1, p2), q0_star=q0_star, cheaper_below=below, cheaper_above=above)
+    if pair[0] == pair[1]:
+        return _threshold(pair, pair[0], [])
+    ((first, crossings),) = _switches(scenario, [_pair_scan(lo, hi, pair)])
+    return _threshold(pair, first, crossings)
+
+
+def _region_scan(q0_range, resolution: float, policies) -> _Scan:
+    lo, hi = _validate_range(*q0_range)
+    if resolution <= 0 or not np.isfinite(resolution):
+        raise ValidationError(f"resolution must be positive, got {resolution}")
+    if not policies:
+        raise ValidationError("policies must be non-empty")
+    policies = tuple(Policy.parse(p) for p in policies)
+    return _Scan(_lattice(lo, hi, resolution), policies, first_only=False)
+
+
+def _regions(lattice: list[float], first: Policy, crossings: list) -> list[PolicyRegion]:
+    bounds = [lattice[0], *(q0 for q0, _, _ in crossings), lattice[-1]]
+    owners = [first, *(above for _, _, above in crossings)]
+    return [PolicyRegion(*region) for region in zip(bounds, bounds[1:], owners)]
 
 
 def policy_regions(
@@ -217,24 +279,36 @@ def policy_regions(
 
     Pointwise winners on the lattice lo + resolution*k below hi, then hi
     (cost_curve's densities when resolution = (hi-lo)/(n-1)), ties going to
-    the policy listed first; each boundary is bisected to the threshold
-    tolerance within its lattice cell, two bisection levels per solver call
-    and policy.
+    the policy listed first; every boundary is bisected to the threshold
+    tolerance within its lattice cell, all of them in the same rounds: two
+    bisection levels per round, one solver call per policy and round.
 
     :raises InfeasibleError: when a lattice density, or a density that a
         bisection visits, has no optimum for one of the policies.
     """
-    lo, hi = _validate_range(*q0_range)
-    if resolution <= 0 or not np.isfinite(resolution):
-        raise ValidationError(f"resolution must be positive, got {resolution}")
-    if not policies:
-        raise ValidationError("policies must be non-empty")
-    lattice = _lattice(lo, hi, resolution)
-    winners = _winners(scenario, lattice, tuple(Policy.parse(p) for p in policies))
-    crossings = list(_crossings(scenario, lattice, winners))
-    bounds = [lattice[0], *(q0 for q0, _, _ in crossings), lattice[-1]]
-    owners = [winners[0], *(above for _, _, above in crossings)]
-    return [PolicyRegion(*region) for region in zip(bounds, bounds[1:], owners)]
+    scan = _region_scan(q0_range, resolution, policies)
+    ((first, crossings),) = _switches(scenario, [scan])
+    return _regions(scan.lattice, first, crossings)
+
+
+def regions_and_thresholds(
+    scenario: Scenario, q0_range: tuple[float, float], resolution: float
+) -> tuple[list[PolicyRegion], list[ThresholdResult]]:
+    """:func:`policy_regions` and :func:`find_threshold` over ``q0_range`` for
+    every pair of :data:`POLICY_ORDER` in listed order, equal to theirs bit
+    for bit.
+
+    The regions' boundaries and each pair's first crossing are bisected in
+    the same rounds, one solver call per policy and round.  The error raised
+    is the one that those calls made one after another would raise first.
+    """
+    scan = _region_scan(q0_range, resolution, POLICY_ORDER)
+    lattice = scan.lattice  # its ends are the range's
+    pairs = list(itertools.combinations(POLICY_ORDER, 2))
+    scans = [scan, *(_pair_scan(lattice[0], lattice[-1], pair) for pair in pairs)]
+    (first, crossings), *found = _switches(scenario, scans)
+    thresholds = [_threshold(pair, *switches) for pair, switches in zip(pairs, found)]
+    return _regions(lattice, first, crossings), thresholds
 
 
 CURVE_CSV_COLUMNS = (

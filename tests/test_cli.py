@@ -23,7 +23,9 @@ from lanepolicy import (
     cost_breakdown,
     cost_curve,
     evaluate_trajectory,
+    load_scenario,
     min_frequency,
+    scenario_fingerprint,
 )
 from lanepolicy.cli import build_parser, build_scenario, main
 from lanepolicy.optimizer import _best_split_at_fixed_f, _split_lattice, foc_residual
@@ -317,7 +319,7 @@ class TestSweepCommand:
         def fail(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr("lanepolicy.cli.policy_regions", fail)
+        monkeypatch.setattr("lanepolicy.cli.regions_and_thresholds", fail)
         with pytest.raises(type(error)):
             main(["sweep", "--q0-lo", "400", "--q0-hi", "600", "--n", "2",
                   "--out-dir", str(tmp_path)])
@@ -534,6 +536,16 @@ def test_run_files_share_one_format(tmp_path, argv, headers):
         if path.suffix == ".json":
             text = data.decode()
             assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@_RUN_CSVS
+def test_manifest_fingerprint_names_its_scenario(tmp_path, argv, headers):
+    argv = [*argv, "--set", "econ.vot_wait=17.5"]
+    assert main([*argv, "--out-dir", str(tmp_path), "--run-name", "run"]) == 0
+    manifest = read_manifest(tmp_path / "run")
+    scenario = load_scenario(manifest["scenario"])
+    assert scenario.econ.vot_wait == 17.5
+    assert manifest["scenario_fingerprint"] == scenario_fingerprint(scenario)
 
 
 @pytest.mark.parametrize(

@@ -177,6 +177,12 @@ class TestLoadScenario:
         other = load_scenario({"econ": {"vot_auto": 18.5}})
         assert scenario_fingerprint(other) != scenario_fingerprint(baseline)
 
+    def test_default_fingerprint_is_pinned(self):
+        # run manifests record it, so its bytes must not change
+        assert scenario_fingerprint(Scenario()) == (
+            "9e923190e2cd8ef391aac82af5726342bd3d2f1ccb8a93b29627cf8bff4719eb"
+        )
+
     def test_serialize_is_canonical_json(self, baseline: Scenario):
         text = serialize(baseline)
         doc = json.loads(text)

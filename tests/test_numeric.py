@@ -18,6 +18,7 @@ from lanepolicy.numeric import (
     cumulative_values,
     dot_rows,
     find_root,
+    find_roots,
     integrate_values,
 )
 
@@ -265,3 +266,140 @@ class TestBatchedBisection:
         # 9 halvings: the last call prices only the midpoint of a cell whose
         # halves are already within tolerance
         assert sizes == [2, 3, 3, 3, 3, 1]
+
+
+def _cubic(coefficients, poison):
+    """A cubic in Python floats, NaN strictly inside the window ``poison``
+    (start, width) when one is given."""
+    c3, c2, c1, c0 = coefficients
+
+    def f(x: float) -> float:
+        if poison is not None and poison[0] < x < poison[0] + poison[1]:
+            return math.nan
+        return ((c3 * x + c2) * x + c1) * x + c0
+
+    return f
+
+
+def _one_by_one(functions, brackets, tol):
+    """Each bracket's one-point bisection in turn, up to the first error."""
+    roots = []
+    for k, (f, (lo, hi)) in enumerate(zip(functions, brackets)):
+        try:
+            roots.append(_one_point_bisection(f, lo, hi, tol).hex())
+        except NumericDomainError as exc:
+            return type(exc), str(exc), k
+    return roots
+
+
+def _lock_step(functions, brackets, tol, calls=None):
+    """:func:`find_roots` with bracket k priced by ``functions[k]``; each
+    call's (point, bracket) pairs are appended to ``calls``."""
+
+    def g(xs, owners):
+        pairs = list(zip(xs.tolist(), owners.tolist()))
+        if calls is not None:
+            calls.append(pairs)
+        return [functions[k](x) for x, k in pairs]
+
+    try:
+        return [root.hex() for root in find_roots(g, brackets, tol)]
+    except NumericDomainError as exc:
+        if not isinstance(exc, BracketError):
+            # the point the error names rides on it
+            assert str(exc).endswith(f"x={exc.x}") or f"g({exc.x})=" in str(exc)
+        return type(exc), str(exc), exc.bracket
+
+
+@st.composite
+def _cubic_bracket(draw):
+    """(coefficients, lo, hi, poison): a cubic through a random point of
+    [lo, hi], so most brackets change sign, and an optional NaN window."""
+    lo, hi = draw(_end), draw(_end)
+    c3, c2, c1 = draw(_coefficient), draw(_coefficient), draw(_coefficient)
+    root = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+    c0 = -((c3 * root + c2) * root + c1) * root
+    return (c3, c2, c1, c0), lo, hi, draw(st.none() | st.tuples(_end, st.floats(0.0, 20.0)))
+
+
+class TestLockStepBisection:
+    @given(st.lists(_cubic_bracket(), min_size=1, max_size=5), _tol)
+    def test_random_cubic_brackets_match_one_point_bisection(self, specs, tol):
+        functions = [_cubic(coefficients, poison) for coefficients, _, _, poison in specs]
+        brackets = [(lo, hi) for _, lo, hi, _ in specs]
+        assert _lock_step(functions, brackets, tol) == _one_by_one(functions, brackets, tol)
+
+    def test_each_round_is_one_call(self):
+        functions = [lambda x: x - 0.3, lambda x: x - 7.1, lambda x: 2.7 - x]
+        brackets = [(0.0, 1.0), (5.0, 9.0), (0.0, 4.0)]
+        calls = []
+        roots = _lock_step(functions, brackets, 1e-3, calls)
+        assert roots == _one_by_one(functions, brackets, 1e-3)
+        # the six ends, then three midpoints per open bracket per round:
+        # [0, 1] takes 10 halvings to 1e-3, [5, 9] and [0, 4] take 12
+        assert [len(call) for call in calls] == [6] + [9] * 5 + [6]
+        assert {k for _, k in calls[-1]} == {1, 2}  # [0, 1] closed a round earlier
+
+    def test_root_on_a_bracket_end(self):
+        functions = [lambda x: x - 1.2, lambda x: x - 1.0, lambda x: x - 3.0, lambda x: x - 2.2]
+        brackets = [(0.0, 4.0), (1.0, 5.0), (2.0, 3.0), (0.0, 4.0)]
+        got = _lock_step(functions, brackets, 1e-6)
+        assert got == _one_by_one(functions, brackets, 1e-6)
+        assert got[1:3] == [(1.0).hex(), (3.0).hex()]
+
+    def test_bracket_two_ulps_wide(self):
+        lo = 1.0
+        hi = float(np.nextafter(np.nextafter(lo, 2.0), 2.0))
+        functions = [lambda x: x - 0.3, lambda x: x - lo - 1e-300, lambda x: lo - x + 1e-17]
+        brackets = [(0.0, 1.0), (lo, hi), (lo, hi)]
+        calls = []
+        got = _lock_step(functions, brackets, 1e-300, calls)
+        assert got == _one_by_one(functions, brackets, 1e-300)
+        # the one float inside is each narrow bracket's only midpoint, priced
+        # in the first round
+        narrow = [[x for x, k in call if k > 0] for call in calls]
+        assert narrow[1] == [float(np.nextafter(lo, 2.0))] * 2
+        assert all(points == [] for points in narrow[2:])
+
+    def test_non_finite_value_off_every_walk_is_ignored(self):
+        functions = [
+            lambda x: math.nan if x == 3.0 else x - 1.2,
+            lambda x: math.nan if x == 11.0 else x - 12.9,
+        ]
+        brackets = [(0.0, 4.0), (10.0, 14.0)]
+        calls = []
+        got = _lock_step(functions, brackets, 1e-6, calls)
+        # from [0, 4] the walk visits 2 and then 1, never 3; from [10, 14]
+        # it visits 12 and then 13, never 11
+        assert {(3.0, 0), (11.0, 1)} <= {pair for call in calls for pair in call}
+        assert got == _one_by_one(
+            [lambda x: x - 1.2, lambda x: x - 12.9], brackets, 1e-6
+        )
+
+    def test_first_bracket_error_wins_over_an_earlier_failure_in_a_later_one(self):
+        # bracket 0 walks 2, 1, 1.5, 1.25, 1.125: its fifth point, priced in
+        # the third round, is not finite.  Bracket 1 fails in the first round,
+        # at 2, and bracket 2, after it, is walked no further.
+        functions = [
+            lambda x: math.nan if x == 1.125 else x - 1.2,
+            lambda x: math.nan if x == 2.0 else x - 1.2,
+            lambda x: x - 1.2,
+        ]
+        brackets = [(0.0, 4.0)] * 3
+        calls = []
+
+        def g(xs, owners):
+            calls.append(owners.tolist())
+            return [functions[k](x) for x, k in zip(xs.tolist(), owners.tolist())]
+
+        with pytest.raises(NumericDomainError, match="not finite at x=1.125") as info:
+            find_roots(g, brackets, 1e-6)
+        assert (info.value.x, info.value.bracket) == (1.125, 0)
+        assert _one_by_one(functions, brackets, 1e-6)[2] == 0
+        assert [sorted(set(owners)) for owners in calls] == [[0, 1, 2], [0, 1, 2], [0], [0]]
+
+    def test_no_brackets_make_no_call(self):
+        def refuse(xs, owners):
+            raise AssertionError("g called")
+
+        assert find_roots(refuse, [], 1e-6) == []

@@ -147,6 +147,35 @@ def test_the_optimizer_prices_only_its_finite_difference_at_the_nodes():
     assert callers == ["foc_residual"]
 
 
+def _halves_a_bracket(node: ast.AST) -> bool:
+    """``0.5 * (a + b)`` or ``(a + b) / 2``: the midpoint of a bracket."""
+    if not isinstance(node, ast.BinOp):
+        return False
+    sides = (node.left, node.right)
+    if isinstance(node.op, ast.Mult):
+        return any(isinstance(s, ast.Constant) and s.value == 0.5 for s in sides) and any(
+            isinstance(s, ast.BinOp) and isinstance(s.op, ast.Add) for s in sides
+        )
+    return (
+        isinstance(node.op, ast.Div)
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.Add)
+        and isinstance(node.right, ast.Constant)
+        and node.right.value == 2
+    )
+
+
+def test_only_numeric_halves_a_bracket():
+    # every bisection is a walk of numeric.find_roots; threshold and optimizer
+    # hand it their brackets
+    halvers = sorted(
+        path.name
+        for path in Path(lanepolicy.__path__[0]).glob("*.py")
+        if any(_halves_a_bracket(node) for node in ast.walk(ast.parse(path.read_text())))
+    )
+    assert halvers == ["numeric.py"]
+
+
 @pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(path: Path, capsys):
     spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)

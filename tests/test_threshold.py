@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 
 import pytest
 
@@ -17,10 +18,20 @@ from lanepolicy import (
     load_scenario,
     optimize_policy,
     policy_regions,
+    regions_and_thresholds,
     write_curves_csv,
 )
 from lanepolicy import optimizer, threshold
+from lanepolicy.cli import main
+from lanepolicy.costmodel import POLICY_ORDER
 from lanepolicy.threshold import CURVE_CSV_COLUMNS
+
+# the `sweep` benchmark's seed 3: the contrast scenario on [185, 2181], 11 samples
+SWEEP_RANGE, SWEEP_N = (185.0, 2181.0), 11
+SWEEP_ARGV = [
+    "sweep", "--set", "occupancy.low_share=0.8", "--set", "occupancy.low_occupancy=1.0",
+    "--set", "occupancy.high_occupancy=4.0", "--q0-lo", "185", "--q0-hi", "2181", "--n", "11",
+]
 
 
 @pytest.fixture
@@ -208,13 +219,13 @@ class TestBoundaryBisection:
                 "ebl_fixed", "ebl_variable_per_mi", "hovl_fixed", "hovl_variable_per_mi"
             )},
         })
-        boundary, cells = threshold._boundary, []
+        boundaries, cells = threshold._boundaries, []
 
-        def counted(scenario, below, above, q0_lo, q0_hi):
-            cells.append((q0_lo, q0_hi))
-            return boundary(scenario, below, above, q0_lo, q0_hi)
+        def counted(scenario, bisected):
+            cells.extend((q0_lo, q0_hi) for _, _, q0_lo, q0_hi in bisected)
+            return boundaries(scenario, bisected)
 
-        monkeypatch.setattr(threshold, "_boundary", counted)
+        monkeypatch.setattr(threshold, "_boundaries", counted)
         res = find_threshold(s, Policy.MTP, Policy.EBLP, 200.0, 2500.0)
         assert res.q0_star == pytest.approx(238.46, abs=0.01)
         assert (res.cheaper_below, res.cheaper_above) == (Policy.MTP, Policy.EBLP)
@@ -255,6 +266,83 @@ class TestBoundaryBisection:
         errors = self._infeasible_at(monkeypatch, lambda q0: q0 == 684.375)
         assert find_threshold(contrast, Policy.MTP, Policy.HOVLP, 200.0, 2200.0) == expected
         assert errors == [684.375]
+
+
+class TestSweepBisection:
+    """Regions and every pair's threshold bisected in the same rounds."""
+
+    def test_solver_calls(self, contrast: Scenario, monkeypatch):
+        memo = optimizer._optimize_policy_cached
+        solve = memo._solve
+        calls = []
+
+        def counted(scenario, policy, q0s):
+            calls.append((policy, len(q0s)))
+            return solve(scenario, policy, q0s)
+
+        monkeypatch.setattr(memo, "_solve", counted)
+        memo.cache_clear()
+        lo, hi = SWEEP_RANGE
+        for policy in POLICY_ORDER:
+            cost_curve(contrast, policy, SWEEP_RANGE, SWEEP_N)
+        regions, thresholds = regions_and_thresholds(contrast, SWEEP_RANGE, (hi - lo) / 10)
+        memo.cache_clear()
+        mtp, eblp, hovlp = POLICY_ORDER
+        # the curves; the 33-point scans, whose interior shares only 1183
+        # with the curves' lattice; then one call per policy and round for
+        # the region boundary (MTP/HOVLP, 8 halvings of a 199.6-wide cell)
+        # and the MTP/HOVLP and EBLP/HOVLP crossings (6 halvings of a
+        # 62.375-wide cell each).  EBLP has no open cell in the last round.
+        # One call per crossing and policy and round made 26 calls.
+        assert calls == [(p, 11) for p in POLICY_ORDER] + [(p, 30) for p in POLICY_ORDER] + [
+            (mtp, 5), (hovlp, 8), (eblp, 3),
+            (mtp, 6), (hovlp, 9), (eblp, 3),
+            (mtp, 5), (hovlp, 8), (eblp, 3),
+            (mtp, 2), (hovlp, 2),
+        ]
+        assert regions == policy_regions(contrast, SWEEP_RANGE, (hi - lo) / 10)
+        assert thresholds == [
+            find_threshold(contrast, p1, p2, lo, hi)
+            for p1, p2 in itertools.combinations(POLICY_ORDER, 2)
+        ]
+        # recorded from the one-crossing-at-a-time bisection
+        assert [(r.q0_hi, r.policy) for r in regions] == [
+            (657.8804687499999, Policy.MTP), (hi, Policy.HOVLP)
+        ]
+        assert [t.q0_star for t in thresholds] == [None, 658.1728515625, 489.5654296875]
+
+    # HOVLP has no optimum at these densities.  The order in which policy
+    # regions, then each pair's find_threshold, would meet them decides the
+    # error: the region lattice, the region walk, then each pair's scan and
+    # walk in pair order.
+    @pytest.mark.parametrize(
+        "bad,raised",
+        [
+            # the region walk's round-2 point, and the MTP/HOVLP walk's
+            # round-1 point, met first in the lock-step rounds
+            ({659.05, 668.40625}, 659.05),
+            # the MTP/HOVLP and EBLP/HOVLP walks' round-1 points, and a point
+            # the region walk prices but does not visit
+            ({668.40625, 465.6875, 733.9}, 668.40625),
+            # a point of the 33-point scans (met at MTP/HOVLP, the first pair
+            # with HOVLP), and the EBLP/HOVLP walk's first point
+            ({247.375, 465.6875}, 247.375),
+            # the scans are made before any walk, but a walk's error still
+            # comes first when its search comes first
+            ({659.05, 247.375}, 659.05),
+        ],
+        ids=["region_walk", "threshold_walk", "threshold_scan", "region_walk_before_scan"],
+    )
+    def test_infeasible_density_raises_the_first_error(
+        self, contrast: Scenario, monkeypatch, capsys, tmp_path, bad, raised
+    ):
+        TestBoundaryBisection._infeasible_at(monkeypatch, lambda q0: q0 in bad)
+        lo, hi = SWEEP_RANGE
+        with pytest.raises(InfeasibleError, match=f"no optimum at q0={raised}$"):
+            regions_and_thresholds(contrast, SWEEP_RANGE, (hi - lo) / 10)
+        assert main([*SWEEP_ARGV, "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == f"infeasible: no optimum at q0={raised}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPolicyRegions:
