@@ -11,19 +11,27 @@ degenerate zero-demand case at R = 1.
 The cost-minimizing split is searched for a block of densities at once.
 Every density's coarse split lattice is stacked into one set of (q0, R) rows
 and priced by one :func:`_frequency_optima` call; every density's refined
-window around its coarse winner is priced by one more.  Each call is two
-batched :meth:`~lanepolicy._fsweep.FrequencySweep.row_minima` calls on one
-sweep over the feasible rows: every row's integer-F lattice masked below its
-floor, then every row's refinement window (NaN-padded).  Each prices signal
-delay only where its F = 0 lower bound cannot prune.  Before either pass,
-each density's shares are bounded below over their whole frequency range
-(:meth:`~lanepolicy._fsweep.FrequencySweep.lower_bounds`), the lowest-bound
-share is priced at its first candidate, and only the shares whose bound does
-not exceed that total are searched (:func:`_winnable`); every dropped share
-costs more than a total already priced for its density, so neither the
-coarse first minimum nor the refined one can change.  Rows are priced
+window around its coarse winner is priced by one more.  Each call scans
+every feasible row up from its floor (:func:`_floor_first_minima`): one
+batched :meth:`~lanepolicy._fsweep.FrequencySweep.row_minima` call prices
+each row's first :data:`_HEAD` integer candidates,
+:meth:`~lanepolicy._fsweep.FrequencySweep.lower_bounds` bounds the rest of
+its lattice, and only the rows whose bound does not exceed their head's
+minimum have that tail priced; one more call prices every row's refinement
+window (NaN-padded).  Each prices signal delay only where its F = 0 lower
+bound cannot prune.  Before the coarse pass, each density's shares are
+bounded below over their whole frequency range, the lowest-bound share is
+priced at its first candidate, and only the shares whose bound does not
+exceed that total are searched (:func:`_winnable`); every dropped share
+costs more than a total already priced for its density, so the coarse first
+minimum cannot change.  The refined pass's shares nearly tie, so it searches
+them all and leaves the pruning to each row's tail bound.  Rows are priced
 elementwise and no bound crosses densities, so an optimum does not depend
-on the block it was solved in.
+on the block it was solved in.  :func:`optimize_frequency` and the
+``equilibrium`` rule's scan price each row's whole lattice in one
+:meth:`~lanepolicy._fsweep.FrequencySweep.row_minima` call instead: on a
+one-row call the head, its bound and the extra calls cost more than the
+cells they save.
 :func:`optimize_frequency` is the one-share case and :func:`optimize_policy`
 the one-density case of :func:`optimize_policies`; ``_best_split_at_fixed_f``
 is the split scan at a frequency the caller pins (``lanepolicy cost --F``).  The winning operating
@@ -112,12 +120,17 @@ def _refine_candidates(center, lower, upper, step: float, half_width: float) -> 
     return pts
 
 
-def _frequency_optima(scenario: Scenario, policy: Policy, q0, auto_shares, groups=None):
+def _frequency_optima(scenario: Scenario, policy: Policy, q0, auto_shares, groups=None,
+                      floor_first=False):
     """:func:`optimize_frequency` for an array of shares in two batched passes.
 
     ``q0`` is one density or an array with one density per share.  Each pass
     prices NaN-padded (n_shares, n_F) candidate rows by
-    :meth:`FrequencySweep.row_minima` over the feasible shares.  ``groups``
+    :meth:`FrequencySweep.row_minima` over the feasible shares: the integer
+    lattice from each share's first candidate up to the cap, then one
+    refinement window around its minimum.  ``floor_first`` scans the lattice
+    up from the floor and bounds the rest (:func:`_floor_first_minima`)
+    instead of pricing all of it; the first minima are the same.  ``groups``
     labels each share with the density whose cheapest share is sought; a
     share that cannot be it is then not searched (see :func:`_winnable`).
     Returns each share's best frequency and cost; the
@@ -139,11 +152,8 @@ def _frequency_optima(scenario: Scenario, policy: Policy, q0, auto_shares, group
         sweep = sweep.subset(keep)
     f_min, first = f_min[ok], first[ok]
     lattice = np.arange(first.min(), cap + 1e-9, 1.0)
-    on = lattice >= first[:, None]
-    coarse = np.where(on, lattice, np.nan)
-    if not on.any(axis=1).all():  # a floor above the last lattice point: the cap alone
-        coarse = np.column_stack([coarse, np.where(on.any(axis=1), np.nan, cap)])
-    f1, c1 = sweep.row_minima(coarse)
+    scan = _floor_first_minima if floor_first else _lattice_minima
+    f1, c1 = scan(sweep, lattice, first, cap)
 
     window = _refine_candidates(
         np.where(np.isfinite(c1), f1, np.nan), np.maximum(1.0, f_min), cap,
@@ -160,8 +170,66 @@ def _frequency_optima(scenario: Scenario, policy: Policy, q0, auto_shares, group
     return best_f, best_cost
 
 
+def _lattice_minima(sweep: FrequencySweep, lattice, first, cap):
+    """Each row's first minimum over the points of the integer ``lattice``
+    from its first candidate ``first`` on, or over the cap alone where it has
+    none: one :meth:`FrequencySweep.row_minima` call on the masked lattice."""
+    on = lattice >= first[:, None]
+    rows = np.where(on, lattice, np.nan)
+    if not on.any(axis=1).all():  # a floor above the last lattice point: the cap alone
+        rows = np.column_stack([rows, np.where(on.any(axis=1), np.nan, cap)])
+    return sweep.row_minima(rows)
+
+
+# Integer candidates priced per row before its tail is bounded.  The floor
+# decides F* at nearly every optimum, so the head's minimum almost always
+# certifies the row: with 8, no tail needed pricing among 20,246 bounded rows
+# on the `schedule` benchmark (seeds 0-4) and 9,429 on `sweep` (seeds 0-2);
+# with 4, 31 and 1,202 rows did.
+_HEAD = 8
+
+
+def _floor_first_minima(sweep: FrequencySweep, lattice, first, cap):
+    """:func:`_lattice_minima`'s first minima, most of the lattice bounded
+    instead of priced.
+
+    Each row's head, its first :data:`_HEAD` lattice points, is priced.  Its
+    tail, the points above, is bounded by :meth:`FrequencySweep.lower_bounds`
+    over [first + _HEAD, last lattice point] and priced only where that bound
+    does not exceed the head's minimum (:func:`_exceeds`; a NaN bound or an
+    inf minimum prices it).  A tail point wins only when strictly cheaper.
+    Every cell is priced elementwise to the float the whole-lattice scan
+    gives it, and an unpriced tail holds no point that can tie the head's
+    minimum, so every first minimum is the whole-lattice scan's.
+    """
+    start = (first - first.min()).astype(int)  # each row's first point in the lattice
+    head = np.append(lattice, np.nan)[np.minimum(start[:, None] + np.arange(_HEAD), lattice.size)]
+    head[start >= lattice.size, 0] = cap  # a floor above the last lattice point: the cap alone
+    f, cost = sweep.row_minima(head)
+    tailed = start + _HEAD < lattice.size
+    if not tailed.any():
+        return f, cost
+    bounds = sweep.lower_bounds(lattice[np.minimum(start + _HEAD, lattice.size - 1)], lattice[-1])
+    tail = np.flatnonzero(tailed & ~_exceeds(bounds, cost))
+    if tail.size:
+        rest = lattice[start[tail].min() + _HEAD :]
+        f_tail, c_tail = _lattice_minima(sweep.subset(tail), rest, first[tail] + _HEAD, cap)
+        wins = c_tail < cost[tail]
+        f[tail[wins]], cost[tail[wins]] = f_tail[wins], c_tail[wins]
+    return f, cost
+
+
+def _exceeds(bounds, cost):
+    """Where a lower bound proves every cost it bounds dearer than ``cost``.
+    The slack 1e-9*|cost| absorbs the rounding of bound and totals: they add
+    the same terms in different orders, and with the model's nonnegative cost
+    rates each sum is within a few ulps of exact.  False where either is NaN."""
+    return bounds > cost + 1e-9 * np.abs(cost)
+
+
 def _winnable(sweep: FrequencySweep, groups, f_min, first, cap) -> np.ndarray:
-    """Which rows of ``sweep`` can hold their group's cheapest optimum.
+    """Which rows of ``sweep`` can hold their group's cheapest optimum; the
+    coarse split pass searches only those.
 
     A row's bound is :meth:`FrequencySweep.lower_bounds` over [max(1, f_min -
     s), cap] for the floor slack s, which holds every coarse candidate (the
@@ -169,20 +237,17 @@ def _winnable(sweep: FrequencySweep, groups, f_min, first, cap) -> np.ndarray:
     column and every refinement candidate.  Per group, the row with the lowest
     bound is priced exactly at its first coarse candidate, min(``first``,
     cap); call that total U.  Every candidate of a row whose bound exceeds U
-    costs more than U, which is at least the group's minimum, so the row can
-    neither be the group's first minimum nor tie with it.  The slack
-    1e-9*|U| on U absorbs the rounding of bound and totals: they add the
-    same terms in different orders, and with the model's nonnegative cost
-    rates each sum is within a few ulps of exact.  A NaN bound or U keeps the
-    row.
+    (:func:`_exceeds`) costs more than U, which is at least the group's
+    minimum, so the row can neither be the group's first minimum nor tie with
+    it.  A NaN bound or U keeps the row.
     """
     bounds = sweep.lower_bounds(np.maximum(1.0, f_min - _FLOOR_SLACK), cap)
     order = np.lexsort((bounds, groups))
     lowest = order[np.r_[True, np.diff(groups[order]) != 0]]
     upper = sweep.subset(lowest).totals(np.minimum(first[lowest], cap)[:, None])[:, 0]
     limit = np.empty(groups.max() + 1)
-    limit[groups[lowest]] = upper + 1e-9 * np.abs(upper)
-    return ~(bounds > limit[groups])
+    limit[groups[lowest]] = upper
+    return ~_exceeds(bounds, limit[groups])
 
 
 def optimize_frequency(
@@ -190,10 +255,11 @@ def optimize_frequency(
 ) -> tuple[float, float]:
     """Best frequency and its total cost for a fixed mode split.
 
-    Integer-lattice scan over [max(1, ceil(F_min)), cap], then one refinement
-    pass at ``solver.f_refine_step`` resolution around the incumbent, clipped
-    to the exact feasibility floor; both passes price the scenario's moment
-    table (:meth:`~lanepolicy._fsweep.FrequencySweep.row_minima`).
+    Integer-lattice scan over [max(1, ceil(F_min - s)), cap] for the floor
+    slack s (``_FLOOR_SLACK``), priced whole, then one refinement pass at
+    ``solver.f_refine_step`` resolution around the incumbent, clipped to the
+    exact feasibility floor; both passes price the scenario's moment table
+    (:meth:`~lanepolicy._fsweep.FrequencySweep.row_minima`).
 
     :raises InfeasibleError: when the capacity floor exceeds the search cap,
         or when every candidate evaluates non-finite.
@@ -283,15 +349,20 @@ def _split_lattice(solver, centers=None) -> np.ndarray:
     return _refine_candidates(centers, 0.0, 1.0, step, half_width=solver.r_step)
 
 
-def _split_minima(scenario: Scenario, policy: Policy, q0s: np.ndarray, bus_shares: np.ndarray):
+def _split_minima(
+    scenario: Scenario, policy: Policy, q0s: np.ndarray, bus_shares: np.ndarray, prune: bool
+):
     """Per density, the (cost, bus share, frequency) row of the cheapest share in
     its NaN-padded row of ``bus_shares``, the first on ties, cost inf where none
-    is feasible: an (n, 3) array.  Every real (density, share) is one search row."""
+    is feasible: an (n, 3) array.  Every real (density, share) is one search row,
+    scanned up from its floor; ``prune`` first drops the rows that cannot win
+    (:func:`_winnable`)."""
     real = ~np.isnan(bus_shares)
     f_star, cost = np.full(real.shape, np.nan), np.full(real.shape, np.inf)
     groups = np.repeat(np.arange(q0s.size), real.sum(axis=1))
     f_star[real], cost[real] = _frequency_optima(
-        scenario, policy, q0s[groups], 1.0 - bus_shares[real], groups=groups
+        scenario, policy, q0s[groups], 1.0 - bus_shares[real],
+        groups=groups if prune else None, floor_first=True,
     )
     best = np.arange(real.shape[0]), np.argmin(cost, axis=1)
     return np.column_stack([cost[best], bus_shares[best], f_star[best]])
@@ -301,17 +372,19 @@ def _best_split_cost_min(scenario: Scenario, policy: Policy, q0s: np.ndarray) ->
     """Cost-minimizing (cost, bus share, frequency) row at each density of a
     block, as in :func:`_split_minima`: cost inf where no split is feasible.
 
-    One search over every density's coarse split lattice, then one over every
-    feasible density's refined window; a refined row wins when it costs less,
-    or as much at a smaller bus share.
+    One search over every density's coarse split lattice, its shares pruned
+    by their bounds, then one over every feasible density's refined window,
+    whose near-tied shares a bound would rarely drop; a refined row wins
+    when it costs less, or as much at a smaller bus share.
     """
     solver = scenario.solver
-    best = _split_minima(scenario, policy, q0s, np.tile(_split_lattice(solver), (q0s.size, 1)))
+    lattices = np.tile(_split_lattice(solver), (q0s.size, 1))
+    best = _split_minima(scenario, policy, q0s, lattices, prune=True)
     solved = np.isfinite(best[:, 0])
     if solved.any():
         coarse = best[solved]
         windows = _split_lattice(solver, centers=coarse[:, 1])
-        refined = _split_minima(scenario, policy, q0s[solved], windows)
+        refined = _split_minima(scenario, policy, q0s[solved], windows, prune=False)
         (cost, share), (coarse_cost, coarse_share) = refined[:, :2].T, coarse[:, :2].T
         better = (cost < coarse_cost) | ((cost == coarse_cost) & (share < coarse_share))
         best[solved] = np.where(better[:, None], refined, coarse)
@@ -367,12 +440,13 @@ def _best_split_equilibrium(scenario: Scenario, policy: Policy, q0: float):
 # Lattice cells (density x coarse share x integer frequency) per cost-min
 # search block, to bound the search's temporaries: 19 densities on the
 # default 101-share, 121-frequency lattice.  With signal delay priced
-# _fsweep._DELAY_BLOCK terms at a time, a block's peak is the whole-lattice
-# arrays of the refined pass's row_minima and the shares' (rows x 9) bound
-# terms: one cold 19-density HOVLP call on the contrast scenario peaks at
-# 1.13 MiB traced, 39 densities at 1.99 MiB.  On the `schedule` benchmark
-# this size reads 38.6 MiB peak RSS against the 9-density blocks' 38.8;
-# 300,000 cells read 38.75 and were no faster, 360,000 read 38.9.
+# _fsweep._DELAY_BLOCK terms at a time and each row's lattice scanned up from
+# its floor, a block's peak is the coarse pass's share bounds (_winnable's
+# lower_bounds over every share's (rows x 9) terms): one cold 19-density
+# HOVLP call on the contrast scenario peaks at 0.95 MiB traced, 39 densities
+# at 1.87 MiB, 59 at 2.75 MiB.  On the `schedule` benchmark this size reads
+# 38.6 MiB peak RSS against the 9-density blocks' 38.8; 300,000 cells read
+# 38.75 and were no faster, 360,000 read 38.9.
 _CELL_BLOCK = 240_000
 
 _CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
@@ -428,12 +502,12 @@ def _solve_policies(scenario: Scenario, policy: Policy, q0s: np.ndarray) -> list
     """Each density's :class:`PolicyOptimum`, or the :class:`InfeasibleError`
     that stopped its search.  One (n, 3) array holds every (cost, bus share,
     frequency), cost inf without a split.  Cost-min splits are searched in blocks
-    of :data:`_CELL_BLOCK` lattice cells (19 densities by default; a block's
-    whole-lattice arrays bound its peak, 1.13 MiB traced at 19, since signal
-    delay is priced in small chunks); the ``equilibrium`` rule solves each
-    positive density on its own.  The winners' components are priced from the
-    moment table in one :meth:`~lanepolicy._fsweep.FrequencySweep.breakdowns`
-    call (:func:`_optima`)."""
+    of :data:`_CELL_BLOCK` lattice cells (19 densities by default; the coarse
+    pass's share bounds set a block's peak, 0.95 MiB traced at 19); the
+    ``equilibrium`` rule solves each positive density on its own.  The
+    winners' components are priced from the moment table in one
+    :meth:`~lanepolicy._fsweep.FrequencySweep.breakdowns` call
+    (:func:`_optima`)."""
     solver = scenario.solver
     splits, errors = np.full((q0s.size, 3), np.inf), {}
     equilibrium = (q0s > 0) & (solver.split_rule == "equilibrium")

@@ -481,6 +481,34 @@ _PRUNE_CASES = {
         load_scenario({"signal": {"incremental_delay_factor": 1000.0}}), [Policy.EBLP]
     ),
 }
+# Scenarios whose split searches take the floor-first scan's other branches:
+# tails that open (a dear wait pushes F* above the floor), floors above the
+# last lattice point (the cap alone), tail bounds through kernel groups, and
+# densities whose every cost overflows in the block of feasible ones.
+_TAIL_CASES = {
+    "vot_wait_100": (load_scenario({"econ": {"vot_wait": 100.0}}), [150.0, 658.0, 1476.0]),
+    "f_cap_37.5": (load_scenario({"solver": {"f_cap": 37.5}}), [658.0, 1476.0, 2214.0]),
+    "beta_auto_4.5": (load_scenario({"bpr": {"beta_auto": 4.5}}), [658.0, 1476.0]),
+    "overflowing_density": (Scenario(), [658.0, 1e300, 1476.0, 0.0]),
+}
+
+
+def _price_every_tail(patch) -> None:
+    """Make the split search price every tail: a tail bound of -inf, while
+    :func:`optimizer._winnable` keeps the real share bound."""
+    bounds, winnable = FrequencySweep.lower_bounds, optimizer._winnable
+
+    def coarse(*args):
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(FrequencySweep, "lower_bounds", bounds)
+            return winnable(*args)
+
+    patch.setattr(optimizer, "_winnable", coarse)
+    patch.setattr(
+        FrequencySweep, "lower_bounds", lambda self, lo, hi: np.full(np.shape(lo), -np.inf)
+    )
+
+
 # Unsorted, with duplicates and q0 = 0; at 20000 only the smallest bus shares
 # are feasible.  Eleven densities span several blocks of the default budget.
 _BATCH_Q0 = [1476.0, 0.0, 658.0, 150.0, 2214.0, 658.0, 1072.3, 2007.0, 40.5, 1072.3, 20000.0]
@@ -531,9 +559,10 @@ class TestOptimizePolicies:
             assert failures  # the scenario covers infeasible densities
 
     def test_a_block_of_densities_stays_small(self, contrast: Scenario):
-        # one default block: 19 densities x 101 shares.  The whole-lattice
-        # arrays of its passes peak at 1.13 MiB traced; pricing every share's
-        # F = 0 delay over all 20 signal columns at once took it to 2.46 MiB
+        # one default block: 19 densities x 101 shares.  The coarse pass's
+        # share bounds peak at 0.95 MiB traced (1.13 MiB while every row's
+        # whole lattice was priced); pricing every share's F = 0 delay over
+        # all 20 signal columns at once took it to 2.46 MiB
         q0s = np.linspace(600.0, 720.0, 19)
         memo = optimizer._optimize_policy_cached
         optimize_policies(contrast, Policy.HOVLP, [500.0])  # the moment table
@@ -698,8 +727,62 @@ class TestOptimizePolicies:
         )
         optimize_policies(scen, policy, [250.0, 660.0, 1200.0])
         optimizer._optimize_policy_cached.cache_clear()
-        kept, rows = passes[0]  # coarse pass, then the refined one
-        assert len(passes) == 2 and kept <= 0.1 * rows
+        kept, rows = passes[0]  # the coarse pass; the refined one bounds only tails
+        assert len(passes) == 1 and kept <= 0.1 * rows
+
+    @pytest.mark.parametrize("name", list(_TAIL_CASES))
+    def test_floor_first_scan_matches_full_scans(self, name, monkeypatch):
+        # one reference prices every row's tail: a tail bound of -inf, while
+        # the coarse pass's share bound keeps the real one; the other prices
+        # every row's whole lattice in one piece
+        scen, q0s = _TAIL_CASES[name]
+        tails = []
+        lattice_minima = optimizer._lattice_minima
+
+        def counted(sweep, lattice, first, cap):
+            tails.append(first.size)
+            return lattice_minima(sweep, lattice, first, cap)
+
+        monkeypatch.setattr(optimizer, "_lattice_minima", counted)
+        memo, opened = optimizer._optimize_policy_cached, 0
+        for policy in Policy:
+            memo.cache_clear()
+            start = len(tails)
+            bounded = [_record(opt) for opt in optimizer._lookup(scen, policy, q0s)]
+            opened += sum(tails[start:])  # rows whose tail the bound could not certify
+            with monkeypatch.context() as patch:
+                _price_every_tail(patch)
+                memo.cache_clear()
+                full = [_record(opt) for opt in optimizer._lookup(scen, policy, q0s)]
+            with monkeypatch.context() as patch:
+                patch.setattr(optimizer, "_floor_first_minima", lattice_minima)
+                memo.cache_clear()
+                whole = [_record(opt) for opt in optimizer._lookup(scen, policy, q0s)]
+            memo.cache_clear()
+            assert bounded == full == whole, policy
+        if name == "vot_wait_100":
+            assert opened > 0
+
+    def test_split_search_scans_up_from_the_floor(self, contrast: Scenario, monkeypatch):
+        # one cold default block: no row prices more than _HEAD integer
+        # candidates besides its refinement window, where a whole-lattice
+        # scan prices about 100
+        calls = []
+        row_minima = FrequencySweep.row_minima
+
+        def counted(sweep, rows):
+            calls.append(np.array(rows))
+            return row_minima(sweep, rows)
+
+        monkeypatch.setattr(FrequencySweep, "row_minima", counted)
+        optimizer._optimize_policy_cached.cache_clear()
+        optimize_policies(contrast, Policy.HOVLP, np.linspace(600.0, 720.0, 19))
+        optimizer._optimize_policy_cached.cache_clear()
+        # integer candidates only, or a refinement window at step 0.1
+        lattice = [rows for rows in calls if np.all(np.nan_to_num(rows) % 1 == 0)]
+        searched = sum(len(rows) for rows in calls) - sum(len(rows) for rows in lattice)
+        priced = sum(np.count_nonzero(~np.isnan(rows)) for rows in lattice)
+        assert searched >= 19 and priced <= optimizer._HEAD * searched, (priced, searched)
 
     def test_memo_is_a_bounded_lru_that_skips_errors(self):
         solved = []
