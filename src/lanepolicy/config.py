@@ -235,7 +235,9 @@ class SolverSettings(_Params):
     # at most 100,000: a costmodel._PRICE_BLOCK-point cost pass's node profiles are 13 MB there
     n_cells: int = _param(600, lo=2, hi=100_000)
     # the lower bounds on the steps and the upper bounds on f_cap and the
-    # refine factor bound the split and frequency lattices a search builds
+    # refine factor bound the split and frequency lattices a search builds;
+    # the optimizer sizes its density blocks by the larger of the coarse
+    # split lattice and a refined window's 2*r_refine_factor + 1 shares
     r_step: float = _param(0.01, lo=0.001, hi=0.5)  # coarse mode-split lattice
     # one refinement round shrinks the step by this
     r_refine_factor: int = _param(10, lo=2, hi=1000)

@@ -9,6 +9,8 @@ bisection batched over the bisection tree and over brackets: each call of
 the function prices every midpoint that the next two steps of every open
 bracket could visit, and each walk makes the one-point bisection's
 decisions, so every root is its bracket's one-point result bit for bit.
+Every search grid (densities, bus shares, frequencies) comes from one
+lattice rule, which keeps both ends of each row whatever its step divides.
 """
 
 from __future__ import annotations
@@ -81,6 +83,27 @@ def _as_index(value) -> int | None:
         return None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         return None
+
+
+def _lattice_steps(lo, hi, step: float):
+    """How many points lo + step*k of :func:`_lattice` lie below ``hi``."""
+    return np.ceil((hi - lo) / step - 1e-9)
+
+
+def _lattice(lo, hi, step: float) -> np.ndarray:
+    """The evenly spaced search grid on [lo, hi]: the points lo + step*k
+    that lie more than 1e-9 steps below ``hi``, then ``hi`` itself.
+
+    ``lo`` and ``hi`` are scalars, for one row, or aligned 1-D arrays, for
+    one NaN-padded row each; a row is all NaN where hi < lo or an end is
+    NaN.  With step = (hi - lo)/(n - 1) a row is ``np.linspace(lo, hi, n)``
+    bit for bit.  Every search grid of the package is built here.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    below = np.where(hi >= lo, _lattice_steps(lo, hi, step), -1.0)
+    k = np.arange(int(np.max(below, initial=-1.0)) + 1)
+    points = np.where(k < below[..., None], lo[..., None] + step * k, np.nan)
+    return np.where(k == below[..., None], hi[..., None], points)
 
 
 def _check_finite(values: np.ndarray, nodes: np.ndarray) -> None:

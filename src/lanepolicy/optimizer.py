@@ -1,12 +1,14 @@
 """Nested optimization of bus frequency and mode split for one policy: it
 searches, and :mod:`lanepolicy._fsweep` and :mod:`lanepolicy.costmodel` price.
 
-The inner search over frequency F scans the integer lattice subject to the
-service-capacity floor F >= Q_bus(0)/capacity, then one 0.1-wide refinement
-window around the incumbent.  The outer search walks the bus share s = 1 - R
-on a coarse lattice and one refined window, so the deterministic
-smallest-argument tie-break prefers the largest auto share, which keeps the
-degenerate zero-demand case at R = 1.
+The inner search over frequency F scans the integer candidates from the
+service-capacity floor F >= Q_bus(0)/capacity up to the cap, never above
+it, then one refinement window of +-1 around the incumbent at
+``solver.f_refine_step``.  The outer search walks the bus share s = 1 - R on
+a coarse lattice, which holds both s = 0 and s = 1, and one refined window,
+so the deterministic smallest-argument tie-break prefers the largest auto
+share, which keeps the degenerate zero-demand case at R = 1.  Every one of
+these grids is a row of :func:`~lanepolicy.numeric._lattice`.
 
 The cost-minimizing split is searched for a block of densities at once.
 Every density's coarse split lattice is stacked into one set of (q0, R) rows
@@ -63,7 +65,7 @@ from .config import Scenario
 from .costmodel import CostBreakdown, Policy, _equilibrium_gaps, _require_scalars, cost_breakdowns
 from .demand import _operating_point
 from .errors import InfeasibleError, NumericDomainError, ValidationError
-from .numeric import _overflow_unwarned, find_root
+from .numeric import _lattice, _overflow_unwarned, find_root
 
 __all__ = [
     "PolicyOptimum",
@@ -105,37 +107,25 @@ def min_frequency(scenario: Scenario, q0, auto_share):
     return float(out) if out.ndim == 0 else out
 
 
-def _refine_candidates(center, lower, upper, step: float, half_width: float) -> np.ndarray:
-    """Rows of ``step``-spaced points on [center +/- half_width], clipped to
-    [lower, upper]; a clipped window starts exactly at the bound.  One row per
-    center, NaN-padded; an empty window or a NaN center gives an all-NaN row."""
-    center = np.asarray(center, dtype=float)
-    start = np.maximum(lower, center - half_width)
-    end = np.minimum(upper, center + half_width)
-    n = np.where(end >= start, np.floor((end - start) / step + 1e-9), -1.0)
-    tail = (n >= 0) & (start + step * n < end - 1e-12)
-    cols = np.arange(int(np.max(n + tail)) + 1)
-    pts = np.where(cols <= n[:, None], start[:, None] + step * cols, np.nan)
-    pts[tail, n[tail].astype(int) + 1] = end[tail]
-    return pts
-
-
 def _frequency_optima(scenario: Scenario, policy: Policy, q0, auto_shares, groups=None,
                       floor_first=False):
     """:func:`optimize_frequency` for an array of shares in two batched passes.
 
     ``q0`` is one density or an array with one density per share.  Each pass
     prices NaN-padded (n_shares, n_F) candidate rows by
-    :meth:`FrequencySweep.row_minima` over the feasible shares: the integer
-    lattice from each share's first candidate up to the cap, then one
-    refinement window around its minimum.  ``floor_first`` scans the lattice
-    up from the floor and bounds the rest (:func:`_floor_first_minima`)
-    instead of pricing all of it; the first minima are the same.  ``groups``
-    labels each share with the density whose cheapest share is sought; a
-    share that cannot be it is then not searched (see :func:`_winnable`).
-    Returns each share's best frequency and cost; the
-    cost is inf for a share whose floor exceeds the cap, whose candidates all
-    evaluated non-finite, or that was not searched.
+    :meth:`FrequencySweep.row_minima` over the feasible shares.  The first
+    prices each share's integer candidates, ``_lattice(first, max(first,
+    floor(cap)), 1)`` for its first candidate ``first``, clipped at the cap:
+    never above the cap, and the cap alone where no integer fits between
+    the floor and the cap.  The second prices one refinement window around
+    its minimum, its ends clipped to [max(1, F_min), cap].  ``floor_first``
+    scans the integer candidates up from the floor and bounds the rest
+    (:func:`_floor_first_minima`) instead of pricing all of them; the first
+    minima are the same.  ``groups`` labels each share with the density
+    whose cheapest share is sought; a share that cannot be it is then not
+    searched (see :func:`_winnable`).  Returns each share's best frequency
+    and cost; the cost is inf for a share whose floor exceeds the cap, whose
+    candidates all evaluated non-finite, or that was not searched.
     """
     solver = scenario.solver
     cap = solver.f_cap
@@ -144,21 +134,23 @@ def _frequency_optima(scenario: Scenario, policy: Policy, q0, auto_shares, group
     best_f, best_cost = np.full(f_min.shape, np.nan), np.full(f_min.shape, np.inf)
     if not ok.any():
         return best_f, best_cost
-    first = np.maximum(1.0, np.ceil(f_min - _FLOOR_SLACK))  # each share's first integer candidate
+    # each share's first integer candidate, or the cap where that is above it
+    first = np.minimum(np.maximum(1.0, np.ceil(f_min - _FLOOR_SLACK)), cap)
     sweep = FrequencySweep(scenario, policy, np.full(ok.shape, q0)[ok], auto_shares[ok])
     if groups is not None:
         keep = _winnable(sweep, groups[ok], f_min[ok], first[ok], cap)
         ok[ok] = keep
         sweep = sweep.subset(keep)
     f_min, first = f_min[ok], first[ok]
-    lattice = np.arange(first.min(), cap + 1e-9, 1.0)
-    scan = _floor_first_minima if floor_first else _lattice_minima
-    f1, c1 = scan(sweep, lattice, first, cap)
+    last = np.maximum(first, np.floor(cap))
+    if floor_first:
+        f1, c1 = _floor_first_minima(sweep, first, last)
+    else:
+        f1, c1 = sweep.row_minima(_lattice(first, last, 1.0))
 
-    window = _refine_candidates(
-        np.where(np.isfinite(c1), f1, np.nan), np.maximum(1.0, f_min), cap,
-        solver.f_refine_step, half_width=1.0,
-    )
+    center = np.where(np.isfinite(c1), f1, np.nan)
+    window = _lattice(np.maximum(np.maximum(1.0, f_min), center - 1.0),
+                      np.minimum(cap, center + 1.0), solver.f_refine_step)
     if window.shape[1]:
         f2, c2 = sweep.row_minima(window)
         searched = ~np.isnan(window).all(axis=1)
@@ -170,17 +162,6 @@ def _frequency_optima(scenario: Scenario, policy: Policy, q0, auto_shares, group
     return best_f, best_cost
 
 
-def _lattice_minima(sweep: FrequencySweep, lattice, first, cap):
-    """Each row's first minimum over the points of the integer ``lattice``
-    from its first candidate ``first`` on, or over the cap alone where it has
-    none: one :meth:`FrequencySweep.row_minima` call on the masked lattice."""
-    on = lattice >= first[:, None]
-    rows = np.where(on, lattice, np.nan)
-    if not on.any(axis=1).all():  # a floor above the last lattice point: the cap alone
-        rows = np.column_stack([rows, np.where(on.any(axis=1), np.nan, cap)])
-    return sweep.row_minima(rows)
-
-
 # Integer candidates priced per row before its tail is bounded.  The floor
 # decides F* at nearly every optimum, so the head's minimum almost always
 # certifies the row: with 8, no tail needed pricing among 20,246 bounded rows
@@ -189,31 +170,29 @@ def _lattice_minima(sweep: FrequencySweep, lattice, first, cap):
 _HEAD = 8
 
 
-def _floor_first_minima(sweep: FrequencySweep, lattice, first, cap):
-    """:func:`_lattice_minima`'s first minima, most of the lattice bounded
-    instead of priced.
+def _floor_first_minima(sweep: FrequencySweep, first, last):
+    """Each row's first minimum over its integer candidates ``_lattice(first,
+    last, 1)``, most of them bounded instead of priced.
 
-    Each row's head, its first :data:`_HEAD` lattice points, is priced.  Its
-    tail, the points above, is bounded by :meth:`FrequencySweep.lower_bounds`
-    over [first + _HEAD, last lattice point] and priced only where that bound
+    Each row's head, its first :data:`_HEAD` candidates, is priced.  Its
+    tail, the candidates from first + _HEAD to ``last``, is bounded by
+    :meth:`FrequencySweep.lower_bounds` and priced only where that bound
     does not exceed the head's minimum (:func:`_exceeds`; a NaN bound or an
     inf minimum prices it).  A tail point wins only when strictly cheaper.
-    Every cell is priced elementwise to the float the whole-lattice scan
-    gives it, and an unpriced tail holds no point that can tie the head's
-    minimum, so every first minimum is the whole-lattice scan's.
+    Every cell is priced elementwise to the float that one
+    :meth:`FrequencySweep.row_minima` call over the whole rows gives it, and
+    an unpriced tail holds no point that can tie the head's minimum, so
+    every first minimum is that whole-row scan's.
     """
-    start = (first - first.min()).astype(int)  # each row's first point in the lattice
-    head = np.append(lattice, np.nan)[np.minimum(start[:, None] + np.arange(_HEAD), lattice.size)]
-    head[start >= lattice.size, 0] = cap  # a floor above the last lattice point: the cap alone
-    f, cost = sweep.row_minima(head)
-    tailed = start + _HEAD < lattice.size
+    f, cost = sweep.row_minima(_lattice(first, np.minimum(first + _HEAD - 1, last), 1.0))
+    tailed = first + _HEAD <= last
     if not tailed.any():
         return f, cost
-    bounds = sweep.lower_bounds(lattice[np.minimum(start + _HEAD, lattice.size - 1)], lattice[-1])
+    bounds = sweep.lower_bounds(np.minimum(first + _HEAD, last), last)
     tail = np.flatnonzero(tailed & ~_exceeds(bounds, cost))
     if tail.size:
-        rest = lattice[start[tail].min() + _HEAD :]
-        f_tail, c_tail = _lattice_minima(sweep.subset(tail), rest, first[tail] + _HEAD, cap)
+        rows = _lattice(first[tail] + _HEAD, last[tail], 1.0)
+        f_tail, c_tail = sweep.subset(tail).row_minima(rows)
         wins = c_tail < cost[tail]
         f[tail[wins]], cost[tail[wins]] = f_tail[wins], c_tail[wins]
     return f, cost
@@ -232,11 +211,11 @@ def _winnable(sweep: FrequencySweep, groups, f_min, first, cap) -> np.ndarray:
     coarse split pass searches only those.
 
     A row's bound is :meth:`FrequencySweep.lower_bounds` over [max(1, f_min -
-    s), cap] for the floor slack s, which holds every coarse candidate (the
-    first, ``first`` = max(1, ceil(f_min - s)), may sit s below it), the cap-only
-    column and every refinement candidate.  Per group, the row with the lowest
-    bound is priced exactly at its first coarse candidate, min(``first``,
-    cap); call that total U.  Every candidate of a row whose bound exceeds U
+    s), cap] for the floor slack s, which holds every integer candidate (the
+    first, ``first`` = min(max(1, ceil(f_min - s)), cap), may sit s below
+    f_min) and every refinement candidate.  Per group, the row with the
+    lowest bound is priced exactly at its first candidate ``first``; call
+    that total U.  Every candidate of a row whose bound exceeds U
     (:func:`_exceeds`) costs more than U, which is at least the group's
     minimum, so the row can neither be the group's first minimum nor tie with
     it.  A NaN bound or U keeps the row.
@@ -244,7 +223,7 @@ def _winnable(sweep: FrequencySweep, groups, f_min, first, cap) -> np.ndarray:
     bounds = sweep.lower_bounds(np.maximum(1.0, f_min - _FLOOR_SLACK), cap)
     order = np.lexsort((bounds, groups))
     lowest = order[np.r_[True, np.diff(groups[order]) != 0]]
-    upper = sweep.subset(lowest).totals(np.minimum(first[lowest], cap)[:, None])[:, 0]
+    upper = sweep.subset(lowest).totals(first[lowest][:, None])[:, 0]
     limit = np.empty(groups.max() + 1)
     limit[groups[lowest]] = upper
     return ~_exceeds(bounds, limit[groups])
@@ -255,10 +234,12 @@ def optimize_frequency(
 ) -> tuple[float, float]:
     """Best frequency and its total cost for a fixed mode split.
 
-    Integer-lattice scan over [max(1, ceil(F_min - s)), cap] for the floor
-    slack s (``_FLOOR_SLACK``), priced whole, then one refinement pass at
-    ``solver.f_refine_step`` resolution around the incumbent, clipped to the
-    exact feasibility floor; both passes price the scenario's moment table
+    Scan of the integer candidates from max(1, ceil(F_min - s)) for the
+    floor slack s (``_FLOOR_SLACK``) up to the cap, never above it (the cap
+    alone where that first candidate exceeds it), priced whole, then one
+    refinement pass at ``solver.f_refine_step`` resolution around the
+    incumbent, clipped to the exact feasibility floor and to the cap; both
+    passes price the scenario's moment table
     (:meth:`~lanepolicy._fsweep.FrequencySweep.row_minima`).
 
     :raises InfeasibleError: when the capacity floor exceeds the search cap,
@@ -340,13 +321,13 @@ def equilibrium_gap(
 
 
 def _split_lattice(solver, centers=None) -> np.ndarray:
-    """Bus-share lattice on [0, 1]; with ``centers``, one NaN-padded refined
-    window around each center."""
+    """Bus-share lattice on [0, 1], which holds both 0 and 1; with
+    ``centers``, one NaN-padded refined window of ``2*r_refine_factor + 1``
+    shares at most around each center, its ends clipped to [0, 1]."""
     if centers is None:
-        n = int(round(1.0 / solver.r_step))
-        return np.minimum(np.arange(n + 1) * solver.r_step, 1.0)
-    step = solver.r_step / solver.r_refine_factor
-    return _refine_candidates(centers, 0.0, 1.0, step, half_width=solver.r_step)
+        return _lattice(0.0, 1.0, solver.r_step)
+    ends = np.maximum(0.0, centers - solver.r_step), np.minimum(1.0, centers + solver.r_step)
+    return _lattice(*ends, solver.r_step / solver.r_refine_factor)
 
 
 def _split_minima(
@@ -368,17 +349,19 @@ def _split_minima(
     return np.column_stack([cost[best], bus_shares[best], f_star[best]])
 
 
-def _best_split_cost_min(scenario: Scenario, policy: Policy, q0s: np.ndarray) -> np.ndarray:
+def _best_split_cost_min(
+    scenario: Scenario, policy: Policy, q0s: np.ndarray, coarse: np.ndarray
+) -> np.ndarray:
     """Cost-minimizing (cost, bus share, frequency) row at each density of a
     block, as in :func:`_split_minima`: cost inf where no split is feasible.
 
-    One search over every density's coarse split lattice, its shares pruned
-    by their bounds, then one over every feasible density's refined window,
-    whose near-tied shares a bound would rarely drop; a refined row wins
-    when it costs less, or as much at a smaller bus share.
+    One search over every density's ``coarse`` split lattice, its shares
+    pruned by their bounds, then one over every feasible density's refined
+    window, whose near-tied shares a bound would rarely drop; a refined row
+    wins when it costs less, or as much at a smaller bus share.
     """
     solver = scenario.solver
-    lattices = np.tile(_split_lattice(solver), (q0s.size, 1))
+    lattices = np.tile(coarse, (q0s.size, 1))
     best = _split_minima(scenario, policy, q0s, lattices, prune=True)
     solved = np.isfinite(best[:, 0])
     if solved.any():
@@ -408,7 +391,7 @@ def _best_split_equilibrium(scenario: Scenario, policy: Policy, q0: float):
     # the service-capacity floor makes low auto shares infeasible; the
     # feasible region is an upper interval of R, so consecutive feasible
     # samples still bracket any interior root
-    lattice = np.arange(solver.r_step, 1.0 - solver.r_step + 1e-12, solver.r_step)
+    lattice = _lattice(solver.r_step, 1.0 - solver.r_step, solver.r_step)
     gaps = _signed_gaps(scenario, policy, q0, lattice)
     feasible = ~np.isnan(gaps)
     if not feasible.any():
@@ -437,16 +420,20 @@ def _best_split_equilibrium(scenario: Scenario, policy: Policy, q0: float):
     return cost, 1.0 - root, f_star
 
 
-# Lattice cells (density x coarse share x integer frequency) per cost-min
-# search block, to bound the search's temporaries: 19 densities on the
-# default 101-share, 121-frequency lattice.  With signal delay priced
-# _fsweep._DELAY_BLOCK terms at a time and each row's lattice scanned up from
-# its floor, a block's peak is the coarse pass's share bounds (_winnable's
-# lower_bounds over every share's (rows x 9) terms): one cold 19-density
-# HOVLP call on the contrast scenario peaks at 0.95 MiB traced, 39 densities
-# at 1.87 MiB, 59 at 2.75 MiB.  On the `schedule` benchmark this size reads
-# 38.6 MiB peak RSS against the 9-density blocks' 38.8; 300,000 cells read
-# 38.75 and were no faster, 360,000 read 38.9.
+# Lattice cells (density x share x integer frequency) per cost-min search
+# block, to bound the search's temporaries, a density's shares being its
+# coarse lattice or its refined window, whichever holds more: 19 densities on
+# the default 101-share, 121-frequency lattice.  Counting only the coarse
+# lattice, r_step 0.5 and r_refine_factor 1000 (3 coarse shares, 2,001 in a
+# window) made 661-density blocks: one cold 76-density MTP call peaked at
+# 68 MiB traced, against 2.6 MiB in one-density blocks.  With signal delay
+# priced _fsweep._DELAY_BLOCK terms at a time and each row's lattice scanned
+# up from its floor, a default block's peak is the coarse pass's share bounds
+# (_winnable's lower_bounds over every share's (rows x 9) terms): one cold
+# 19-density HOVLP call on the contrast scenario peaks at 0.95 MiB traced,
+# 39 densities at 1.87 MiB, 59 at 2.75 MiB.  On the `schedule` benchmark
+# this size reads 38.6 MiB peak RSS against the 9-density blocks' 38.8;
+# 300,000 cells read 38.75 and were no faster, 360,000 read 38.9.
 _CELL_BLOCK = 240_000
 
 _CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
@@ -501,10 +488,12 @@ class _BatchMemo:
 def _solve_policies(scenario: Scenario, policy: Policy, q0s: np.ndarray) -> list:
     """Each density's :class:`PolicyOptimum`, or the :class:`InfeasibleError`
     that stopped its search.  One (n, 3) array holds every (cost, bus share,
-    frequency), cost inf without a split.  Cost-min splits are searched in blocks
-    of :data:`_CELL_BLOCK` lattice cells (19 densities by default; the coarse
-    pass's share bounds set a block's peak, 0.95 MiB traced at 19); the
-    ``equilibrium`` rule solves each positive density on its own.  The
+    frequency), cost inf without a split.  Cost-min splits are searched in
+    blocks of :data:`_CELL_BLOCK` lattice cells, a density's shares counted
+    by its coarse lattice or its refined window, whichever holds more (19
+    densities by default; the coarse pass's share bounds set a block's peak,
+    0.95 MiB traced at 19); the ``equilibrium`` rule solves each positive
+    density on its own.  The
     winners' components are priced from the moment table in one
     :meth:`~lanepolicy._fsweep.FrequencySweep.breakdowns` call
     (:func:`_optima`)."""
@@ -517,10 +506,12 @@ def _solve_policies(scenario: Scenario, policy: Policy, q0s: np.ndarray) -> list
         except InfeasibleError as exc:
             errors[i] = exc
     cost_min = np.flatnonzero(~equilibrium)
-    step = max(1, _CELL_BLOCK // (_split_lattice(solver).size * (int(solver.f_cap) + 1)))
+    coarse = _split_lattice(solver)
+    shares = max(coarse.size, 2 * solver.r_refine_factor + 1)  # the most a refined window holds
+    step = max(1, _CELL_BLOCK // (shares * (int(solver.f_cap) + 1)))
     for start in range(0, cost_min.size, step):
         block = cost_min[start : start + step]
-        splits[block] = _best_split_cost_min(scenario, policy, q0s[block])
+        splits[block] = _best_split_cost_min(scenario, policy, q0s[block], coarse)
     solved = np.isfinite(splits[:, 0])
     optima = iter(_optima(scenario, policy, q0s[solved], splits[solved]) if solved.any() else ())
     return [

@@ -29,11 +29,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _files
+from . import _files, numeric
 from .config import Scenario
 from .costmodel import POLICY_ORDER, Policy
 from .errors import InfeasibleError, NumericDomainError, ValidationError
-from .numeric import _as_index, find_roots
+from .numeric import _as_index, _lattice_steps, find_roots
 from .optimizer import PolicyOptimum, _lookup, optimize_policies
 
 __all__ = [
@@ -100,19 +100,20 @@ def _validate_range(q0_lo: float, q0_hi: float) -> tuple[float, float]:
 
 
 def _lattice(lo: float, hi: float, resolution: float) -> list[float]:
-    """lo + resolution*k for each k with that density below hi, then hi.
+    """The densities of :func:`~lanepolicy.numeric._lattice` on [lo, hi] at
+    ``resolution``: lo + resolution*k for each k with that density more than
+    1e-9 steps below hi, then hi.
 
     With resolution = (hi - lo)/(n - 1) these are np.linspace(lo, hi, n)'s
     densities, bit for bit.  At most :data:`_MAX_SAMPLES` densities.
     """
-    n_below = np.ceil((hi - lo) / resolution - 1e-9)
+    n_below = _lattice_steps(lo, hi, resolution)
     if not n_below < _MAX_SAMPLES:
         raise ValidationError(
             f"a density lattice holds at most {_MAX_SAMPLES} samples (n_samples, or range / "
             f"resolution); [{lo:g}, {hi:g}] at resolution {resolution:g} gives {n_below + 1:g}"
         )
-    n_below = int(n_below)
-    return [float(q0) for q0 in np.arange(n_below) * resolution + lo] + [hi]
+    return numeric._lattice(lo, hi, resolution).tolist()
 
 
 def cost_curve(

@@ -161,8 +161,20 @@ class TestCostCommand:
         assert code == 0
         assert read_manifest(tmp_path / "r1")["results"]["R"] == 1.0
 
+    def test_fixed_f_scan_reaches_all_bus(self, tmp_path):
+        # with r_step = 0.3 the lattice once ended at bus share 0.9 and
+        # reported R = 0.1 at $26,918.88/hr, dearer than R = 0 at $26,607.57/hr
+        code = main(
+            ["cost", "--policy", "mtp", "--q0", "200", "--F", "60",
+             "--set", "solver.r_step=0.3", "--out-dir", str(tmp_path), "--run-name", "r0"]
+        )
+        assert code == 0
+        results = read_manifest(tmp_path / "r0")["results"]
+        assert results["R"] == 0.0
+        assert results["breakdown"]["total"] == pytest.approx(26607.57, abs=0.005)
+
     def test_share_step_that_overshoots_one(self, tmp_path):
-        # 1/0.15 rounds up to 7 steps; the last bus share clips to 1
+        # 0.15 does not divide 1: the bus shares step to 0.9, then end at 1
         code = main(
             ["cost", "--policy", "hovlp", "--q0", "1000", "--set", "solver.r_step=0.15",
              "--out-dir", str(tmp_path), "--run-name", "coarse"]

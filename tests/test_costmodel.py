@@ -42,9 +42,9 @@ from lanepolicy.costmodel import (
 )
 from lanepolicy import _fsweep
 from lanepolicy._fsweep import FrequencySweep, _scan_rows
+from lanepolicy.numeric import _lattice
 from lanepolicy.optimizer import (
     _best_split_at_fixed_f,
-    _refine_candidates,
     equilibrium_gap,
     foc_residual,
     min_frequency,
@@ -745,7 +745,8 @@ class TestFrequencySweep:
         lattice = np.arange(1.0, scen.solver.f_cap + 1e-9)
         coarse = np.where(lattice >= np.ceil(floor - 1e-9)[:, None], lattice, np.nan)
         centers = np.where(np.arange(shares.size) % 7 == 3, np.nan, np.maximum(floor, 1.0) + 5.0)
-        window = _refine_candidates(centers, np.maximum(1.0, floor), scen.solver.f_cap, 0.1, 1.0)
+        lo = np.maximum(np.maximum(1.0, floor), centers - 1.0)
+        window = _lattice(lo, np.minimum(scen.solver.f_cap, centers + 1.0), 0.1)
         return coarse, window
 
     @staticmethod

@@ -141,6 +141,49 @@ class TestFindRoot:
 
 
 
+# a row's upper end in steps above its lower end: the same end, a lattice,
+# an empty row below it, or a NaN end
+_span = st.one_of(
+    st.just(0.0), st.floats(1e-6, 40.0), st.floats(-3.0, -1e-6), st.just(math.nan)
+)
+
+
+class TestLattice:
+    @given(
+        st.lists(st.tuples(st.floats(-100.0, 100.0), _span), min_size=1, max_size=4),
+        st.floats(0.01, 10.0),
+    )
+    def test_rows_keep_both_ends(self, rows, step):
+        lo = np.array([row[0] for row in rows])
+        hi = lo + step * np.array([row[1] for row in rows])
+        lattice = numeric._lattice(lo, hi, step)
+        assert lattice.shape[0] == lo.size
+        for a, b, row in zip(lo, hi, lattice):
+            if not a <= b:  # hi below lo, or an end that is NaN
+                assert np.isnan(row).all()
+                continue
+            points = row[~np.isnan(row)]
+            assert np.isnan(row[points.size :]).all()  # padding only after the points
+            assert points[0] == a and points[-1] == b
+            assert a <= points.min() and points.max() <= b
+            interior = np.arange(points.size - 1)
+            np.testing.assert_array_equal(points[:-1], a + step * interior)
+            gaps = np.diff(points)
+            assert np.all(gaps > 0) and np.all(gaps <= step * (1 + 1e-9))
+
+    @given(st.floats(-100.0, 100.0), st.floats(1e-3, 1e3), st.integers(2, 60))
+    def test_linspace_when_the_step_divides_the_range(self, lo, width, n):
+        hi = lo + width
+        np.testing.assert_array_equal(
+            numeric._lattice(lo, hi, (hi - lo) / (n - 1)), np.linspace(lo, hi, n)
+        )
+
+    def test_one_row_from_scalar_ends(self):
+        assert numeric._lattice(0.0, 1.0, 0.3).tolist() == [0.0, 0.3, 0.6, 0.8999999999999999, 1.0]
+        assert numeric._lattice(2.0, 2.0, 1.0).tolist() == [2.0]
+        assert numeric._lattice(2.0, 1.0, 1.0).shape == (0,)
+
+
 def _one_point_bisection(f, lo, hi, tol):
     """Plain bisection that prices one point per call of ``f``: the walk
     that :func:`find_root` batches."""

@@ -24,7 +24,7 @@ from lanepolicy import (
     optimize_policies,
     optimize_policy,
 )
-from lanepolicy import costmodel, optimizer
+from lanepolicy import costmodel, numeric, optimizer
 from lanepolicy._fsweep import FrequencySweep
 from lanepolicy.config import preset
 from lanepolicy.optimizer import equilibrium_gap, foc_residual
@@ -81,6 +81,15 @@ class TestOptimizeFrequency:
         assert f_min == pytest.approx(53.5714285714, rel=1e-9)
         f, _ = optimize_frequency(baseline, Policy.MTP, 1000.0, 0.75)
         assert f == f_min
+
+    def test_no_candidate_above_the_cap(self):
+        # a dear wait drives F* to the cap; under a cap just below 38 the
+        # integer candidates once ran on to 38, and every policy chose it
+        scen = load_scenario({"solver": {"f_cap": 38.0 - 5e-10}, "econ": {"vot_wait": 300.0}})
+        cap = scen.solver.f_cap
+        assert optimize_frequency(scen, Policy.MTP, 300.0, 0.9)[0] == cap
+        for policy in Policy:
+            assert optimize_policy(scen, policy, 300.0).f_star == cap, policy
 
     def test_floor_above_cap_is_infeasible(self, baseline: Scenario):
         # all-bus demand at q0=3000 needs ~643 buses/hr, far above the cap
@@ -196,11 +205,19 @@ class TestOptimizePolicy:
             min_frequency(baseline, q0, 0.5)
 
     def test_share_lattice_stops_at_one(self):
-        # 1/0.15 rounds up to 7 steps, whose last point 1.05 must clip to 1
+        # 0.15 does not divide 1: the lattice steps to 0.9, then ends at 1
         scen = load_scenario({"solver": {"r_step": 0.15}})
         for policy in Policy:
             opt = optimize_policy(scen, policy, 1000.0)
             assert 0.0 <= opt.r_star <= 1.0
+
+    @pytest.mark.parametrize("r_step", [0.3, 0.4, 0.45])
+    def test_share_lattice_reaches_all_bus(self, r_step):
+        # round(1/r_step) steps once ended these lattices at bus share 0.9,
+        # 0.8 and 0.9, so R = 0 was never searched
+        shares = optimizer._split_lattice(load_scenario({"solver": {"r_step": r_step}}).solver)
+        assert (shares[0], shares[-1]) == (0.0, 1.0)
+        assert np.all(np.diff(shares) > 0)
 
     def test_optimum_is_consistent(self, baseline: Scenario):
         opt = optimize_policy(baseline, Policy.MTP, 1000.0)
@@ -577,6 +594,25 @@ class TestOptimizePolicies:
         assert misses == q0s.size  # all cold
         assert peak < 1.25 * 2**20, peak
 
+    def test_a_block_budgets_the_refined_window(self):
+        # r_step 0.5 gives 3 coarse shares but 2,001 in each refined window;
+        # blocks sized by the coarse lattice alone held 661 densities, and
+        # these 19 peaked at 17 MiB traced.  Sized by the window they hold one
+        q0s = np.linspace(200.0, 2200.0, 19)
+        scen = load_scenario({"solver": {"r_step": 0.5, "r_refine_factor": 1000}})
+        memo = optimizer._optimize_policy_cached
+        optimize_policies(scen, Policy.MTP, [100.0])  # the moment table
+        memo.cache_clear()
+        tracemalloc.start()
+        try:
+            optimize_policies(scen, Policy.MTP, q0s)
+            peak, misses = tracemalloc.get_traced_memory()[1], memo.cache_info().misses
+        finally:
+            tracemalloc.stop()
+            memo.cache_clear()
+        assert misses == q0s.size  # all cold
+        assert peak < 4 * 2**20, peak
+
     @pytest.mark.parametrize("q0s", [[658.0, 1e300, 1476.0, 0.0], [1e300, 2e300]],
                              ids=["mixed", "all_infeasible"])
     def test_infeasible_density_in_a_cost_min_block(self, baseline: Scenario, q0s):
@@ -650,6 +686,23 @@ class TestOptimizePolicies:
         # the scan and the bisection both price gaps in stacked passes
         assert len(bisections) == 1
         assert calls == []
+
+    def test_equilibrium_scan_reaches_one_minus_the_step(self, monkeypatch):
+        # with r_step 0.15 the interior scan once stopped at auto share 0.75
+        scen = load_scenario({"solver": {"split_rule": "equilibrium", "r_step": 0.15}})
+        scans = []
+        signed_gaps = optimizer._signed_gaps
+
+        def recorded(scenario, policy, q0, auto_shares):
+            scans.append(auto_shares)
+            return signed_gaps(scenario, policy, q0, auto_shares)
+
+        monkeypatch.setattr(optimizer, "_signed_gaps", recorded)
+        optimizer._optimize_policy_cached.cache_clear()
+        optimize_policy(scen, Policy.MTP, 1000.0)
+        optimizer._optimize_policy_cached.cache_clear()
+        np.testing.assert_allclose(scans[0], [0.15, 0.3, 0.45, 0.6, 0.75, 0.85], rtol=1e-12)
+        assert scans[0][-1] == 1.0 - 0.15
 
     def test_equilibrium_bisection_reports_an_infeasible_share(self, monkeypatch):
         scen = load_scenario({"solver": {"split_rule": "equilibrium"}})
@@ -734,16 +787,22 @@ class TestOptimizePolicies:
     def test_floor_first_scan_matches_full_scans(self, name, monkeypatch):
         # one reference prices every row's tail: a tail bound of -inf, while
         # the coarse pass's share bound keeps the real one; the other prices
-        # every row's whole lattice in one piece
+        # every row's integer candidates in one row_minima call
         scen, q0s = _TAIL_CASES[name]
         tails = []
-        lattice_minima = optimizer._lattice_minima
+        row_minima = FrequencySweep.row_minima
 
-        def counted(sweep, lattice, first, cap):
-            tails.append(first.size)
-            return lattice_minima(sweep, lattice, first, cap)
+        def counted(sweep, rows):
+            # a tail: integer candidates that start a step or more above the floor
+            floor = np.maximum(1.0, min_frequency(scen, sweep._q0s, sweep._shares))
+            integers = np.all(np.nan_to_num(rows) % 1 == 0, axis=1)
+            tails.append(np.count_nonzero(integers & (rows[:, 0] >= floor + 1.0)))
+            return row_minima(sweep, rows)
 
-        monkeypatch.setattr(optimizer, "_lattice_minima", counted)
+        def whole_rows(sweep, first, last):
+            return sweep.row_minima(numeric._lattice(first, last, 1.0))
+
+        monkeypatch.setattr(FrequencySweep, "row_minima", counted)
         memo, opened = optimizer._optimize_policy_cached, 0
         for policy in Policy:
             memo.cache_clear()
@@ -755,7 +814,7 @@ class TestOptimizePolicies:
                 memo.cache_clear()
                 full = [_record(opt) for opt in optimizer._lookup(scen, policy, q0s)]
             with monkeypatch.context() as patch:
-                patch.setattr(optimizer, "_floor_first_minima", lattice_minima)
+                patch.setattr(optimizer, "_floor_first_minima", whole_rows)
                 memo.cache_clear()
                 whole = [_record(opt) for opt in optimizer._lookup(scen, policy, q0s)]
             memo.cache_clear()

@@ -176,6 +176,27 @@ def test_only_numeric_halves_a_bracket():
     assert halvers == ["numeric.py"]
 
 
+def _steps_a_grid(node: ast.AST) -> bool:
+    """``np.arange`` called with a start, a stop and a step."""
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "arange"
+        and (len(node.args) >= 3 or any(kw.arg == "step" for kw in node.keywords))
+    )
+
+
+def test_only_numeric_steps_a_grid():
+    # every search grid comes from numeric._lattice, whose one end rule keeps
+    # both ends; an index range or np.linspace is no search grid
+    steppers = sorted(
+        path.name
+        for path in Path(lanepolicy.__path__[0]).glob("*.py")
+        if path.name != "numeric.py"
+        and any(_steps_a_grid(node) for node in ast.walk(ast.parse(path.read_text())))
+    )
+    assert steppers == []
+
+
 @pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(path: Path, capsys):
     spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
