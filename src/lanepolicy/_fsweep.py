@@ -40,17 +40,18 @@ of ``costmodel._Rates`` and whose entry it is: ``aboard[class]``, ``stop``,
 ``delay[mode]``.  ``part_cells`` and ``part_values`` split ``poly``'s
 coefficients by tag, each kernel-group column carries its tag, and
 ``pay_tags`` tags the wait pay and the signal pay rows.
-``costmodel._payer``, which the reference evaluator's components read too,
-maps a tag's class, mode or component to the
+``costmodel._payer`` maps a tag's class, mode or component to the
 :class:`~lanepolicy.costmodel.CostBreakdown` component that pays it.
 
 :class:`FrequencySweep` is a cheap view of the table at one or many auto
 shares, each at one q0 or at its own.  Its :meth:`~FrequencySweep.totals`
-reproduce `costmodel.cost_breakdown` totals to floating-point reordering
+reproduce the totals of the node-level reference evaluator in the tests,
+which contracts ``costmodel``'s node profiles, to floating-point reordering
 error (the expansion and the kernels are algebraically exact), and its
 :meth:`~FrequencySweep.breakdowns` the four components, each summed over its
-tags.  The totals the search compares never read the tags, so the tags move
-none of them; property tests pin the two paths together.
+tags; every reported cost, ``costmodel.cost_breakdown`` included, reads
+them.  The totals the search compares never read the tags, so the tags move
+none of them; property tests pin the table to the reference.
 
 :meth:`FrequencySweep.row_minima` prices signal delay only where its value
 at F = 0, a lower bound, does not exceed the row's best priced total.  Delay
@@ -332,29 +333,37 @@ class FrequencySweep:
         """The four cost components ($/hr, in ``costmodel._COMPONENTS`` order)
         at one frequency per row (a 1-D array, or one value for every row),
         an (n, 4) array; a sweep of one row takes any number of frequencies.
+        F = 0 is priced too where no one rides the bus, without a wait.
 
         Each term of the table is priced at its cell and added to the
         component that pays its tag's rate.  Every step is elementwise across
         cells, so a cell's components do not depend on the other cells.
         """
         a, b, f = np.broadcast_arrays(
-            self._q0s * self._shares, self._q0s * (1.0 - self._shares), _candidates(f_values)
+            self._q0s * self._shares, self._q0s * (1.0 - self._shares),
+            np.asarray(f_values, dtype=float),
         )
+        waits = (f != 0) | (b != 0)
+        _candidates(f[waits])
         table = self._table
         by_tag = np.zeros((len(table.tags), f.size))
         scales = [x[:, None] ** np.arange(n) for x, n in zip((a, b, f), table.poly.shape)]
         for (t, j, m, k), value in zip(table.part_cells, table.part_values):
-            by_tag[t] += _paid(value, scales[0][:, j] * scales[1][:, m] * scales[2][:, k])
+            scale = scales[0][:, j] * scales[1][:, m] * scales[2][:, k]
+            scale[np.isnan(scale)] = 0.0  # an overflowed power times a zero one: no one pays
+            by_tag[t] += _paid(value, scale)
         for group in table.kernels:
             for t, term in zip(group.tags, _kernel_terms(group, a, b, f, group.kernels).T):
                 by_tag[t] += term
         wait, delay_a, delay_b = table.pay_tags
-        by_tag[wait] += self._waiting(b, f)
-        base, slope, capacity, pax_a, pax_b = table.signals[..., None]
-        seconds = intersection_delay(self.scenario.signal, base * a + slope * f, capacity)
-        for pay_a, pay_b, column in zip(pax_a, pax_b, seconds):
-            by_tag[delay_a] += _paid(pay_a, a) * column
-            by_tag[delay_b] += _paid(pay_b, b) * column
+        by_tag[wait, waits] += self._waiting(b[waits], f[waits])
+        step = max(1, _DELAY_BLOCK // max(1, f.size))
+        for start in range(0, table.signals.shape[1], step):
+            base, slope, capacity, pax_a, pax_b = table.signals[:, start : start + step, None]
+            seconds = intersection_delay(self.scenario.signal, base * a + slope * f, capacity)
+            for t, pax, demand in ((delay_a, pax_a, a), (delay_b, pax_b, b)):
+                for term in _paid(seconds, _paid(pax, demand)):  # delay no one pays adds 0
+                    by_tag[t] += term
         out = np.zeros((f.size, len(_COMPONENTS)))
         for (_, who), row in zip(table.tags, by_tag):
             out[:, _COMPONENTS.index(_payer(who))] += row

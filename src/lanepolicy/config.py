@@ -232,7 +232,7 @@ class LanePolicyCosts(_Params):
 class SolverSettings(_Params):
     """Numerical resolutions and rule variants used by the optimizer layers."""
 
-    # at most 100,000: a costmodel._PRICE_BLOCK-point cost pass's node profiles are 13 MB there
+    # at most 100,000: a costmodel._PRICE_BLOCK-point gap pass's node profiles are 13 MB there
     n_cells: int = _param(600, lo=2, hi=100_000)
     # the lower bounds on the steps and the upper bounds on f_cap and the
     # refine factor bound the split and frequency lattices a search builds;

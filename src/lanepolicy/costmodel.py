@@ -28,16 +28,19 @@ law (:func:`_wait`) and every money rate are stated here once too:
 auto money costs, the operating costs and the signage cost, and both the
 node-level functions below and ``_fsweep``'s moment tables price from it.
 
-The cost model prices at the grid nodes only: each node-level function
-(travel times, waiting, crowding, the disutilities) returns its profile at
-the nodes of ``scenario.grid()``, and the corridor integrals contract those
-profiles.  Each of q0, R and F may be one value or a 1-D array aligned with
-the others.  With any array every node profile is (n_points, nodes), one row
-per point, and every cost component an (n_points,) array, each row priced
-by exactly the arithmetic of its one-point case: :func:`cost_breakdowns` is
-that batched form and :func:`cost_breakdown` its one-point case.  Every
-batch, of breakdowns or of equilibrium gaps, is priced in bounded passes
-(:func:`_in_passes`).
+Every cost component comes from the moment table that the optimizer
+searches: :func:`cost_breakdowns` prices a 1-D array of (q0, R, F) points
+through :meth:`~lanepolicy._fsweep.FrequencySweep.breakdowns`, cell by cell,
+and :func:`cost_breakdown` is its one-point case.
+
+The node-level functions (travel times, waiting, crowding, the
+disutilities, signal delay) price at the grid nodes only: each returns its
+profile at the nodes of ``scenario.grid()``.  Each of q0, R and F may be one
+value or a 1-D array aligned with the others; with any array every node
+profile is (n_points, nodes), one row per point, each row priced by exactly
+the arithmetic of its one-point case.  In the package they price the
+equilibrium gap, in bounded passes (:func:`_in_passes`); the tests contract
+them into the reference evaluator that the moment table is held to.
 
 Positions are miles from the outer boundary; all travelers move toward the
 inner end, so flows at x accumulate demand from [x, length].
@@ -55,7 +58,7 @@ import numpy as np
 
 from .config import BusServiceParams, Scenario, SignalParams
 from .demand import DemandField, _per_point, cumulative_demand, density, occupancy_split
-from .errors import UndefinedServiceError, ValidationError
+from .errors import NumericDomainError, UndefinedServiceError, ValidationError
 from .numeric import (
     CorridorGrid,
     _overflow_unwarned,
@@ -233,8 +236,8 @@ class CostBreakdown:
 class EvaluationContext:
     """One (scenario, q0, R, F) operating point with tabulated node profiles.
 
-    :func:`cost_breakdowns` also builds one over a stack of points: each of
-    q0, R and F is then a scalar or a 1-D array aligned with the others.
+    The equilibrium gap's passes also build one over a stack of points: each
+    of q0, R and F is then a scalar or a 1-D array aligned with the others.
     Every node profile is (nodes,) for one point and (n_points, nodes), one
     row per point, for a stack.
 
@@ -260,13 +263,6 @@ class EvaluationContext:
         """Frequency shaped to broadcast against node profiles: the scalar
         itself, or an (n_points, 1) column."""
         return _per_point(self.frequency, self.grid.nodes)
-
-    def points(self, keep: np.ndarray) -> EvaluationContext:
-        """A fresh context over the stacked points where ``keep`` is true."""
-        def pick(value):
-            return value if np.ndim(value) == 0 else value[keep]
-
-        return _context(self.scenario, pick(self.q0), pick(self.auto_share), pick(self.frequency))
 
 
 def build_context(
@@ -572,25 +568,6 @@ def mean_auto_disutility(ctx: EvaluationContext, policy: Policy) -> np.ndarray:
     )
 
 
-def _user_cost(ctx: EvaluationContext, policy: Policy, mode: str):
-    """Hourly cost to one mode's travelers: generalized trip costs over the
-    corridor plus the value of their signal delay; 0 at a point without
-    travelers of the mode."""
-    share = ctx.auto_share if mode == "auto" else 1.0 - ctx.auto_share
-    weight = _per_point(share * ctx.q0, ctx.grid.nodes) * _loads(ctx.scenario, policy).origins
-    present = weight.any(axis=-1)
-    if not present.any():
-        return 0.0
-    if not present.all():  # price the points with travelers of this mode alone
-        out = np.zeros(present.shape)
-        out[present] = _user_cost(ctx.points(present), policy, mode)
-        return out
-    disutility = bus_disutility if mode == "bus" else mean_auto_disutility
-    in_corridor = integrate_values(disutility(ctx, policy) * weight, ctx.grid)
-    delay = _rates(ctx.scenario, policy).delay[mode] * total_intersection_delay(ctx, policy, mode)
-    return in_corridor + delay
-
-
 @_overflow_unwarned
 def _disutility_gap(ctx: EvaluationContext, policy: Policy, signed: bool):
     """Demand-weighted mean auto-minus-bus disutility difference, $ per trip,
@@ -599,26 +576,6 @@ def _disutility_gap(ctx: EvaluationContext, policy: Policy, signed: bool):
     diff = mean_auto_disutility(ctx, policy) - bus_disutility(ctx, policy)
     diff = diff if signed else np.abs(diff)
     return integrate_values(diff * weight, ctx.grid) / integrate_values(weight, ctx.grid)
-
-
-@_overflow_unwarned
-def _components(ctx: EvaluationContext, policy: Policy):
-    """The four cost components in :data:`_COMPONENTS` order, unchecked: each
-    mode's user cost, the operator's round trips and each fixed cost, each in
-    the component :func:`_payer` names."""
-    if np.any((np.asarray(ctx.frequency) == 0) & ((1.0 - ctx.auto_share) * ctx.q0 > 0)):
-        raise UndefinedServiceError(
-            "bus demand is positive but frequency is zero; waiting time is undefined"
-        )
-    rates = _rates(ctx.scenario, policy)
-    out = dict.fromkeys(_COMPONENTS, 0.0)
-    for mode in ("bus", "auto"):
-        out[_payer(mode)] = _user_cost(ctx, policy, mode)
-    line_haul = line_haul_time(ctx, policy, "bus")[..., -1]
-    out[_payer("bus_operator")] = rates.round_trip * line_haul * ctx.frequency
-    for key, value in rates.fixed.items():
-        out[_payer(key)] = out[_payer(key)] + value
-    return tuple(out[name] for name in _COMPONENTS)
 
 
 def cost_breakdown(
@@ -630,8 +587,8 @@ def cost_breakdown(
     or not F satisfies the service-capacity constraint; the optimizer is
     responsible for feasibility.
     """
-    ctx = build_context(scenario, q0, auto_share, frequency)
-    return CostBreakdown(*_components(ctx, policy))
+    _require_scalars(q0=q0, auto_share=auto_share, frequency=frequency)
+    return cost_breakdowns(scenario, policy, [q0], [auto_share], [frequency])[0]
 
 
 def cost_breakdowns(
@@ -640,38 +597,65 @@ def cost_breakdowns(
     """:func:`cost_breakdown` at each of a 1-D array of operating points.
 
     Each of ``q0``, ``auto_share`` and ``frequency`` is a scalar or a 1-D
-    array aligned with the others.  Passes of :data:`_PRICE_BLOCK` points
-    give every float as :func:`cost_breakdown` gives it for that point.
+    array aligned with the others.  The moment table that the optimizer
+    searches prices every point
+    (:meth:`~lanepolicy._fsweep.FrequencySweep.breakdowns`) cell by cell, so
+    a point gets the same floats in any batch, and an optimum those of its
+    own search.
+
+    :raises UndefinedServiceError: at F = 0 where someone rides the bus.
+    :raises NumericDomainError: where a component is not finite; the message
+        names the first such component and its point.
     """
-    rows = _in_passes(scenario, q0, auto_share, frequency, lambda ctx: _components(ctx, policy))
+    from ._fsweep import FrequencySweep  # imported here, as _fsweep imports this module
+
+    q0s, shares, fs = _points(scenario, q0, auto_share, frequency)
+    if np.any((fs == 0) & ((1.0 - shares) * q0s > 0)):
+        raise UndefinedServiceError(
+            "bus demand is positive but frequency is zero; waiting time is undefined"
+        )
+    rows = FrequencySweep(scenario, policy, q0s, shares).breakdowns(fs)
+    bad = np.argwhere(~np.isfinite(rows))
+    if bad.size:
+        i, k = bad[0]
+        raise NumericDomainError(
+            f"cost component {_COMPONENTS[k]} is not finite at q0={q0s[i]:g}, "
+            f"R={shares[i]:g}, F={fs[i]:g} (value {rows[i, k]})"
+        )
     return [CostBreakdown(*row) for row in rows]
+
+
+def _points(scenario: Scenario, q0, auto_share, frequency) -> list[np.ndarray]:
+    """q0, auto share and frequency broadcast to one 1-D array each, once a
+    context has checked every point."""
+    values = (q0, auto_share, frequency)
+    _context(scenario, *values)
+    points = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
+    shape = points[0].shape
+    if len(shape) != 1:
+        raise ValidationError(f"operating points must form a 1-D array, got shape {shape}")
+    return points
 
 
 def _equilibrium_gaps(scenario: Scenario, policy: Policy, q0, auto_share, frequency, signed):
     """:func:`_disutility_gap` at each of a 1-D array of operating points."""
-    return np.ravel(_in_passes(scenario, q0, auto_share, frequency,
-                               lambda ctx: (_disutility_gap(ctx, policy, signed),)))
+    return _in_passes(scenario, q0, auto_share, frequency,
+                      lambda ctx: _disutility_gap(ctx, policy, signed))
 
 
-# Operating points per stacked pricing pass, to bound its (points x nodes)
-# profiles: on the default 600-cell grid a pass of 16 peaks near 0.9 MiB
-# (tracemalloc), where one pass of 2,048 points peaked at 104 MiB.
+# Operating points per stacked gap pass, to bound its (points x nodes)
+# profiles: on the default 600-cell grid 2,048 HOVLP gaps peak at 1.0 MiB
+# (tracemalloc) in passes of 16, and at 122 MiB in one pass.
 _PRICE_BLOCK = 16
 
 
-def _in_passes(scenario: Scenario, q0, auto_share, frequency, price) -> list[tuple]:
-    """The row of ``price``'s per-point values at each point of a 1-D array of
-    operating points: one context checks the whole array, then each pass
-    prices a stacked context of its next :data:`_PRICE_BLOCK` points."""
-    points = [np.asarray(v, dtype=float) for v in (q0, auto_share, frequency)]
-    ctx = _context(scenario, *points)
-    shape = np.broadcast_shapes(*(v.shape for v in points))
-    if len(shape) != 1:
-        raise ValidationError(f"operating points must form a 1-D array, got shape {shape}")
-    rows = []
-    for start in range(0, shape[0], _PRICE_BLOCK):
-        size = min(_PRICE_BLOCK, shape[0] - start)
-        values = price(ctx.points(slice(start, start + size)))
-        rows += zip(*(np.broadcast_to(value, size) for value in values))
-    return rows
-
+def _in_passes(scenario: Scenario, q0, auto_share, frequency, price) -> np.ndarray:
+    """``price``'s value at each point of a 1-D array of operating points, once
+    :func:`_points` has checked them all, each pass a stacked context of the
+    next :data:`_PRICE_BLOCK` points."""
+    points = _points(scenario, q0, auto_share, frequency)
+    out = np.empty(points[0].size)
+    for start in range(0, out.size, _PRICE_BLOCK):
+        cells = slice(start, start + _PRICE_BLOCK)
+        out[cells] = price(_context(scenario, *(v[cells] for v in points)))
+    return out

@@ -40,9 +40,9 @@ is the split scan at a frequency the caller pins (``lanepolicy cost --F``).  The
 points of a call are then priced from the same moment table, by one
 :meth:`~lanepolicy._fsweep.FrequencySweep.breakdowns` call that sums each
 cost component on its own; it works cell by cell, so an optimum's breakdown
-does not depend on the batch either.  The node-level reference evaluator
-prices no winner: here :func:`~lanepolicy.costmodel.cost_breakdowns` serves
-only :func:`foc_residual`, and tests hold the two paths together.
+does not depend on the batch either.  :func:`foc_residual` prices its two
+frequencies through :func:`~lanepolicy.costmodel.cost_breakdowns`, which
+reads the same table.
 
 Two diagnostics are functions that callers evaluate at an optimum: a
 central finite difference of total cost in F (:func:`foc_residual`) and the

@@ -109,8 +109,8 @@ class TestCostCommand:
     @pytest.mark.parametrize("policy", ["mtp", "eblp", "hovlp"])
     @pytest.mark.parametrize("q0", [150.0, 658.0, 1476.0])
     def test_optimum_prices_like_its_pinned_point(self, tmp_path, capsys, policy, q0):
-        # the optimum's components come from the moment table, the pinned
-        # point's from the node-level evaluator
+        # the moment table prices the pinned point cell by cell, as it priced
+        # the optimum, so both print the same floats
         point = ["cost", "--policy", policy, "--q0", str(q0), "--out-dir", str(tmp_path)]
         assert main([*point, "--run-name", "optimized"]) == 0
         optimized = read_manifest(tmp_path / "optimized")["results"]
@@ -119,7 +119,7 @@ class TestCostCommand:
         assert main([*point, *pinned_point, "--run-name", "pinned"]) == 0
         printed = capsys.readouterr().out
         pinned = read_manifest(tmp_path / "pinned")["results"]
-        assert pinned["breakdown"] == pytest.approx(optimized["breakdown"], rel=1e-12, abs=0.0)
+        assert pinned["breakdown"] == optimized["breakdown"]
         for name, cost in optimized["breakdown"].items():
             assert "%-13s $%.2f/hr" % (name, cost) in printed
 
@@ -669,7 +669,8 @@ def _run_module(cwd: Path, *argv: str) -> subprocess.CompletedProcess:
         (["--R", "1"], "infeasible: every candidate evaluated non-finite"),
         (["--F", "1"],
          "infeasible: no feasible mode split at q0=1e+300: no split priced to a finite cost"),
-        (["--R", "1", "--F", "1"], "error: integrand is not finite at node x=0 (value inf)"),
+        (["--R", "1", "--F", "1"],
+         "error: cost component bus_operator is not finite at q0=1e+300, R=1, F=1 (value inf)"),
     ],
 )
 def test_overflowing_density_prints_one_line(tmp_path, pinned, message):
@@ -705,9 +706,8 @@ def test_a_mode_without_travelers_is_priced_whatever_its_rate(tmp_path, rate, r_
     pinned_point = ["--R", repr(r_star), "--F", repr(results["F"]), "--run-name", "pinned"]
     assert main([*point, *pinned_point]) == 0
     pinned = read_manifest(tmp_path / "pinned")["results"]
-    # the optimum is priced from the moment table, the pinned point by the
-    # node-level evaluator
-    assert pinned["breakdown"] == pytest.approx(results["breakdown"], rel=1e-12)
+    # the moment table prices the optimum and the pinned point alike
+    assert pinned["breakdown"] == results["breakdown"]
 
 
 def test_module_entry_point(tmp_path):

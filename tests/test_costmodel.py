@@ -50,6 +50,7 @@ from lanepolicy.optimizer import (
     min_frequency,
 )
 
+import _reference
 from _oracle import oracle_breakdown
 
 
@@ -468,11 +469,11 @@ def test_every_layer_rejects_a_non_finite_frequency(baseline: Scenario, layer, f
 
 # Stacked operating points (q0, R, F): rows with R = 0, R = 1 and q0 = 0
 # share a batch with interior points, so each user cost mixes priced and
-# zero rows.
+# zero rows; the last two run no buses where no one rides them.
 _POINTS = (
-    np.array([1000.0, 700.0, 1400.0, 50.0, 0.0, 900.0, 2214.0, 300.0]),
-    np.array([0.75, 0.0, 1.0, 0.0, 1.0, 0.6, 0.748, 0.25]),
-    np.array([16.0, 30.0, 22.0, 2.0, 1.0, 45.5, 119.556, 7.25]),
+    np.array([1000.0, 700.0, 1400.0, 50.0, 0.0, 900.0, 2214.0, 300.0, 1000.0, 0.0]),
+    np.array([0.75, 0.0, 1.0, 0.0, 1.0, 0.6, 0.748, 0.25, 1.0, 0.5]),
+    np.array([16.0, 30.0, 22.0, 2.0, 1.0, 45.5, 119.556, 7.25, 0.0, 0.0]),
 )
 
 
@@ -485,9 +486,11 @@ class TestStackedPoints:
             "solver": {"delay_volume_mode": mode},
             "geometry": {"n_intersections": n_intersections},
         })
-        got = cost_breakdowns(scen, policy, *_POINTS)
+        got = [dataclasses.astuple(b) for b in cost_breakdowns(scen, policy, *_POINTS)]
         expected = [cost_breakdown(scen, policy, *map(float, point)) for point in zip(*_POINTS)]
-        assert [dataclasses.astuple(b) for b in got] == [dataclasses.astuple(b) for b in expected]
+        assert got == [dataclasses.astuple(b) for b in expected]
+        reference = _reference.cost_breakdowns(scen, policy, *_POINTS)
+        np.testing.assert_allclose(got, [dataclasses.astuple(b) for b in reference], rtol=5e-12)
 
     @pytest.mark.parametrize("beta_auto", [4.0, 4.5])
     @pytest.mark.parametrize("policy", POLICY_ORDER)
@@ -588,7 +591,7 @@ class TestFrequencySweep:
     )
     def test_matches_direct_evaluation(self, baseline: Scenario, q0, r, f, policy):
         sweep = FrequencySweep(baseline, policy, q0, r)
-        direct = cost_breakdown(baseline, policy, q0, r, f).total
+        direct = _reference.cost_breakdown(baseline, policy, q0, r, f).total
         fast = float(sweep.totals([f])[0])
         assert fast == pytest.approx(direct, rel=5e-12, abs=1e-8)
 
@@ -643,7 +646,7 @@ class TestFrequencySweep:
             "solver": {"n_cells": 60},
         })
         fs = np.array([1.0, 7.5, 40.0, 120.0])
-        priced = cost_breakdowns(scen, policy, q0, r, fs)
+        priced = _reference.cost_breakdowns(scen, policy, q0, r, fs)
         direct = np.array([dataclasses.astuple(breakdown) for breakdown in priced])
         sweep = FrequencySweep(scen, policy, q0, r)
         np.testing.assert_allclose(sweep.totals(fs), direct[:, -1], rtol=5e-12)
@@ -686,7 +689,9 @@ class TestFrequencySweep:
     @staticmethod
     def _direct(scen, policy, q0, shares, rows):
         def total(r, f):
-            return np.nan if np.isnan(f) else cost_breakdown(scen, policy, q0, r, f).total
+            if np.isnan(f):
+                return np.nan
+            return _reference.cost_breakdown(scen, policy, q0, r, f).total
 
         return np.array([[total(r, f) for f in row] for r, row in zip(shares, rows)])
 
@@ -719,8 +724,8 @@ class TestFrequencySweep:
     @pytest.mark.parametrize("beta_bus", [1.5, 4.0])
     def test_kernel_totals_price_only_real_candidates(self, beta_bus, monkeypatch):
         # a non-integer beta prices its BPR terms through node kernels: padding
-        # comes back NaN and every real candidate matches its own
-        # cost_breakdown, in any block size, to the same float
+        # comes back NaN and every real candidate matches the reference, and
+        # prices to the same float in any block size
         scen = load_scenario(
             {"bpr": {"beta_auto": 4.5, "beta_bus": beta_bus}, "solver": {"n_cells": 20}}
         )

@@ -29,6 +29,8 @@ from lanepolicy._fsweep import FrequencySweep
 from lanepolicy.config import preset
 from lanepolicy.optimizer import equilibrium_gap, foc_residual
 
+import _reference
+
 
 class TestMinFrequency:
     def test_closed_form(self, baseline: Scenario):
@@ -141,8 +143,8 @@ class TestFocResidual:
     @pytest.mark.parametrize("beta_auto", [4.0, 4.5])
     @pytest.mark.parametrize("policy", list(Policy))
     def test_one_pass_prices_like_two_breakdowns(self, policy, beta_auto):
-        # both frequencies are priced in one stacked pass, each to the float
-        # of its own cost_breakdown
+        # both frequencies are priced in one call, each to the float of its
+        # own cost_breakdown
         scen = load_scenario({"bpr": {"beta_auto": beta_auto}})
         for q0 in (300.0, 1500.0):
             opt = optimize_policy(scen, policy, q0)
@@ -387,13 +389,13 @@ def _golden_scenario(name: str) -> Scenario:
 @pytest.mark.parametrize("name", ["baseline", "seattle_i5", "seattle_sr99", "contrast"])
 def test_golden_breakdowns_match_the_reference_evaluator(name):
     # the moment table prices each winner's components; the node-level
-    # evaluator's cumulative line haul rounds the operator's up to 7e-15 apart
+    # reference's cumulative line haul rounds the operator's up to 7e-15 apart
     scen = _golden_scenario(name)
     for scen_name, policy, q0 in _GOLDEN_OPTIMA:
         if scen_name != name:
             continue
         opt = optimize_policy(scen, Policy(policy), q0)
-        ref = cost_breakdown(scen, Policy(policy), q0, opt.r_star, opt.f_star)
+        ref = _reference.cost_breakdown(scen, Policy(policy), q0, opt.r_star, opt.f_star)
         np.testing.assert_allclose(
             dataclasses.astuple(opt.breakdown), dataclasses.astuple(ref), rtol=1e-14, atol=0.0,
             err_msg=f"{policy} {q0}",
@@ -650,9 +652,9 @@ class TestOptimizePolicies:
     @pytest.mark.parametrize("n_densities", [1, 5, 40])
     def test_winners_priced_from_the_moment_table(self, baseline, n_densities, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("reference evaluator called")
+            raise AssertionError("node-level evaluation context built")
 
-        monkeypatch.setattr(costmodel, "_components", refuse)
+        monkeypatch.setattr(costmodel, "_context", refuse)
         optimizer._optimize_policy_cached.cache_clear()
         q0s = list(np.linspace(100.0, 2000.0, n_densities) + 0.123)  # cold densities
         optima = optimize_policies(baseline, Policy.EBLP, q0s)

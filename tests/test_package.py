@@ -133,18 +133,26 @@ def test_the_cli_restates_no_library_check():
     assert restated.findall(source) == []
 
 
-def test_the_optimizer_prices_only_its_finite_difference_at_the_nodes():
-    # the search's winners are priced from the moment table; only foc_residual
-    # calls the node-level evaluator's cost_breakdowns
-    tree = ast.parse((Path(lanepolicy.__path__[0]) / "optimizer.py").read_text())
-    callers = [
-        getattr(scope, "name", "<module>")
-        for scope in tree.body
-        for node in ast.walk(scope)
-        if isinstance(node, ast.Call)
-        and "cost_breakdowns" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-    ]
-    assert callers == ["foc_residual"]
+def test_the_library_prices_components_only_from_the_moment_table():
+    # node-level component pricing is the tests' reference (tests/_reference.py);
+    # the library's one node-level batch is the equilibrium gap
+    defined, callers = [], []
+    for path in sorted(Path(lanepolicy.__path__[0]).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined += [
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in ("_components", "_user_cost")
+        ]
+        callers += [
+            getattr(scope, "name", "<module>")
+            for scope in tree.body
+            for node in ast.walk(scope)
+            if isinstance(node, ast.Call)
+            and "_in_passes" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+    assert defined == []
+    assert callers == ["_equilibrium_gaps"]
 
 
 def _halves_a_bracket(node: ast.AST) -> bool:
