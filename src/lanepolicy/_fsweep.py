@@ -71,8 +71,21 @@ is bounded by its F = 0 column as above.  A kernel term a^j b^m F^k *
 (slope >= 0, beta >= 1), so with K split into K+ >= 0 and K- <= 0 (the
 half-pair weight leaves K one negative entry) it is bounded by its K+ part
 at x0 plus its K- part at x1.
-:meth:`FrequencySweep.subset` is a view of some rows that reuses the share
-terms, so it prices every candidate to the same float as the whole sweep.
+
+Those bounds need each row's exact share terms: its coefficients in F, an
+einsum over a^j b^m, and its F = 0 delay column, one ``intersection_delay``
+term per signal column.  A split search bounds many more shares than it
+keeps, so it bounds in two stages.  Since a^j b^m = q0^(j+m) R^j (1-R)^m,
+:func:`_share_table` regroups ``poly`` by total degree d = j + m at each
+auto share, and :meth:`FrequencySweep.rough` takes every row's
+coefficients from one (densities x degree) @ (degree x shares*F-degree)
+product; its :meth:`~FrequencySweep.lower_bounds` omit delay, which is
+never negative, so they bound from below too (stage 1).  The rows they
+keep get their F = 0 delay column added (stage 2), and only the rows that
+both keep get exact share terms.  :meth:`FrequencySweep.subset` is a view
+of some rows that reuses the share terms its sweep has built and builds
+the rest for its own rows alone; every term is a row's own, so the view
+prices every candidate to the same float as the whole sweep.
 """
 
 from __future__ import annotations
@@ -168,6 +181,19 @@ def _kernel_terms(group: _KernelGroup, a, b, f, kernels) -> np.ndarray:
         out[cells] = (power[:, None, :] @ kernels)[:, 0]
     j, m, k = np.tile(group.powers, (kernels.shape[1] // len(group.powers), 1)).T
     return _paid(out, a[:, None] ** j * b[:, None] ** m * f[:, None] ** k)
+
+
+def _share_table(poly: np.ndarray, shares: np.ndarray) -> np.ndarray:
+    """G[d, s, k] as a (degree, shares * F-degree) matrix: the coefficient of
+    q0^d F^k at auto share R = shares[s], the sum over j + m = d of
+    poly[j, m, k] * R^j * (1 - R)^m, since a^j b^m = q0^(j+m) R^j (1 - R)^m."""
+    n_a, n_b, n_f = poly.shape
+    j, m = np.arange(n_a)[:, None], np.arange(n_b)
+    by_degree = np.zeros((n_a, n_b, n_a + n_b - 1, n_f))
+    by_degree[j, m, j + m] = poly
+    powers = shares[:, None, None] ** j * (1.0 - shares)[:, None, None] ** m
+    table = powers.reshape(shares.size, n_a * n_b) @ by_degree.reshape(n_a * n_b, -1)
+    return table.reshape(shares.size, -1, n_f).transpose(1, 0, 2).reshape(n_a + n_b - 1, -1)
 
 
 def _paid(rate, scale: np.ndarray) -> np.ndarray:
@@ -377,7 +403,7 @@ class FrequencySweep:
         # Whole-lattice arrays are updated in place: fresh temporaries of this
         # size cost more in page faults than their arithmetic.
         a, b, base = self._base(rows)
-        lower = base + self._share_terms[3]  # delay cost at F = 0 bounds it below
+        lower = base + self._delay  # delay cost at F = 0 bounds it below
         padding = np.isnan(lower)
         lower[padding] = np.inf
         r = np.arange(rows.shape[0])
@@ -402,47 +428,104 @@ class FrequencySweep:
         values, the kernel terms' K+ part at x0 and K- part at x1, waiting at
         x1 and delay at F = 0 (see the module docstring).  ``lo`` and ``hi``
         are positive scalars or one value per row."""
-        a, b, coeffs, delay = self._share_terms
+        a, b, coeffs = self._share_terms
         edges = np.linspace(
-            np.broadcast_to(lo, delay.shape[:1]), np.broadcast_to(hi, delay.shape[:1]),
+            np.broadcast_to(lo, a.shape[:1]), np.broadcast_to(hi, a.shape[:1]),
             _BOUND_BLOCKS + 1, axis=1,
         )
         out = self._waiting(b, edges[:, 1:])
-        for k in range(coeffs.shape[1]):
-            monomial = coeffs[:, k : k + 1] * edges**k
-            out += np.minimum(monomial[:, :-1], monomial[:, 1:])
+        # the smaller end value of each c*F^k is c+ x0^k + c- x1^k for
+        # c+ = max(c, 0) and c- = min(c, 0): two polynomials by Horner's
+        # rule, the second only where some coefficient is negative
+        for x, part in ((edges[:, :-1], np.maximum(coeffs, 0.0)),
+                        (edges[:, 1:], np.minimum(coeffs, 0.0))):
+            if not part.any():
+                continue
+            value = np.zeros(x.shape)
+            for k in range(coeffs.shape[1] - 1, -1, -1):
+                value *= x
+                value += part[:, k : k + 1]
+            out += value
         for group in self._varying:
             split = np.hstack([np.maximum(group.kernels, 0.0), np.minimum(group.kernels, 0.0)])
             cells = a.repeat(edges.shape[1]), b.repeat(edges.shape[1]), edges.ravel()
             terms = _kernel_terms(group, *cells, split).reshape(*edges.shape, 2, -1)
             out += np.sum(terms[:, :-1, 0] + terms[:, 1:, 1], axis=-1)  # K+ at x0, K- at x1
-        return np.min(out, axis=1) + delay[:, 0]
+        return np.min(out, axis=1) + self._delay[:, 0]
+
+    @_overflow_unwarned
+    def rough(self) -> FrequencySweep:
+        """A view of these rows whose :meth:`lower_bounds` cost little to
+        build: their polynomial coefficients come from one product of the
+        distinct densities' powers with the share table at the distinct
+        shares (:func:`_share_table`), and they omit signal delay, so they
+        are weaker.  No exact share term is built.  The view's totals agree
+        with this sweep's only to rounding; it is for bounding."""
+        q0s, density = np.unique(self._q0s, return_inverse=True)
+        shares, share = np.unique(self._shares, return_inverse=True)
+        table = _share_table(self._table.poly, shares)
+        coeffs = q0s[:, None] ** np.arange(table.shape[0]) @ table
+        coeffs = coeffs.reshape(q0s.size, shares.size, -1)[density, share]
+        a, b = self._columns()
+        view = FrequencySweep(self.scenario, self.policy, self._q0s, self._shares)
+        view._share_terms = a, b, self._with_fixed_kernels(a, b, coeffs)
+        view._delay = np.zeros(a.shape)
+        return view
 
     def subset(self, index) -> FrequencySweep:
         """The sweep at some of its rows (an index array or a boolean mask).
-        The view reuses this sweep's share terms, so it prices every candidate
-        to the same float."""
+        The view reuses the share terms this sweep has built and builds the
+        rest for its own rows alone; each term is a row's own, so the view
+        prices every candidate to the same float as the whole sweep."""
         view = FrequencySweep(self.scenario, self.policy, self._q0s[index], self._shares[index])
-        view._share_terms = tuple(term[index] for term in self._share_terms)
+        if "_share_terms" in vars(self):
+            view._share_terms = tuple(term[index] for term in self._share_terms)
+        if "_delay" in vars(self):
+            view._delay = self._delay[index]
         return view
+
+    def _columns(self):
+        """The share columns a = q0*R and b = q0*(1 - R)."""
+        q0, shares = self._q0s[:, None], self._shares[:, None]
+        return q0 * shares, q0 * (1.0 - shares)
 
     @cached_property
     @_overflow_unwarned
     def _share_terms(self):
-        """Share columns a, b, their coefficients in F (kernel groups without
-        buses in the constant one) and their delay cost at F = 0."""
-        q0, shares = self._q0s[:, None], self._shares[:, None]
-        a, b = q0 * shares, q0 * (1.0 - shares)
+        """Share columns a, b and their coefficients in F (kernel groups
+        without buses in the constant one).  A row whose a^j or b^m
+        overflowed prices its terms one at a time, as :meth:`breakdowns`
+        does: an overflowed power times a zero one adds 0."""
+        a, b = self._columns()
         poly = self._table.poly
         scales = a ** np.arange(poly.shape[0]), b ** np.arange(poly.shape[1])
         finite = np.isfinite(poly)
         coeffs = np.einsum("rj,rm,jmk->rk", *scales, np.where(finite, poly, 0.0))
         for j, m, k in zip(*np.nonzero(~finite)):  # an overflowed rate, where someone pays it
             coeffs[:, k] += _paid(poly[j, m, k], scales[0][:, j] * scales[1][:, m])
+        wild = np.flatnonzero(np.isinf(scales[0]).any(axis=1) | np.isinf(scales[1]).any(axis=1))
+        if wild.size:
+            coeffs[wild] = 0.0
+            for j, m, k in zip(*np.nonzero(poly)):
+                scale = scales[0][wild, j] * scales[1][wild, m]
+                scale[np.isnan(scale)] = 0.0  # an overflowed power times a zero one
+                coeffs[wild, k] += _paid(poly[j, m, k], scale)
+        return a, b, self._with_fixed_kernels(a, b, coeffs)
+
+    @cached_property
+    @_overflow_unwarned
+    def _delay(self):
+        """Each row's signal delay cost at F = 0, which bounds it at any F."""
+        a, b = self._columns()
+        return self._add_signals(a, b, np.zeros(a.shape), 0.0)
+
+    def _with_fixed_kernels(self, a, b, coeffs: np.ndarray) -> np.ndarray:
+        """``coeffs`` with the kernel groups without buses added to the
+        constant coefficient."""
         fixed = [group for group in self._table.kernels if not group.slope]
         if fixed:
             coeffs[:, 0] += _kernel_cost(fixed, a[:, 0], b[:, 0], 0.0 * a[:, 0])
-        return a, b, coeffs, self._add_signals(a, b, np.zeros(a.shape), 0.0)
+        return coeffs
 
     def _waiting(self, b, f: np.ndarray) -> np.ndarray:
         """Waiting cost wait_pay * b * wait at bus demand column b on rows f,
@@ -454,7 +537,7 @@ class FrequencySweep:
     def _base(self, f: np.ndarray):
         """Share columns a, b and the totals without signal delay on rows f;
         NaN where f is."""
-        a, b, coeffs, _ = self._share_terms
+        a, b, coeffs = self._share_terms
         waiting = self._waiting(b, f)
         out = np.zeros(f.shape)
         for k in range(coeffs.shape[1] - 1, -1, -1):
@@ -473,6 +556,6 @@ class FrequencySweep:
         for start in range(0, signals.shape[1], step):
             base, slope, capacity, pax_a, pax_b = signals[:, start : start + step]
             seconds = intersection_delay(self.scenario.signal, base * a + slope * f, capacity)
-            for term in (_paid(pax_a, a) + _paid(pax_b, b)) * seconds:
+            for term in _paid(seconds, _paid(pax_a, a) + _paid(pax_b, b)):  # unpaid adds 0
                 out += term
         return out

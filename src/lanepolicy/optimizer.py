@@ -22,11 +22,16 @@ its lattice, and only the rows whose bound does not exceed their head's
 minimum have that tail priced; one more call prices every row's refinement
 window (NaN-padded).  Each prices signal delay only where its F = 0 lower
 bound cannot prune.  Before the coarse pass, each density's shares are
-bounded below over their whole frequency range, the lowest-bound share is
-priced at its first candidate, and only the shares whose bound does not
-exceed that total are searched (:func:`_winnable`); every dropped share
-costs more than a total already priced for its density, so the coarse first
-minimum cannot change.  The refined pass's shares nearly tie, so it searches
+bounded below over their whole frequency range in two stages
+(:func:`_winnable`).  Stage 1 bounds every share without signal delay, its
+coefficients from one product of the block's density powers with a share
+table (:meth:`~lanepolicy._fsweep.FrequencySweep.rough`); the lowest-bound
+share is priced at its first candidate.  Stage 2 adds the F = 0 delay to
+the shares whose stage-1 bound does not exceed that total, and only the
+shares whose bound still does not are searched, their exact share terms
+built for them alone.  Every dropped share costs more than a total already
+priced for its density, so the coarse first minimum cannot change.  The
+refined pass's shares nearly tie, so it searches
 them all and leaves the pruning to each row's tail bound.  Rows are priced
 elementwise and no bound crosses densities, so an optimum does not depend
 on the block it was solved in.  :func:`optimize_frequency` and the
@@ -208,25 +213,37 @@ def _exceeds(bounds, cost):
 
 def _winnable(sweep: FrequencySweep, groups, f_min, first, cap) -> np.ndarray:
     """Which rows of ``sweep`` can hold their group's cheapest optimum; the
-    coarse split pass searches only those.
+    coarse split pass searches only those, and builds exact share terms for
+    no other row.
 
-    A row's bound is :meth:`FrequencySweep.lower_bounds` over [max(1, f_min -
-    s), cap] for the floor slack s, which holds every integer candidate (the
-    first, ``first`` = min(max(1, ceil(f_min - s)), cap), may sit s below
-    f_min) and every refinement candidate.  Per group, the row with the
-    lowest bound is priced exactly at its first candidate ``first``; call
-    that total U.  Every candidate of a row whose bound exceeds U
-    (:func:`_exceeds`) costs more than U, which is at least the group's
-    minimum, so the row can neither be the group's first minimum nor tie with
-    it.  A NaN bound or U keeps the row.
+    A row's bound covers [max(1, f_min - s), cap] for the floor slack s,
+    which holds every integer candidate (the first, ``first`` =
+    min(max(1, ceil(f_min - s)), cap), may sit s below f_min) and every
+    refinement candidate.  Both stages read
+    :meth:`FrequencySweep.lower_bounds`.  Stage 1 bounds every row from
+    ``sweep.rough()``: coefficients from the share table, no signal delay.
+    Per group, the row with the lowest stage-1 bound is priced exactly at
+    its first candidate ``first``; call that total U.  Stage 2 adds the F = 0
+    delay column, which no delay at a higher F undercuts, to the rows that
+    stage 1 keeps, and tests them again against U.  Every candidate of a row
+    whose bound exceeds U (:func:`_exceeds`) costs more than U, which is at
+    least the group's minimum, so the row can neither be the group's first
+    minimum nor tie with it.  A NaN bound or U keeps the row, and so does a
+    non-finite stage-1 bound: the table's powers of q0 can overflow where a
+    row's own a^j b^m do not.
     """
-    bounds = sweep.lower_bounds(np.maximum(1.0, f_min - _FLOOR_SLACK), cap)
+    bounds = sweep.rough().lower_bounds(np.maximum(1.0, f_min - _FLOOR_SLACK), cap)
     order = np.lexsort((bounds, groups))
     lowest = order[np.r_[True, np.diff(groups[order]) != 0]]
     upper = sweep.subset(lowest).totals(first[lowest][:, None])[:, 0]
     limit = np.empty(groups.max() + 1)
     limit[groups[lowest]] = upper
-    return ~_exceeds(bounds, limit[groups])
+    limit = limit[groups]
+    rough = ~np.isfinite(bounds)
+    keep = rough | ~_exceeds(bounds, limit)
+    delay = sweep.subset(keep)._delay[:, 0]
+    keep[keep] = rough[keep] | ~_exceeds(bounds[keep] + delay, limit[keep])
+    return keep
 
 
 def optimize_frequency(
@@ -420,20 +437,25 @@ def _best_split_equilibrium(scenario: Scenario, policy: Policy, q0: float):
     return cost, 1.0 - root, f_star
 
 
-# Lattice cells (density x share x integer frequency) per cost-min search
-# block, to bound the search's temporaries, a density's shares being its
-# coarse lattice or its refined window, whichever holds more: 19 densities on
-# the default 101-share, 121-frequency lattice.  Counting only the coarse
-# lattice, r_step 0.5 and r_refine_factor 1000 (3 coarse shares, 2,001 in a
-# window) made 661-density blocks: one cold 76-density MTP call peaked at
-# 68 MiB traced, against 2.6 MiB in one-density blocks.  With signal delay
-# priced _fsweep._DELAY_BLOCK terms at a time and each row's lattice scanned
-# up from its floor, a default block's peak is the coarse pass's share bounds
-# (_winnable's lower_bounds over every share's (rows x 9) terms): one cold
-# 19-density HOVLP call on the contrast scenario peaks at 0.95 MiB traced,
-# 39 densities at 1.87 MiB, 59 at 2.75 MiB.  On the `schedule` benchmark
-# this size reads 38.6 MiB peak RSS against the 9-density blocks' 38.8;
-# 300,000 cells read 38.75 and were no faster, 360,000 read 38.9.
+# Lattice cells per cost-min search block, to bound the search's
+# temporaries.  A density counts its coarse shares times every integer
+# frequency, or its refined window's shares times twice the cells each of
+# them prices, whichever is more: 19 densities on the default 101-share,
+# 121-frequency lattice, where the coarse count decides.  With r_step 0.5
+# and r_refine_factor 1000 (3 coarse shares, 2,001 in a window), on 19
+# densities over linspace(200, 2200) for MTP: counting the coarse lattice
+# alone made 661-density blocks, and one cold 76-density call peaked at 68
+# MiB traced; a refined row's whole integer lattice made one-density
+# blocks, 2.4 MiB traced; its priced cells once, 4-density blocks at 6.2
+# MiB; twice, 2-density blocks at 3.6 MiB, and the cold 76-density call
+# fell from 0.40 to 0.34 s.  A default block's peak is the coarse pass's
+# stage-1 share bounds (_winnable's lower_bounds over every share's rows x 9
+# block ends), not its exact share terms: one cold 19-density HOVLP call on
+# the contrast scenario peaks at 0.96 MiB traced whether every share's
+# exact terms are built or only the kept ones', and one block of 39
+# densities at 1.87 MiB, of 59 at 2.75 MiB.  On the `schedule` benchmark
+# this size read 38.6 MiB peak RSS against 9-density blocks' 38.8; 300,000
+# cells read 38.75 and were no faster, 360,000 read 38.9.
 _CELL_BLOCK = 240_000
 
 _CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
@@ -489,11 +511,11 @@ def _solve_policies(scenario: Scenario, policy: Policy, q0s: np.ndarray) -> list
     """Each density's :class:`PolicyOptimum`, or the :class:`InfeasibleError`
     that stopped its search.  One (n, 3) array holds every (cost, bus share,
     frequency), cost inf without a split.  Cost-min splits are searched in
-    blocks of :data:`_CELL_BLOCK` lattice cells, a density's shares counted
-    by its coarse lattice or its refined window, whichever holds more (19
-    densities by default; the coarse pass's share bounds set a block's peak,
-    0.95 MiB traced at 19); the ``equilibrium`` rule solves each positive
-    density on its own.  The
+    blocks of :data:`_CELL_BLOCK` lattice cells, a density counting its
+    coarse lattice or the cells its refined window prices, whichever is more
+    (19 densities by default; the coarse pass's stage-1 share bounds set a
+    block's peak, 0.96 MiB traced at 19); the ``equilibrium`` rule solves
+    each positive density on its own.  The
     winners' components are priced from the moment table in one
     :meth:`~lanepolicy._fsweep.FrequencySweep.breakdowns` call
     (:func:`_optima`)."""
@@ -507,8 +529,13 @@ def _solve_policies(scenario: Scenario, policy: Policy, q0s: np.ndarray) -> list
             errors[i] = exc
     cost_min = np.flatnonzero(~equilibrium)
     coarse = _split_lattice(solver)
-    shares = max(coarse.size, 2 * solver.r_refine_factor + 1)  # the most a refined window holds
-    step = max(1, _CELL_BLOCK // (shares * (int(solver.f_cap) + 1)))
+    # a coarse row counts its whole integer lattice; a refined row, one of at
+    # most 2*r_refine_factor + 1 in a window, counts the cells it prices, its
+    # head and its refinement window, twice (see _CELL_BLOCK)
+    priced = _HEAD + _lattice(-1.0, 1.0, solver.f_refine_step).size
+    refined = 2 * priced * (2 * solver.r_refine_factor + 1)
+    cells = max(coarse.size * (int(solver.f_cap) + 1), refined)
+    step = max(1, _CELL_BLOCK // cells)
     for start in range(0, cost_min.size, step):
         block = cost_min[start : start + step]
         splits[block] = _best_split_cost_min(scenario, policy, q0s[block], coarse)

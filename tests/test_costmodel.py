@@ -825,7 +825,7 @@ class TestFrequencySweep:
 
         def priced():
             sweep = FrequencySweep(contrast, Policy.HOVLP, q0s, shares)
-            delay = sweep._share_terms[3]  # the F = 0 column, built under this block size
+            delay = sweep._delay  # the F = 0 column, built under this block size
             bounds = sweep.lower_bounds(np.maximum(1.0, floor - 1e-9), cap)
             return (delay, bounds, sweep.totals(rows), *sweep.row_minima(rows))
 
@@ -990,6 +990,54 @@ class TestFrequencySweep:
         negated = table._replace(poly=-table.poly)
         monkeypatch.setattr(_fsweep, "_moment_table", lambda scenario, policy: negated)
         self._check_lower_bounds(baseline, policy, 900.0, np.linspace(0.2, 1.0, 9))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        q0s=st.lists(st.floats(0.0, 3000.0) | st.sampled_from([0.0, 1e300]), min_size=1,
+                     max_size=4),
+        policy=st.sampled_from(POLICY_ORDER),
+        beta_auto=st.sampled_from([4.0, 4.5]),
+        negated=st.booleans(),
+    )
+    @example(q0s=[0.0, 658.0, 1e300], policy=Policy.HOVLP, beta_auto=4.5, negated=False)
+    def test_rough_bounds_never_exceed_the_exact_ones(self, q0s, policy, beta_auto, negated):
+        # stage 1 of the coarse split pass: coefficients from the share table,
+        # no delay.  Negated polynomial coefficients, as in
+        # test_lower_bounds_assume_no_coefficient_sign, make every monomial
+        # fall in F; a non-finite rough bound keeps its row, so only finite
+        # ones are held to the exact bound, to optimizer._exceeds' slack
+        scen = load_scenario({"bpr": {"beta_auto": beta_auto}, "solver": {"n_cells": 60}})
+        table = _fsweep._moment_table(scen, policy)
+        if negated:
+            table = table._replace(poly=-table.poly)
+        shares = np.tile(_lattice(0.0, 1.0, scen.solver.r_step), len(q0s))
+        q0s = np.repeat(q0s, shares.size // len(q0s))
+        cap = scen.solver.f_cap
+        floor = min_frequency(scen, q0s, shares)
+        q0s, shares, lo = q0s[floor <= cap], shares[floor <= cap], np.maximum(1.0, floor - 1e-9)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_fsweep, "_moment_table", lambda scenario, policy: table)
+            sweep = FrequencySweep(scen, policy, q0s, shares)
+            rough = sweep.rough().lower_bounds(lo[floor <= cap], cap)
+            exact = sweep.lower_bounds(lo[floor <= cap], cap)
+            delay = sweep._delay[:, 0]
+        finite = np.isfinite(rough)
+        assert finite[q0s < 1e300].all()
+        rough, exact, delay = rough[finite], exact[finite], delay[finite]
+        assert np.all(rough <= exact + 1e-9 * np.abs(exact))
+        if not negated:  # the same bound but for delay, to rounding
+            np.testing.assert_allclose(rough, exact - delay, rtol=1e-12)
+
+    @pytest.mark.parametrize("policy", POLICY_ORDER)
+    def test_totals_overflow_to_inf_as_the_components_do(self, baseline: Scenario, policy):
+        # an overflowed power of one demand scale times a zero power of the
+        # other adds 0, and so does a delay that no one pays, as in breakdowns
+        sweep = FrequencySweep(baseline, policy, 1e300, [1.0, 0.0, 0.5])
+        totals = sweep.totals([1.0, 5.0])
+        for f, column in zip((1.0, 5.0), totals.T):
+            overflowed = np.isposinf(sweep.breakdowns(f).sum(axis=1))
+            assert overflowed.any()
+            np.testing.assert_array_equal(column[overflowed], np.inf)
 
     def test_subsets_price_like_the_whole_sweep(self, baseline: Scenario):
         q0s = np.array([0.0, 450.0, 900.0, 2100.0])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import pathlib
 import re
@@ -599,7 +600,8 @@ class TestOptimizePolicies:
     def test_a_block_budgets_the_refined_window(self):
         # r_step 0.5 gives 3 coarse shares but 2,001 in each refined window;
         # blocks sized by the coarse lattice alone held 661 densities, and
-        # these 19 peaked at 17 MiB traced.  Sized by the window they hold one
+        # these 19 peaked at 17 MiB traced.  Sized by the cells each window
+        # share prices they hold two (3.6 MiB)
         q0s = np.linspace(200.0, 2200.0, 19)
         scen = load_scenario({"solver": {"r_step": 0.5, "r_refine_factor": 1000}})
         memo = optimizer._optimize_policy_cached
@@ -614,6 +616,27 @@ class TestOptimizePolicies:
             memo.cache_clear()
         assert misses == q0s.size  # all cold
         assert peak < 4 * 2**20, peak
+
+    @pytest.mark.parametrize(
+        "solver,most", [({}, 19), ({"r_step": 0.5, "r_refine_factor": 1000}, 2)],
+        ids=["default", "wide_windows"],
+    )
+    def test_a_block_counts_the_cells_its_rows_price(self, solver, most, monkeypatch):
+        # the default coarse lattice sets a block's size; a refined window of
+        # 2,001 shares counts the cells each share prices, not its whole lattice
+        sizes = []
+        cost_min = optimizer._best_split_cost_min
+
+        def recorded(scenario, policy, q0s, coarse):
+            sizes.append(q0s.size)
+            return cost_min(scenario, policy, q0s, coarse)
+
+        monkeypatch.setattr(optimizer, "_best_split_cost_min", recorded)
+        optimizer._optimize_policy_cached.cache_clear()
+        scen = load_scenario({"solver": solver})
+        optimize_policies(scen, Policy.MTP, np.linspace(200.0, 2200.0, 40))
+        optimizer._optimize_policy_cached.cache_clear()
+        assert max(sizes) == most
 
     @pytest.mark.parametrize("q0s", [[658.0, 1e300, 1476.0, 0.0], [1e300, 2e300]],
                              ids=["mixed", "all_infeasible"])
@@ -784,6 +807,38 @@ class TestOptimizePolicies:
         optimizer._optimize_policy_cached.cache_clear()
         kept, rows = passes[0]  # the coarse pass; the refined one bounds only tails
         assert len(passes) == 1 and kept <= 0.1 * rows
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_coarse_split_pass_builds_few_exact_share_terms(self, contrast, policy, monkeypatch):
+        # the share table bounds every share before its exact terms exist;
+        # only the shares whose bound, and then whose bound with delay, can
+        # win, and one priced share per density, get theirs
+        coarse, rows, built = [False], [], []
+        search, winnable = optimizer._frequency_optima, optimizer._winnable
+        share_terms = FrequencySweep._share_terms.func
+
+        def searched(*args, groups=None, **kwargs):
+            coarse[0] = groups is not None
+            return search(*args, groups=groups, **kwargs)
+
+        def bounded(sweep, *args):
+            rows.append(sweep._shares.size)
+            return winnable(sweep, *args)
+
+        def counted(sweep):
+            if coarse[0]:
+                built.append(sweep._shares.size)
+            return share_terms(sweep)
+
+        terms = functools.cached_property(counted)
+        terms.__set_name__(FrequencySweep, "_share_terms")
+        monkeypatch.setattr(FrequencySweep, "_share_terms", terms)
+        monkeypatch.setattr(optimizer, "_frequency_optima", searched)
+        monkeypatch.setattr(optimizer, "_winnable", bounded)
+        optimizer._optimize_policy_cached.cache_clear()
+        optimize_policies(contrast, policy, [250.0, 660.0, 1200.0])
+        optimizer._optimize_policy_cached.cache_clear()
+        assert len(rows) == 1 and 0 < sum(built) <= 0.2 * rows[0], (sum(built), rows)
 
     @pytest.mark.parametrize("name", list(_TAIL_CASES))
     def test_floor_first_scan_matches_full_scans(self, name, monkeypatch):

@@ -101,6 +101,18 @@ def test_only_the_cost_model_states_cost_rates():
     assert offenders == []
 
 
+def test_only_the_frequency_sweep_contracts_the_moment_table():
+    # poly's monomials a^j b^m F^k are priced in _fsweep alone: the exact
+    # share terms and the share table behind the coarse split pass's bounds
+    contracts = re.compile(r"\.poly\b")
+    offenders = sorted(
+        path.name
+        for path in Path(lanepolicy.__path__[0]).glob("*.py")
+        if path.name != "_fsweep.py" and contracts.search(path.read_text())
+    )
+    assert offenders == []
+
+
 def test_only_the_cost_model_prices_at_the_grid_nodes():
     # evaluation contexts and the size of a stacked pricing pass; the optimizer
     # searches and calls the cost model's batched functions
