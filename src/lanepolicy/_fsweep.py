@@ -80,9 +80,12 @@ keeps, so it bounds in two stages.  Since a^j b^m = q0^(j+m) R^j (1-R)^m,
 auto share, and :meth:`FrequencySweep.rough` takes every row's
 coefficients from one (densities x degree) @ (degree x shares*F-degree)
 product; its :meth:`~FrequencySweep.lower_bounds` omit delay, which is
-never negative, so they bound from below too (stage 1).  The rows they
-keep get their F = 0 delay column added (stage 2), and only the rows that
-both keep get exact share terms.  :meth:`FrequencySweep.subset` is a view
+never negative, so they bound from below too (stage 1).  Every bound is
+its row's own, so a search takes them a fixed-size chunk of rows at a
+time, one rough view per chunk, and its stage-1 temporaries do not grow
+with the number of densities it searches.  The rows they keep get their
+F = 0 delay column added (stage 2), and only the rows that both keep get
+exact share terms.  :meth:`FrequencySweep.subset` is a view
 of some rows that reuses the share terms its sweep has built and builds
 the rest for its own rows alone; every term is a row's own, so the view
 prices every candidate to the same float as the whole sweep.
@@ -111,10 +114,11 @@ _MAX_POLY_DEGREE = 12
 _KERNEL_BLOCK = 1 << 14  # node values per power profile block on the kernel path
 # Delay terms (signal columns x cells) per intersection_delay call, at least
 # one column.  A call holds about ten temporaries of its size, 32 KiB each
-# here: a 19-density search block's F = 0 column (19 x 101 shares) goes two
-# signal columns a call.  All 20 at once (1 << 18) took one cold 19-density
-# HOVLP call's traced peak from 1.13 to 2.46 MiB.  Columns still add in
-# table order, so no float moves.
+# here: the F = 0 column of a default 81-density block's refined rows (81 x
+# 21 shares) goes two signal columns a call.  All 20 at once (1 << 18) took
+# one cold 19-density HOVLP call's traced peak from 1.13 to 2.46 MiB, when
+# every coarse share's F = 0 column was built.  Columns still add in table
+# order, so no float moves.
 _DELAY_BLOCK = 1 << 12
 _BOUND_BLOCKS = 8  # frequency blocks per row in FrequencySweep.lower_bounds
 
@@ -361,9 +365,11 @@ class FrequencySweep:
         an (n, 4) array; a sweep of one row takes any number of frequencies.
         F = 0 is priced too where no one rides the bus, without a wait.
 
-        Each term of the table is priced at its cell and added to the
-        component that pays its tag's rate.  Every step is elementwise across
-        cells, so a cell's components do not depend on the other cells.
+        Each term of the table is priced at its cell and added to its tag's
+        row, then each tag's row to the component that pays its rate, every
+        sum in table order (``np.add.at`` adds unbuffered, in index order).
+        Every step is elementwise across cells, so a cell's components do not
+        depend on the other cells.
         """
         a, b, f = np.broadcast_arrays(
             self._q0s * self._shares, self._q0s * (1.0 - self._shares),
@@ -374,13 +380,12 @@ class FrequencySweep:
         table = self._table
         by_tag = np.zeros((len(table.tags), f.size))
         scales = [x[:, None] ** np.arange(n) for x, n in zip((a, b, f), table.poly.shape)]
-        for (t, j, m, k), value in zip(table.part_cells, table.part_values):
-            scale = scales[0][:, j] * scales[1][:, m] * scales[2][:, k]
-            scale[np.isnan(scale)] = 0.0  # an overflowed power times a zero one: no one pays
-            by_tag[t] += _paid(value, scale)
+        t, j, m, k = table.part_cells.T
+        scale = scales[0][:, j] * scales[1][:, m] * scales[2][:, k]  # (cells, parts)
+        scale[np.isnan(scale)] = 0.0  # an overflowed power times a zero one: no one pays
+        np.add.at(by_tag, t, _paid(table.part_values, scale).T)
         for group in table.kernels:
-            for t, term in zip(group.tags, _kernel_terms(group, a, b, f, group.kernels).T):
-                by_tag[t] += term
+            np.add.at(by_tag, group.tags, _kernel_terms(group, a, b, f, group.kernels).T)
         wait, delay_a, delay_b = table.pay_tags
         by_tag[wait, waits] += self._waiting(b[waits], f[waits])
         step = max(1, _DELAY_BLOCK // max(1, f.size))
@@ -388,11 +393,10 @@ class FrequencySweep:
             base, slope, capacity, pax_a, pax_b = table.signals[:, start : start + step, None]
             seconds = intersection_delay(self.scenario.signal, base * a + slope * f, capacity)
             for t, pax, demand in ((delay_a, pax_a, a), (delay_b, pax_b, b)):
-                for term in _paid(seconds, _paid(pax, demand)):  # delay no one pays adds 0
-                    by_tag[t] += term
+                terms = _paid(seconds, _paid(pax, demand))  # delay no one pays adds 0
+                np.add.at(by_tag, np.full(len(terms), t), terms)
         out = np.zeros((f.size, len(_COMPONENTS)))
-        for (_, who), row in zip(table.tags, by_tag):
-            out[:, _COMPONENTS.index(_payer(who))] += row
+        np.add.at(out.T, [_COMPONENTS.index(_payer(who)) for _, who in table.tags], by_tag)
         return out
 
     @_overflow_unwarned
@@ -437,11 +441,12 @@ class FrequencySweep:
         # the smaller end value of each c*F^k is c+ x0^k + c- x1^k for
         # c+ = max(c, 0) and c- = min(c, 0): two polynomials by Horner's
         # rule, the second only where some coefficient is negative
-        for x, part in ((edges[:, :-1], np.maximum(coeffs, 0.0)),
-                        (edges[:, 1:], np.minimum(coeffs, 0.0))):
+        value = np.empty(out.shape)
+        for x, clip in ((edges[:, :-1], np.maximum), (edges[:, 1:], np.minimum)):
+            part = clip(coeffs, 0.0)
             if not part.any():
                 continue
-            value = np.zeros(x.shape)
+            value.fill(0.0)
             for k in range(coeffs.shape[1] - 1, -1, -1):
                 value *= x
                 value += part[:, k : k + 1]

@@ -69,7 +69,7 @@ from .stochastic import (
     simulate_ensemble,
     write_trajectory_csv,
 )
-from .threshold import cost_curve, regions_and_thresholds, write_curves_csv
+from .threshold import _prefetch_sweep, cost_curve, regions_and_thresholds, write_curves_csv
 
 _HIGHLIGHT_NOTE = (
     "intersection count and waiting value-of-time are assumed defaults; "
@@ -270,6 +270,7 @@ def _cmd_sweep(args: argparse.Namespace, scenario: Scenario, run: _Run) -> dict:
         cap_value = scen.geometry.lane_capacity_vph
         tag = "" if capacity is None else "_C%g" % capacity
 
+        _prefetch_sweep(scen, (lo, hi), args.n)  # the curves and scans, one solve per policy
         curves = [cost_curve(scen, p, (lo, hi), args.n) for p in POLICY_ORDER]
         run.csv(
             f"cost_curves{tag}.csv",

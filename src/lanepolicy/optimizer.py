@@ -23,10 +23,12 @@ minimum have that tail priced; one more call prices every row's refinement
 window (NaN-padded).  Each prices signal delay only where its F = 0 lower
 bound cannot prune.  Before the coarse pass, each density's shares are
 bounded below over their whole frequency range in two stages
-(:func:`_winnable`).  Stage 1 bounds every share without signal delay, its
-coefficients from one product of the block's density powers with a share
-table (:meth:`~lanepolicy._fsweep.FrequencySweep.rough`); the lowest-bound
-share is priced at its first candidate.  Stage 2 adds the F = 0 delay to
+(:func:`_winnable`).  Stage 1 bounds every share without signal delay, a
+fixed-size chunk of rows at a time, its coefficients from one product of
+the chunk's density powers with a share table
+(:meth:`~lanepolicy._fsweep.FrequencySweep.rough`), so its temporaries do
+not grow with the block; the lowest-bound share is priced at its first
+candidate.  Stage 2 adds the F = 0 delay to
 the shares whose stage-1 bound does not exceed that total, and only the
 shares whose bound still does not are searched, their exact share terms
 built for them alone.  Every dropped share costs more than a total already
@@ -136,17 +138,16 @@ def _frequency_optima(scenario: Scenario, policy: Policy, q0, auto_shares, group
     cap = solver.f_cap
     f_min = min_frequency(scenario, q0, auto_shares)
     ok = f_min <= cap
-    best_f, best_cost = np.full(f_min.shape, np.nan), np.full(f_min.shape, np.inf)
-    if not ok.any():
-        return best_f, best_cost
+    f_min = f_min[ok]
+    if not f_min.size:
+        return np.full(ok.shape, np.nan), np.full(ok.shape, np.inf)
     # each share's first integer candidate, or the cap where that is above it
     first = np.minimum(np.maximum(1.0, np.ceil(f_min - _FLOOR_SLACK)), cap)
-    sweep = FrequencySweep(scenario, policy, np.full(ok.shape, q0)[ok], auto_shares[ok])
+    sweep = FrequencySweep(scenario, policy, np.broadcast_to(q0, ok.shape)[ok], auto_shares[ok])
     if groups is not None:
-        keep = _winnable(sweep, groups[ok], f_min[ok], first[ok], cap)
+        keep = _winnable(sweep, groups[ok], f_min, first, cap)
         ok[ok] = keep
-        sweep = sweep.subset(keep)
-    f_min, first = f_min[ok], first[ok]
+        sweep, f_min, first = sweep.subset(keep), f_min[keep], first[keep]
     last = np.maximum(first, np.floor(cap))
     if floor_first:
         f1, c1 = _floor_first_minima(sweep, first, last)
@@ -163,6 +164,7 @@ def _frequency_optima(scenario: Scenario, policy: Policy, q0, auto_shares, group
         f1 = np.where(better, f2, f1)
         # a window that evaluated nothing finite makes the share infeasible
         c1 = np.where(better | (searched & np.isinf(c2)), c2, c1)
+    best_f, best_cost = np.full(ok.shape, np.nan), np.full(ok.shape, np.inf)
     best_f[ok], best_cost[ok] = f1, c1
     return best_f, best_cost
 
@@ -221,7 +223,9 @@ def _winnable(sweep: FrequencySweep, groups, f_min, first, cap) -> np.ndarray:
     min(max(1, ceil(f_min - s)), cap), may sit s below f_min) and every
     refinement candidate.  Both stages read
     :meth:`FrequencySweep.lower_bounds`.  Stage 1 bounds every row from
-    ``sweep.rough()``: coefficients from the share table, no signal delay.
+    the rough view of its chunk of ``_CELL_BLOCK // (int(cap) + 1)`` rows,
+    as many as a block's coarse rows once held whole lattices: coefficients
+    from the share table, no signal delay; each bound is its row's own.
     Per group, the row with the lowest stage-1 bound is priced exactly at
     its first candidate ``first``; call that total U.  Stage 2 adds the F = 0
     delay column, which no delay at a higher F undercuts, to the rows that
@@ -232,7 +236,11 @@ def _winnable(sweep: FrequencySweep, groups, f_min, first, cap) -> np.ndarray:
     non-finite stage-1 bound: the table's powers of q0 can overflow where a
     row's own a^j b^m do not.
     """
-    bounds = sweep.rough().lower_bounds(np.maximum(1.0, f_min - _FLOOR_SLACK), cap)
+    lo, step = np.maximum(1.0, f_min - _FLOOR_SLACK), max(1, _CELL_BLOCK // (int(cap) + 1))
+    bounds = np.empty(lo.size)
+    for i in range(0, lo.size, step):
+        rows = np.s_[i : i + step]
+        bounds[rows] = sweep.subset(rows).rough().lower_bounds(lo[rows], cap)
     order = np.lexsort((bounds, groups))
     lowest = order[np.r_[True, np.diff(groups[order]) != 0]]
     upper = sweep.subset(lowest).totals(first[lowest][:, None])[:, 0]
@@ -356,12 +364,13 @@ def _split_minima(
     scanned up from its floor; ``prune`` first drops the rows that cannot win
     (:func:`_winnable`)."""
     real = ~np.isnan(bus_shares)
-    f_star, cost = np.full(real.shape, np.nan), np.full(real.shape, np.inf)
     groups = np.repeat(np.arange(q0s.size), real.sum(axis=1))
-    f_star[real], cost[real] = _frequency_optima(
+    found = _frequency_optima(
         scenario, policy, q0s[groups], 1.0 - bus_shares[real],
         groups=groups if prune else None, floor_first=True,
     )
+    f_star, cost = np.full(real.shape, np.nan), np.full(real.shape, np.inf)
+    f_star[real], cost[real] = found
     best = np.arange(real.shape[0]), np.argmin(cost, axis=1)
     return np.column_stack([cost[best], bus_shares[best], f_star[best]])
 
@@ -378,7 +387,7 @@ def _best_split_cost_min(
     wins when it costs less, or as much at a smaller bus share.
     """
     solver = scenario.solver
-    lattices = np.tile(coarse, (q0s.size, 1))
+    lattices = np.broadcast_to(coarse, (q0s.size, coarse.size))
     best = _split_minima(scenario, policy, q0s, lattices, prune=True)
     solved = np.isfinite(best[:, 0])
     if solved.any():
@@ -438,24 +447,25 @@ def _best_split_equilibrium(scenario: Scenario, policy: Policy, q0: float):
 
 
 # Lattice cells per cost-min search block, to bound the search's
-# temporaries.  A density counts its coarse shares times every integer
-# frequency, or its refined window's shares times twice the cells each of
-# them prices, whichever is more: 19 densities on the default 101-share,
-# 121-frequency lattice, where the coarse count decides.  With r_step 0.5
-# and r_refine_factor 1000 (3 coarse shares, 2,001 in a window), on 19
+# temporaries.  A density counts the cells its coarse shares price, each
+# share's head and refinement window, or its refined window's shares times
+# twice the cells each of them prices, whichever is more: 81 densities on
+# the default 101-share lattice, where the coarse count decides.  The
+# coarse pass bounds every share first (_winnable), a chunk of this many
+# cells' rows at a time, a row counting its integer lattice (1,983 rows of
+# 121 frequencies by default), and keeps O(1) per row besides.  On the
+# contrast scenario a cold HOVLP call of 19 densities peaks at 0.77 MiB
+# traced, of 52 at 1.11 MiB, of 81 at 1.64 MiB; bounding a 52-density
+# block's shares all at once peaked at 1.95 MiB.  A block once counted a
+# coarse share's whole integer lattice: 19-density blocks, and 52 densities
+# in three of them peaked at 1.00 MiB.  With r_step 0.5 and
+# r_refine_factor 1000 (3 coarse shares, 2,001 in a window), on 19
 # densities over linspace(200, 2200) for MTP: counting the coarse lattice
 # alone made 661-density blocks, and one cold 76-density call peaked at 68
 # MiB traced; a refined row's whole integer lattice made one-density
 # blocks, 2.4 MiB traced; its priced cells once, 4-density blocks at 6.2
 # MiB; twice, 2-density blocks at 3.6 MiB, and the cold 76-density call
-# fell from 0.40 to 0.34 s.  A default block's peak is the coarse pass's
-# stage-1 share bounds (_winnable's lower_bounds over every share's rows x 9
-# block ends), not its exact share terms: one cold 19-density HOVLP call on
-# the contrast scenario peaks at 0.96 MiB traced whether every share's
-# exact terms are built or only the kept ones', and one block of 39
-# densities at 1.87 MiB, of 59 at 2.75 MiB.  On the `schedule` benchmark
-# this size read 38.6 MiB peak RSS against 9-density blocks' 38.8; 300,000
-# cells read 38.75 and were no faster, 360,000 read 38.9.
+# fell from 0.40 to 0.34 s.
 _CELL_BLOCK = 240_000
 
 _CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
@@ -511,11 +521,11 @@ def _solve_policies(scenario: Scenario, policy: Policy, q0s: np.ndarray) -> list
     """Each density's :class:`PolicyOptimum`, or the :class:`InfeasibleError`
     that stopped its search.  One (n, 3) array holds every (cost, bus share,
     frequency), cost inf without a split.  Cost-min splits are searched in
-    blocks of :data:`_CELL_BLOCK` lattice cells, a density counting its
-    coarse lattice or the cells its refined window prices, whichever is more
-    (19 densities by default; the coarse pass's stage-1 share bounds set a
-    block's peak, 0.96 MiB traced at 19); the ``equilibrium`` rule solves
-    each positive density on its own.  The
+    blocks of :data:`_CELL_BLOCK` lattice cells, a density counting the
+    cells its coarse shares or its refined window's shares price, whichever
+    is more (81 densities by default; one cold 52-density block peaks at
+    1.11 MiB traced, its coarse shares bounded a chunk of rows at a time);
+    the ``equilibrium`` rule solves each positive density on its own.  The
     winners' components are priced from the moment table in one
     :meth:`~lanepolicy._fsweep.FrequencySweep.breakdowns` call
     (:func:`_optima`)."""
@@ -529,13 +539,12 @@ def _solve_policies(scenario: Scenario, policy: Policy, q0s: np.ndarray) -> list
             errors[i] = exc
     cost_min = np.flatnonzero(~equilibrium)
     coarse = _split_lattice(solver)
-    # a coarse row counts its whole integer lattice; a refined row, one of at
-    # most 2*r_refine_factor + 1 in a window, counts the cells it prices, its
-    # head and its refinement window, twice (see _CELL_BLOCK)
+    # a coarse row counts the cells it prices, its head and its refinement
+    # window; a refined row, one of at most 2*r_refine_factor + 1 in a
+    # window, counts them twice (see _CELL_BLOCK)
     priced = _HEAD + _lattice(-1.0, 1.0, solver.f_refine_step).size
     refined = 2 * priced * (2 * solver.r_refine_factor + 1)
-    cells = max(coarse.size * (int(solver.f_cap) + 1), refined)
-    step = max(1, _CELL_BLOCK // cells)
+    step = max(1, _CELL_BLOCK // max(coarse.size * priced, refined))
     for start in range(0, cost_min.size, step):
         block = cost_min[start : start + step]
         splits[block] = _best_split_cost_min(scenario, policy, q0s[block], coarse)
@@ -576,7 +585,8 @@ def _optima(scenario: Scenario, policy: Policy, q0s: np.ndarray, splits: np.ndar
 
 
 # Memoized on (scenario, policy, q0); all three are immutable.
-_optimize_policy_cached = _BatchMemo(_solve_policies, maxsize=65536)
+_MEMO_SIZE = 65536
+_optimize_policy_cached = _BatchMemo(_solve_policies, maxsize=_MEMO_SIZE)
 
 
 def _lookup(scenario: Scenario, policy, q0s) -> list:

@@ -8,14 +8,19 @@ Both searches are one: the pointwise winner on a density lattice, ties going
 to the policy listed first, with each winner change bisected within its
 lattice cell.  policy_regions bisects every change on its lattice;
 find_threshold only its pair's first on 33 densities; regions_and_thresholds
-does both for every pair of the policies, with the same results.  A search's
-cells are bisected in lock-step (:func:`~lanepolicy.numeric.find_roots`):
-each round prices every density that each open cell's next two steps could
-visit, in one memo lookup per policy over the cells it is a side of.  So a
-62.5-wide cell at the default 1.0 tolerance takes 3 rounds, and a `sweep` of
-the occupancy-skewed scenario on [185, 2181] at 11 samples bisects its one
-region boundary and two threshold crossings in 11 solver calls over 4
-rounds, where bisecting one crossing at a time took 20.  Each walk makes the
+does both for every pair of the policies, with the same results.  A
+search's lattices are solved first, one memo lookup per policy over the
+lattices of the scans it is in (:func:`_prefetch`); `lanepolicy sweep` puts
+its cost curves' densities, which are the regions' lattice, in the same
+lookup.  Then a search's cells are bisected in lock-step
+(:func:`~lanepolicy.numeric.find_roots`): each round prices every density
+that each open cell's next two steps could visit, in one memo lookup per
+policy over the cells it is a side of.  So a 62.5-wide cell at the default
+1.0 tolerance takes 3 rounds, and a `sweep` of the occupancy-skewed
+scenario on [185, 2181] at 11 samples solves its curves and scans in 3
+solver calls and bisects its one region boundary and two threshold
+crossings in 11 more over 4 rounds, where solving the curves apart took 3
+more calls and bisecting one crossing at a time took 20.  Each walk makes the
 one-point bisection's decisions, so each boundary is that search's bit for
 bit.  Two crossings inside one lattice cell leave the winner at both its
 ends the same, so no search sees them.
@@ -34,7 +39,7 @@ from .config import Scenario
 from .costmodel import POLICY_ORDER, Policy
 from .errors import InfeasibleError, NumericDomainError, ValidationError
 from .numeric import _as_index, _lattice_steps, find_roots
-from .optimizer import PolicyOptimum, _lookup, optimize_policies
+from .optimizer import _MEMO_SIZE, PolicyOptimum, _lookup, optimize_policies
 
 __all__ = [
     "CostCurve",
@@ -49,8 +54,9 @@ __all__ = [
 ]
 
 _SCAN_POINTS = 33
+_PAIRS = list(itertools.combinations(POLICY_ORDER, 2))  # regions_and_thresholds' pairs
 # densities per lattice (cost_curve's n_samples, policy_regions' range over
-# resolution): every one is an optimum per policy, and the memo keeps 65,536
+# resolution): every one is an optimum per policy, and the memo keeps _MEMO_SIZE
 _MAX_SAMPLES = 100_000
 
 
@@ -125,19 +131,24 @@ def cost_curve(
     ``failures`` instead of raising.
     """
     policy = Policy.parse(policy)
-    lo, hi = _validate_range(*q0_range)
-    n = _as_index(n_samples)
-    if n is None or n < 2:
-        raise ValidationError(f"n_samples must be an integer >= 2, got {n_samples!r}")
     samples: list[tuple[float, PolicyOptimum]] = []
     failures: list[tuple[float, str]] = []
-    densities = _lattice(lo, hi, (hi - lo) / (n - 1))
+    densities = _curve_lattice(q0_range, n_samples)
     for q0, optimum in zip(densities, _lookup(scenario, policy, densities)):
         if isinstance(optimum, InfeasibleError):
             failures.append((q0, str(optimum)))
         else:
             samples.append((q0, optimum))
     return CostCurve(policy=policy, samples=tuple(samples), failures=tuple(failures))
+
+
+def _curve_lattice(q0_range: tuple[float, float], n_samples: int) -> list[float]:
+    """:func:`cost_curve`'s densities, once its range and sample count are checked."""
+    lo, hi = _validate_range(*q0_range)
+    n = _as_index(n_samples)
+    if n is None or n < 2:
+        raise ValidationError(f"n_samples must be an integer >= 2, got {n_samples!r}")
+    return _lattice(lo, hi, (hi - lo) / (n - 1))
 
 
 def _totals(scenario: Scenario, policy: Policy, q0s) -> list[float]:
@@ -192,15 +203,32 @@ class _Scan(NamedTuple):
     first_only: bool
 
 
+def _prefetch(scenario: Scenario, scans: list[_Scan]) -> None:
+    """Solve every scan's lattice with one memo lookup per policy, over the
+    lattices of the scans it is in.  A density without an optimum is only
+    looked up: the scans raise its error in their own order.  Densities
+    that the memo cannot hold all at once are left to the scans, which
+    would solve the evicted ones again."""
+    wanted: dict[Policy, dict[float, None]] = {}
+    for scan in scans:
+        for policy in scan.policies:
+            wanted.setdefault(policy, {}).update(dict.fromkeys(scan.lattice))
+    if sum(map(len, wanted.values())) <= _MEMO_SIZE:
+        for policy, densities in wanted.items():
+            _lookup(scenario, policy, list(densities))
+
+
 def _switches(scenario: Scenario, scans: list[_Scan]) -> list:
     """For each scan, its winner at the low end and its winner changes from
     the low end as crossings (density, policy below, policy above), each
     bisected within its lattice cell.
 
-    Every scan's cells are bisected together (:func:`_boundaries`).  The
-    error raised is the one that the scans made one after another would
-    raise first: a scan's lattice, then its bisections, then the next scan.
+    Every scan's lattice is solved first (:func:`_prefetch`), and every
+    scan's cells are bisected together (:func:`_boundaries`).  The error
+    raised is the one that the scans made one after another would raise
+    first: a scan's lattice, then its bisections, then the next scan.
     """
+    _prefetch(scenario, scans)
     found, pending = [], None
     for lattice, policies, first_only in scans:
         try:
@@ -292,6 +320,26 @@ def policy_regions(
     return _regions(scan.lattice, first, crossings)
 
 
+def _sweep_scans(q0_range: tuple[float, float], resolution: float) -> list[_Scan]:
+    """:func:`regions_and_thresholds`' scans: the regions' lattice, then each
+    pair's 33 densities on its ends, which are the range's."""
+    scan = _region_scan(q0_range, resolution, POLICY_ORDER)
+    lo, hi = scan.lattice[0], scan.lattice[-1]
+    return [scan, *(_pair_scan(lo, hi, pair) for pair in _PAIRS)]
+
+
+def _prefetch_sweep(scenario: Scenario, q0_range: tuple[float, float], n_samples: int) -> None:
+    """Solve every density that each policy's :func:`cost_curve` on
+    ``q0_range`` at ``n_samples`` and :func:`regions_and_thresholds` at that
+    lattice's resolution scan, one memo lookup per policy.  The curves'
+    densities are the regions' lattice, so both then read the memo.
+    Checks its arguments as :func:`cost_curve` does, then as
+    :func:`regions_and_thresholds` does."""
+    _curve_lattice(q0_range, n_samples)
+    (lo, hi), n = q0_range, _as_index(n_samples)
+    _prefetch(scenario, _sweep_scans(q0_range, (hi - lo) / (n - 1)))
+
+
 def regions_and_thresholds(
     scenario: Scenario, q0_range: tuple[float, float], resolution: float
 ) -> tuple[list[PolicyRegion], list[ThresholdResult]]:
@@ -303,13 +351,10 @@ def regions_and_thresholds(
     the same rounds, one solver call per policy and round.  The error raised
     is the one that those calls made one after another would raise first.
     """
-    scan = _region_scan(q0_range, resolution, POLICY_ORDER)
-    lattice = scan.lattice  # its ends are the range's
-    pairs = list(itertools.combinations(POLICY_ORDER, 2))
-    scans = [scan, *(_pair_scan(lattice[0], lattice[-1], pair) for pair in pairs)]
+    scans = _sweep_scans(q0_range, resolution)
     (first, crossings), *found = _switches(scenario, scans)
-    thresholds = [_threshold(pair, *switches) for pair, switches in zip(pairs, found)]
-    return _regions(lattice, first, crossings), thresholds
+    thresholds = [_threshold(pair, *switches) for pair, switches in zip(_PAIRS, found)]
+    return _regions(scans[0].lattice, first, crossings), thresholds
 
 
 CURVE_CSV_COLUMNS = (

@@ -7,12 +7,16 @@ crowding, the disutilities and signal delay) at the grid nodes of one
 operating point, or of a stack of them, and contracts the profiles into the
 corridor integrals.  Tests hold the table to it at rounding tolerance;
 ``_oracle.py`` is the coarser, independent trapezoid check.
+
+:func:`breakdowns` is ``FrequencySweep.breakdowns`` written one term at a
+time, the form the vectorised method must match float for float.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from lanepolicy._fsweep import _DELAY_BLOCK, _candidates, _kernel_terms, _paid
 from lanepolicy.costmodel import (
     _COMPONENTS,
     CostBreakdown,
@@ -24,6 +28,7 @@ from lanepolicy.costmodel import (
     _rates,
     build_context,
     bus_disutility,
+    intersection_delay,
     line_haul_time,
     mean_auto_disutility,
     total_intersection_delay,
@@ -92,3 +97,40 @@ def cost_breakdowns(scenario, policy: Policy, q0, auto_share, frequency) -> list
     values = components(_context(scenario, *points), policy)
     rows = zip(*(np.broadcast_to(value, points[0].shape) for value in values))
     return [CostBreakdown(*row) for row in rows]
+
+
+@_overflow_unwarned
+def breakdowns(sweep, f_values) -> np.ndarray:
+    """``sweep.breakdowns(f_values)`` one term at a time: each of ``poly``'s
+    tagged coefficients, each kernel column and each signal column is added
+    to its tag's row in table order, then each tag's row to the component
+    that pays it."""
+    a, b, f = np.broadcast_arrays(
+        sweep._q0s * sweep._shares, sweep._q0s * (1.0 - sweep._shares),
+        np.asarray(f_values, dtype=float),
+    )
+    waits = (f != 0) | (b != 0)
+    _candidates(f[waits])
+    table = sweep._table
+    by_tag = np.zeros((len(table.tags), f.size))
+    scales = [x[:, None] ** np.arange(n) for x, n in zip((a, b, f), table.poly.shape)]
+    for (t, j, m, k), value in zip(table.part_cells, table.part_values):
+        scale = scales[0][:, j] * scales[1][:, m] * scales[2][:, k]
+        scale[np.isnan(scale)] = 0.0  # an overflowed power times a zero one: no one pays
+        by_tag[t] += _paid(value, scale)
+    for group in table.kernels:
+        for t, term in zip(group.tags, _kernel_terms(group, a, b, f, group.kernels).T):
+            by_tag[t] += term
+    wait, delay_a, delay_b = table.pay_tags
+    by_tag[wait, waits] += sweep._waiting(b[waits], f[waits])
+    step = max(1, _DELAY_BLOCK // max(1, f.size))
+    for start in range(0, table.signals.shape[1], step):
+        base, slope, capacity, pax_a, pax_b = table.signals[:, start : start + step, None]
+        seconds = intersection_delay(sweep.scenario.signal, base * a + slope * f, capacity)
+        for t, pax, demand in ((delay_a, pax_a, a), (delay_b, pax_b, b)):
+            for term in _paid(seconds, _paid(pax, demand)):  # delay no one pays adds 0
+                by_tag[t] += term
+    out = np.zeros((f.size, len(_COMPONENTS)))
+    for (_, who), row in zip(table.tags, by_tag):
+        out[:, _COMPONENTS.index(_payer(who))] += row
+    return out

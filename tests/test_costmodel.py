@@ -1039,6 +1039,25 @@ class TestFrequencySweep:
             assert overflowed.any()
             np.testing.assert_array_equal(column[overflowed], np.inf)
 
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"bus": {"fare": 1e200}}, {"bpr": {"beta_auto": 4.5}}],
+        ids=["default", "fare_1e200", "beta_4.5"],
+    )
+    @pytest.mark.parametrize("policy", POLICY_ORDER)
+    def test_breakdowns_add_their_terms_in_table_order(self, policy, overrides):
+        # the vectorised sums must give every float of the term-by-term loop
+        scen = load_scenario(overrides)
+        rng = np.random.default_rng(7)
+        q0s = rng.uniform(0.0, 2500.0, 40)
+        shares = rng.uniform(0.0, 1.0, 40)
+        fs = rng.uniform(1.0, 120.0, 40)
+        q0s[:4], shares[4:12:2], shares[5:12:2] = 0.0, 0.0, 1.0
+        fs[(q0s == 0) | (shares == 1)] = 0.0  # no one rides: F = 0 is priced too
+        sweep = FrequencySweep(scen, policy, q0s, shares)
+        hexes = [[x.hex() for x in row] for row in sweep.breakdowns(fs).tolist()]
+        reference = [[x.hex() for x in row] for row in _reference.breakdowns(sweep, fs).tolist()]
+        assert hexes == reference
+
     def test_subsets_price_like_the_whole_sweep(self, baseline: Scenario):
         q0s = np.array([0.0, 450.0, 900.0, 2100.0])
         sweep = FrequencySweep(baseline, Policy.HOVLP, q0s, self._SHARES)

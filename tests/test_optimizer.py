@@ -597,6 +597,37 @@ class TestOptimizePolicies:
         assert misses == q0s.size  # all cold
         assert peak < 1.25 * 2**20, peak
 
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_a_call_of_52_densities_is_one_small_block(self, contrast, policy, monkeypatch):
+        # the coarse pass bounds its shares a chunk of rows at a time, so a
+        # block holds O(1) per coarse row besides one chunk's temporaries:
+        # one block peaks at 1.11 MiB traced, where three blocks of at most
+        # 19 densities peaked at 1.00 MiB, and one block whose shares are
+        # bounded all at once at 1.95
+        q0s = np.linspace(560.0, 760.0, 52)
+        sizes = []
+        cost_min = optimizer._best_split_cost_min
+
+        def recorded(scenario, policy, q0s, coarse):
+            sizes.append(q0s.size)
+            return cost_min(scenario, policy, q0s, coarse)
+
+        monkeypatch.setattr(optimizer, "_best_split_cost_min", recorded)
+        memo = optimizer._optimize_policy_cached
+        optimize_policies(contrast, policy, [500.0])  # the moment table
+        memo.cache_clear()
+        sizes.clear()
+        tracemalloc.start()
+        try:
+            optimize_policies(contrast, policy, q0s)
+            peak, misses = tracemalloc.get_traced_memory()[1], memo.cache_info().misses
+        finally:
+            tracemalloc.stop()
+            memo.cache_clear()
+        assert misses == q0s.size  # all cold
+        assert sizes == [q0s.size]
+        assert peak < 1.2 * 2**20, peak
+
     def test_a_block_budgets_the_refined_window(self):
         # r_step 0.5 gives 3 coarse shares but 2,001 in each refined window;
         # blocks sized by the coarse lattice alone held 661 densities, and
@@ -618,12 +649,13 @@ class TestOptimizePolicies:
         assert peak < 4 * 2**20, peak
 
     @pytest.mark.parametrize(
-        "solver,most", [({}, 19), ({"r_step": 0.5, "r_refine_factor": 1000}, 2)],
+        "solver,n,most", [({}, 120, 81), ({"r_step": 0.5, "r_refine_factor": 1000}, 40, 2)],
         ids=["default", "wide_windows"],
     )
-    def test_a_block_counts_the_cells_its_rows_price(self, solver, most, monkeypatch):
-        # the default coarse lattice sets a block's size; a refined window of
-        # 2,001 shares counts the cells each share prices, not its whole lattice
+    def test_a_block_counts_the_cells_its_rows_price(self, solver, n, most, monkeypatch):
+        # a row counts the cells it prices, not its whole lattice: the default
+        # 101 coarse shares make 81-density blocks; a refined window of 2,001
+        # shares, 2-density ones
         sizes = []
         cost_min = optimizer._best_split_cost_min
 
@@ -634,7 +666,7 @@ class TestOptimizePolicies:
         monkeypatch.setattr(optimizer, "_best_split_cost_min", recorded)
         optimizer._optimize_policy_cached.cache_clear()
         scen = load_scenario({"solver": solver})
-        optimize_policies(scen, Policy.MTP, np.linspace(200.0, 2200.0, 40))
+        optimize_policies(scen, Policy.MTP, np.linspace(200.0, 2200.0, n))
         optimizer._optimize_policy_cached.cache_clear()
         assert max(sizes) == most
 

@@ -24,6 +24,7 @@ from lanepolicy import (
     write_schedule_csv,
     write_schedule_json,
 )
+from lanepolicy import optimizer
 from lanepolicy.scheduler import SCHEDULE_CSV_COLUMNS
 
 
@@ -229,6 +230,27 @@ class TestEvaluateTrajectory:
     def test_allowed_set_validated(self, contrast: Scenario, coarse_traj):
         with pytest.raises(ValidationError):
             evaluate_trajectory(contrast, coarse_traj, ())
+
+    def test_each_policy_is_one_split_search_block(self, contrast: Scenario, monkeypatch):
+        # the `schedule` benchmark's seed 3: 52 distinct densities, one block
+        # per policy (nine of at most 19 densities while the coarse pass's
+        # share bounds sized a block)
+        traj = simulate(
+            OUParams(mean_reversion=60, long_run_level=660, volatility=3, q0_init=660),
+            horizon=1, seed=3,
+        )
+        sizes = []
+        cost_min = optimizer._best_split_cost_min
+
+        def recorded(scenario, policy, q0s, coarse):
+            sizes.append(q0s.size)
+            return cost_min(scenario, policy, q0s, coarse)
+
+        monkeypatch.setattr(optimizer, "_best_split_cost_min", recorded)
+        optimizer._optimize_policy_cached.cache_clear()
+        evaluate_trajectory(contrast, traj, (Policy.MTP, Policy.EBLP, Policy.HOVLP))
+        optimizer._optimize_policy_cached.cache_clear()
+        assert sizes == [52] * 3
 
 
 class TestReporting:

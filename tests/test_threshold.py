@@ -48,6 +48,24 @@ def evaluated(monkeypatch) -> list[float]:
     return seen
 
 
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """(policy, densities) of each solver call behind the optimizer's memo,
+    which starts and ends empty."""
+    memo = optimizer._optimize_policy_cached
+    solve = memo._solve
+    calls: list[tuple[Policy, int]] = []
+
+    def counted(scenario, policy, q0s):
+        calls.append((policy, len(q0s)))
+        return solve(scenario, policy, q0s)
+
+    monkeypatch.setattr(memo, "_solve", counted)
+    memo.cache_clear()
+    yield calls
+    memo.cache_clear()
+
+
 class TestCostCurve:
     def test_samples_cover_range(self, baseline: Scenario):
         curve = cost_curve(baseline, Policy.MTP, (400.0, 800.0), 5)
@@ -310,6 +328,34 @@ class TestSweepBisection:
             (657.8804687499999, Policy.MTP), (hi, Policy.HOVLP)
         ]
         assert [t.q0_star for t in thresholds] == [None, 658.1728515625, 489.5654296875]
+
+    def test_cli_sweep_solves_curves_and_scans_together(self, solver_calls, tmp_path):
+        assert main([*SWEEP_ARGV, "--out-dir", str(tmp_path)]) == 0
+        mtp, eblp, hovlp = POLICY_ORDER
+        # one call per policy for its curve's 11 densities and the 30 more
+        # of the 33-point scans, where the curves and the scans took two;
+        # then test_solver_calls' bisection rounds
+        assert solver_calls == [(p, 41) for p in POLICY_ORDER] + [
+            (mtp, 5), (hovlp, 8), (eblp, 3),
+            (mtp, 6), (hovlp, 9), (eblp, 3),
+            (mtp, 5), (hovlp, 8), (eblp, 3),
+            (mtp, 2), (hovlp, 2),
+        ]
+
+    @pytest.mark.parametrize(
+        "memo_size,first_calls", [(optimizer._MEMO_SIZE, [41]), (122, [11, 30])]
+    )
+    def test_scans_are_solved_together_when_the_memo_holds_them(
+        self, contrast: Scenario, solver_calls, monkeypatch, memo_size, first_calls
+    ):
+        # 123 densities in all: a memo that cannot hold them leaves each scan
+        # to solve its own, as a prefetch would be evicted before it is read
+        monkeypatch.setattr(threshold, "_MEMO_SIZE", memo_size)
+        lo, hi = SWEEP_RANGE
+        regions_and_thresholds(contrast, SWEEP_RANGE, (hi - lo) / 10)
+        first = [(p, n) for n in first_calls for p in POLICY_ORDER]
+        assert solver_calls[: len(first)] == first
+        assert all(n < 11 for _, n in solver_calls[len(first) :])
 
     # HOVLP has no optimum at these densities.  The order in which policy
     # regions, then each pair's find_threshold, would meet them decides the
