@@ -5,10 +5,11 @@ node-sampled values; the cumulative variant integrates pairwise, so its final
 node is the plain composite rule summed in another order: equal to rounding,
 not bit for bit.  Both take stacked integrands whose last axis runs over the
 nodes, and give each row exactly its one-row result.  Root finding is
-bisection batched over the bisection tree and over brackets: each call of
-the function prices every midpoint that the next two steps of every open
-bracket could visit, and each walk makes the one-point bisection's
-decisions, so every root is its bracket's one-point result bit for bit.
+bisection batched along predicted paths and over brackets: each call of
+the function prices the midpoints that every open bracket's walk visits if
+the root is where an interpolating cubic puts it, and each walk makes the
+one-point bisection's decisions, so every root is its bracket's one-point
+result bit for bit.
 Every search grid (densities, bus shares, frequencies) comes from one
 lattice rule, which keeps both ends of each row whatever its step divides.
 """
@@ -200,17 +201,6 @@ def integrate_values(values: Sequence[float] | np.ndarray, grid: CorridorGrid):
     return float(out) if v.ndim == 1 else out
 
 
-# Bisection levels priced per round of :func:`find_roots`: each round prices
-# every midpoint that each open bracket's next two steps could visit.  Deeper
-# levels price more points that the walks discard.  On the `sweep` benchmark
-# (one region boundary and two threshold crossings in lock-step; 2-vCPU host,
-# 8 alternating pairs, seeds 51-58, `--seconds 4`) three levels read 0.163 s of
-# `norm_wall_s` against two levels' 0.153 s and won 1 of 8 pairs; on the
-# one-bracket threshold search four or more levels were slower still.
-_BISECT_LEVELS = 2
-_NODES = 2**_BISECT_LEVELS - 1  # midpoints in one round's tree
-
-
 def _values(
     g: Callable[[np.ndarray, np.ndarray], np.ndarray], points: list[float], owners: list[int]
 ) -> list[float]:
@@ -230,31 +220,47 @@ def _not_finite(message: str, x: float) -> NumericDomainError:
     return exc
 
 
-def _midpoint_tree(a: float, b: float, tol: float) -> dict[int, float]:
-    """The midpoints that the next :data:`_BISECT_LEVELS` bisection steps
-    from [a, b] could visit, keyed by tree position: node k's left child is
-    2k + 1, its right child 2k + 2.  A step the walk would not take (width at
-    most ``tol``, or no float strictly inside) adds no node."""
-    tree = {}
-    stack = [(0, a, b)]
-    while stack:
-        k, a, b = stack.pop()
-        if k >= _NODES or not b - a > tol:
-            continue
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            continue
-        tree[k] = mid
-        stack += [(2 * k + 1, a, mid), (2 * k + 2, mid, b)]
-    return tree
+def _model(a: float, b: float, points: list[tuple[float, float]]) -> Callable[[float], float]:
+    """g's model on [a, b] from (x, g(x)) ``points``, the ends first: the
+    cubic (Newton form, Python floats) through the four finite ones nearest
+    [a, b], the first at each x, where it changes sign as g does, else the
+    secant of the ends."""
+    (_, ga), (_, gb) = points[:2]
+    xs, cs = [], []
+    finite = [(x, gx) for x, gx in points if math.isfinite(x) and math.isfinite(gx)]
+    for x, gx in sorted(finite, key=lambda p: max(a - p[0], p[0] - b, 0.0)):
+        if x not in xs:
+            xs.append(x)
+            cs.append(gx)
+            if len(xs) == 4:
+                break
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            cs[i] = (cs[i] - cs[i - 1]) / (xs[i] - xs[i - k])
+
+    def cubic(x: float) -> float:
+        value = cs[-1]
+        for xi, c in zip(xs[-2::-1], cs[-2::-1]):
+            value = value * (x - xi) + c
+        return value
+
+    pa, pb = cubic(a), cubic(b)
+    if (pa < 0 < pb) if ga < 0 else (pb < 0 < pa):
+        return cubic
+    root = a + (b - a) * (ga / (ga - gb))
+    return (lambda x: x - root) if ga < 0 else (lambda x: root - x)
 
 
 class _Walk:
-    """One bracket's bisection: [a, b] with ``ga`` = g(a), and ``result``,
-    None while a step remains, then the root or the error that ended it."""
+    """One bracket's bisection: [a, b] with ``ga`` = g(a) and ``gb`` = g(b);
+    ``result``, None while a step remains, then the root or the error that
+    ended it; and ``seen``, the (x, g(x)) pairs known near it, g's first."""
 
-    def __init__(self, a: float, b: float, ga: float, gb: float, tol: float) -> None:
-        self.a, self.b, self.ga, self.tol = a, b, ga, tol
+    def __init__(
+        self, a: float, b: float, ga: float, gb: float, tol: float, known: Sequence
+    ) -> None:
+        self.a, self.b, self.ga, self.gb, self.tol = a, b, ga, gb, tol
+        self.seen = [(float(x), float(gx)) for x, gx in known]
         self.result = None
         if not (math.isfinite(ga) and math.isfinite(gb)):
             self.result = _not_finite(
@@ -265,7 +271,7 @@ class _Walk:
             self.result = a
         elif gb == 0.0:
             self.result = b
-        elif ga * gb > 0:
+        elif (ga < 0) == (gb < 0):
             self.result = BracketError(
                 f"no sign change on [{a}, {b}]: g(a)={ga:.6g}, g(b)={gb:.6g}"
             )
@@ -280,21 +286,43 @@ class _Walk:
         if not b - a > self.tol or mid <= a or mid >= b:
             self.result = mid
 
-    def descend(self, priced: dict[int, float]) -> None:
-        """Take the steps that ``priced``, g over this walk's midpoint tree,
-        decides, as the one-point bisection takes them."""
-        k = 0
-        while self.result is None and k < _NODES:
-            mid, gm = 0.5 * (self.a + self.b), priced[k]
+    def path(self) -> list[float]:
+        """The midpoints that this walk visits if g has its model's signs
+        (:func:`_model`), down to width ``tol``: the walk's predicted path."""
+        a, b, rising = self.a, self.b, self.ga < 0
+        model = _model(a, b, [(a, self.ga), (b, self.gb), *self.seen])
+        path = []
+        while b - a > self.tol:
+            mid = 0.5 * (a + b)
+            if mid <= a or mid >= b:
+                break
+            path.append(mid)
+            value = model(mid)
+            if not (value < 0 or value > 0):  # the model's root, or NaN
+                break
+            if (value < 0) == rising:
+                a = mid
+            else:
+                b = mid
+        return path
+
+    def descend(self, path: list[float], values: list[float]) -> None:
+        """Take the steps that g's ``values`` on ``path`` decide, as the
+        one-point bisection takes them, up to the first midpoint off the
+        walk; keep every value for later models."""
+        self.seen[:0] = zip(path, values)
+        for mid, gm in zip(path, values):
+            if self.result is not None or mid != 0.5 * (self.a + self.b):
+                break
             if not math.isfinite(gm):
                 self.result = _not_finite(f"g is not finite at x={mid}", mid)
             elif gm == 0.0:
                 self.result = mid
             else:
-                if self.ga * gm < 0:
-                    self.b, k = mid, 2 * k + 1
+                if (gm < 0) != (self.ga < 0):
+                    self.b, self.gb = mid, gm
                 else:
-                    self.a, self.ga, k = mid, gm, 2 * k + 2
+                    self.a, self.ga = mid, gm
                 self._settle()
 
 
@@ -302,6 +330,7 @@ def find_roots(
     g: Callable[[np.ndarray, np.ndarray], np.ndarray],
     brackets: Sequence[tuple[float, float]],
     tol: float = 1e-9,
+    known: Sequence[Sequence[tuple[float, float]]] | None = None,
 ) -> list[float]:
     """Bisect ``g`` on every bracket (lo, hi) down to interval width ``tol``,
     the brackets in lock-step.
@@ -309,11 +338,13 @@ def find_roots(
     ``g`` maps a 1-D array of points and the array of each point's bracket,
     its index in ``brackets``, to the points' values (anything that
     broadcasts to the points' shape).  One call prices every bracket's ends;
-    each later call, one per round, prices for every bracket still open
-    every midpoint that its next :data:`_BISECT_LEVELS` steps could visit.
-    Each walk then makes the one-point bisection's decisions in its order,
-    so each root is that bracket's one-point result bit for bit, and a
-    value at a point its walk does not visit is never read.
+    each later call, one per round, prices for every open bracket the
+    midpoints that its walk visits if the root is where a cubic through the
+    values nearest the bracket puts it: its ends, those priced for it and
+    ``known[i]``, bracket i's (x, g(x)) pairs.  Each walk then makes the
+    one-point bisection's decisions in its order, so each root is that
+    bracket's one-point result bit for bit, and a value at a point its walk
+    does not visit, or a known one, never decides a step.
 
     The error raised is the first failing bracket's, as if the brackets were
     bisected one after another; its ``bracket`` attribute is that bracket's
@@ -326,21 +357,23 @@ def find_roots(
     if tol <= 0:
         raise ValidationError(f"tol must be positive, got {tol}")
     spans = [(lo, hi) if lo <= hi else (hi, lo) for lo, hi in brackets]
+    known = [()] * len(spans) if known is None else list(known)
+    if len(known) != len(spans):
+        raise ValidationError(f"known needs one entry per bracket, got {len(known)} for {len(spans)}")
     ends = _values(g, [x for span in spans for x in span], [i // 2 for i in range(2 * len(spans))])
-    walks = [_Walk(a, b, ga, gb, tol) for (a, b), ga, gb in zip(spans, ends[::2], ends[1::2])]
+    walks = [
+        _Walk(a, b, ga, gb, tol, near)
+        for (a, b), ga, gb, near in zip(spans, ends[::2], ends[1::2], known)
+    ]
     while True:
         failed = next((i for i, w in enumerate(walks) if isinstance(w.result, Exception)), None)
-        trees = {
-            i: _midpoint_tree(walk.a, walk.b, tol)
-            for i, walk in enumerate(walks[:failed])
-            if walk.result is None
-        }
-        if not trees:
+        paths = {i: walk.path() for i, walk in enumerate(walks[:failed]) if walk.result is None}
+        if not paths:
             break
-        points = [x for tree in trees.values() for x in tree.values()]
-        values = iter(_values(g, points, [i for i, tree in trees.items() for _ in tree]))
-        for i, tree in trees.items():
-            walks[i].descend({k: next(values) for k in tree})
+        points = [x for path in paths.values() for x in path]
+        values = iter(_values(g, points, [i for i, path in paths.items() for _ in path]))
+        for i, path in paths.items():
+            walks[i].descend(path, [next(values) for _ in path])
     if failed is not None:
         error = walks[failed].result
         error.bracket = failed
@@ -353,20 +386,20 @@ def find_root(
     lo: float,
     hi: float,
     tol: float = 1e-9,
+    known: Sequence[tuple[float, float]] = (),
 ) -> float:
     """Bisect ``g`` on [lo, hi] down to interval width ``tol``: the
     one-bracket case of :func:`find_roots`.
 
     ``g`` maps a 1-D array of points to their values (anything that
-    broadcasts to the points' shape).  One call prices both bracket ends;
-    each later call prices every midpoint that the next
-    :data:`_BISECT_LEVELS` steps could visit.  The walk then makes the
+    broadcasts to the points' shape), and ``known`` holds (x, g(x)) pairs
+    that only steer which midpoints each call prices.  The walk makes the
     one-point bisection's decisions in its order, so the result does not
-    depend on the batching, and a value at a point the walk does not visit
-    is never read.
+    depend on the batching, and a value at a point the walk does not visit,
+    or a known one, never decides a step.
 
     :raises BracketError: when ``g(lo)`` and ``g(hi)`` have the same sign.
     :raises NumericDomainError: when ``g`` is not finite at a visited point;
         its ``x`` attribute is the first such point.
     """
-    return find_roots(lambda xs, _: g(xs), [(lo, hi)], tol)[0]
+    return find_roots(lambda xs, _: g(xs), [(lo, hi)], tol, [known])[0]

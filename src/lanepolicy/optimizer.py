@@ -437,6 +437,7 @@ def _best_split_equilibrium(scenario: Scenario, policy: Policy, q0: float):
                 float(samples[i]),
                 float(samples[i + 1]),
                 tol=solver.r_step / solver.r_refine_factor,
+                known=list(zip(samples.tolist(), values.tolist())),
             )
         except NumericDomainError as exc:
             # a visited share without an optimal frequency: raise its error

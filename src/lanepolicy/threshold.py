@@ -13,17 +13,16 @@ search's lattices are solved first, one memo lookup per policy over the
 lattices of the scans it is in (:func:`_prefetch`); `lanepolicy sweep` puts
 its cost curves' densities, which are the regions' lattice, in the same
 lookup.  Then a search's cells are bisected in lock-step
-(:func:`~lanepolicy.numeric.find_roots`): each round prices every density
-that each open cell's next two steps could visit, in one memo lookup per
-policy over the cells it is a side of.  So a 62.5-wide cell at the default
-1.0 tolerance takes 3 rounds, and a `sweep` of the occupancy-skewed
+(:func:`~lanepolicy.numeric.find_roots`): each round prices the densities
+that each open cell's walk visits if the crossing is where a cubic through
+the scanned gaps nearest the cell puts it, in one memo lookup per policy
+over the cells it is a side of.  So a `sweep` of the occupancy-skewed
 scenario on [185, 2181] at 11 samples solves its curves and scans in 3
 solver calls and bisects its one region boundary and two threshold
-crossings in 11 more over 4 rounds, where solving the curves apart took 3
-more calls and bisecting one crossing at a time took 20.  Each walk makes the
-one-point bisection's decisions, so each boundary is that search's bit for
-bit.  Two crossings inside one lattice cell leave the winner at both its
-ends the same, so no search sees them.
+crossings in 3 more, one round.  Each walk makes the one-point bisection's
+decisions, so each boundary is that search's bit for bit.  Two crossings
+inside one lattice cell leave the winner at both its ends the same, so no
+search sees them.
 """
 
 from __future__ import annotations
@@ -151,20 +150,17 @@ def _curve_lattice(q0_range: tuple[float, float], n_samples: int) -> list[float]
     return _lattice(lo, hi, (hi - lo) / (n - 1))
 
 
-def _totals(scenario: Scenario, policy: Policy, q0s) -> list[float]:
-    return [opt.breakdown.total for opt in optimize_policies(scenario, policy, q0s)]
-
-
 def _total(optimum) -> float:
     return np.nan if isinstance(optimum, InfeasibleError) else optimum.breakdown.total
 
 
-def _boundaries(scenario: Scenario, cells: list) -> list[float]:
+def _boundaries(scenario: Scenario, cells: list, known: list) -> list[float]:
     """For each cell (below, above, q0_lo, q0_hi), where ``below``'s total, no
     dearer at q0_lo, stops being cheaper than ``above``'s, dearer or tied at
     q0_hi: every cell bisected to the threshold tolerance in the same
     :func:`find_roots` rounds, each round priced by one memo lookup per
-    policy over the midpoints of the open cells it is a side of."""
+    policy over the midpoints of the open cells it is a side of; ``known``
+    holds each cell's (density, gap) pairs already priced."""
     policies = list(dict.fromkeys(p for below, above, _, _ in cells for p in (below, above)))
 
     def gaps(q0s: np.ndarray, owners: np.ndarray) -> list[float]:
@@ -177,7 +173,8 @@ def _boundaries(scenario: Scenario, cells: list) -> list[float]:
         return [totals[below][q0] - totals[above][q0] for q0, (below, above, _, _) in points]
 
     try:
-        return find_roots(gaps, [cell[2:] for cell in cells], tol=scenario.solver.threshold_tol)
+        brackets = [cell[2:] for cell in cells]
+        return find_roots(gaps, brackets, scenario.solver.threshold_tol, known)
     except NumericDomainError as exc:
         # a visited density without an optimum: raise its InfeasibleError
         below, above, _, _ = cells[exc.bracket]
@@ -186,11 +183,30 @@ def _boundaries(scenario: Scenario, cells: list) -> list[float]:
         raise
 
 
-def _winners(scenario: Scenario, lattice: list[float], policies: tuple[Policy, ...]) -> list:
-    """The cheapest policy at each density of ``lattice``, ties going to the
-    policy listed first."""
-    totals = [_totals(scenario, p, lattice) for p in policies]
+def _winners(scenario: Scenario, scan: _Scan, table: dict | None) -> list:
+    """The cheapest policy at each density of ``scan``'s lattice, ties going
+    to the policy listed first, from ``table`` (:func:`_prefetch`) or the
+    memo; the first policy's first infeasible density raises."""
+    lattice, policies, _ = scan
+    totals = []
+    for policy in policies:
+        optima = (
+            [table[policy][q0] for q0 in lattice] if table else _lookup(scenario, policy, lattice)
+        )
+        for optimum in optima:
+            if isinstance(optimum, InfeasibleError):
+                raise optimum
+        totals.append([optimum.breakdown.total for optimum in optima])
     return [policies[min((t, k) for k, t in enumerate(column))[1]] for column in zip(*totals)]
+
+
+def _known(table: dict | None, below: Policy, above: Policy) -> list[tuple[float, float]]:
+    """``below``'s total less ``above``'s at each density of ``table``
+    priced for both, as (density, gap) pairs."""
+    if not table:
+        return []
+    mine, theirs = table[below], table[above]
+    return [(q0, _total(mine[q0]) - _total(theirs[q0])) for q0 in mine if q0 in theirs]
 
 
 class _Scan(NamedTuple):
@@ -203,19 +219,21 @@ class _Scan(NamedTuple):
     first_only: bool
 
 
-def _prefetch(scenario: Scenario, scans: list[_Scan]) -> None:
-    """Solve every scan's lattice with one memo lookup per policy, over the
-    lattices of the scans it is in.  A density without an optimum is only
-    looked up: the scans raise its error in their own order.  Densities
-    that the memo cannot hold all at once are left to the scans, which
-    would solve the evicted ones again."""
+def _prefetch(scenario: Scenario, scans: list[_Scan]) -> dict | None:
+    """Each policy's optima (or InfeasibleErrors) by density over the
+    lattices of the scans it is in, one memo lookup per policy; the scans
+    raise the errors in their own order.  None, and nothing solved, when the
+    memo cannot hold them all: the scans would solve evicted ones again."""
     wanted: dict[Policy, dict[float, None]] = {}
     for scan in scans:
         for policy in scan.policies:
             wanted.setdefault(policy, {}).update(dict.fromkeys(scan.lattice))
-    if sum(map(len, wanted.values())) <= _MEMO_SIZE:
-        for policy, densities in wanted.items():
-            _lookup(scenario, policy, list(densities))
+    if sum(map(len, wanted.values())) > _MEMO_SIZE:
+        return None
+    return {
+        policy: dict(zip(densities, _lookup(scenario, policy, list(densities))))
+        for policy, densities in wanted.items()
+    }
 
 
 def _switches(scenario: Scenario, scans: list[_Scan]) -> list:
@@ -228,11 +246,12 @@ def _switches(scenario: Scenario, scans: list[_Scan]) -> list:
     raised is the one that the scans made one after another would raise
     first: a scan's lattice, then its bisections, then the next scan.
     """
-    _prefetch(scenario, scans)
+    table = _prefetch(scenario, scans)
     found, pending = [], None
-    for lattice, policies, first_only in scans:
+    for scan in scans:
+        lattice, _, first_only = scan
         try:
-            winners = _winners(scenario, lattice, policies)
+            winners = _winners(scenario, scan, table)
         except InfeasibleError as exc:
             pending = exc  # raised once the cells of the scans before it are bisected
             break
@@ -240,7 +259,8 @@ def _switches(scenario: Scenario, scans: list[_Scan]) -> list:
         # below is no dearer at lattice[i - 1], above at lattice[i]: a bracket
         cells = [(winners[i - 1], winners[i], lattice[i - 1], lattice[i]) for i in changes]
         found.append((winners[0], cells[:1] if first_only else cells))
-    roots = iter(_boundaries(scenario, [cell for _, cells in found for cell in cells]))
+    bisected = [cell for _, cells in found for cell in cells]
+    roots = iter(_boundaries(scenario, bisected, [_known(table, *c[:2]) for c in bisected]))
     if pending is not None:
         raise pending
     return [
@@ -266,8 +286,8 @@ def find_threshold(
 
     The first crossing of the pair's winners on 33 evenly spaced densities,
     ties going to ``p1``, bisected to the solver's threshold tolerance with
-    two bisection levels per round and one solver call per policy and
-    round; no later crossing is bisected.
+    one solver call per policy and round, each round pricing the walk's
+    predicted path; no later crossing is bisected.
     Without one the uniformly cheaper policy fills both sides and q0_star
     is None.  At an exact tie the pair's order still matters: with zero
     lane costs EBLP and HOVLP tie in the all-bus regime at 200, so
@@ -309,8 +329,8 @@ def policy_regions(
     Pointwise winners on the lattice lo + resolution*k below hi, then hi
     (cost_curve's densities when resolution = (hi-lo)/(n-1)), ties going to
     the policy listed first; every boundary is bisected to the threshold
-    tolerance within its lattice cell, all of them in the same rounds: two
-    bisection levels per round, one solver call per policy and round.
+    tolerance within its lattice cell, all of them in the same rounds: each
+    walk's predicted path per round, one solver call per policy and round.
 
     :raises InfeasibleError: when a lattice density, or a density that a
         bisection visits, has no optimum for one of the policies.

@@ -195,7 +195,7 @@ def _one_point_bisection(f, lo, hi, tol):
         return a
     if gb == 0.0:
         return b
-    if ga * gb > 0:
+    if (ga < 0) == (gb < 0):
         raise BracketError(f"no sign change on [{a}, {b}]: g(a)={ga:.6g}, g(b)={gb:.6g}")
     while b - a > tol:
         mid = 0.5 * (a + b)
@@ -206,7 +206,7 @@ def _one_point_bisection(f, lo, hi, tol):
             raise NumericDomainError(f"g is not finite at x={mid}")
         if gm == 0.0:
             return mid
-        if ga * gm < 0:
+        if (gm < 0) != (ga < 0):
             b = mid
         else:
             a, ga = mid, gm
@@ -283,9 +283,11 @@ class TestBatchedBisection:
             priced.extend(x.tolist())
             return np.where(x == 3.0, np.nan, x - 1.2)
 
-        # from [0, 4] the walk visits 2 and then 1, never 3
-        got = find_root(g, 0.0, 4.0, tol=1e-6)
-        assert 3.0 in priced
+        # a wrong known value puts the model's root near 3.64, so the first
+        # round prices 2, 3, 3.5, ...; from [0, 4] the walk visits 2 and
+        # then 1, never 3
+        got = find_root(g, 0.0, 4.0, tol=1e-6, known=[(3.5, -1.0)])
+        assert priced[2:5] == [2.0, 3.0, 3.5]
         assert got == _one_point_bisection(lambda x: x - 1.2, 0.0, 4.0, 1e-6)
 
     def test_non_finite_value_on_the_walk_raises_with_its_point(self):
@@ -293,22 +295,44 @@ class TestBatchedBisection:
             find_root(lambda x: np.where(x == 1.0, np.nan, x - 1.2), 0.0, 4.0, tol=1e-6)
         assert info.value.x == 1.0
 
-    def test_each_call_prices_the_next_two_levels(self):
-        sizes = []
+    def test_each_call_prices_the_predicted_path(self):
+        calls = []
 
-        def g(x):
-            sizes.append(x.size)
-            return x - 0.3
+        def sized(f):
+            def g(x):
+                calls.append(x.tolist())
+                return f(x)
 
-        find_root(g, 0.0, 1.0, tol=1e-3)
-        assert numeric._BISECT_LEVELS == 2
-        # two ends, then 3 midpoints per two of the 10 halvings down to 1e-3
-        assert sizes == [2, 3, 3, 3, 3, 3]
-        sizes.clear()
-        find_root(g, 0.0, 1.0, tol=3e-3)
-        # 9 halvings: the last call prices only the midpoint of a cell whose
-        # halves are already within tolerance
-        assert sizes == [2, 3, 3, 3, 3, 1]
+            return g
+
+        # two ends, then the 10 halvings down to 1e-3 toward the secant's
+        # root, 0.3, all of them on the walk
+        find_root(sized(lambda x: x - 0.3), 0.0, 1.0, tol=1e-3)
+        assert [len(call) for call in calls] == [2, 10]
+        calls.clear()
+        find_root(sized(lambda x: x - 0.3), 0.0, 1.0, tol=3e-3)
+        assert [len(call) for call in calls] == [2, 9]
+        # a curved g: the secant of [0, 4] puts the root near 0.075, and the
+        # walk turns off that path at its third point, 0.5; the cubic through
+        # 0, 0.25, 0.5 and 1 then predicts the other 9 steps
+        calls.clear()
+        got = find_root(sized(lambda x: np.exp(x) - 2.0), 0.0, 4.0, tol=1e-3)
+        assert [len(call) for call in calls] == [2, 12, 9]
+        assert calls[1][:4] == [2.0, 1.0, 0.5, 0.25]
+        assert got == _one_point_bisection(lambda x: math.exp(x) - 2.0, 0.0, 4.0, 1e-3)
+
+    def test_signs_are_compared_not_multiplied(self):
+        # g(a) * g(mid) underflows to 0 here, which once read as no sign
+        # change: the walk went right at every step and ended near 1
+        def tiny(x):
+            return (x - 0.3) * 1e-200
+
+        got = find_root(tiny, 0.0, 1.0, tol=1e-6)
+        assert got == _one_point_bisection(tiny, 0.0, 1.0, 1e-6)
+        assert abs(got - 0.3) <= 1e-6
+        # and g(a) * g(b) underflowing to 0 once read as a sign change
+        with pytest.raises(BracketError, match="no sign change"):
+            find_root(lambda x: 1e-200 + 0 * x, 0.0, 1.0)
 
 
 def _cubic(coefficients, poison):
@@ -335,9 +359,10 @@ def _one_by_one(functions, brackets, tol):
     return roots
 
 
-def _lock_step(functions, brackets, tol, calls=None):
-    """:func:`find_roots` with bracket k priced by ``functions[k]``; each
-    call's (point, bracket) pairs are appended to ``calls``."""
+def _lock_step(functions, brackets, tol, calls=None, known=None):
+    """:func:`find_roots` with bracket k priced by ``functions[k]``, and
+    given ``known``; each call's (point, bracket) pairs are appended to
+    ``calls``."""
 
     def g(xs, owners):
         pairs = list(zip(xs.tolist(), owners.tolist()))
@@ -346,7 +371,7 @@ def _lock_step(functions, brackets, tol, calls=None):
         return [functions[k](x) for x, k in pairs]
 
     try:
-        return [root.hex() for root in find_roots(g, brackets, tol)]
+        return [root.hex() for root in find_roots(g, brackets, tol, known)]
     except NumericDomainError as exc:
         if not isinstance(exc, BracketError):
             # the point the error names rides on it
@@ -365,6 +390,30 @@ def _cubic_bracket(draw):
     return (c3, c2, c1, c0), lo, hi, draw(st.none() | st.tuples(_end, st.floats(0.0, 20.0)))
 
 
+# (x, g(x)) pairs handed to a bracket's walk: x anywhere, at an end, not
+# finite, or the midpoint that a walk reaches by a list of turns (True:
+# right); the value g's own (None), or any float, NaN and inf among them
+_known = st.lists(
+    st.tuples(
+        st.floats(-60.0, 60.0)
+        | st.sampled_from(["lo", "hi", math.nan, math.inf, -math.inf])
+        | st.lists(st.booleans(), max_size=8),
+        st.none() | st.floats(),
+    ),
+    max_size=6,
+)
+
+
+def _known_point(x, lo, hi):
+    """The point that a :data:`_known` draw names for the bracket (lo, hi)."""
+    if not isinstance(x, list):
+        return {"lo": lo, "hi": hi}.get(x, x)
+    a, b = (lo, hi) if lo <= hi else (hi, lo)
+    for right in x:
+        a, b = (0.5 * (a + b), b) if right else (a, 0.5 * (a + b))
+    return 0.5 * (a + b)
+
+
 class TestLockStepBisection:
     @given(st.lists(_cubic_bracket(), min_size=1, max_size=5), _tol)
     def test_random_cubic_brackets_match_one_point_bisection(self, specs, tol):
@@ -372,16 +421,30 @@ class TestLockStepBisection:
         brackets = [(lo, hi) for _, lo, hi, _ in specs]
         assert _lock_step(functions, brackets, tol) == _one_by_one(functions, brackets, tol)
 
+    @given(st.lists(st.tuples(_cubic_bracket(), _known), min_size=1, max_size=4), _tol)
+    def test_known_values_never_decide_a_step(self, specs, tol):
+        functions = [_cubic(coefficients, poison) for (coefficients, *_, poison), _ in specs]
+        brackets = [(lo, hi) for (_, lo, hi, _), _ in specs]
+        known = []
+        for f, (lo, hi), (_, pairs) in zip(functions, brackets, specs):
+            points = [(_known_point(x, lo, hi), value) for x, value in pairs]
+            points = [(x, f(x) if value is None else value) for x, value in points]
+            known.append(points + points[::2])  # every other pair twice
+        got = _lock_step(functions, brackets, tol, known=known)
+        assert got == _one_by_one(functions, brackets, tol)
+
     def test_each_round_is_one_call(self):
-        functions = [lambda x: x - 0.3, lambda x: x - 7.1, lambda x: 2.7 - x]
+        functions = [lambda x: x - 0.3, lambda x: (x - 7.1) ** 3, lambda x: 2.7 - x]
         brackets = [(0.0, 1.0), (5.0, 9.0), (0.0, 4.0)]
         calls = []
         roots = _lock_step(functions, brackets, 1e-3, calls)
         assert roots == _one_by_one(functions, brackets, 1e-3)
-        # the six ends, then three midpoints per open bracket per round:
-        # [0, 1] takes 10 halvings to 1e-3, [5, 9] and [0, 4] take 12
-        assert [len(call) for call in calls] == [6] + [9] * 5 + [6]
-        assert {k for _, k in calls[-1]} == {1, 2}  # [0, 1] closed a round earlier
+        # the six ends, then each open bracket's predicted path: [0, 1]
+        # takes 10 halvings to 1e-3, [5, 9] and [0, 4] take 12.  The secant
+        # finds both straight lines' roots; the walk on the cubic (x - 7.1)^3
+        # leaves its secant path and takes a second round, alone.
+        assert [len(call) for call in calls] == [6, 34, 8]
+        assert {k for _, k in calls[-1]} == {1}
 
     def test_root_on_a_bracket_end(self):
         functions = [lambda x: x - 1.2, lambda x: x - 1.0, lambda x: x - 3.0, lambda x: x - 2.2]
@@ -411,18 +474,21 @@ class TestLockStepBisection:
         ]
         brackets = [(0.0, 4.0), (10.0, 14.0)]
         calls = []
-        got = _lock_step(functions, brackets, 1e-6, calls)
+        # wrong known values send the first round's paths through 3 and 11;
         # from [0, 4] the walk visits 2 and then 1, never 3; from [10, 14]
         # it visits 12 and then 13, never 11
-        assert {(3.0, 0), (11.0, 1)} <= {pair for call in calls for pair in call}
+        known = [[(3.5, -1.0)], [(10.5, 1.0)]]
+        got = _lock_step(functions, brackets, 1e-6, calls, known)
+        assert {(3.0, 0), (11.0, 1)} <= set(calls[1])
         assert got == _one_by_one(
             [lambda x: x - 1.2, lambda x: x - 12.9], brackets, 1e-6
         )
 
     def test_first_bracket_error_wins_over_an_earlier_failure_in_a_later_one(self):
-        # bracket 0 walks 2, 1, 1.5, 1.25, 1.125: its fifth point, priced in
-        # the third round, is not finite.  Bracket 1 fails in the first round,
-        # at 2, and bracket 2, after it, is walked no further.
+        # bracket 0 walks 2, 1, 1.5, 1.25, 1.125: a wrong known value sends
+        # its first round's path right of 2, so its fifth point, priced in
+        # the second round, is not finite.  Bracket 1 fails in the first
+        # round, at 2, and bracket 2, after it, is walked no further.
         functions = [
             lambda x: math.nan if x == 1.125 else x - 1.2,
             lambda x: math.nan if x == 2.0 else x - 1.2,
@@ -436,10 +502,14 @@ class TestLockStepBisection:
             return [functions[k](x) for x, k in zip(xs.tolist(), owners.tolist())]
 
         with pytest.raises(NumericDomainError, match="not finite at x=1.125") as info:
-            find_roots(g, brackets, 1e-6)
+            find_roots(g, brackets, 1e-6, [[(3.5, -1.0)], [], []])
         assert (info.value.x, info.value.bracket) == (1.125, 0)
         assert _one_by_one(functions, brackets, 1e-6)[2] == 0
-        assert [sorted(set(owners)) for owners in calls] == [[0, 1, 2], [0, 1, 2], [0], [0]]
+        assert [sorted(set(owners)) for owners in calls] == [[0, 1, 2], [0, 1, 2], [0]]
+
+    def test_known_needs_one_entry_per_bracket(self):
+        with pytest.raises(ValidationError, match="one entry per bracket"):
+            find_roots(lambda xs, owners: xs - 0.3, [(0.0, 1.0), (0.0, 2.0)], 1e-3, [()])
 
     def test_no_brackets_make_no_call(self):
         def refuse(xs, owners):

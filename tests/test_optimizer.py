@@ -766,9 +766,9 @@ class TestOptimizePolicies:
         brackets = []
         find_root = optimizer.find_root
 
-        def bisect(g, lo, hi, tol):
+        def bisect(g, lo, hi, tol, known):
             brackets.append((lo, hi))
-            return find_root(g, lo, hi, tol=tol)
+            return find_root(g, lo, hi, tol=tol, known=known)
 
         monkeypatch.setattr(optimizer, "find_root", bisect)
         optimizer._optimize_policy_cached.cache_clear()

@@ -196,6 +196,48 @@ def test_only_numeric_halves_a_bracket():
     assert halvers == ["numeric.py"]
 
 
+def _estimates_a_root(node: ast.AST) -> bool:
+    """A secant's zero-crossing share ``g / (g - h)``, or a divided difference
+    ``(c[i] - c[j]) / (x[k] - x[l])``: the steps of estimating a root."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+        return False
+    top, bottom = node.left, node.right
+    if not (isinstance(bottom, ast.BinOp) and isinstance(bottom.op, ast.Sub)):
+        return False
+    if ast.dump(top) in (ast.dump(bottom.left), ast.dump(bottom.right)):
+        return True
+    return (
+        isinstance(top, ast.BinOp)
+        and isinstance(top.op, ast.Sub)
+        and all(
+            isinstance(s, ast.Subscript) for s in (top.left, top.right, bottom.left, bottom.right)
+        )
+    )
+
+
+def test_only_numeric_estimates_a_root():
+    # find_roots predicts each walk's path from its own model of g, in
+    # Python floats; callers hand it values already priced, never an
+    # estimate.  No module fits or solves a polynomial through NumPy, whose
+    # first LAPACK call raises the peak RSS of a run.
+    fits = re.compile(
+        r"\b(np|numpy)\.(linalg|polyfit|roots)\b"
+        r"|\bfrom numpy import[^\n]*\b(linalg|polyfit|roots)\b"
+    )
+    offenders = sorted(
+        path.name
+        for path in Path(lanepolicy.__path__[0]).glob("*.py")
+        if fits.search(path.read_text())
+    )
+    assert offenders == []
+    estimators = sorted(
+        path.name
+        for path in Path(lanepolicy.__path__[0]).glob("*.py")
+        if any(_estimates_a_root(node) for node in ast.walk(ast.parse(path.read_text())))
+    )
+    assert estimators == ["numeric.py"]
+
+
 def _steps_a_grid(node: ast.AST) -> bool:
     """``np.arange`` called with a start, a stop and a step."""
     return (

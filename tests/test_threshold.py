@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -223,10 +224,9 @@ class TestBoundaryBisection:
         memo.cache_clear()
         assert res.q0_star == pytest.approx(657.9, abs=0.1)
         # one call per policy for the 33-point scan; then the 6 bisection
-        # steps in the crossing's cell, two levels per call and policy
-        assert calls == [(Policy.MTP, 33), (Policy.HOVLP, 33)] + [
-            (Policy.MTP, 3), (Policy.HOVLP, 3)
-        ] * 3
+        # steps in the crossing's cell, all on the path that the cubic
+        # through the scan's gaps predicts: one call per policy
+        assert calls == [(Policy.MTP, 33), (Policy.HOVLP, 33), (Policy.MTP, 6), (Policy.HOVLP, 6)]
 
     def test_find_threshold_bisects_only_the_first_crossing(self, monkeypatch):
         # MTP, EBLP, MTP, EBLP on [200, 2500] without lane costs; the first
@@ -239,9 +239,9 @@ class TestBoundaryBisection:
         })
         boundaries, cells = threshold._boundaries, []
 
-        def counted(scenario, bisected):
+        def counted(scenario, bisected, known):
             cells.extend((q0_lo, q0_hi) for _, _, q0_lo, q0_hi in bisected)
-            return boundaries(scenario, bisected)
+            return boundaries(scenario, bisected, known)
 
         monkeypatch.setattr(threshold, "_boundaries", counted)
         res = find_threshold(s, Policy.MTP, Policy.EBLP, 200.0, 2500.0)
@@ -279,11 +279,14 @@ class TestBoundaryBisection:
             find_threshold(contrast, Policy.MTP, Policy.HOVLP, 200.0, 2200.0)
 
     def test_infeasible_density_off_the_walk_is_ignored(self, contrast: Scenario, monkeypatch):
-        expected = find_threshold(contrast, Policy.MTP, Policy.HOVLP, 200.0, 2200.0)
-        # the walk from [637.5, 700] goes left of 668.75, never to 684.375
-        errors = self._infeasible_at(monkeypatch, lambda q0: q0 == 684.375)
-        assert find_threshold(contrast, Policy.MTP, Policy.HOVLP, 200.0, 2200.0) == expected
-        assert errors == [684.375]
+        fine = replace(contrast, solver=replace(contrast.solver, threshold_tol=0.1))
+        expected = find_threshold(fine, Policy.MTP, Policy.HOVLP, 200.0, 2200.0)
+        # the first round prices the path from [637.5, 700] to the model's
+        # root near 658.05, 658.0078125 then 658.49609375 among its points;
+        # the walk turns left at 658.0078125, so it never visits 658.49609375
+        errors = self._infeasible_at(monkeypatch, lambda q0: q0 == 658.49609375)
+        assert find_threshold(fine, Policy.MTP, Policy.HOVLP, 200.0, 2200.0) == expected
+        assert errors == [658.49609375]
 
 
 class TestSweepBisection:
@@ -307,16 +310,13 @@ class TestSweepBisection:
         memo.cache_clear()
         mtp, eblp, hovlp = POLICY_ORDER
         # the curves; the 33-point scans, whose interior shares only 1183
-        # with the curves' lattice; then one call per policy and round for
-        # the region boundary (MTP/HOVLP, 8 halvings of a 199.6-wide cell)
-        # and the MTP/HOVLP and EBLP/HOVLP crossings (6 halvings of a
-        # 62.375-wide cell each).  EBLP has no open cell in the last round.
-        # One call per crossing and policy and round made 26 calls.
+        # with the curves' lattice; then one call per policy for the region
+        # boundary (MTP/HOVLP, 8 halvings of a 199.6-wide cell) and the
+        # MTP/HOVLP and EBLP/HOVLP crossings (6 halvings of a 62.375-wide
+        # cell each), every walk on the path that the cubic through the
+        # scans' gaps predicts
         assert calls == [(p, 11) for p in POLICY_ORDER] + [(p, 30) for p in POLICY_ORDER] + [
-            (mtp, 5), (hovlp, 8), (eblp, 3),
-            (mtp, 6), (hovlp, 9), (eblp, 3),
-            (mtp, 5), (hovlp, 8), (eblp, 3),
-            (mtp, 2), (hovlp, 2),
+            (mtp, 12), (hovlp, 18), (eblp, 6),
         ]
         assert regions == policy_regions(contrast, SWEEP_RANGE, (hi - lo) / 10)
         assert thresholds == [
@@ -334,28 +334,41 @@ class TestSweepBisection:
         mtp, eblp, hovlp = POLICY_ORDER
         # one call per policy for its curve's 11 densities and the 30 more
         # of the 33-point scans, where the curves and the scans took two;
-        # then test_solver_calls' bisection rounds
+        # then test_solver_calls' bisection round
         assert solver_calls == [(p, 41) for p in POLICY_ORDER] + [
-            (mtp, 5), (hovlp, 8), (eblp, 3),
-            (mtp, 6), (hovlp, 9), (eblp, 3),
-            (mtp, 5), (hovlp, 8), (eblp, 3),
-            (mtp, 2), (hovlp, 2),
+            (mtp, 12), (hovlp, 18), (eblp, 6),
         ]
 
     @pytest.mark.parametrize(
-        "memo_size,first_calls", [(optimizer._MEMO_SIZE, [41]), (122, [11, 30])]
+        "memo_size,first_calls,walk_calls",
+        [(optimizer._MEMO_SIZE, [41], [12, 18, 6]), (122, [11, 30], [12, 18, 6, 7, 10, 3])],
     )
     def test_scans_are_solved_together_when_the_memo_holds_them(
-        self, contrast: Scenario, solver_calls, monkeypatch, memo_size, first_calls
+        self, contrast: Scenario, solver_calls, monkeypatch, memo_size, first_calls, walk_calls
     ):
         # 123 densities in all: a memo that cannot hold them leaves each scan
-        # to solve its own, as a prefetch would be evicted before it is read
+        # to solve its own, as a prefetch would be evicted before it is read,
+        # and leaves the walks no scanned gaps to predict from: the secant
+        # of each cell's ends takes a second round
         monkeypatch.setattr(threshold, "_MEMO_SIZE", memo_size)
+        memo = optimizer._optimize_policy_cached
+        solve, solved = memo._solve, []
+
+        def recorded(scenario, policy, q0s):
+            solved.append(q0s.tolist())
+            return solve(scenario, policy, q0s)
+
+        monkeypatch.setattr(memo, "_solve", recorded)
         lo, hi = SWEEP_RANGE
+        scans = threshold._sweep_scans(SWEEP_RANGE, (hi - lo) / 10)
         regions_and_thresholds(contrast, SWEEP_RANGE, (hi - lo) / 10)
         first = [(p, n) for n in first_calls for p in POLICY_ORDER]
         assert solver_calls[: len(first)] == first
-        assert all(n < 11 for _, n in solver_calls[len(first) :])
+        assert [n for _, n in solver_calls[len(first) :]] == walk_calls
+        # every scanned density is solved in the first calls, none by a walk
+        scanned = {q0 for scan in scans for q0 in scan.lattice}
+        assert {q0 for call in solved[: len(first)] for q0 in call} == scanned
+        assert not scanned & {q0 for call in solved[len(first) :] for q0 in call}
 
     # HOVLP has no optimum at these densities.  The order in which policy
     # regions, then each pair's find_threshold, would meet them decides the
@@ -364,11 +377,11 @@ class TestSweepBisection:
     @pytest.mark.parametrize(
         "bad,raised",
         [
-            # the region walk's round-2 point, and the MTP/HOVLP walk's
-            # round-1 point, met first in the lock-step rounds
+            # a point of the region walk and one of the MTP/HOVLP walk, both
+            # priced in the one round
             ({659.05, 668.40625}, 659.05),
-            # the MTP/HOVLP and EBLP/HOVLP walks' round-1 points, and a point
-            # the region walk prices but does not visit
+            # points of the MTP/HOVLP and EBLP/HOVLP walks, and a density no
+            # walk prices
             ({668.40625, 465.6875, 733.9}, 668.40625),
             # a point of the 33-point scans (met at MTP/HOVLP, the first pair
             # with HOVLP), and the EBLP/HOVLP walk's first point
